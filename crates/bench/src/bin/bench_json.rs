@@ -759,33 +759,22 @@ fn bench_kvs_cluster(quick: bool) -> KvsClusterResult {
     }
 }
 
-/// The resilient-link price tag and recovery figure for the
-/// `tcp_resilience` section: steady-state round-trip cost over real
-/// loopback sockets with the ack/retention path on vs the plain wire,
-/// plus throughput while every established connection is repeatedly
-/// hard-killed mid-stream (the reconnect storm).
+/// The TCP link's steady-state and recovery figures for the
+/// `tcp_resilience` section: round-trip cost over real loopback
+/// sockets, plus throughput while every established connection is
+/// repeatedly hard-killed mid-stream (the reconnect storm).
 struct TcpResilienceResult {
-    plain_ns: u128,
-    plain_iters: u64,
-    resilient_ns: u128,
-    resilient_iters: u64,
+    round_trip_ns: u128,
+    round_trip_iters: u64,
     storm_msgs: u64,
     storm_msgs_per_sec: f64,
     storm_kills: u64,
     storm_reconnects: u64,
 }
 
-impl TcpResilienceResult {
-    /// Steady-state ack-path overhead (1.0 = free). The roadmap pins
-    /// this at ≤ 1.2×.
-    fn ratio(&self) -> f64 {
-        self.resilient_ns as f64 / self.plain_ns.max(1) as f64
-    }
-}
-
 /// One bidirectional round trip per iteration over real loopback
-/// sockets, with the resilient link layer on or off.
-fn tcp_round_trip_ns(quick: bool, resilient: bool) -> (u128, u64) {
+/// sockets.
+fn tcp_round_trip_ns(quick: bool) -> (u128, u64) {
     use chorus_core::Transport as _;
     chorus_core::locations! { RA, RB }
     type Duo = chorus_core::LocationSet!(RA, RB);
@@ -794,7 +783,6 @@ fn tcp_round_trip_ns(quick: bool, resilient: bool) -> (u128, u64) {
     let config = chorus_transport::TcpConfigBuilder::new()
         .location(RA, addrs[0])
         .location(RB, addrs[1])
-        .resilience(resilient)
         .build::<Duo>()
         .expect("complete census");
     let a = chorus_transport::TcpTransport::bind(RA, config.clone()).expect("bind RA");
@@ -808,13 +796,12 @@ fn tcp_round_trip_ns(quick: bool, resilient: bool) -> (u128, u64) {
     })
 }
 
-fn bench_tcp_resilience(quick: bool) -> TcpResilienceResult {
+fn bench_tcp_link(quick: bool) -> TcpResilienceResult {
     use chorus_core::Transport as _;
     chorus_core::locations! { SA, SB }
     type Duo = chorus_core::LocationSet!(SA, SB);
 
-    let (plain_ns, plain_iters) = tcp_round_trip_ns(quick, false);
-    let (resilient_ns, resilient_iters) = tcp_round_trip_ns(quick, true);
+    let (round_trip_ns, round_trip_iters) = tcp_round_trip_ns(quick);
 
     // The reconnect storm: a one-way stream with every established
     // connection hard-killed at a fixed cadence; throughput includes
@@ -847,10 +834,8 @@ fn bench_tcp_resilience(quick: bool) -> TcpResilienceResult {
     let reconnects = a.link_stats().reconnects;
 
     TcpResilienceResult {
-        plain_ns,
-        plain_iters,
-        resilient_ns,
-        resilient_iters,
+        round_trip_ns,
+        round_trip_iters,
         storm_msgs,
         storm_msgs_per_sec: storm_msgs as f64 / elapsed,
         storm_kills: kills,
@@ -860,16 +845,14 @@ fn bench_tcp_resilience(quick: bool) -> TcpResilienceResult {
 
 /// Throughput on a saturated loopback link for the `saturated_link`
 /// section: several sessions pump small frames one way as fast as they
-/// can offer them, through the same resilient link with coalesced
-/// vectored batches (swept over flush windows) vs frame-at-a-time (a
-/// zero flush window: every frame is its own vectored write, acked and
-/// retained individually). Plain mode (no retention, one plain `write`
-/// per frame) rides along as context.
+/// can offer them, through the same link with coalesced vectored
+/// batches (swept over flush windows) vs frame-at-a-time (a zero flush
+/// window: every frame is its own vectored write, acked and retained
+/// individually).
 struct SaturatedLinkResult {
     msgs: u64,
     sessions: u64,
     payload_bytes: usize,
-    plain_msgs_per_sec: f64,
     unbatched_msgs_per_sec: f64,
     /// `(flush window in µs, msgs/sec)` for every swept window,
     /// including the frame-at-a-time `0` point.
@@ -903,7 +886,6 @@ impl SaturatedLinkResult {
 fn saturated_link_run(
     msgs: u64,
     sessions: u64,
-    resilient: bool,
     flush: Duration,
 ) -> (f64, chorus_transport::TcpLinkStats) {
     use chorus_core::SessionTransport as _;
@@ -914,7 +896,6 @@ fn saturated_link_run(
     let config = chorus_transport::TcpConfigBuilder::new()
         .location(LA, addrs[0])
         .location(LB, addrs[1])
-        .resilience(resilient)
         .flush_delay(flush)
         .build::<Duo>()
         .expect("complete census");
@@ -962,25 +943,24 @@ fn bench_saturated_link(quick: bool) -> SaturatedLinkResult {
     // max is the low-variance estimator — applied to baseline and
     // batched points alike.
     const REPS: u32 = 3;
-    let peak_of = |resilient: bool, flush: Duration| {
+    let peak_of = |flush: Duration| {
         let mut peak: Option<(f64, chorus_transport::TcpLinkStats)> = None;
         for _ in 0..REPS {
-            let (rate, stats) = saturated_link_run(msgs, sessions, resilient, flush);
+            let (rate, stats) = saturated_link_run(msgs, sessions, flush);
             if peak.as_ref().is_none_or(|(r, _)| rate > *r) {
                 peak = Some((rate, stats));
             }
         }
         peak.expect("at least one rep")
     };
-    let (plain_rate, _) = peak_of(false, Duration::ZERO);
-    // The frame-at-a-time baseline: the identical resilient data plane
-    // with no coalescing window, so every offered frame is flushed (and
+    // The frame-at-a-time baseline: the identical data plane with no
+    // coalescing window, so every offered frame is flushed (and
     // retained, and acked) on its own.
-    let (unbatched_rate, _) = peak_of(true, Duration::ZERO);
+    let (unbatched_rate, _) = peak_of(Duration::ZERO);
     let mut sweep = vec![(0u64, unbatched_rate)];
     let mut best: Option<(u64, f64, chorus_transport::TcpLinkStats)> = None;
     for &us in &[50u64, 200, 500] {
-        let (rate, stats) = peak_of(true, Duration::from_micros(us));
+        let (rate, stats) = peak_of(Duration::from_micros(us));
         sweep.push((us, rate));
         if best.as_ref().is_none_or(|(_, r, _)| rate > *r) {
             best = Some((us, rate, stats));
@@ -991,7 +971,6 @@ fn bench_saturated_link(quick: bool) -> SaturatedLinkResult {
         msgs,
         sessions,
         payload_bytes: 32,
-        plain_msgs_per_sec: plain_rate,
         unbatched_msgs_per_sec: unbatched_rate,
         sweep,
         batched_flush_us,
@@ -1037,9 +1016,9 @@ fn main() {
     // a stop-the-world for a shard split.
     let kvs_cluster = bench_kvs_cluster(quick);
 
-    // The resilient-TCP price tag: ack/retention overhead on a real
-    // socket round trip, and throughput through a reconnect storm.
-    let tcp_resilience = bench_tcp_resilience(quick);
+    // The TCP link's figures: a real socket round trip (acks and
+    // retention included), and throughput through a reconnect storm.
+    let tcp_resilience = bench_tcp_link(quick);
 
     // The batched-data-plane payoff: msgs/sec on a saturated loopback
     // link, coalesced vectored batches vs one write per frame, with the
@@ -1106,15 +1085,11 @@ fn main() {
         kvs_cluster.freeze_wall_ms,
     ));
     json.push_str(&format!(
-        "  \"tcp_resilience\": {{\"plain_round_trip_ns\": {}, \"plain_iters\": {}, \
-         \"resilient_round_trip_ns\": {}, \"resilient_iters\": {}, \
-         \"resilient_over_plain_ratio\": {:.3}, \"storm_msgs\": {}, \
-         \"storm_msgs_per_sec\": {:.1}, \"storm_kills\": {}, \"storm_reconnects\": {}}},\n",
-        tcp_resilience.plain_ns,
-        tcp_resilience.plain_iters,
-        tcp_resilience.resilient_ns,
-        tcp_resilience.resilient_iters,
-        tcp_resilience.ratio(),
+        "  \"tcp_resilience\": {{\"resilient_round_trip_ns\": {}, \"resilient_iters\": {}, \
+         \"storm_msgs\": {}, \"storm_msgs_per_sec\": {:.1}, \"storm_kills\": {}, \
+         \"storm_reconnects\": {}}},\n",
+        tcp_resilience.round_trip_ns,
+        tcp_resilience.round_trip_iters,
         tcp_resilience.storm_msgs,
         tcp_resilience.storm_msgs_per_sec,
         tcp_resilience.storm_kills,
@@ -1128,14 +1103,13 @@ fn main() {
         .join(", ");
     json.push_str(&format!(
         "  \"saturated_link\": {{\"msgs\": {}, \"sessions\": {}, \"payload_bytes\": {}, \
-         \"plain_msgs_per_sec\": {:.1}, \"unbatched_msgs_per_sec\": {:.1}, \
+         \"unbatched_msgs_per_sec\": {:.1}, \
          \"batched_msgs_per_sec\": {:.1}, \"batched_over_unbatched_ratio\": {:.3}, \
          \"batched_flush_us\": {}, \"batches\": {}, \"batched_frames\": {}, \
          \"batch_histogram\": {:?}, \"flush_sweep\": [{}]}},\n",
         saturated.msgs,
         saturated.sessions,
         saturated.payload_bytes,
-        saturated.plain_msgs_per_sec,
         saturated.unbatched_msgs_per_sec,
         saturated.batched_msgs_per_sec,
         saturated.ratio(),
@@ -1202,23 +1176,18 @@ fn main() {
         kvs_cluster.freeze_wall_ms,
     );
     println!(
-        "{:<48} plain {} ns/iter (n = {})  resilient {} ns/iter (n = {})  ratio {:.2}x  \
-         storm {:.0} msgs/s ({} kills, {} reconnects)",
+        "{:<48} round trip {} ns/iter (n = {})  storm {:.0} msgs/s ({} kills, {} reconnects)",
         "tcp_resilience/round_trip_and_storm",
-        tcp_resilience.plain_ns,
-        tcp_resilience.plain_iters,
-        tcp_resilience.resilient_ns,
-        tcp_resilience.resilient_iters,
-        tcp_resilience.ratio(),
+        tcp_resilience.round_trip_ns,
+        tcp_resilience.round_trip_iters,
         tcp_resilience.storm_msgs_per_sec,
         tcp_resilience.storm_kills,
         tcp_resilience.storm_reconnects,
     );
     println!(
-        "{:<48} plain {:.0} msgs/s  unbatched {:.0} msgs/s  batched {:.0} msgs/s \
+        "{:<48} unbatched {:.0} msgs/s  batched {:.0} msgs/s \
          (flush {}us)  ratio {:.2}x  {} batches / {} frames  hist {:?}",
         "saturated_link/batched_vs_frame_at_a_time",
-        saturated.plain_msgs_per_sec,
         saturated.unbatched_msgs_per_sec,
         saturated.batched_msgs_per_sec,
         saturated.batched_flush_us,

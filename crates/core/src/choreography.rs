@@ -4,8 +4,8 @@
 //! of *all* participants; it receives its choreographic operators through
 //! the [`ChoreoOp`] trait. Endpoint projection as dependency injection
 //! (§5.2) means "EPP is done by executing the choreography function with
-//! concrete implementations of the operators": the
-//! [`Projector`](crate::Projector) injects per-endpoint operator
+//! concrete implementations of the operators": a
+//! [`Session`](crate::Session) injects per-endpoint operator
 //! implementations, while the [`Runner`](crate::Runner) injects the
 //! centralized semantics.
 

@@ -7,7 +7,7 @@
 //!
 //! * endpoint projection happens at run time via **dependency injection**
 //!   (§5.2) — a [`Choreography`] is a struct whose `run` method receives
-//!   its operators through the [`ChoreoOp`] trait, and a [`Projector`]
+//!   its operators through the [`ChoreoOp`] trait, and a [`Session`]
 //!   injects endpoint-specific implementations of those operators;
 //! * knowledge of choice is managed with **conclaves** and
 //!   **multiply-located values** (§3.2–3.3) — [`ChoreoOp::conclave`] runs a
@@ -58,7 +58,6 @@
 //! (metrics, tracing) installed at build time observes every message.
 
 mod choreography;
-mod demux;
 mod endpoint;
 mod faceted;
 mod fold;
@@ -67,7 +66,6 @@ mod location;
 mod member;
 pub mod ops;
 pub mod park;
-mod projector;
 mod quire;
 mod runner;
 mod runtime;
@@ -78,16 +76,12 @@ pub use choreography::{
     ChoreoOp, Choreography, CommFailure, CommFailureKind, FanInChoreography, FanOutChoreography,
     Portable,
 };
-pub use demux::Demux;
 pub use endpoint::{Endpoint, EndpointBuilder, EndpointBuilderWithTransport, Layer, MessageCtx};
 pub use faceted::Faceted;
 pub use fold::{FoldNil, FoldStep, LocationSetFoldable, LocationSetFolder};
 pub use located::{Located, MultiplyLocated, Unwrapper};
 pub use location::{ChoreographyLocation, HCons, HNil, LocationSet};
 pub use member::{Here, Member, Subset, SubsetCons, SubsetNil, There};
-#[allow(deprecated)]
-pub use projector::Projector;
-pub use projector::PROJECTOR_SESSION;
 pub use quire::Quire;
 pub use runner::Runner;
 pub use runtime::{RoleProgram, SessionCx, SessionHandle, SessionRuntime, Step};

@@ -2,10 +2,9 @@
 //!
 //! A [`Session`] is a cheap handle carrying a session id and per-peer
 //! sequence counters. `session.epp_and_run(choreo)` performs endpoint
-//! projection as dependency injection (§5.2) exactly like the old
-//! `Projector`, but every message travels in a
-//! [`chorus_wire::Envelope`] tagged with the session id, so any number
-//! of sessions can run concurrently over one transport.
+//! projection as dependency injection (§5.2), and every message travels
+//! in a [`chorus_wire::Envelope`] tagged with the session id, so any
+//! number of sessions can run concurrently over one transport.
 
 use crate::choreography::{ChoreoOp, Choreography, CommFailure, CommFailureKind, Portable};
 use crate::endpoint::{Endpoint, MessageCtx};

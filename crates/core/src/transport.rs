@@ -42,8 +42,8 @@ pub enum TransportError {
         /// Number of connection attempts made.
         attempts: u32,
     },
-    /// A resilient link's retention queue reached its configured
-    /// watermark and could not drain.
+    /// A TCP link's retention queue reached its configured watermark
+    /// and could not drain.
     ///
     /// The sender parked at the watermark waiting for the peer's acks
     /// to prune the queue, but the link resolved down (or the watchdog
@@ -55,8 +55,7 @@ pub enum TransportError {
         edge: String,
         /// Bytes retained for the peer when the sender gave up.
         retained_bytes: usize,
-        /// The configured watermark (`CHORUS_TCP_RETAIN_MAX` or the
-        /// builder override).
+        /// The configured watermark (`TcpConfigBuilder::retain_max`).
         limit: usize,
     },
 }
@@ -177,8 +176,7 @@ pub const RAW_SESSION: SessionId = SessionId::MAX;
 ///
 /// This is the transport interface [`Endpoint`](crate::Endpoint) is
 /// built on; the raw [`Transport`] trait remains for single-stream,
-/// unframed byte links, and any raw transport can be lifted into a
-/// session transport with [`Demux`](crate::Demux).
+/// unframed byte links.
 pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
     /// The names of every location this transport can reach (including
     /// `Target` itself).
@@ -256,46 +254,6 @@ pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
     ) -> Result<bool, TransportError>;
 }
 
-impl<L, Target, T> SessionTransport<L, Target> for &T
-where
-    L: LocationSet,
-    Target: ChoreographyLocation,
-    T: SessionTransport<L, Target> + ?Sized,
-{
-    fn locations(&self) -> Vec<&'static str> {
-        (**self).locations()
-    }
-
-    fn send_frame(&self, to: &str, frame: chorus_wire::Envelope) -> Result<(), TransportError> {
-        (**self).send_frame(to, frame)
-    }
-
-    fn receive_frame(
-        &self,
-        session: SessionId,
-        from: &str,
-    ) -> Result<chorus_wire::Envelope, TransportError> {
-        (**self).receive_frame(session, from)
-    }
-
-    fn try_receive_frame(
-        &self,
-        session: SessionId,
-        from: &str,
-    ) -> Result<Option<chorus_wire::Envelope>, TransportError> {
-        (**self).try_receive_frame(session, from)
-    }
-
-    fn register_waker(
-        &self,
-        session: SessionId,
-        from: &str,
-        waker: MailboxWaker,
-    ) -> Result<bool, TransportError> {
-        (**self).register_waker(session, from, waker)
-    }
-}
-
 /// A census's names, resolved once so hot paths can validate and
 /// intern location names without allocating or re-materializing
 /// `L::names()` (a fresh `Vec`) per message.
@@ -332,9 +290,9 @@ impl InternedNames {
 ///
 /// A sequence restart (an incoming `seq` of zero) is accepted and resets
 /// the expectation: it marks a fresh run reusing the same session id on
-/// a long-lived transport, which is how the deprecated
-/// single-session [`Projector`](crate::Projector) shim behaves across
-/// consecutive `epp_and_run` calls.
+/// a long-lived transport, as consecutive
+/// [`Endpoint::session_with_id`](crate::Endpoint::session_with_id)
+/// calls with one id do.
 #[derive(Debug, Default)]
 pub struct SequenceTracker {
     next: std::collections::HashMap<(SessionId, &'static str), u64>,

@@ -23,8 +23,8 @@ pub type SimpleKvsCensus = chorus_core::LocationSet!(Client, Primary);
 ///
 /// The server's state is a [`SharedStore`] located at [`Primary`]; the
 /// client's request is located at [`Client`]. Each endpoint supplies its
-/// own half via `Projector::local` / `Projector::local_faceted` and the
-/// placeholder for the other.
+/// own half via `Session::local` and the placeholder for the other via
+/// `Session::remote`.
 pub struct SimpleKvs {
     /// The client's request.
     pub request: Located<Request, Client>,

@@ -1,6 +1,6 @@
-//! Resilient-link plumbing shared by the TCP transport: tuning knobs,
-//! jittered reconnect backoff, link statistics, and the timeout-tolerant
-//! frame accumulator both directions read the wire through.
+//! Link plumbing shared by the TCP transport: tuning values, jittered
+//! reconnect backoff, link statistics, and the timeout-tolerant frame
+//! accumulator both directions read the wire through.
 //!
 //! The policy lives here; the mechanism (send queues, the link
 //! supervisor, replay) lives in `tcp.rs`. Everything is deliberately
@@ -23,85 +23,48 @@ pub(crate) const ACK_EVERY: u32 = 16;
 /// promptly even late in a long outage.
 pub(crate) const BACKOFF_CAP: Duration = Duration::from_millis(200);
 
-fn env_u64(name: &str, default: u64) -> u64 {
-    std::env::var(name)
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .filter(|v| *v > 0)
-        .unwrap_or(default)
-}
-
-/// Like [`env_u64`] but zero is a meaningful setting (it disables the
-/// knob) rather than "unset".
-fn env_u64_or_zero(name: &str, default: u64) -> u64 {
-    std::env::var(name).ok().and_then(|v| v.trim().parse().ok()).unwrap_or(default)
-}
-
 /// Link-layer policy for one TCP endpoint.
 ///
-/// Defaults come from the environment so deployments tune reconnect
-/// behavior the same way they tune the watchdog (`CHORUS_WATCHDOG_MS`):
-///
-/// * `CHORUS_TCP_RETRY_LIMIT` — connection attempts per outage before
-///   the link surfaces [`TransportError::LinkDown`]
-///   (default 60).
-/// * `CHORUS_TCP_RETRY_BASE_MS` — first reconnect delay; doubles per
-///   attempt, jittered, capped at 200ms (default 5).
-/// * `CHORUS_TCP_HEARTBEAT_MS` — ping cadence on idle established
-///   links; a link silent for 3 heartbeats is presumed half-dead and
-///   torn down for replay (default 1000).
-/// * `CHORUS_TCP_FLUSH_US` — coalescing flush delay in microseconds for
-///   resilient links: sends enqueue and a flusher thread writes the
-///   whole accumulated batch after at most this long (default 0 —
-///   flush inline on every send, which still batches whatever queued
-///   behind a contended link lock).
-/// * `CHORUS_TCP_RETAIN_MAX` — retention watermark in bytes per link:
-///   a sender whose unacknowledged tail reaches this parks until acks
-///   prune it, and surfaces
-///   [`TransportError::RetentionExceeded`] if the link resolves down
-///   (or the watchdog expires) while it waits (default 64 MiB; 0
-///   disables the watermark).
-///
-/// [`TransportError::LinkDown`]: chorus_core::TransportError::LinkDown
-/// [`TransportError::RetentionExceeded`]: chorus_core::TransportError::RetentionExceeded
+/// These five values are everything about a link that can be set, and
+/// [`TcpConfigBuilder`](crate::TcpConfigBuilder)'s setters of the same
+/// names are the only way to set them. [`LinkTuning::default`] is the
+/// `*_DEFAULT` constants below, where each default is stated once.
 #[derive(Debug, Clone, Copy)]
 pub struct LinkTuning {
-    /// Connection attempts per outage before the link goes down.
+    /// Connection attempts per outage before the link surfaces
+    /// [`TransportError::LinkDown`](chorus_core::TransportError::LinkDown).
     pub retry_limit: u32,
-    /// Base reconnect backoff delay.
+    /// First reconnect delay; doubles per attempt, jittered, capped at
+    /// 200ms.
     pub retry_base: Duration,
-    /// Heartbeat probe cadence on established links.
+    /// Ping cadence on idle established links; a link silent for 3
+    /// heartbeats is presumed half-dead and torn down for replay.
     pub heartbeat: Duration,
-    /// Coalescing window for batched flushes (zero: flush inline).
+    /// Coalescing flush window. Zero flushes inline on every send,
+    /// which still batches whatever queued behind a contended link lock
+    /// or a replay; a nonzero window parks sends for a flusher thread
+    /// that writes the accumulated batch after at most this long.
     pub flush_delay: Duration,
-    /// Per-link retention watermark in bytes (zero: unbounded).
+    /// Retention watermark in bytes per link (zero: unbounded): a
+    /// sender whose unacknowledged tail reaches it parks until acks
+    /// prune it, and surfaces
+    /// [`TransportError::RetentionExceeded`](chorus_core::TransportError::RetentionExceeded)
+    /// if the link resolves down (or the watchdog expires) while it
+    /// waits.
     pub retain_max: usize,
-    /// Whether links retain, replay, and acknowledge frames. When
-    /// false the transport is the plain frame-at-a-time wire (the bench
-    /// baseline): a dead connection simply loses whatever was in
-    /// flight, and the receiver's link cursor reports the gap loudly.
-    pub resilient: bool,
 }
 
-/// Default retention watermark: 64 MiB per link.
-const RETAIN_MAX_DEFAULT: u64 = 64 * 1024 * 1024;
-
 impl LinkTuning {
-    /// Reads the environment-tunable defaults.
-    pub fn from_env(resilient: bool) -> Self {
-        LinkTuning {
-            retry_limit: env_u64("CHORUS_TCP_RETRY_LIMIT", 60).min(u64::from(u32::MAX)) as u32,
-            retry_base: Duration::from_millis(env_u64("CHORUS_TCP_RETRY_BASE_MS", 5)),
-            heartbeat: Duration::from_millis(env_u64("CHORUS_TCP_HEARTBEAT_MS", 1000)),
-            flush_delay: Duration::from_micros(env_u64_or_zero("CHORUS_TCP_FLUSH_US", 0)),
-            retain_max: usize::try_from(env_u64_or_zero(
-                "CHORUS_TCP_RETAIN_MAX",
-                RETAIN_MAX_DEFAULT,
-            ))
-            .unwrap_or(usize::MAX),
-            resilient,
-        }
-    }
+    /// Default [`retry_limit`](Self::retry_limit).
+    pub const RETRY_LIMIT_DEFAULT: u32 = 60;
+    /// Default [`retry_base`](Self::retry_base).
+    pub const RETRY_BASE_DEFAULT: Duration = Duration::from_millis(5);
+    /// Default [`heartbeat`](Self::heartbeat).
+    pub const HEARTBEAT_DEFAULT: Duration = Duration::from_secs(1);
+    /// Default [`flush_delay`](Self::flush_delay): flush inline.
+    pub const FLUSH_DELAY_DEFAULT: Duration = Duration::ZERO;
+    /// Default [`retain_max`](Self::retain_max): 64 MiB.
+    pub const RETAIN_MAX_DEFAULT: usize = 64 * 1024 * 1024;
 
     /// How long a connecting side waits for the receiver's resume
     /// cursor before treating the attempt as failed.
@@ -123,6 +86,18 @@ impl LinkTuning {
     /// An established link silent this long is presumed half-dead.
     pub(crate) fn dead_after(&self) -> Duration {
         self.heartbeat * 3
+    }
+}
+
+impl Default for LinkTuning {
+    fn default() -> Self {
+        LinkTuning {
+            retry_limit: Self::RETRY_LIMIT_DEFAULT,
+            retry_base: Self::RETRY_BASE_DEFAULT,
+            heartbeat: Self::HEARTBEAT_DEFAULT,
+            flush_delay: Self::FLUSH_DELAY_DEFAULT,
+            retain_max: Self::RETAIN_MAX_DEFAULT,
+        }
     }
 }
 
@@ -359,9 +334,8 @@ mod tests {
     }
 
     #[test]
-    fn tuning_env_defaults_are_sane() {
-        // Whatever the environment says, the parsed values are usable.
-        let tuning = LinkTuning::from_env(true);
+    fn tuning_defaults_are_sane() {
+        let tuning = LinkTuning::default();
         assert!(tuning.retry_limit >= 1);
         assert!(tuning.retry_base > Duration::ZERO);
         assert!(tuning.heartbeat > Duration::ZERO);

@@ -1,23 +1,29 @@
-//! TCP transport: resilient, length-prefixed link frames over sockets.
+//! TCP transport: length-prefixed link frames over sockets, on links
+//! that survive their connections.
 //!
 //! Each endpoint binds a listener at its configured address. Outgoing
-//! links are opened lazily (with jittered, env-tunable backoff — see
-//! [`LinkTuning`]) and begin with a handshake frame carrying the
-//! sender's location name and link mode; after that, every frame is a
-//! `u32` little-endian length followed by a [`chorus_wire::LinkFrame`]:
+//! links are opened lazily (with jittered backoff — see [`LinkTuning`])
+//! and begin with a hello frame carrying the link-protocol version and
+//! the sender's location name, which the acceptor answers with a
+//! `Resume { next }` cursor; after that, every frame is a `u32`
+//! little-endian length followed by a [`chorus_wire::LinkFrame`]:
 //! either a data frame (per-link sequence number + session
 //! [`chorus_wire::Envelope`]) or an ack/heartbeat/resume control frame.
 //!
-//! # The resilient link layer
+//! There is one link protocol and one way to tune it: the five setters
+//! of [`TcpConfigBuilder`], whose defaults are [`LinkTuning`]'s
+//! constants.
 //!
-//! In the default resilient mode, any TCP connection can die and come
-//! back at any moment without a session observing anything but latency:
+//! # The link layer
+//!
+//! Any TCP connection can die and come back at any moment without a
+//! session observing anything but latency:
 //!
 //! * **Retention + replay.** A send queue retains every encoded frame
 //!   (refcounted, so retention is cheap) until the receiver's
 //!   cumulative ack covers it. On reconnect the receiver answers the
-//!   handshake with a `Resume { next }` cursor and the sender replays
-//!   exactly the unacknowledged tail.
+//!   hello with its cursor and the sender replays exactly the
+//!   unacknowledged tail.
 //! * **Dedup.** The receiver keeps a per-peer link cursor across
 //!   connections: already-delivered frames replayed by a cautious
 //!   sender are dropped before they reach session sequencing, and a
@@ -31,23 +37,18 @@
 //!   outage has a bounded retry budget, after which the link surfaces a
 //!   typed [`TransportError::LinkDown`] instead of hanging.
 //!
-//! The plain mode (`TcpConfigBuilder::resilience(false)`) is the same
-//! wire format without retention, acks, or supervision — the bench
-//! baseline for measuring the ack path's overhead, and the old
-//! lose-whatever-was-in-flight behavior (now detected loudly by the
-//! receiver's cursor rather than surfacing as a session sequence gap).
-//!
 //! # The batched data plane
 //!
-//! Resilient sends are batched per link: every retained frame not yet
-//! on the current connection flushes in one vectored write — the fixed
-//! 33-byte headers assembled in a reused per-link buffer, the
-//! refcounted payloads handed to the kernel as their own slices, never
-//! copied. With a nonzero coalescing window (`CHORUS_TCP_FLUSH_US`,
-//! builder override wins) sends enqueue and a flusher thread writes the
-//! accumulated batch once the window closes; the window starts at the
-//! first enqueued frame, so a lone frame is never stalled longer than
-//! the window, and a large backlog flushes inline without waiting.
+//! Sends are batched per link: every retained frame not yet on the
+//! current connection flushes in one vectored write — the fixed 33-byte
+//! headers assembled in a reused per-link buffer, the refcounted
+//! payloads handed to the kernel as their own slices, never copied.
+//! With a nonzero coalescing window
+//! ([`TcpConfigBuilder::flush_delay`]) sends enqueue and a flusher
+//! thread writes the accumulated batch once the window closes; the
+//! window starts at the first enqueued frame, so a lone frame is never
+//! stalled longer than the window, and a large backlog flushes inline
+//! without waiting.
 //!
 //! A reader thread per accepted connection drains the whole buffered
 //! burst per wakeup, deposits it into the per-(session, sender) FIFO
@@ -57,10 +58,11 @@
 //! sessions interleave freely on the socket.
 //!
 //! Retention is bounded: a link whose unacknowledged tail reaches the
-//! `CHORUS_TCP_RETAIN_MAX` watermark parks further senders until acks
-//! prune it, and surfaces [`TransportError::RetentionExceeded`] if the
-//! link resolves down while they wait — a peer that stays dead can no
-//! longer grow a sender's retention queue without bound.
+//! [`TcpConfigBuilder::retain_max`] watermark parks further senders
+//! until acks prune it, and surfaces
+//! [`TransportError::RetentionExceeded`] if the link resolves down
+//! while they wait — a peer that stays dead cannot grow a sender's
+//! retention queue without bound.
 
 pub use crate::link::TcpLinkStats;
 use crate::link::{backoff_delay, FrameAccumulator, LinkStats, LinkTuning, ACK_EVERY};
@@ -85,50 +87,25 @@ use std::time::{Duration, Instant};
 /// half-dead and torn down for replay.
 const DEAD_AFTER_PINGS: u32 = 3;
 
-/// Handshake mode byte: a plain (frame-at-a-time) sender.
-const MODE_PLAIN: u8 = 0;
-/// Handshake mode byte: a resilient sender expecting a resume cursor
-/// and sending/consuming acks and heartbeats.
-const MODE_RESILIENT: u8 = 1;
+/// The link-protocol version: the first byte of every hello. An
+/// acceptor closes a connection whose hello starts with anything else.
+const LINK_VERSION: u8 = 1;
 
 /// Address book for a TCP system: one socket address per location in
 /// `L`, plus the link-layer policy every endpoint of the system shares.
 #[derive(Debug, Clone)]
 pub struct TcpConfig<L: LocationSet> {
     addrs: HashMap<&'static str, SocketAddr>,
-    resilient: bool,
-    retry_limit: Option<u32>,
-    retry_base: Option<Duration>,
-    heartbeat: Option<Duration>,
-    flush_delay: Option<Duration>,
-    retain_max: Option<usize>,
+    tuning: LinkTuning,
     system: PhantomData<L>,
 }
 
-/// Builder for [`TcpConfig`].
-#[derive(Debug)]
+/// Builder for [`TcpConfig`]: the address book and the five
+/// [`LinkTuning`] values, each at its default unless set here.
+#[derive(Debug, Default)]
 pub struct TcpConfigBuilder {
     addrs: HashMap<&'static str, SocketAddr>,
-    resilient: bool,
-    retry_limit: Option<u32>,
-    retry_base: Option<Duration>,
-    heartbeat: Option<Duration>,
-    flush_delay: Option<Duration>,
-    retain_max: Option<usize>,
-}
-
-impl Default for TcpConfigBuilder {
-    fn default() -> Self {
-        TcpConfigBuilder {
-            addrs: HashMap::new(),
-            resilient: true,
-            retry_limit: None,
-            retry_base: None,
-            heartbeat: None,
-            flush_delay: None,
-            retain_max: None,
-        }
-    }
+    tuning: LinkTuning,
 }
 
 impl TcpConfigBuilder {
@@ -144,51 +121,33 @@ impl TcpConfigBuilder {
         self
     }
 
-    /// Enables or disables the resilient link layer (default: enabled).
-    ///
-    /// All endpoints of one system must agree: a plain receiver never
-    /// answers a resilient sender's handshake, which the sender treats
-    /// as a failed connection attempt.
-    pub fn resilience(mut self, resilient: bool) -> Self {
-        self.resilient = resilient;
-        self
-    }
-
-    /// Overrides the per-outage connection-attempt budget (otherwise
-    /// `CHORUS_TCP_RETRY_LIMIT`, default 60).
+    /// Sets [`LinkTuning::retry_limit`] (at least one attempt).
     pub fn retry_limit(mut self, attempts: u32) -> Self {
-        self.retry_limit = Some(attempts.max(1));
+        self.tuning.retry_limit = attempts.max(1);
         self
     }
 
-    /// Overrides the base reconnect backoff delay (otherwise
-    /// `CHORUS_TCP_RETRY_BASE_MS`, default 5ms).
+    /// Sets [`LinkTuning::retry_base`].
     pub fn retry_base(mut self, base: Duration) -> Self {
-        self.retry_base = Some(base);
+        self.tuning.retry_base = base;
         self
     }
 
-    /// Overrides the heartbeat cadence (otherwise
-    /// `CHORUS_TCP_HEARTBEAT_MS`, default 1s).
+    /// Sets [`LinkTuning::heartbeat`].
     pub fn heartbeat(mut self, heartbeat: Duration) -> Self {
-        self.heartbeat = Some(heartbeat);
+        self.tuning.heartbeat = heartbeat;
         self
     }
 
-    /// Overrides the coalescing flush window (otherwise
-    /// `CHORUS_TCP_FLUSH_US`, default zero — flush inline on every
-    /// send, which still batches whatever queued behind a contended
-    /// link or a replay).
+    /// Sets [`LinkTuning::flush_delay`].
     pub fn flush_delay(mut self, window: Duration) -> Self {
-        self.flush_delay = Some(window);
+        self.tuning.flush_delay = window;
         self
     }
 
-    /// Overrides the per-link retention watermark in bytes (otherwise
-    /// `CHORUS_TCP_RETAIN_MAX`, default 64 MiB; zero disables the
-    /// bound).
+    /// Sets [`LinkTuning::retain_max`].
     pub fn retain_max(mut self, bytes: usize) -> Self {
-        self.retain_max = Some(bytes);
+        self.tuning.retain_max = bytes;
         self
     }
 
@@ -202,43 +161,10 @@ impl TcpConfigBuilder {
         let missing: Vec<&'static str> =
             L::names().into_iter().filter(|n| !self.addrs.contains_key(n)).collect();
         if missing.is_empty() {
-            Ok(TcpConfig {
-                addrs: self.addrs,
-                resilient: self.resilient,
-                retry_limit: self.retry_limit,
-                retry_base: self.retry_base,
-                heartbeat: self.heartbeat,
-                flush_delay: self.flush_delay,
-                retain_max: self.retain_max,
-                system: PhantomData,
-            })
+            Ok(TcpConfig { addrs: self.addrs, tuning: self.tuning, system: PhantomData })
         } else {
             Err(missing)
         }
-    }
-}
-
-impl<L: LocationSet> TcpConfig<L> {
-    /// The link tuning this config resolves to: builder overrides win,
-    /// then the `CHORUS_TCP_*` environment, then defaults.
-    fn tuning(&self) -> LinkTuning {
-        let mut tuning = LinkTuning::from_env(self.resilient);
-        if let Some(limit) = self.retry_limit {
-            tuning.retry_limit = limit;
-        }
-        if let Some(base) = self.retry_base {
-            tuning.retry_base = base;
-        }
-        if let Some(heartbeat) = self.heartbeat {
-            tuning.heartbeat = heartbeat;
-        }
-        if let Some(window) = self.flush_delay {
-            tuning.flush_delay = window;
-        }
-        if let Some(bytes) = self.retain_max {
-            tuning.retain_max = bytes;
-        }
-        tuning
     }
 }
 
@@ -261,50 +187,27 @@ fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
     stream.flush()
 }
 
-fn read_frame(stream: &mut TcpStream) -> std::io::Result<Vec<u8>> {
+/// Reads a connector's hello frame. The connector is not yet known to
+/// be a peer, so a declared length beyond `max_len` (what the longest
+/// census name needs) is refused before anything is allocated for it.
+fn read_hello(stream: &mut TcpStream, max_len: usize) -> std::io::Result<Vec<u8>> {
     let mut len_bytes = [0u8; 4];
     stream.read_exact(&mut len_bytes)?;
     let len = u32::from_le_bytes(len_bytes) as usize;
-    let mut payload = vec![0u8; len];
-    stream.read_exact(&mut payload)?;
-    Ok(payload)
+    if len > max_len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            "hello longer than any census name",
+        ));
+    }
+    let mut hello = vec![0u8; len];
+    stream.read_exact(&mut hello)?;
+    Ok(hello)
 }
 
 /// Writes one control frame as its own length-prefixed wire frame.
 fn write_control(stream: &mut TcpStream, frame: &ControlFrame) -> std::io::Result<()> {
     write_frame(stream, &frame.encode())
-}
-
-/// Payloads up to this size are coalesced with their headers into the
-/// reused send buffer and hit the socket as a single `write`; larger
-/// payloads go out as their own slice, uncopied.
-const COALESCE_LIMIT: usize = 16 * 1024;
-
-/// Writes one data frame: `u32` outer length, link-frame data header
-/// (tag + link sequence), envelope header, payload — assembled in `buf`
-/// (whose capacity is reused across frames) or, for large payloads,
-/// written as two slices so the payload is never copied.
-fn write_link_data(
-    stream: &mut TcpStream,
-    buf: &mut Vec<u8>,
-    link_seq: u64,
-    frame: &Envelope,
-) -> std::io::Result<()> {
-    let inner_len = DATA_HEADER_LEN + frame.encoded_len();
-    let outer_len = u32::try_from(inner_len)
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    buf.clear();
-    buf.extend_from_slice(&outer_len.to_le_bytes());
-    buf.extend_from_slice(&data_header(link_seq));
-    buf.extend_from_slice(&frame.header());
-    if frame.payload.len() <= COALESCE_LIMIT {
-        buf.extend_from_slice(&frame.payload);
-        stream.write_all(buf)?;
-    } else {
-        stream.write_all(buf)?;
-        stream.write_all(&frame.payload)?;
-    }
-    stream.flush()
 }
 
 /// What the link layer made of one deposited batch of data frames.
@@ -314,9 +217,9 @@ struct BatchOutcome {
     accepted: u32,
     /// Frames dropped as already delivered on an earlier connection.
     duplicates: u64,
-    /// The cursor jumped forward: frames were genuinely lost (plain
-    /// mode, or a receiver restart behind a live sender). The link is
-    /// poisoned loudly and the rest of the batch discarded.
+    /// The cursor jumped forward: frames were genuinely lost (a
+    /// receiver restart behind a live sender). The link is poisoned
+    /// loudly and the rest of the batch discarded.
     gap: bool,
 }
 
@@ -338,13 +241,36 @@ struct InboxInner {
     /// persisted across connections (the heart of resumption — a
     /// reconnecting sender is told exactly where to replay from).
     cursors: HashMap<&'static str, u64>,
-    /// Senders whose connection has ended (with an optional error).
-    closed: HashMap<&'static str, Option<String>>,
+    /// Senders whose stream is poisoned for good (a link cursor gap, a
+    /// session sequence violation, an undecodable frame), with the
+    /// error every session on that link observes. A connection merely
+    /// ending is not recorded here: the sender reconnects and resumes.
+    closed: HashMap<&'static str, String>,
     /// Readiness wakers parked on empty mailboxes by the pooled session
     /// runtime: at most one per (sender, session) mailbox, removed and
     /// fired (outside the lock) when that mailbox gains a frame, drained
     /// per sender when its connection ends.
     wakers: HashMap<(&'static str, SessionId), MailboxWaker>,
+}
+
+impl InboxInner {
+    /// Pops the next deliverable frame of `session` from `sender`;
+    /// with the mailbox drained, a poisoned link is the error.
+    fn pop(
+        &mut self,
+        session: SessionId,
+        sender: &'static str,
+    ) -> Result<Option<Envelope>, TransportError> {
+        if let Some(envelope) =
+            self.mailboxes.get_mut(&(sender, session)).and_then(VecDeque::pop_front)
+        {
+            return Ok(Some(envelope));
+        }
+        match self.closed.get(sender) {
+            Some(message) => Err(TransportError::Protocol(message.clone())),
+            None => Ok(None),
+        }
+    }
 }
 
 impl Inbox {
@@ -374,16 +300,15 @@ impl Inbox {
                 continue;
             }
             if link_seq > *cursor {
-                // Frames below `link_seq` are gone for good (a
-                // plain-mode sender lost its in-flight tail, or this
-                // receiver restarted and lost its cursor). Poison the
-                // link rather than let a session see a silently
-                // shortened stream.
+                // Frames below `link_seq` are gone for good (this
+                // receiver restarted and lost its cursor behind a live
+                // sender). Poison the link rather than let a session
+                // see a silently shortened stream.
                 let message = format!(
                     "link-layer sequence gap from {sender}: expected frame {cursor}, got \
                      {link_seq} (frames lost on a dead connection)"
                 );
-                inner.closed.insert(sender, Some(message));
+                inner.closed.insert(sender, message);
                 fired.extend(drain_sender_wakers(&mut inner.wakers, sender));
                 outcome.gap = true;
                 break;
@@ -391,11 +316,11 @@ impl Inbox {
             *cursor += 1;
             outcome.accepted += 1;
             // A sender that violated its session sequencing is
-            // unrecoverable (see `reopen`): consume the frame at the
-            // link level (so the sender's retention queue drains) but
-            // withhold it from every session, which observes the
-            // protocol error instead of a silently resumed stream.
-            if matches!(inner.closed.get(sender), Some(Some(_))) {
+            // unrecoverable: consume the frame at the link level (so
+            // the sender's retention queue drains) but withhold it from
+            // every session, which observes the protocol error instead
+            // of a silently resumed stream.
+            if inner.closed.contains_key(sender) {
                 continue;
             }
             match inner.sequences.check(envelope.session, sender, envelope.seq) {
@@ -405,7 +330,7 @@ impl Inbox {
                     fired.extend(inner.wakers.remove(&(sender, session)));
                 }
                 Err(e) => {
-                    inner.closed.insert(sender, Some(e.to_string()));
+                    inner.closed.insert(sender, e.to_string());
                     fired.extend(drain_sender_wakers(&mut inner.wakers, sender));
                 }
             }
@@ -429,8 +354,8 @@ impl Inbox {
         *inner.cursors.entry(sender).or_insert(0)
     }
 
-    /// Marks `sender`'s connection as ended.
-    fn close(&self, sender: &'static str, error: Option<String>) {
+    /// Poisons `sender`'s link with `error` (the first error wins).
+    fn close(&self, sender: &'static str, error: String) {
         let mut inner = self.inner.lock().expect("tcp inbox poisoned");
         inner.closed.entry(sender).or_insert(error);
         // A closed link is an observable (error) state for every session
@@ -443,17 +368,6 @@ impl Inbox {
         }
     }
 
-    /// Clears `sender`'s closed state when it establishes a fresh
-    /// connection, so a reconnecting peer resumes feeding its mailboxes
-    /// instead of being treated as permanently gone. A sequence
-    /// violation or link gap is kept: the stream state is unrecoverable.
-    fn reopen(&self, sender: &'static str) {
-        let mut inner = self.inner.lock().expect("tcp inbox poisoned");
-        if matches!(inner.closed.get(sender), Some(None)) {
-            inner.closed.remove(sender);
-        }
-    }
-
     /// Pops the next frame of `session` from `sender` if one is already
     /// deliverable.
     fn try_take(
@@ -461,19 +375,7 @@ impl Inbox {
         session: SessionId,
         sender: &'static str,
     ) -> Result<Option<Envelope>, TransportError> {
-        let mut inner = self.inner.lock().expect("tcp inbox poisoned");
-        if let Some(envelope) =
-            inner.mailboxes.get_mut(&(sender, session)).and_then(VecDeque::pop_front)
-        {
-            return Ok(Some(envelope));
-        }
-        if let Some(error) = inner.closed.get(sender) {
-            return Err(match error {
-                Some(message) => TransportError::Protocol(message.clone()),
-                None => TransportError::ConnectionClosed { peer: sender.to_string() },
-            });
-        }
-        Ok(None)
+        self.inner.lock().expect("tcp inbox poisoned").pop(session, sender)
     }
 
     /// Parks `waker` on the (sender, session) mailbox, or reports the
@@ -505,16 +407,8 @@ impl Inbox {
         let started = Instant::now();
         let mut inner = self.inner.lock().expect("tcp inbox poisoned");
         loop {
-            if let Some(envelope) =
-                inner.mailboxes.get_mut(&(sender, session)).and_then(VecDeque::pop_front)
-            {
+            if let Some(envelope) = inner.pop(session, sender)? {
                 return Ok(envelope);
-            }
-            if let Some(error) = inner.closed.get(sender) {
-                return Err(match error {
-                    Some(message) => TransportError::Protocol(message.clone()),
-                    None => TransportError::ConnectionClosed { peer: sender.to_string() },
-                });
             }
             let waited = started.elapsed();
             let Some(remaining) = watchdog.checked_sub(waited) else {
@@ -811,8 +705,7 @@ const FLUSH_INLINE_BYTES: usize = 256 * 1024;
 ///
 /// An I/O error leaves the stream in place (a batch may be partially
 /// written; the resume cursor re-syncs `flushed` on reconnect); the
-/// caller decides between `kill_stream` + re-establish (resilient) and
-/// surfacing it.
+/// caller tears it down with `kill_stream` and re-establishes.
 fn flush_pending(link: &mut SendLink, stats: &LinkStats) -> std::io::Result<()> {
     let SendLink { stream, buf, unacked, flushed, wire_high, .. } = &mut *link;
     let Some(stream) = stream.as_mut() else {
@@ -881,9 +774,9 @@ fn flush_pending(link: &mut SendLink, stats: &LinkStats) -> std::io::Result<()> 
     Ok(())
 }
 
-/// One connection attempt: connect, handshake, (resilient) adopt the
-/// receiver's resume cursor, replay the unacked tail, and start the ack
-/// reader. On `Err` the caller counts the attempt and backs off.
+/// One connection attempt: connect, say hello, adopt the receiver's
+/// resume cursor, replay the unacked tail, and start the ack reader. On
+/// `Err` the caller counts the attempt and backs off.
 fn try_connect_once(
     shared: &Arc<SendShared>,
     to: &'static str,
@@ -895,17 +788,12 @@ fn try_connect_once(
     let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(1))?;
     stream.set_nodelay(true).ok();
     let mut hello = Vec::with_capacity(1 + shared.me.len());
-    hello.push(if tuning.resilient { MODE_RESILIENT } else { MODE_PLAIN });
+    hello.push(LINK_VERSION);
     hello.extend_from_slice(shared.me.as_bytes());
     write_frame(&mut stream, &hello)?;
-    if !tuning.resilient {
-        link.generation += 1;
-        link.stream = Some(stream);
-        return Ok(());
-    }
 
-    // Wait for the receiver's resume cursor (bounded: a half-dead or
-    // mode-mismatched peer must not hang the connect path).
+    // Wait for the receiver's resume cursor (bounded: a half-dead peer,
+    // or one that refused the hello, must not hang the connect path).
     stream.set_read_timeout(Some(tuning.io_tick()))?;
     let mut acc = FrameAccumulator::default();
     let deadline = Instant::now() + tuning.handshake_timeout();
@@ -925,7 +813,7 @@ fn try_connect_once(
             None if Instant::now() >= deadline => {
                 return Err(std::io::Error::new(
                     std::io::ErrorKind::TimedOut,
-                    "peer sent no resume cursor (plain-mode receiver, or half-open connection)",
+                    "peer sent no resume cursor (half-open connection)",
                 ))
             }
             None => {}
@@ -1159,7 +1047,7 @@ fn supervisor_loop(shared: Arc<SendShared>) {
 }
 
 /// The coalescing flusher: when sends park frames behind a nonzero
-/// `CHORUS_TCP_FLUSH_US` window, this thread wakes at the *first*
+/// `flush_delay` window, this thread wakes at the *first*
 /// enqueue, sleeps out the window (letting the batch accumulate), and
 /// writes every dirty link's backlog as one vectored flush. Because
 /// the signal fires on the first frame, a lone frame's latency is
@@ -1218,8 +1106,9 @@ pub struct TcpTransport<L: LocationSet, Target: ChoreographyLocation> {
 }
 
 impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
-    /// Binds `target`'s listener and starts its acceptor thread (plus,
-    /// in resilient mode, the link supervisor).
+    /// Binds `target`'s listener and starts its acceptor and link
+    /// supervisor threads (plus, with a nonzero `flush_delay`, the
+    /// coalescing flusher).
     ///
     /// # Errors
     ///
@@ -1236,7 +1125,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
 
         let peers: HashSet<&'static str> =
             L::names().into_iter().filter(|n| *n != Target::NAME).collect();
-        let tuning = config.tuning();
+        let tuning = config.tuning;
         let stats = Arc::new(LinkStats::default());
         let inbox = Arc::new(Inbox::default());
         let stop = Arc::new(AtomicBool::new(false));
@@ -1258,18 +1147,14 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
             flush_signal: park::WaitQueue::new(false),
             dirty_hint: AtomicBool::new(false),
         });
-        if tuning.resilient {
-            let supervisor_shared = Arc::clone(&send);
-            std::thread::Builder::new()
-                .name("chorus-tcp-supervisor".into())
-                .spawn(move || supervisor_loop(supervisor_shared))
-                .map_err(|e| {
-                    TransportError::Io(std::io::Error::other(format!(
-                        "spawning link supervisor: {e}"
-                    )))
-                })?;
-        }
-        if tuning.resilient && tuning.flush_delay > Duration::ZERO {
+        let supervisor_shared = Arc::clone(&send);
+        std::thread::Builder::new()
+            .name("chorus-tcp-supervisor".into())
+            .spawn(move || supervisor_loop(supervisor_shared))
+            .map_err(|e| {
+                TransportError::Io(std::io::Error::other(format!("spawning link supervisor: {e}")))
+            })?;
+        if tuning.flush_delay > Duration::ZERO {
             let flusher_shared = Arc::clone(&send);
             std::thread::Builder::new()
                 .name("chorus-tcp-flusher".into())
@@ -1299,8 +1184,8 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
 
     /// Chaos/test hook: hard-kills every currently established outgoing
     /// connection (as a crashed middlebox would), returning how many
-    /// were torn down. In resilient mode the links replay their
-    /// retained tails on reconnect; sessions observe only latency.
+    /// were torn down. The links replay their retained tails on
+    /// reconnect; sessions observe only latency.
     pub fn break_established_links(&self) -> usize {
         let handles: Vec<Arc<LinkCell>> = self.send.links.lock().values().map(Arc::clone).collect();
         let mut killed = 0;
@@ -1314,7 +1199,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
         killed
     }
 
-    /// What the resilient link to `to` currently retains, as
+    /// What the link to `to` currently retains, as
     /// `(frames, wire_bytes)` — the quantity the `retain_max`
     /// watermark bounds. Test/introspection hook; `(0, 0)` for unknown
     /// peers or links never used.
@@ -1343,6 +1228,9 @@ fn accept_loop(
     tuning: LinkTuning,
     stop: Arc<AtomicBool>,
 ) {
+    // A hello is the version byte and a census name; nothing longer is
+    // read from a connector that has not yet named itself.
+    let hello_max = 1 + peers.iter().map(|name| name.len()).max().unwrap_or(0);
     while !stop.load(Ordering::Relaxed) {
         match listener.accept() {
             Ok((mut stream, _)) => {
@@ -1353,20 +1241,21 @@ fn accept_loop(
                 std::thread::spawn(move || {
                     stream.set_nonblocking(false).ok();
                     stream.set_nodelay(true).ok();
-                    // Handshake frame: one mode byte, then the peer's
-                    // location name; resolve it to the interned census
-                    // name once, so every subsequent frame routes
-                    // without allocating.
-                    let Ok(hello) = read_frame(&mut stream) else { return };
-                    let Some((&mode, name_bytes)) = hello.split_first() else { return };
-                    if mode != MODE_PLAIN && mode != MODE_RESILIENT {
-                        return;
-                    }
+                    // A connector that never says hello must not pin
+                    // this thread past `stop`.
+                    stream.set_read_timeout(Some(tuning.handshake_timeout())).ok();
+                    // Hello frame: the link-protocol version, then the
+                    // peer's location name; resolve it to the interned
+                    // census name once, so every subsequent frame
+                    // routes without allocating. Anything else closes
+                    // the connection.
+                    let Ok(hello) = read_hello(&mut stream, hello_max) else { return };
+                    let Some((&LINK_VERSION, name_bytes)) = hello.split_first() else { return };
                     let Ok(name) = std::str::from_utf8(name_bytes) else { return };
                     let Some(name) = peers.get(name).copied() else {
                         return;
                     };
-                    reader_loop(stream, name, mode == MODE_RESILIENT, inbox, stats, tuning, stop);
+                    reader_loop(stream, name, inbox, stats, tuning, stop);
                 });
             }
             Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
@@ -1412,7 +1301,6 @@ fn drain_batch(
 fn reader_loop(
     mut stream: TcpStream,
     name: &'static str,
-    resilient_peer: bool,
     inbox: Arc<Inbox>,
     stats: Arc<LinkStats>,
     tuning: LinkTuning,
@@ -1420,22 +1308,23 @@ fn reader_loop(
 ) {
     // Timeout ticks keep shutdown prompt and drive pending-ack flushes.
     stream.set_read_timeout(Some(tuning.io_tick())).ok();
-    if resilient_peer {
-        // Tell the (re)connecting sender exactly where to replay from.
-        let next = inbox.link_cursor(name);
-        if write_control(&mut stream, &ControlFrame::Resume { next }).is_err() {
-            return;
-        }
+    // Tell the (re)connecting sender exactly where to replay from.
+    let next = inbox.link_cursor(name);
+    if write_control(&mut stream, &ControlFrame::Resume { next }).is_err() {
+        return;
     }
-    // A fresh connection from a peer whose previous one hung up resumes
-    // feeding its mailboxes (plain mode; resilient links never close on
-    // mere disconnection).
-    inbox.reopen(name);
     let mut acc = FrameAccumulator::default();
     let mut accepted_since_ack: u32 = 0;
     let mut batch: Vec<(u64, Envelope)> = Vec::new();
     loop {
         if stop.load(Ordering::Relaxed) {
+            // The sender's own drop lingers until its retained frames
+            // are acknowledged, and nobody else will ever tell it about
+            // these: pay the owed ack before going.
+            if accepted_since_ack > 0 {
+                let next = inbox.link_cursor(name);
+                let _ = write_control(&mut stream, &ControlFrame::Ack { next });
+            }
             return;
         }
         // Decode immediately so the borrow of the accumulator ends and
@@ -1443,22 +1332,16 @@ fn reader_loop(
         let polled = match acc.poll(&mut stream) {
             Ok(Some(body)) => Some(LinkFrame::decode(body)),
             Ok(None) => None,
-            Err(_) => {
-                // The connection ended. For a resilient peer that is not
-                // an event sessions may observe — the sender reconnects
-                // and the cursor resumes the stream. A plain peer is
-                // simply gone.
-                if !resilient_peer {
-                    inbox.close(name, None);
-                }
-                return;
-            }
+            // The connection ended. That is not an event sessions may
+            // observe — the sender reconnects and the cursor resumes
+            // the stream.
+            Err(_) => return,
         };
         let Some(mut frame) = polled else {
             // Timeout tick: flush a pending cumulative ack so a sender
             // trickling frames slower than ACK_EVERY still drains its
             // retention queue promptly.
-            if resilient_peer && accepted_since_ack > 0 {
+            if accepted_since_ack > 0 {
                 accepted_since_ack = 0;
                 let next = inbox.link_cursor(name);
                 if write_control(&mut stream, &ControlFrame::Ack { next }).is_err() {
@@ -1494,7 +1377,7 @@ fn reader_loop(
                     // Deliver the frames that preceded the bad one,
                     // then close loudly.
                     drain_batch(&inbox, &stats, name, &mut batch, &mut accepted_since_ack);
-                    inbox.close(name, Some(format!("bad frame: {e}")));
+                    inbox.close(name, format!("bad frame: {e}"));
                     return;
                 }
             }
@@ -1509,7 +1392,7 @@ fn reader_loop(
         // Ack at the batch boundary: a burst whose tail lands exactly
         // on the cadence must not leave the sender's retention tail
         // unpruned until the idle tick or a heartbeat.
-        if resilient_peer && accepted_since_ack >= ACK_EVERY {
+        if accepted_since_ack >= ACK_EVERY {
             accepted_since_ack = 0;
             let next = inbox.link_cursor(name);
             if write_control(&mut stream, &ControlFrame::Ack { next }).is_err() {
@@ -1526,24 +1409,22 @@ impl<L: LocationSet, Target: ChoreographyLocation> Drop for TcpTransport<L, Targ
         // on a connection that just died. Linger briefly so the
         // supervisor finishes reconnecting and replaying; leaving
         // immediately would strand the tail and starve the peer.
-        if self.send.tuning.resilient {
-            let cap = (self.send.tuning.dead_after() * 3)
-                .clamp(Duration::from_secs(1), Duration::from_secs(3));
-            let deadline = Instant::now() + cap;
-            loop {
-                let drained = {
-                    let links = self.send.links.lock();
-                    links.values().all(|handle| {
-                        handle
-                            .try_lock()
-                            .is_some_and(|link| link.unacked.is_empty() || link.down.is_some())
-                    })
-                };
-                if drained || Instant::now() >= deadline {
-                    break;
-                }
-                std::thread::sleep(Duration::from_millis(2));
+        let cap = (self.send.tuning.dead_after() * 3)
+            .clamp(Duration::from_secs(1), Duration::from_secs(3));
+        let deadline = Instant::now() + cap;
+        loop {
+            let drained = {
+                let links = self.send.links.lock();
+                links.values().all(|handle| {
+                    handle
+                        .try_lock()
+                        .is_some_and(|link| link.unacked.is_empty() || link.down.is_some())
+                })
+            };
+            if drained || Instant::now() >= deadline {
+                break;
             }
+            std::thread::sleep(Duration::from_millis(2));
         }
         self.stop.store(true, Ordering::Relaxed);
         self.send.flush_signal.notify_all();
@@ -1570,62 +1451,39 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         if let Some((elapsed, attempts)) = link.down {
             return Err(link_down_error(self.send.me, to_static, elapsed, attempts));
         }
-        if self.send.tuning.resilient {
-            let wire_len = data_frame_wire_len(&frame);
-            let limit = self.send.tuning.retain_max;
-            if limit > 0 && !link.unacked.is_empty() && link.retained_bytes + wire_len > limit {
-                link = wait_for_retention_room(
-                    self.send.me,
-                    to_static,
-                    &handle,
-                    link,
-                    wire_len,
-                    limit,
-                )?;
-            }
-            // Retain first (the sequence is assigned *after* any
-            // watermark park, so queue order always matches sequence
-            // order): whatever happens to the connection from here on,
-            // the frame is queued and will reach the peer (or the link
-            // goes down loudly).
-            let seq = link.next_seq;
-            link.next_seq += 1;
-            link.retained_bytes += wire_len;
-            link.unflushed_bytes += wire_len;
-            link.unacked.push_back((seq, frame));
-            if link.stream.is_none() {
-                return establish(&self.send, to_static, &handle, &mut link, None);
-            }
-            if self.send.tuning.flush_delay > Duration::ZERO
-                && link.unflushed_bytes < FLUSH_INLINE_BYTES
-            {
-                // Park the frame behind the coalescing window; the
-                // flusher writes the whole backlog as one batch.
-                link.dirty = true;
-                drop(link);
-                self.send.note_dirty();
-                return Ok(());
-            }
-            if flush_pending(&mut link, &self.send.stats).is_err() {
-                kill_stream(&mut link);
-                return establish(&self.send, to_static, &handle, &mut link, None);
-            }
-            Ok(())
-        } else {
-            let seq = link.next_seq;
-            link.next_seq += 1;
-            if link.stream.is_none() {
-                establish(&self.send, to_static, &handle, &mut link, None)?;
-            }
-            let SendLink { stream, buf, .. } = &mut *link;
-            let stream = stream.as_mut().expect("just connected");
-            write_link_data(stream, buf, seq, &frame).map_err(|e| {
-                // Drop the dead stream; whatever was in flight is lost
-                // (the receiver's cursor reports the gap loudly).
-                kill_stream(&mut link);
-                TransportError::Io(e)
-            })
+        let wire_len = data_frame_wire_len(&frame);
+        let limit = self.send.tuning.retain_max;
+        if limit > 0 && !link.unacked.is_empty() && link.retained_bytes + wire_len > limit {
+            link =
+                wait_for_retention_room(self.send.me, to_static, &handle, link, wire_len, limit)?;
         }
+        // Retain first (the sequence is assigned *after* any watermark
+        // park, so queue order always matches sequence order): whatever
+        // happens to the connection from here on, the frame is queued
+        // and will reach the peer (or the link goes down loudly).
+        let seq = link.next_seq;
+        link.next_seq += 1;
+        link.retained_bytes += wire_len;
+        link.unflushed_bytes += wire_len;
+        link.unacked.push_back((seq, frame));
+        if link.stream.is_none() {
+            return establish(&self.send, to_static, &handle, &mut link, None);
+        }
+        if self.send.tuning.flush_delay > Duration::ZERO
+            && link.unflushed_bytes < FLUSH_INLINE_BYTES
+        {
+            // Park the frame behind the coalescing window; the flusher
+            // writes the whole backlog as one batch.
+            link.dirty = true;
+            drop(link);
+            self.send.note_dirty();
+            return Ok(());
+        }
+        if flush_pending(&mut link, &self.send.stats).is_err() {
+            kill_stream(&mut link);
+            return establish(&self.send, to_static, &handle, &mut link, None);
+        }
+        Ok(())
     }
 
     fn receive_frame(&self, session: SessionId, from: &str) -> Result<Envelope, TransportError> {
@@ -1944,28 +1802,5 @@ mod tests {
             assert!(Instant::now() < deadline, "retention never drained: {frames} frames");
             std::thread::sleep(Duration::from_millis(5));
         }
-    }
-
-    #[test]
-    fn plain_mode_still_delivers() {
-        let addrs = free_local_addrs(2).unwrap();
-        let cfg = TcpConfigBuilder::new()
-            .location(Alice, addrs[0])
-            .location(Bob, addrs[1])
-            .resilience(false)
-            .build::<System>()
-            .unwrap();
-        let a_cfg = cfg.clone();
-        let b_cfg = cfg;
-        let bob = std::thread::spawn(move || {
-            let t = TcpTransport::bind(Bob, b_cfg).unwrap();
-            let one = t.receive("Alice").unwrap();
-            t.send("Alice", b"ack").unwrap();
-            one
-        });
-        let alice = TcpTransport::bind(Alice, a_cfg).unwrap();
-        alice.send("Bob", b"plain").unwrap();
-        assert_eq!(alice.receive("Bob").unwrap(), b"ack");
-        assert_eq!(bob.join().unwrap(), b"plain");
     }
 }

@@ -138,40 +138,6 @@ fn tcp_transport_projection_agrees_with_runner() {
     backup.join().unwrap();
 }
 
-/// The deprecated `Projector` shim must keep old call sites compiling
-/// and producing the same results, now as a single-session endpoint.
-#[test]
-#[allow(deprecated)]
-fn deprecated_projector_shim_still_projects() {
-    use chorus_core::Projector;
-
-    let channel = LocalTransportChannel::<Census>::new();
-
-    let c = channel.clone();
-    let client = std::thread::spawn(move || {
-        let transport = LocalTransport::new(Client, c);
-        let projector = Projector::new(Client, &transport);
-        let out = projector.epp_and_run(Replicate { input: projector.local(INPUT) });
-        projector.unwrap(out)
-    });
-    let c = channel.clone();
-    let primary = std::thread::spawn(move || {
-        let transport = LocalTransport::new(Primary, c);
-        let projector = Projector::new(Primary, &transport);
-        projector.epp_and_run(Replicate { input: projector.remote(Client) });
-    });
-    let c = channel;
-    let backup = std::thread::spawn(move || {
-        let transport = LocalTransport::new(Backup, c);
-        let projector = Projector::new(Backup, &transport);
-        projector.epp_and_run(Replicate { input: projector.remote(Client) });
-    });
-
-    assert_eq!(client.join().unwrap(), EXPECTED);
-    primary.join().unwrap();
-    backup.join().unwrap();
-}
-
 #[test]
 fn conclaves_send_nothing_to_outsiders() {
     // The paper's headline efficiency claim (§3.2): the client receives no

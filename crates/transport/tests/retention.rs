@@ -8,15 +8,17 @@
 //! surface [`TransportError::RetentionExceeded`], not hang). The third
 //! test pins the batch-boundary ack: a burst that ends between ack
 //! cadence points must still drain the sender's retention tail promptly
-//! instead of waiting for a heartbeat.
+//! instead of waiting for a heartbeat. The fourth pins the ack a reader
+//! owes when its endpoint is dropped, without which the peer's own drop
+//! lingers its full cap.
 
-use chorus_core::{Transport, TransportError};
+use chorus_core::{SessionTransport, Transport, TransportError, RAW_SESSION};
 use chorus_transport::{free_local_addrs, TcpConfigBuilder, TcpTransport};
 use chorus_wire::{ControlFrame, LinkFrame};
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 chorus_core::locations! { Alice, Bob }
@@ -242,5 +244,63 @@ fn retention_drains_after_a_final_partial_batch() {
             "retention tail stalled past the ack cadence: {frames} frames, {bytes} bytes"
         );
         std::thread::sleep(Duration::from_millis(5));
+    }
+}
+
+/// Regression for the stranded drop: an endpoint's drop lingers (up to
+/// 3 s) until its retained frames are acknowledged, and the acks are
+/// owed by the peer's reader threads — so a reader that sees its own
+/// endpoint dropped must write the ack it owes before exiting, or the
+/// peer waits for an ack nobody is left to send.
+///
+/// The interleaving that strands the peer is forced, not raced: a
+/// mailbox waker runs on Bob's reader thread between the deposit and
+/// the reader's next look at `stop`, and holds it there until Bob has
+/// been dropped. The mirror order (the sender drops first, while the
+/// receiver is alive to ack on its idle tick) must be as quick.
+#[test]
+fn a_dropped_endpoint_still_acks_what_it_accepted() {
+    for receiver_drops_first in [true, false] {
+        let addrs = free_local_addrs(2).unwrap();
+        let cfg = TcpConfigBuilder::new()
+            .location(Alice, addrs[0])
+            .location(Bob, addrs[1])
+            .build::<System>()
+            .unwrap();
+        let bob = TcpTransport::<System, _>::bind(Bob, cfg.clone()).unwrap();
+        let alice = TcpTransport::<System, _>::bind(Alice, cfg).unwrap();
+
+        let (deposited_tx, deposited) = mpsc::channel::<()>();
+        let (release, released) = mpsc::channel::<()>();
+        let released = Mutex::new(released);
+        let ready = bob
+            .register_waker(
+                RAW_SESSION,
+                "Alice",
+                Arc::new(move || {
+                    deposited_tx.send(()).unwrap();
+                    released.lock().unwrap().recv().unwrap();
+                }),
+            )
+            .unwrap();
+        assert!(!ready, "nothing has been sent yet");
+        alice.send("Bob", b"owed an ack").unwrap();
+        deposited.recv().unwrap();
+
+        let started = Instant::now();
+        if receiver_drops_first {
+            drop(bob);
+            release.send(()).unwrap();
+            drop(alice);
+        } else {
+            release.send(()).unwrap();
+            drop(alice);
+            drop(bob);
+        }
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(1),
+            "dropping both ends took {took:?} (receiver first: {receiver_drops_first})"
+        );
     }
 }

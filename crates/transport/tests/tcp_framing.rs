@@ -2,19 +2,24 @@
 //! identically no matter how the sender's bytes are sliced across
 //! `write` calls.
 //!
-//! A real peer coalesces small frames into one write and splits large
-//! ones into two slices (the zero-copy path from the wire-path PR), but
-//! the *network* owes us nothing: TCP may deliver any byte-level
+//! A real peer hands the kernel each batch as one vectored write (the
+//! headers from one buffer, every payload as its own uncopied slice),
+//! but the *network* owes us nothing: TCP may deliver any byte-level
 //! segmentation. These tests connect a raw socket, perform the
 //! handshake, and drip envelope frames through chunk sizes
 //! N ∈ {1, 2, 7, 4096}, asserting the demultiplexed frames match what a
 //! single contiguous write produces.
+//!
+//! The hello itself is input from a socket nobody has vouched for: the
+//! last test pins that the acceptor closes every malformed one without
+//! disturbing an established link.
 
 use chorus_core::SessionTransport as _;
 use chorus_transport::{free_local_addrs, TcpConfigBuilder, TcpTransport};
 use chorus_wire::Envelope;
-use std::io::Write;
-use std::net::TcpStream;
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Duration;
 
 chorus_core::locations! { N0, N1 }
 type Duo = chorus_core::LocationSet!(N0, N1);
@@ -41,6 +46,22 @@ fn wire_bytes(link_seq: u64, frame: &Envelope) -> Vec<u8> {
     out
 }
 
+/// The link-protocol version byte every hello starts with.
+const LINK_VERSION: u8 = 1;
+
+/// Connects a raw socket to `addr` and writes `declared_len` as the
+/// hello's length prefix followed by `body`.
+fn raw_hello(addr: SocketAddr, declared_len: u32, body: &[u8]) -> TcpStream {
+    // The listener is bound before `bind` returns, so a single connect
+    // suffices (the OS backlog holds it until the acceptor thread runs).
+    let mut stream = TcpStream::connect(addr).unwrap();
+    stream.set_nodelay(true).unwrap();
+    stream.write_all(&declared_len.to_le_bytes()).unwrap();
+    stream.write_all(body).unwrap();
+    stream.flush().unwrap();
+    stream
+}
+
 /// Binds a receiver for `N1`, connects a raw socket posing as `N0`, and
 /// returns both.
 fn receiver_and_raw_sender() -> (TcpTransport<Duo, N1>, TcpStream) {
@@ -50,18 +71,13 @@ fn receiver_and_raw_sender() -> (TcpTransport<Duo, N1>, TcpStream) {
         .location(N1, addrs[1])
         .build::<Duo>()
         .unwrap();
-    // The listener is bound before `bind` returns, so a single connect
-    // suffices (the OS backlog holds it until the acceptor thread runs).
     let receiver = TcpTransport::bind(N1, config).unwrap();
-    let mut stream = TcpStream::connect(addrs[1]).unwrap();
-    stream.set_nodelay(true).unwrap();
-    // Handshake: a length-prefixed frame carrying the link mode byte
-    // (0 = plain, so the receiver sends no resume cursor or acks this
-    // raw socket would never read) and the sender's name.
-    let hello = [&[0u8][..], b"N0"].concat();
-    stream.write_all(&(hello.len() as u32).to_le_bytes()).unwrap();
-    stream.write_all(&hello).unwrap();
-    stream.flush().unwrap();
+    // Handshake: a length-prefixed frame carrying the link version and
+    // the sender's name. The receiver answers with a resume cursor and
+    // later acks, which this raw socket never reads (they are a few
+    // bytes; the socket buffer holds them).
+    let hello = [&[LINK_VERSION][..], b"N0"].concat();
+    let stream = raw_hello(addrs[1], hello.len() as u32, &hello);
     (receiver, stream)
 }
 
@@ -117,10 +133,11 @@ fn chunk_boundaries_inside_the_length_prefix_are_harmless() {
 
 #[test]
 fn large_payloads_cross_the_two_slice_send_path_intact() {
-    // > 16 KiB payloads leave a real sender as two write slices (header
-    // buffer + uncopied payload); whatever segmentation TCP applies,
-    // the peer must reassemble the exact bytes. 64 KiB + 3 keeps the
-    // length odd relative to every buffer size involved.
+    // A payload leaves a real sender as its own slice of a vectored
+    // write (header buffer + uncopied payload), which a large one makes
+    // the kernel split; whatever segmentation TCP applies, the peer
+    // must reassemble the exact bytes. 64 KiB + 3 keeps the length odd
+    // relative to every buffer size involved.
     let addrs = free_local_addrs(2).unwrap();
     let config = TcpConfigBuilder::new()
         .location(N0, addrs[0])
@@ -161,4 +178,59 @@ fn a_large_frame_dripped_byte_wise_still_reassembles() {
             "chunk size {chunk} corrupted a large frame"
         );
     }
+}
+
+/// Whether the acceptor hung up on `stream` (end-of-stream or reset)
+/// within five seconds, having written nothing to it.
+fn closed_by_acceptor(mut stream: TcpStream) -> bool {
+    stream.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut byte = [0u8; 1];
+    match stream.read(&mut byte) {
+        Ok(0) => true,
+        Ok(_) => false,
+        Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+    }
+}
+
+#[test]
+fn malformed_hellos_are_closed_and_leave_an_established_link_alone() {
+    let addrs = free_local_addrs(2).unwrap();
+    let config = TcpConfigBuilder::new()
+        .location(N0, addrs[0])
+        .location(N1, addrs[1])
+        // The silent connector below is cut off after the handshake
+        // timeout, which follows the heartbeat down to 500ms.
+        .heartbeat(Duration::from_millis(50))
+        .build::<Duo>()
+        .unwrap();
+    let receiver = TcpTransport::bind(N1, config.clone()).unwrap();
+    let sender = TcpTransport::bind(N0, config).unwrap();
+    sender.send_frame("N1", Envelope::new(1, 0, b"before".to_vec())).unwrap();
+    assert_eq!(receiver.receive_frame(1, "N0").unwrap().payload, b"before"[..]);
+
+    let hello = |version: u8, name: &[u8]| [&[version][..], name].concat();
+    let cases: Vec<(&str, u32, Vec<u8>)> = vec![
+        ("a declared length of 4 GiB", u32::MAX, hello(LINK_VERSION, b"N0")),
+        ("a declared length one past the longest name", 4, hello(LINK_VERSION, b"N0")),
+        ("a version that is not the link version", 3, hello(0, b"N0")),
+        ("a name outside the census", 3, hello(LINK_VERSION, b"N9")),
+        ("the receiver's own name", 3, hello(LINK_VERSION, b"N1")),
+        ("a name that is not UTF-8", 3, hello(LINK_VERSION, &[0xff, 0xfe])),
+        ("an empty hello", 0, Vec::new()),
+        ("no hello at all", 3, Vec::new()),
+    ];
+    for (what, declared_len, body) in cases {
+        let stream = raw_hello(addrs[1], declared_len, &body);
+        assert!(closed_by_acceptor(stream), "{what} was not closed by the acceptor");
+    }
+
+    for seq in 1..4u64 {
+        sender.send_frame("N1", Envelope::new(1, seq, seq.to_le_bytes().to_vec())).unwrap();
+    }
+    for seq in 1..4u64 {
+        let got = receiver.receive_frame(1, "N0").unwrap();
+        assert_eq!((got.seq, &got.payload[..]), (seq, &seq.to_le_bytes()[..]));
+    }
+    let stats = sender.link_stats();
+    assert_eq!((stats.reconnects, stats.replayed_frames), (0, 0), "the link was disturbed");
 }

@@ -50,7 +50,7 @@ pub const DATA_HEADER_LEN: usize = 1 + 8;
 /// header, and the envelope header. A *batch* of data frames is plain
 /// concatenation of such frames — there is no batch-level framing, so
 /// batched senders stay wire-compatible with frame-at-a-time receivers
-/// (and vice versa) in both plain and resilient modes.
+/// (and vice versa).
 pub const DATA_FRAME_OVERHEAD: usize = 4 + DATA_HEADER_LEN + crate::ENVELOPE_HEADER_LEN;
 
 /// Total wire footprint of one length-prefixed data frame carrying
