@@ -1,0 +1,113 @@
+//! The per-endpoint background threads of the send side: the link
+//! supervisor (heartbeats, teardown of half-dead links, background
+//! reconnects) and the coalescing flusher.
+
+use super::connect::{establish, write_control};
+use super::send::{flush_pending, kill_stream, LinkCell, SendLink, SendShared};
+use chorus_wire::ControlFrame;
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Instant;
+
+/// Unanswered heartbeat probes before an established link is presumed
+/// half-dead and torn down for replay.
+const DEAD_AFTER_PINGS: u32 = 3;
+
+/// The per-endpoint link supervisor: heartbeats established links,
+/// tears down half-dead ones, and re-establishes broken links in the
+/// background so retained frames replay even when the application has
+/// nothing new to send.
+pub(super) fn supervisor_loop(shared: Arc<SendShared>) {
+    let tick = shared.tuning.supervisor_tick();
+    while !shared.stop.load(Ordering::Relaxed) {
+        std::thread::sleep(tick);
+        if shared.stop.load(Ordering::Relaxed) {
+            return;
+        }
+        let links: Vec<(&'static str, Arc<LinkCell>)> =
+            shared.links.lock().iter().map(|(to, handle)| (*to, Arc::clone(handle))).collect();
+        for (to, handle) in links {
+            // A contended link is being actively worked (a sender in
+            // `establish`, an ack reader pruning); blocking the whole
+            // sweep on it would starve every other link of heartbeats
+            // and misread their silence as deadness. Skip and revisit.
+            let Some(mut link) = handle.try_lock() else { continue };
+            if link.down.is_some() {
+                continue;
+            }
+            if link.stream.is_some() {
+                if link.pings_unanswered >= DEAD_AFTER_PINGS
+                    && link.last_heard.elapsed() >= shared.tuning.dead_after()
+                {
+                    // Probes went out and nothing came back: presumed
+                    // half-dead (e.g. one direction blackholed). Tear it
+                    // down; replay brings the retained tail back on the
+                    // next connection.
+                    kill_stream(&mut link);
+                } else if link.last_ping.elapsed() >= shared.tuning.heartbeat {
+                    link.nonce += 1;
+                    let ping = ControlFrame::Ping { nonce: link.nonce };
+                    let SendLink { stream, .. } = &mut *link;
+                    if write_control(stream.as_mut().expect("checked above"), &ping).is_ok() {
+                        link.last_ping = Instant::now();
+                        link.pings_unanswered += 1;
+                        shared.stats.heartbeats.fetch_add(1, Ordering::Relaxed);
+                    } else {
+                        kill_stream(&mut link);
+                    }
+                }
+            } else if !link.unacked.is_empty() {
+                // A receiver is owed frames we still retain: reconnect in
+                // short bursts (the cumulative budget lives in the
+                // outage) without monopolizing the sweep.
+                let _ = establish(&shared, to, &handle, &mut link, Some(2));
+            }
+        }
+    }
+}
+
+/// The coalescing flusher: when sends park frames behind a nonzero
+/// `flush_delay` window, this thread wakes at the *first*
+/// enqueue, sleeps out the window (letting the batch accumulate), and
+/// writes every dirty link's backlog as one vectored flush. Because
+/// the signal fires on the first frame, a lone frame's latency is
+/// bounded by the window — it is never stalled waiting for company.
+pub(super) fn flusher_loop(shared: Arc<SendShared>) {
+    let window = shared.tuning.flush_delay;
+    // Bound idle parks so shutdown is prompt even with no traffic.
+    let tick = shared.tuning.supervisor_tick();
+    while !shared.stop.load(Ordering::Relaxed) {
+        let mut signalled = shared.flush_signal.lock();
+        while !*signalled {
+            let (guard, _timed_out) =
+                shared.flush_signal.wait_deadline(signalled, Instant::now() + tick);
+            signalled = guard;
+            if shared.stop.load(Ordering::Relaxed) {
+                return;
+            }
+        }
+        *signalled = false;
+        drop(signalled);
+        // Re-arm the fast-path gate before sleeping: deposits from here
+        // on signal the *next* round (and are usually also caught by
+        // this one, since the dirty links are scanned after the
+        // window).
+        shared.dirty_hint.store(false, Ordering::Relaxed);
+        // The coalescing window: frames sent while we sleep join the
+        // batch (and set the signal again, harmlessly).
+        std::thread::sleep(window);
+        let links: Vec<Arc<LinkCell>> = shared.links.lock().values().map(Arc::clone).collect();
+        for handle in links {
+            let mut link = handle.lock();
+            if !link.dirty {
+                continue;
+            }
+            link.dirty = false;
+            if link.stream.is_some() && flush_pending(&mut link, &shared.stats).is_err() {
+                // The retained tail is non-empty, so the supervisor
+                // re-establishes and replays in the background.
+                kill_stream(&mut link);
+            }
+        }
+    }
+}

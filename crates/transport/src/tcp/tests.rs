@@ -1,0 +1,261 @@
+use super::*;
+use std::sync::atomic::AtomicU64;
+
+/// Counts connect attempts that failed and went into the retry
+/// loop, so `connect_retries_until_peer_binds` can *force* the
+/// retry path instead of hoping a race exercises it.
+pub(super) static FAILED_CONNECT_ATTEMPTS: AtomicU64 = AtomicU64::new(0);
+
+chorus_core::locations! { Alice, Bob }
+type System = chorus_core::LocationSet!(Alice, Bob);
+
+fn config() -> TcpConfig<System> {
+    let addrs = free_local_addrs(2).unwrap();
+    TcpConfigBuilder::new()
+        .location(Alice, addrs[0])
+        .location(Bob, addrs[1])
+        .build::<System>()
+        .unwrap()
+}
+
+#[test]
+fn config_requires_every_location() {
+    let addrs = free_local_addrs(1).unwrap();
+    let result = TcpConfigBuilder::new().location(Alice, addrs[0]).build::<System>();
+    assert_eq!(result.unwrap_err(), vec!["Bob"]);
+}
+
+#[test]
+fn messages_cross_sockets_in_order() {
+    let config = config();
+    let a_cfg = config.clone();
+    let b_cfg = config;
+    let bob = std::thread::spawn(move || {
+        let t = TcpTransport::bind(Bob, b_cfg).unwrap();
+        let one = t.receive("Alice").unwrap();
+        let two = t.receive("Alice").unwrap();
+        t.send("Alice", b"ack").unwrap();
+        (one, two)
+    });
+    let alice = TcpTransport::bind(Alice, a_cfg).unwrap();
+    alice.send("Bob", b"first").unwrap();
+    alice.send("Bob", b"second").unwrap();
+    assert_eq!(alice.receive("Bob").unwrap(), b"ack");
+    let (one, two) = bob.join().unwrap();
+    assert_eq!(one, b"first");
+    assert_eq!(two, b"second");
+}
+
+#[test]
+fn connect_retries_until_peer_binds() {
+    let config = config();
+    let a_cfg = config.clone();
+    let b_cfg = config;
+    // Alice starts sending before Bob has bound its listener, and
+    // Bob binds only after observing at least one *failed* connect
+    // attempt — so the retry path is exercised deterministically,
+    // with no wall-clock sleep. (The counter is global across this
+    // test binary, so a concurrent test's failed connect could in
+    // principle satisfy the gate early; the test then degrades to
+    // racing the bind, never to flaking.)
+    let before = FAILED_CONNECT_ATTEMPTS.load(Ordering::Relaxed);
+    let alice = std::thread::spawn(move || {
+        let t = TcpTransport::bind(Alice, a_cfg).unwrap();
+        t.send("Bob", b"early").unwrap();
+    });
+    while FAILED_CONNECT_ATTEMPTS.load(Ordering::Relaxed) == before {
+        std::thread::yield_now();
+    }
+    let bob = TcpTransport::bind(Bob, b_cfg).unwrap();
+    assert_eq!(bob.receive("Alice").unwrap(), b"early");
+    alice.join().unwrap();
+}
+
+#[test]
+fn empty_payloads_are_delivered() {
+    let config = config();
+    let a_cfg = config.clone();
+    let b_cfg = config;
+    let bob = std::thread::spawn(move || {
+        let t = TcpTransport::bind(Bob, b_cfg).unwrap();
+        t.receive("Alice").unwrap()
+    });
+    let alice = TcpTransport::bind(Alice, a_cfg).unwrap();
+    alice.send("Bob", b"").unwrap();
+    assert_eq!(bob.join().unwrap(), b"");
+}
+
+#[test]
+fn sessions_demultiplex_on_one_socket() {
+    let config = config();
+    let a_cfg = config.clone();
+    let b_cfg = config;
+    let bob = std::thread::spawn(move || {
+        let t = TcpTransport::bind(Bob, b_cfg).unwrap();
+        // Read the later session first; the earlier one must be intact.
+        let s2 = t.receive_frame(2, "Alice").unwrap();
+        let s1a = t.receive_frame(1, "Alice").unwrap();
+        let s1b = t.receive_frame(1, "Alice").unwrap();
+        (s2.payload, s1a.payload, s1b.payload)
+    });
+    let alice = TcpTransport::bind(Alice, a_cfg).unwrap();
+    alice.send_frame("Bob", Envelope::new(1, 0, b"s1-first".to_vec())).unwrap();
+    alice.send_frame("Bob", Envelope::new(1, 1, b"s1-second".to_vec())).unwrap();
+    alice.send_frame("Bob", Envelope::new(2, 0, b"s2-only".to_vec())).unwrap();
+    let (s2, s1a, s1b) = bob.join().unwrap();
+    assert_eq!(s2, b"s2-only");
+    assert_eq!(s1a, b"s1-first");
+    assert_eq!(s1b, b"s1-second");
+}
+
+#[test]
+fn killed_connections_replay_the_unacked_tail() {
+    // Fast heartbeat so the test's reconnect window is tight.
+    let addrs = free_local_addrs(2).unwrap();
+    let cfg = TcpConfigBuilder::new()
+        .location(Alice, addrs[0])
+        .location(Bob, addrs[1])
+        .heartbeat(Duration::from_millis(50))
+        .retry_base(Duration::from_millis(2))
+        .build::<System>()
+        .unwrap();
+    let a_cfg = cfg.clone();
+    let b_cfg = cfg;
+    let bob = std::thread::spawn(move || {
+        let t = TcpTransport::bind(Bob, b_cfg).unwrap();
+        let mut got = Vec::new();
+        for _ in 0..6 {
+            got.push(t.receive("Alice").unwrap());
+        }
+        t.send("Alice", b"done").unwrap();
+        got
+    });
+    let alice = TcpTransport::bind(Alice, a_cfg).unwrap();
+    for i in 0..3u8 {
+        alice.send("Bob", &[i]).unwrap();
+    }
+    // Hard-kill the established connection mid-session; the next
+    // sends re-establish and the link replays anything unacked.
+    assert!(alice.break_established_links() >= 1);
+    for i in 3..6u8 {
+        alice.send("Bob", &[i]).unwrap();
+    }
+    assert_eq!(alice.receive("Bob").unwrap(), b"done");
+    let got = bob.join().unwrap();
+    assert_eq!(got, vec![vec![0], vec![1], vec![2], vec![3], vec![4], vec![5]]);
+    let stats = alice.link_stats();
+    assert!(stats.reconnects >= 1, "kill must force a reconnect: {stats:?}");
+}
+
+#[test]
+fn exhausted_retry_budget_surfaces_link_down() {
+    // Bob's address is reserved but never bound: every connect is
+    // refused, so the budget drains deterministically and fast.
+    let addrs = free_local_addrs(2).unwrap();
+    let cfg = TcpConfigBuilder::new()
+        .location(Alice, addrs[0])
+        .location(Bob, addrs[1])
+        .retry_limit(3)
+        .retry_base(Duration::from_millis(1))
+        .build::<System>()
+        .unwrap();
+    let alice = TcpTransport::<System, _>::bind(Alice, cfg).unwrap();
+    let err = alice.send("Bob", b"void").unwrap_err();
+    match &err {
+        TransportError::LinkDown { edge, attempts, .. } => {
+            assert_eq!(edge, "Alice->Bob");
+            assert_eq!(*attempts, 3);
+        }
+        other => panic!("expected LinkDown, got {other:?}"),
+    }
+    // The link is terminally down: later sends fail immediately.
+    let again = alice.send("Bob", b"still void").unwrap_err();
+    assert!(matches!(again, TransportError::LinkDown { .. }), "got {again:?}");
+    assert_eq!(alice.link_stats().links_down, 1);
+}
+
+#[test]
+fn batches_coalesce_under_flush_delay() {
+    let addrs = free_local_addrs(2).unwrap();
+    let cfg = TcpConfigBuilder::new()
+        .location(Alice, addrs[0])
+        .location(Bob, addrs[1])
+        .flush_delay(Duration::from_millis(20))
+        .build::<System>()
+        .unwrap();
+    let a_cfg = cfg.clone();
+    let b_cfg = cfg;
+    let bob = std::thread::spawn(move || {
+        let t = TcpTransport::bind(Bob, b_cfg).unwrap();
+        let mut got = Vec::new();
+        for _ in 0..12 {
+            got.push(t.receive("Alice").unwrap());
+        }
+        t.send("Alice", b"done").unwrap();
+        got
+    });
+    let alice = TcpTransport::bind(Alice, a_cfg).unwrap();
+    for i in 0..12u8 {
+        alice.send("Bob", &[i]).unwrap();
+    }
+    assert_eq!(alice.receive("Bob").unwrap(), b"done");
+    let got = bob.join().unwrap();
+    assert_eq!(got, (0..12u8).map(|i| vec![i]).collect::<Vec<_>>());
+    let stats = alice.link_stats();
+    assert!(stats.batched_frames >= 12, "every frame flushes in a batch: {stats:?}");
+    assert!(
+        stats.batches < stats.batched_frames,
+        "the window must coalesce at least one multi-frame batch: {stats:?}"
+    );
+}
+
+#[test]
+fn single_frame_larger_than_watermark_still_sends() {
+    // A watermark below one frame's wire footprint must admit the
+    // frame when the queue is empty — otherwise it could never be
+    // sent at all.
+    let addrs = free_local_addrs(2).unwrap();
+    let cfg = TcpConfigBuilder::new()
+        .location(Alice, addrs[0])
+        .location(Bob, addrs[1])
+        .retain_max(64)
+        .build::<System>()
+        .unwrap();
+    let a_cfg = cfg.clone();
+    let b_cfg = cfg;
+    let bob = std::thread::spawn(move || {
+        let t = TcpTransport::bind(Bob, b_cfg).unwrap();
+        t.receive("Alice").unwrap()
+    });
+    let alice = TcpTransport::bind(Alice, a_cfg).unwrap();
+    let oversized = vec![7u8; 4096];
+    alice.send("Bob", &oversized).unwrap();
+    assert_eq!(bob.join().unwrap(), oversized);
+}
+
+#[test]
+fn retention_reports_and_drains() {
+    let addrs = free_local_addrs(2).unwrap();
+    let cfg = TcpConfigBuilder::new()
+        .location(Alice, addrs[0])
+        .location(Bob, addrs[1])
+        .heartbeat(Duration::from_millis(50))
+        .build::<System>()
+        .unwrap();
+    let a_cfg = cfg.clone();
+    let b_cfg = cfg;
+    let _bob = TcpTransport::<System, _>::bind(Bob, b_cfg).unwrap();
+    let alice = TcpTransport::<System, _>::bind(Alice, a_cfg).unwrap();
+    alice.send("Bob", b"tracked").unwrap();
+    // Acks prune the retention queue without the application ever
+    // receiving: the watermark accounting must return to zero.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    loop {
+        let (frames, bytes) = alice.retention("Bob");
+        if frames == 0 && bytes == 0 {
+            break;
+        }
+        assert!(Instant::now() < deadline, "retention never drained: {frames} frames");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+}
