@@ -3,7 +3,7 @@
 //! accumulator both directions read the wire through.
 //!
 //! The policy lives here; the mechanism (send queues, the link
-//! supervisor, replay) lives in `tcp.rs`. Everything is deliberately
+//! supervisor, replay) lives in `tcp/`. Everything is deliberately
 //! non-generic so the supervisor and reader threads monomorphize once.
 
 use std::collections::hash_map::RandomState;

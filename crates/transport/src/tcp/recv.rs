@@ -106,6 +106,11 @@ fn drain_batch(
     !outcome.gap
 }
 
+/// Writes the cumulative ack for everything accepted from `name` so far.
+fn write_ack(stream: &mut TcpStream, inbox: &Inbox, name: &'static str) -> std::io::Result<()> {
+    write_control(stream, &ControlFrame::Ack { next: inbox.link_cursor(name) })
+}
+
 /// Drives one accepted connection: resume-cursor handshake reply,
 /// whole-burst frame decode and batch deposit, link dedup/gap
 /// verdicts, cumulative acks at batch boundaries, heartbeat replies.
@@ -133,8 +138,7 @@ fn reader_loop(
             // are acknowledged, and nobody else will ever tell it about
             // these: pay the owed ack before going.
             if accepted_since_ack > 0 {
-                let next = inbox.link_cursor(name);
-                let _ = write_control(&mut stream, &ControlFrame::Ack { next });
+                let _ = write_ack(&mut stream, &inbox, name);
             }
             return;
         }
@@ -154,8 +158,7 @@ fn reader_loop(
             // retention queue promptly.
             if accepted_since_ack > 0 {
                 accepted_since_ack = 0;
-                let next = inbox.link_cursor(name);
-                if write_control(&mut stream, &ControlFrame::Ack { next }).is_err() {
+                if write_ack(&mut stream, &inbox, name).is_err() {
                     return;
                 }
             }
@@ -205,8 +208,7 @@ fn reader_loop(
         // unpruned until the idle tick or a heartbeat.
         if accepted_since_ack >= ACK_EVERY {
             accepted_since_ack = 0;
-            let next = inbox.link_cursor(name);
-            if write_control(&mut stream, &ControlFrame::Ack { next }).is_err() {
+            if write_ack(&mut stream, &inbox, name).is_err() {
                 return;
             }
         }
