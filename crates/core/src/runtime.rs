@@ -56,11 +56,11 @@
 //! ```
 
 use crate::choreography::Portable;
-use crate::endpoint::{Endpoint, MessageCtx};
+use crate::endpoint::Endpoint;
 use crate::location::{ChoreographyLocation, LocationSet};
 use crate::park::{self, WaitQueue};
 use crate::transport::{InternedNames, MailboxWaker, SessionId, SessionTransport, TransportError};
-use chorus_wire::{Bytes, Envelope};
+use chorus_wire::Bytes;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
@@ -238,21 +238,12 @@ where
     fn send_scratch(&mut self, to: &str, payload: &[u8]) -> Result<(), TransportError> {
         let to = self.names.resolve(to)?;
         let payload = Bytes::copy_from_slice(payload);
-        let counter = self.seqs.entry(to).or_insert(0);
-        let seq = *counter;
-        *counter += 1;
-        let ctx = MessageCtx { session: self.id, seq, from: Target::NAME, to };
-        self.endpoint.notify_send(&ctx, &payload);
-        self.endpoint.transport().send_frame(to, Envelope::new(self.id, seq, payload))
+        self.endpoint.stamp_and_send(self.id, &mut self.seqs, to, payload)
     }
 
     fn try_receive_payload(&mut self, from: &str) -> Result<Option<Bytes>, TransportError> {
-        let Some(envelope) = self.endpoint.transport().try_receive_frame(self.id, from)? else {
-            return Ok(None);
-        };
-        let ctx = MessageCtx { session: self.id, seq: envelope.seq, from, to: Target::NAME };
-        self.endpoint.notify_receive(&ctx, &envelope.payload);
-        Ok(Some(envelope.payload))
+        let envelope = self.endpoint.transport().try_receive_frame(self.id, from)?;
+        Ok(envelope.map(|envelope| self.endpoint.deliver(self.id, from, envelope)))
     }
 
     fn register_waker(

@@ -18,6 +18,40 @@ use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Mutex;
 
+/// The two steps every message takes between a session (blocking or
+/// pooled) and its endpoint's transport.
+impl<TL, Target, T> Endpoint<TL, Target, T>
+where
+    TL: LocationSet,
+    Target: ChoreographyLocation,
+    T: SessionTransport<TL, Target>,
+{
+    /// Stamps `payload` with the next sequence number of the edge to
+    /// `to` (`seqs` holds one counter per destination of `session`),
+    /// shows it to the layer stack and puts the frame on the wire.
+    pub(crate) fn stamp_and_send(
+        &self,
+        session: SessionId,
+        seqs: &mut HashMap<&'static str, u64>,
+        to: &'static str,
+        payload: Bytes,
+    ) -> Result<(), TransportError> {
+        let counter = seqs.entry(to).or_insert(0);
+        let seq = *counter;
+        *counter += 1;
+        self.notify_send(&MessageCtx { session, seq, from: Target::NAME, to }, &payload);
+        self.transport().send_frame(to, Envelope::new(session, seq, payload))
+    }
+
+    /// Shows a frame received from `from` to the layer stack and yields
+    /// its payload.
+    pub(crate) fn deliver(&self, session: SessionId, from: &str, envelope: Envelope) -> Bytes {
+        let ctx = MessageCtx { session, seq: envelope.seq, from, to: Target::NAME };
+        self.notify_receive(&ctx, &envelope.payload);
+        envelope.payload
+    }
+}
+
 /// One choreography run multiplexed over an [`Endpoint`].
 ///
 /// Obtained from [`Endpoint::session`] or
@@ -69,8 +103,7 @@ where
         Ok(Bytes::copy_from_slice(&scratch))
     }
 
-    /// Stamps the next sequence number for `to` and puts `payload` on
-    /// the wire, passing it through the layer stack.
+    /// Puts `payload` on the wire as this session's next frame to `to`.
     fn send_payload(&self, to: &'static str, payload: Bytes) -> Result<(), TransportError> {
         // Hold the counter lock across the transport send: a session is
         // one sequential run, but `Session` is `Sync`, and a session
@@ -78,12 +111,7 @@ where
         // sequence order or the receiver's tracker poisons the link for
         // every session behind that sender.
         let mut seqs = self.seqs.lock().expect("session sequence counters poisoned");
-        let counter = seqs.entry(to).or_insert(0);
-        let seq = *counter;
-        *counter += 1;
-        let ctx = MessageCtx { session: self.id, seq, from: Target::NAME, to };
-        self.endpoint.notify_send(&ctx, &payload);
-        self.endpoint.transport().send_frame(to, Envelope::new(self.id, seq, payload))
+        self.endpoint.stamp_and_send(self.id, &mut seqs, to, payload)
     }
 
     /// This session's id.
@@ -259,9 +287,7 @@ where
     /// frame arrives.
     pub fn receive_payload(&self, from: &str) -> Result<Bytes, TransportError> {
         let envelope = self.endpoint.transport().receive_frame(self.id, from)?;
-        let ctx = MessageCtx { session: self.id, seq: envelope.seq, from, to: Target::NAME };
-        self.endpoint.notify_receive(&ctx, &envelope.payload);
-        Ok(envelope.payload)
+        Ok(self.endpoint.deliver(self.id, from, envelope))
     }
 
     /// Non-blocking variant of
@@ -278,12 +304,8 @@ where
     ///
     /// Returns an error if `from` is unknown or the link has failed.
     pub fn try_receive_payload(&self, from: &str) -> Result<Option<Bytes>, TransportError> {
-        let Some(envelope) = self.endpoint.transport().try_receive_frame(self.id, from)? else {
-            return Ok(None);
-        };
-        let ctx = MessageCtx { session: self.id, seq: envelope.seq, from, to: Target::NAME };
-        self.endpoint.notify_receive(&ctx, &envelope.payload);
-        Ok(Some(envelope.payload))
+        let envelope = self.endpoint.transport().try_receive_frame(self.id, from)?;
+        Ok(envelope.map(|envelope| self.endpoint.deliver(self.id, from, envelope)))
     }
 
     /// Like [`receive_payload`](Session::receive_payload), but copies

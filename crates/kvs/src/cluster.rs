@@ -5,13 +5,13 @@
 //!
 //! **Dynamic census over static location sets.** Choreographies here are
 //! census-polymorphic (generic over a `LocationSet`), but Rust resolves
-//! location sets at compile time. The bridge is the dispatch macros
-//! below: the runtime census — a sorted list of live member names out of
-//! the candidate universe `N1..N4` — selects a match arm that binds the
-//! corresponding type-level set and instantiates the *same generic
-//! choreography text* at it. Membership changes between sessions simply
-//! select different arms; this is the paper's "the caller picks the
-//! census" (§3.4) driven by runtime data.
+//! location sets at compile time. The bridge is `bind_census!` below:
+//! the runtime census — a list of live member names out of the candidate
+//! universe `N1..N4` — selects a path through one walk of the candidates
+//! that binds the corresponding type-level set and instantiates the
+//! *same generic choreography text* at it. Membership changes between
+//! sessions simply select different paths; this is the paper's "the
+//! caller picks the census" (§3.4) driven by runtime data.
 //!
 //! Every client operation, config round, and shard pull is one
 //! short-lived choreography session: the driver allocates a fresh
@@ -39,99 +39,97 @@ chorus_core::locations! { N1, N2, N3, N4 }
 /// set, with each choreography's census a subset of it.
 pub type Universe = chorus_core::LocationSet!(Client, N1, N2, N3, N4);
 
-/// The candidate node names, in dispatch order.
+/// The candidate node names, in binding order.
 pub const NODE_NAMES: [&str; 4] = ["N1", "N2", "N3", "N4"];
 
-/// Binds the runtime census (a sorted slice of node names) to its
-/// type-level location set and invokes `$cb!(Role, ...)` with the
-/// matching roles.
-macro_rules! dispatch_members {
-    ($names:expr, $cb:ident) => {
-        match $names {
-            ["N1"] => $cb!(N1),
-            ["N2"] => $cb!(N2),
-            ["N3"] => $cb!(N3),
-            ["N4"] => $cb!(N4),
-            ["N1", "N2"] => $cb!(N1, N2),
-            ["N1", "N3"] => $cb!(N1, N3),
-            ["N1", "N4"] => $cb!(N1, N4),
-            ["N2", "N3"] => $cb!(N2, N3),
-            ["N2", "N4"] => $cb!(N2, N4),
-            ["N3", "N4"] => $cb!(N3, N4),
-            ["N1", "N2", "N3"] => $cb!(N1, N2, N3),
-            ["N1", "N2", "N4"] => $cb!(N1, N2, N4),
-            ["N1", "N3", "N4"] => $cb!(N1, N3, N4),
-            ["N2", "N3", "N4"] => $cb!(N2, N3, N4),
-            ["N1", "N2", "N3", "N4"] => $cb!(N1, N2, N3, N4),
-            other => panic!("census {other:?} outside the candidate universe"),
+/// Binds runtime names to type-level locations in one walk of the
+/// candidate nodes, branching at each on whether the census holds it:
+/// every census (and every proposer in it) is one path through the
+/// expansion, instantiating `$cb` once.
+///
+/// * `members(names) => cb` expands `cb!(Role, ...)`, in candidate order;
+/// * `round(proposer, names) => cb` expands `cb!(Proposer; Role, ...)`;
+/// * `pair(donor, recipient) => cb` expands `cb!(Donor, Recipient)` for
+///   two distinct candidates.
+macro_rules! bind_census {
+    (members($names:expr) => $cb:ident) => {{
+        let names: &[&str] = $names;
+        assert_candidates(names);
+        bind_census!(@candidates @walk names (members $cb) [])
+    }};
+    (round($proposer:expr, $names:expr) => $cb:ident) => {{
+        let (proposer, names): (&str, &[&str]) = ($proposer, $names);
+        assert_candidates(names);
+        bind_census!(@candidates @walk names (round proposer $cb) [])
+    }};
+    (pair($donor:expr, $recipient:expr) => $cb:ident) => {{
+        let pair: (&str, &str) = ($donor, $recipient);
+        bind_census!(@candidates @donor pair $cb [])
+    }};
+
+    // The candidate nodes, appended to whatever step comes first. A new
+    // node is added here (and to `locations!`, `Universe`, `NODE_NAMES`).
+    (@candidates $($step:tt)*) => { bind_census!($($step)* [N1 N2 N3 N4]) };
+
+    // Accumulate into `[bound]` the candidates the census holds.
+    (@walk $names:ident $then:tt [$($bound:ident)*] [$head:ident $($rest:ident)*]) => {
+        if $names.contains(&<$head>::NAME) {
+            bind_census!(@walk $names $then [$($bound)* $head] [$($rest)*])
+        } else {
+            bind_census!(@walk $names $then [$($bound)*] [$($rest)*])
         }
+    };
+    (@walk $names:ident $then:tt [] []) => {
+        panic!("census {:?} outside the candidate universe", $names)
+    };
+    (@walk $names:ident (members $cb:ident) [$($bound:ident)+] []) => { $cb!($($bound),+) };
+    (@walk $names:ident (round $proposer:ident $cb:ident) $bound:tt []) => {
+        bind_census!(@proposer $proposer $names $cb $bound $bound)
+    };
+
+    // The proposer is whichever bound role carries its name.
+    (@proposer $proposer:ident $names:ident $cb:ident
+     [$($bound:ident)+] [$head:ident $($rest:ident)*]) => {
+        if $proposer == <$head>::NAME {
+            $cb!($head; $($bound),+)
+        } else {
+            bind_census!(@proposer $proposer $names $cb [$($bound)+] [$($rest)*])
+        }
+    };
+    (@proposer $proposer:ident $names:ident $cb:ident $bound:tt []) => {
+        panic!("proposer {:?} not dispatchable in census {:?}", $proposer, $names)
+    };
+
+    // The donor is some candidate; the recipient one of the others.
+    (@donor $pair:ident $cb:ident [$($before:ident)*] [$head:ident $($after:ident)*]) => {
+        if $pair.0 == <$head>::NAME {
+            bind_census!(@recipient $pair $cb $head [$($before)* $($after)*])
+        } else {
+            bind_census!(@donor $pair $cb [$($before)* $head] [$($after)*])
+        }
+    };
+    (@recipient $pair:ident $cb:ident $donor:ident [$head:ident $($rest:ident)*]) => {
+        if $pair.1 == <$head>::NAME {
+            $cb!($donor, $head)
+        } else {
+            bind_census!(@recipient $pair $cb $donor [$($rest)*])
+        }
+    };
+    (@donor $pair:ident $cb:ident $before:tt []) => {
+        panic!("transfer pair {:?} outside the candidate universe", $pair)
+    };
+    (@recipient $pair:ident $cb:ident $donor:ident []) => {
+        panic!("transfer pair {:?} outside the candidate universe", $pair)
     };
 }
 
-/// Binds a runtime `(proposer, census)` pair to its types and invokes
-/// `$cb!(Proposer ; Role, ...)`.
-macro_rules! dispatch_round {
-    ($proposer:expr, $names:expr, $cb:ident) => {
-        match ($proposer, $names) {
-            ("N1", ["N1"]) => $cb!(N1; N1),
-            ("N2", ["N2"]) => $cb!(N2; N2),
-            ("N3", ["N3"]) => $cb!(N3; N3),
-            ("N4", ["N4"]) => $cb!(N4; N4),
-            ("N1", ["N1", "N2"]) => $cb!(N1; N1, N2),
-            ("N2", ["N1", "N2"]) => $cb!(N2; N1, N2),
-            ("N1", ["N1", "N3"]) => $cb!(N1; N1, N3),
-            ("N3", ["N1", "N3"]) => $cb!(N3; N1, N3),
-            ("N1", ["N1", "N4"]) => $cb!(N1; N1, N4),
-            ("N4", ["N1", "N4"]) => $cb!(N4; N1, N4),
-            ("N2", ["N2", "N3"]) => $cb!(N2; N2, N3),
-            ("N3", ["N2", "N3"]) => $cb!(N3; N2, N3),
-            ("N2", ["N2", "N4"]) => $cb!(N2; N2, N4),
-            ("N4", ["N2", "N4"]) => $cb!(N4; N2, N4),
-            ("N3", ["N3", "N4"]) => $cb!(N3; N3, N4),
-            ("N4", ["N3", "N4"]) => $cb!(N4; N3, N4),
-            ("N1", ["N1", "N2", "N3"]) => $cb!(N1; N1, N2, N3),
-            ("N2", ["N1", "N2", "N3"]) => $cb!(N2; N1, N2, N3),
-            ("N3", ["N1", "N2", "N3"]) => $cb!(N3; N1, N2, N3),
-            ("N1", ["N1", "N2", "N4"]) => $cb!(N1; N1, N2, N4),
-            ("N2", ["N1", "N2", "N4"]) => $cb!(N2; N1, N2, N4),
-            ("N4", ["N1", "N2", "N4"]) => $cb!(N4; N1, N2, N4),
-            ("N1", ["N1", "N3", "N4"]) => $cb!(N1; N1, N3, N4),
-            ("N3", ["N1", "N3", "N4"]) => $cb!(N3; N1, N3, N4),
-            ("N4", ["N1", "N3", "N4"]) => $cb!(N4; N1, N3, N4),
-            ("N2", ["N2", "N3", "N4"]) => $cb!(N2; N2, N3, N4),
-            ("N3", ["N2", "N3", "N4"]) => $cb!(N3; N2, N3, N4),
-            ("N4", ["N2", "N3", "N4"]) => $cb!(N4; N2, N3, N4),
-            ("N1", ["N1", "N2", "N3", "N4"]) => $cb!(N1; N1, N2, N3, N4),
-            ("N2", ["N1", "N2", "N3", "N4"]) => $cb!(N2; N1, N2, N3, N4),
-            ("N3", ["N1", "N2", "N3", "N4"]) => $cb!(N3; N1, N2, N3, N4),
-            ("N4", ["N1", "N2", "N3", "N4"]) => $cb!(N4; N1, N2, N3, N4),
-            (proposer, census) => {
-                panic!("proposer {proposer:?} not dispatchable in census {census:?}")
-            }
-        }
-    };
-}
-
-/// Binds a runtime ordered `(donor, recipient)` pair to its types and
-/// invokes `$cb!(Donor, Recipient)`.
-macro_rules! dispatch_pair {
-    ($donor:expr, $recipient:expr, $cb:ident) => {
-        match ($donor, $recipient) {
-            ("N1", "N2") => $cb!(N1, N2),
-            ("N1", "N3") => $cb!(N1, N3),
-            ("N1", "N4") => $cb!(N1, N4),
-            ("N2", "N1") => $cb!(N2, N1),
-            ("N2", "N3") => $cb!(N2, N3),
-            ("N2", "N4") => $cb!(N2, N4),
-            ("N3", "N1") => $cb!(N3, N1),
-            ("N3", "N2") => $cb!(N3, N2),
-            ("N3", "N4") => $cb!(N3, N4),
-            ("N4", "N1") => $cb!(N4, N1),
-            ("N4", "N2") => $cb!(N4, N2),
-            ("N4", "N3") => $cb!(N4, N3),
-            pair => panic!("transfer pair {pair:?} outside the candidate universe"),
-        }
-    };
+/// A census naming a node outside [`NODE_NAMES`] must not bind to the
+/// members it does recognise.
+fn assert_candidates(names: &[&str]) {
+    assert!(
+        names.iter().all(|name| NODE_NAMES.contains(name)),
+        "census {names:?} outside the candidate universe"
+    );
 }
 
 /// One planned state transfer of a reconfiguration: `recipient` gains
@@ -310,7 +308,7 @@ impl SimCluster {
                 client.join().expect("client endpoint panicked")
             }};
         }
-        let result = dispatch_members!(names.as_slice(), run_op);
+        let result = bind_census!(members(names.as_slice()) => run_op);
         (version, result)
     }
 
@@ -430,7 +428,7 @@ impl SimCluster {
                 reports.into_iter().next().unwrap()
             }};
         }
-        dispatch_pair!(donor, recipient, run_pull)
+        bind_census!(pair(donor, recipient) => run_pull)
     }
 
     /// One config-agreement round over `census` (must be sorted) with
@@ -473,7 +471,7 @@ impl SimCluster {
                     .collect::<BTreeMap<_, _>>()
             }};
         }
-        dispatch_round!(proposer, names.as_slice(), run_install)
+        bind_census!(round(proposer, names.as_slice()) => run_install)
     }
 
     /// Plans the state transfers of the transition `current → next`:
@@ -660,6 +658,68 @@ fn round_census(current: &ClusterConfig, next: &ClusterConfig) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn bound_members(names: &[&str]) -> Vec<&'static str> {
+        macro_rules! names_of {
+            ($($role:ident),+) => { <chorus_core::LocationSet!($($role),+)>::names() };
+        }
+        bind_census!(members(names) => names_of)
+    }
+
+    fn bound_round(proposer: &str, names: &[&str]) -> (&'static str, Vec<&'static str>) {
+        macro_rules! names_of {
+            ($p:ident; $($role:ident),+) => {
+                (<$p>::NAME, <chorus_core::LocationSet!($($role),+)>::names())
+            };
+        }
+        bind_census!(round(proposer, names) => names_of)
+    }
+
+    fn bound_pair(donor: &str, recipient: &str) -> (&'static str, &'static str) {
+        macro_rules! names_of {
+            ($d:ident, $r:ident) => {
+                (<$d>::NAME, <$r>::NAME)
+            };
+        }
+        bind_census!(pair(donor, recipient) => names_of)
+    }
+
+    #[test]
+    fn binder_binds_every_census_proposer_and_pair_to_itself() {
+        for mask in 1u32..(1 << NODE_NAMES.len()) {
+            let census: Vec<&str> = (0..NODE_NAMES.len())
+                .filter(|i| mask & (1 << i) != 0)
+                .map(|i| NODE_NAMES[i])
+                .collect();
+            assert_eq!(bound_members(&census), census);
+            for proposer in &census {
+                assert_eq!(bound_round(proposer, &census), (*proposer, census.clone()));
+            }
+        }
+        for donor in NODE_NAMES {
+            for recipient in NODE_NAMES.into_iter().filter(|r| *r != donor) {
+                assert_eq!(bound_pair(donor, recipient), (donor, recipient));
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "census [] outside the candidate universe")]
+    fn binder_rejects_an_empty_census() {
+        bound_members(&[]);
+    }
+
+    #[test]
+    #[should_panic(expected = "census [\"N5\"] outside the candidate universe")]
+    fn binder_rejects_a_name_outside_the_candidates() {
+        bound_members(&["N5"]);
+    }
+
+    #[test]
+    #[should_panic(expected = "proposer \"N3\" not dispatchable in census [\"N1\", \"N2\"]")]
+    fn binder_rejects_a_proposer_outside_the_census() {
+        bound_round("N3", &["N1", "N2"]);
+    }
 
     #[test]
     fn quiet_cluster_serves_quorum_ops() {

@@ -14,6 +14,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::rc::Rc;
 
 pub mod arbitrary;
@@ -43,6 +44,10 @@ pub use crate as prop;
 
 /// Runs one property: `cases` random inputs drawn from `strategy`, each
 /// passed to `test`. Called by the [`proptest!`] macro expansion.
+///
+/// A case that panics (a plain `assert!`/`unwrap()` in the body) rather
+/// than returning `Err` unwinds with its own payload, after the replay
+/// line has gone to stderr.
 pub fn run_property<S: Strategy>(
     name: &str,
     config: &ProptestConfig,
@@ -53,11 +58,14 @@ pub fn run_property<S: Strategy>(
     for case in 0..config.cases {
         let mut rng = <TestRng as SeedableRng>::seed_from_u64(base_seed.wrapping_add(case as u64));
         let input = strategy.generate(&mut rng);
-        if let Err(err) = test(input) {
-            panic!(
-                "property `{name}` failed at case {case} \
-                 (replay with PROPTEST_SEED={base_seed}): {err}"
-            );
+        let replay = || format!("at case {case} (replay with PROPTEST_SEED={base_seed})");
+        match catch_unwind(AssertUnwindSafe(|| test(input))) {
+            Ok(Ok(())) => {}
+            Ok(Err(err)) => panic!("property `{name}` failed {}: {err}", replay()),
+            Err(payload) => {
+                eprintln!("property `{name}` panicked {}", replay());
+                resume_unwind(payload);
+            }
         }
     }
 }
@@ -73,4 +81,30 @@ pub(crate) fn entropy_seed() -> u64 {
 /// Internal: boxes a strategy into a clonable trait object.
 pub(crate) fn boxed_from<S: Strategy + 'static>(strategy: S) -> BoxedStrategy<S::Value> {
     BoxedStrategy { inner: Rc::new(move |rng: &mut StdRng| strategy.generate(rng)) }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    #[should_panic(expected = "boom")]
+    fn panicking_property_unwinds_with_its_own_payload() {
+        run_property("boom_property", &ProptestConfig::with_cases(4), 0u8..8, |_| panic!("boom"));
+    }
+
+    /// Reruns the test above alone in a child process with output
+    /// uncaptured, and reads the replay line off its stderr.
+    #[test]
+    fn panicking_property_reports_its_seed() {
+        let child = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "tests::panicking_property_unwinds_with_its_own_payload"])
+            .arg("--nocapture")
+            .env("PROPTEST_SEED", "4242")
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&child.stderr);
+        let line = "property `boom_property` panicked at case 0 (replay with PROPTEST_SEED=4242)";
+        assert!(stderr.contains(line), "no replay line on stderr:\n{stderr}");
+    }
 }

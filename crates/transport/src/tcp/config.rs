@@ -4,8 +4,10 @@
 use crate::link::LinkTuning;
 use chorus_core::{ChoreographyLocation, LocationSet};
 use std::collections::HashMap;
+use std::io::ErrorKind;
 use std::marker::PhantomData;
 use std::net::{SocketAddr, TcpListener};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::time::Duration;
 
 /// Address book for a TCP system: one socket address per location in
@@ -85,13 +87,42 @@ impl TcpConfigBuilder {
     }
 }
 
-/// Reserves `n` distinct loopback addresses with OS-assigned free ports.
+/// Loopback listener ports are handed out from `PORT_BASE..PORT_END`,
+/// below the kernel's ephemeral window, so neither a `:0` bind nor an
+/// outbound connect can ever be assigned one.
+const PORT_BASE: u16 = 21000;
+const PORT_END: u16 = 32768;
+
+/// Hands out `n` loopback addresses, for tests, examples and benchmarks
+/// that must know every endpoint's address before the first bind.
 ///
-/// Test/bench helper: binds ephemeral listeners, records their addresses,
-/// and releases them. (The usual caveat applies: the ports could in
-/// principle be reused between this call and the transport's bind.)
+/// Ports come from a process-wide counter over `PORT_BASE..PORT_END`,
+/// so no two calls share an address until the range has been walked,
+/// however many threads call at once (reserving `:0` ports and
+/// releasing them would let a parallel test's bind be assigned one
+/// before its owner rebinds it). A probe bind skips ports another
+/// process owns, and the process id offsets the walk so test binaries
+/// running side by side start apart.
+///
+/// # Errors
+///
+/// Any bind failure other than "address in use", or "address in use"
+/// for every port of the range.
 pub fn free_local_addrs(n: usize) -> std::io::Result<Vec<SocketAddr>> {
-    let listeners: Vec<TcpListener> =
-        (0..n).map(|_| TcpListener::bind("127.0.0.1:0")).collect::<Result<_, _>>()?;
-    listeners.iter().map(|l| l.local_addr()).collect()
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    let span = u32::from(PORT_END - PORT_BASE);
+    let start = (std::process::id() % 400) * 20;
+    let mut out = Vec::with_capacity(n);
+    let mut skipped = 0;
+    while out.len() < n {
+        let step = NEXT.fetch_add(1, Ordering::Relaxed);
+        let port = PORT_BASE + (start.wrapping_add(step) % span) as u16;
+        let addr = SocketAddr::from(([127, 0, 0, 1], port));
+        match TcpListener::bind(addr) {
+            Ok(_) => out.push(addr),
+            Err(e) if e.kind() == ErrorKind::AddrInUse && skipped < span => skipped += 1,
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(out)
 }

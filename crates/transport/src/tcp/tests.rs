@@ -26,6 +26,25 @@ fn config_requires_every_location() {
 }
 
 #[test]
+fn concurrent_callers_never_share_an_address() {
+    let barrier = std::sync::Barrier::new(32);
+    let addrs: Vec<std::net::SocketAddr> = std::thread::scope(|scope| {
+        let callers: Vec<_> = (0..32)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    free_local_addrs(4).unwrap()
+                })
+            })
+            .collect();
+        callers.into_iter().flat_map(|c| c.join().unwrap()).collect()
+    });
+    let distinct: HashSet<_> = addrs.iter().collect();
+    assert_eq!(distinct.len(), 128, "an address was handed out twice: {addrs:?}");
+    assert!(addrs.iter().all(|a| a.port() < 32768), "a port inside the ephemeral window");
+}
+
+#[test]
 fn messages_cross_sockets_in_order() {
     let config = config();
     let a_cfg = config.clone();

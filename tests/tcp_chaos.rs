@@ -30,7 +30,8 @@ use chorus_repro::protocols::roles::{
 };
 use chorus_repro::protocols::store::{Request, Response, SharedStore};
 use chorus_repro::transport::{
-    FaultyPlan, FaultyTcp, MetricsSnapshot, TcpConfigBuilder, TcpTransport, TransportMetrics,
+    free_local_addrs, FaultyPlan, FaultyTcp, MetricsSnapshot, TcpConfigBuilder, TcpTransport,
+    TransportMetrics,
 };
 use std::marker::PhantomData;
 use std::net::SocketAddr;
@@ -49,40 +50,6 @@ const RETRY_BASE: Duration = Duration::from_millis(2);
 
 fn seed_base() -> u64 {
     std::env::var("CHORUS_TCP_SEED_BASE").ok().and_then(|s| s.parse().ok()).unwrap_or(49374)
-}
-
-/// Hands out loopback listener ports from a process-wide monotonic
-/// counter, probing each candidate before use.
-///
-/// Probe-then-rebind against `:0` (what `free_local_addrs` does) has a
-/// window in which a concurrently running test — or one of this suite's
-/// own `FaultyTcp` proxies binding `:0` — can be handed the just-probed
-/// port by the kernel; with hundreds of binds per run that race fires,
-/// one endpoint dies at bind, and its peers starve. The counter keeps
-/// every port this process hands out unique, the range sits below the
-/// kernel's ephemeral window (so `:0` binds can never be assigned into
-/// it), and the probe skips ports some other process happens to own.
-/// The process-id offset spreads concurrently running test binaries
-/// across the range.
-fn chaos_addrs(n: usize) -> Vec<SocketAddr> {
-    use std::sync::atomic::{AtomicU16, Ordering};
-    use std::sync::OnceLock;
-    static NEXT_PORT: OnceLock<AtomicU16> = OnceLock::new();
-    let next =
-        NEXT_PORT.get_or_init(|| AtomicU16::new(21000 + (std::process::id() % 400) as u16 * 20));
-    let mut out = Vec::with_capacity(n);
-    while out.len() < n {
-        let port = next.fetch_add(1, Ordering::Relaxed);
-        if !(21000..32768).contains(&port) {
-            next.store(21000, Ordering::Relaxed);
-            continue;
-        }
-        let addr = SocketAddr::from(([127, 0, 0, 1], port));
-        if std::net::TcpListener::bind(addr).is_ok() {
-            out.push(addr);
-        }
-    }
-    out
 }
 
 /// Route resolver for one run: either transparent (the clean baseline)
@@ -209,7 +176,7 @@ type Backups = chorus_repro::core::LocationSet!(Backup1, Backup2);
 type Census = KvsCensus<Backups>;
 
 fn run_kvs_backup(router: &Router) -> MetricsSnapshot {
-    let addrs = chaos_addrs(4);
+    let addrs = free_local_addrs(4).unwrap();
     let addr_of = |name: &str| match name {
         "Client" => addrs[0],
         "Primary" => addrs[1],
@@ -290,7 +257,7 @@ fn kvs_backup_survives_real_socket_chaos() {
 type Parties = chorus_repro::core::LocationSet!(P1, P2, P3);
 
 fn run_gmw(router: &Router) -> MetricsSnapshot {
-    let addrs = chaos_addrs(3);
+    let addrs = free_local_addrs(3).unwrap();
     let addr_of = |name: &str| match name {
         "P1" => addrs[0],
         "P2" => addrs[1],
@@ -352,7 +319,7 @@ type LotteryCensus = chorus_repro::core::LocationSet!(Analyst, C1, C2, C3, S1, S
 
 fn run_lottery(router: &Router) -> MetricsSnapshot {
     const SECRETS: [u64; 3] = [1001, 2002, 3003];
-    let addrs = chaos_addrs(6);
+    let addrs = free_local_addrs(6).unwrap();
     let addr_of = |name: &str| match name {
         "Analyst" => addrs[0],
         "C1" => addrs[1],
@@ -482,7 +449,7 @@ fn pooled_sessions_survive_real_socket_chaos() {
     const SESSIONS: u64 = 64;
     let seed = seed_base() + seed_offset("pooled_kvs");
     let router = Router::chaotic(seed);
-    let addrs = chaos_addrs(2);
+    let addrs = free_local_addrs(2).unwrap();
     let addr_of = |name: &str| match name {
         "Client" => addrs[0],
         "Primary" => addrs[1],
