@@ -1175,6 +1175,45 @@ mod tests {
         let second = run();
         assert_eq!(first, second, "one seed, one schedule — bit for bit");
         assert!(first.contains("== Alice -> Bob"));
+        // Not only against a second run of this code: the golden file
+        // was dumped by the receiver-draining implementation (in-flight
+        // heap, reorder stage) this one replaced.
+        assert_eq!(first, include_str!("../tests/golden/sim_seed7_chaos.txt"));
+    }
+
+    #[test]
+    fn partition_poison_and_session_reuse_match_the_golden_schedule() {
+        let plan = FaultPlan::ideal()
+            .with_seed(19)
+            .with_jitter(5)
+            .with_drop(0.2)
+            .with_duplicate(0.2)
+            .with_partition(Partition::link("Alice", "Bob", 4, 12))
+            .with_poison(Poison::link("Bob", "Alice", 10));
+        let (alice, bob, net) = pair(plan);
+        // Session 5 runs twice in sequence across the partition window;
+        // the second run's sequence restarts at zero.
+        for run in 0..2u8 {
+            for seq in 0..8u64 {
+                alice.send_frame("Bob", Envelope::new(5, seq, vec![run, seq as u8])).unwrap();
+            }
+            for seq in 0..8u64 {
+                assert_eq!(bob.receive_frame(5, "Alice").unwrap().payload, [run, seq as u8]);
+            }
+        }
+        // The reverse link dies at its tenth frame.
+        for seq in 0..12u64 {
+            bob.send_frame("Alice", Envelope::new(6, seq, vec![seq as u8])).unwrap();
+        }
+        for seq in 0..10u64 {
+            assert_eq!(alice.receive_frame(6, "Bob").unwrap().payload, [seq as u8]);
+        }
+        let err = alice.receive_frame(6, "Bob").unwrap_err();
+        assert!(err.to_string().contains("poisoned at frame 10"), "got: {err}");
+        assert_eq!(
+            net.schedule_dump(),
+            include_str!("../tests/golden/sim_partition_poison_reuse.txt")
+        );
     }
 
     #[test]

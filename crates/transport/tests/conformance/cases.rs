@@ -222,6 +222,74 @@ pub fn waker_fires_on_deposit(alice: impl AliceTransport, bob: impl BobTransport
     assert_eq!(recv_eventually(&bob, 7, "Alice").unwrap().payload, b"wake");
 }
 
+/// A waker that counts its fires on a shared gate, so a case can tell
+/// "fired once" from "fired again".
+fn counting_waker(fires: &Arc<WaitQueue<usize>>) -> MailboxWaker {
+    let fires = Arc::clone(fires);
+    Arc::new(move || {
+        *fires.lock() += 1;
+        fires.notify_all();
+    })
+}
+
+/// Parks until a [`counting_waker`] has fired at least `count` times.
+fn wait_for_fires(fires: &WaitQueue<usize>, count: usize) {
+    let mut fired = fires.lock();
+    while *fired < count {
+        fired = fires.wait(fired);
+    }
+}
+
+/// A deposit wakes the session it is for and no other: a frame for one
+/// session must not cost its neighbors on the link a spurious wake (and
+/// the pooled runtime a scheduler requeue each), and a waker, once
+/// fired, is spent.
+pub fn deposit_wakes_only_its_own_session(alice: impl AliceTransport, bob: impl BobTransport) {
+    let (one, two) = (Arc::new(WaitQueue::new(0)), Arc::new(WaitQueue::new(0)));
+    assert!(!bob.register_waker(1, "Alice", counting_waker(&one)).unwrap());
+    assert!(!bob.register_waker(2, "Alice", counting_waker(&two)).unwrap());
+    alice.send_frame("Bob", frame(1, 0, b"for-one")).unwrap();
+    wait_for_fires(&one, 1);
+    assert_eq!(*two.lock(), 0, "session 2 gained no frame");
+    // Session 1's waker is spent and session 2's still armed: of the
+    // next two deposits only the second may fire anything. Deposits on
+    // one link happen in send order, so once it has, both counts are
+    // final.
+    alice.send_frame("Bob", frame(1, 1, b"for-one-again")).unwrap();
+    alice.send_frame("Bob", frame(2, 0, b"for-two")).unwrap();
+    wait_for_fires(&two, 1);
+    assert_eq!(*one.lock(), 1, "a fired waker must not fire again without re-registering");
+    assert_eq!(*two.lock(), 1);
+    assert_eq!(recv_eventually(&bob, 1, "Alice").unwrap().payload, b"for-one");
+    assert_eq!(recv_eventually(&bob, 1, "Alice").unwrap().payload, b"for-one-again");
+    assert_eq!(recv_eventually(&bob, 2, "Alice").unwrap().payload, b"for-two");
+}
+
+/// A link failure is a state every session behind the link can
+/// observe, so it wakes every parked session — not just the one whose
+/// frame was bad — and each then sees the protocol error.
+pub fn link_failure_wakes_every_parked_session(alice: impl AliceTransport, bob: impl BobTransport) {
+    let gates: Vec<_> = (1..=3u64).map(|_| Arc::new(WaitQueue::new(0))).collect();
+    for (session, gate) in (1..=3u64).zip(&gates) {
+        assert!(!bob.register_waker(session, "Alice", counting_waker(gate)).unwrap());
+    }
+    // A sequence gap in a session nobody is parked on.
+    alice.send_frame("Bob", frame(9, 4, b"gap")).unwrap();
+    for (session, gate) in (1..=3u64).zip(&gates) {
+        wait_for_fires(gate, 1);
+        let err = bob.try_receive_frame(session, "Alice").unwrap_err();
+        assert!(
+            matches!(err, TransportError::Protocol(_)),
+            "session {session} must observe the failure, got {err:?}"
+        );
+        assert!(
+            bob.register_waker(session, "Alice", counting_waker(gate)).unwrap(),
+            "a failed link is ready, never parked on"
+        );
+        assert_eq!(*gate.lock(), 1, "session {session}'s waker fires once");
+    }
+}
+
 /// Registration on a mailbox that is (or becomes) ready refuses the
 /// waker — `Ok(true)` — instead of parking it, so the no-lost-wakeup
 /// handshake closes; after the mailbox is drained, registration parks

@@ -91,6 +91,18 @@ macro_rules! conformance_suite {
             }
 
             #[test]
+            fn deposit_wakes_only_its_own_session() {
+                let (alice, bob) = $make;
+                cases::deposit_wakes_only_its_own_session(alice, bob);
+            }
+
+            #[test]
+            fn link_failure_wakes_every_parked_session() {
+                let (alice, bob) = $make;
+                cases::link_failure_wakes_every_parked_session(alice, bob);
+            }
+
+            #[test]
             fn registration_reports_ready_mailbox() {
                 let (alice, bob) = $make;
                 cases::registration_reports_ready_mailbox(alice, bob);
