@@ -1,8 +1,8 @@
-//! Shared harness for the benchmark suite: macros that execute the
+//! Shared harness for the paper's experiments: macros that execute the
 //! case-study choreographies as real multi-threaded systems over
 //! metrics-instrumented endpoints, returning results *and* per-edge
-//! message counts. Every table/figure binary and criterion bench builds
-//! on these.
+//! message counts. The table binaries and `metrics_parity.rs` build on
+//! these.
 //!
 //! Each participant builds one [`chorus_core::Endpoint`] with a shared
 //! [`TransportMetrics`] layer and runs the choreography in a session;

@@ -15,16 +15,20 @@
 //! The model in one paragraph: time is virtual and per-link — offering
 //! the `k`-th frame on a link happens at tick `k`, and the frame's
 //! arrival tick is `k + latency + drops·rto`, pushed past any partition
-//! window that covers tick `k`. Arrived frames pass through a per-session
-//! reorder stage that re-establishes the per-(session, sender) FIFO
-//! order the [`SessionTransport`] contract promises (exactly as TCP
-//! re-establishes a reliable stream over a lossy, reordering packet
-//! layer), discarding duplicates. Receivers are ordinary blocked
-//! threads parked on a [`chorus_core::park::WaitQueue`]; a receiver that
-//! would block first *advances virtual time* by draining the link's
-//! in-flight set, so delivery never waits on a wall clock. A watchdog
-//! deadline bounds every park, so a genuinely stuck schedule surfaces
-//! as an error instead of hanging CI.
+//! window that covers tick `k`. The whole schedule is computed and
+//! logged at the send site: the sender validates the frame against its
+//! per-(session, sender) stream, logs its arrival (and the arrival of a
+//! duplicate, which is discarded), advances the link's virtual time to
+//! the largest arrival tick logged, and queues the frame on its
+//! session's mailbox. Jitter and drops therefore reorder the *logged
+//! arrival ticks*, never delivery: a mailbox holds the FIFO order the
+//! [`SessionTransport`] contract promises (what TCP re-establishes over
+//! a lossy, reordering packet layer) because frames enter it in offer
+//! order. Receivers only pop — ordinary blocked threads parked on a
+//! [`chorus_core::park::WaitQueue`] until a sender deposits, so delivery
+//! never waits on a wall clock. A watchdog deadline bounds every park,
+//! so a genuinely stuck schedule surfaces as an error instead of
+//! hanging CI.
 //!
 //! Failure modes are injected, never emergent: a sender-side sequence
 //! violation kills the link for every session behind it (mirroring
@@ -46,7 +50,7 @@
 //!
 //! On failure, [`SimNet::schedule_dump`] renders the full per-link
 //! schedule — sends with their computed arrivals, then deliveries in
-//! release order — as text; CI jobs attach it as an artifact so a
+//! virtual-time order — as text; CI jobs attach it as an artifact so a
 //! failing seed replays locally with nothing but the seed.
 
 use chorus_core::park::{self, WaitQueue};
@@ -56,16 +60,21 @@ use chorus_core::{
 };
 use chorus_wire::Envelope;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
 /// A frame is retransmitted at most this many times; past that the
 /// "network" relents and delivers. Keeps arrival ticks finite even with
 /// extreme drop probabilities.
 const MAX_RETRANSMITS: u64 = 12;
+
+/// Whether a fault rule's optional endpoints select the directed link
+/// `from → to`; `None` matches every location on that side.
+fn edge_matches(rule_from: Option<&str>, rule_to: Option<&str>, from: &str, to: &str) -> bool {
+    rule_from.is_none_or(|f| f == from) && rule_to.is_none_or(|t| t == to)
+}
 
 /// One partition window: frames offered on a matching link while
 /// `start <= tick < heal` are held and arrive only after the partition
@@ -93,10 +102,6 @@ impl Partition {
     pub fn link(from: &'static str, to: &'static str, start: u64, heal: u64) -> Self {
         Partition { from: Some(from), to: Some(to), start, heal }
     }
-
-    fn matches(&self, from: &'static str, to: &'static str) -> bool {
-        self.from.is_none_or(|f| f == from) && self.to.is_none_or(|t| t == to)
-    }
 }
 
 /// Kills a link after `after` frames: every frame from step `after` on
@@ -116,10 +121,6 @@ impl Poison {
     /// Poisons one directed link after `after` frames.
     pub fn link(from: &'static str, to: &'static str, after: u64) -> Self {
         Poison { from: Some(from), to: Some(to), after }
-    }
-
-    fn matches(&self, from: &'static str, to: &'static str) -> bool {
-        self.from.is_none_or(|f| f == from) && self.to.is_none_or(|t| t == to)
     }
 }
 
@@ -150,10 +151,6 @@ impl Corruption {
     pub fn everywhere(probability: f64) -> Self {
         Corruption { from: None, to: None, probability }
     }
-
-    fn matches(&self, from: &'static str, to: &'static str) -> bool {
-        self.from.is_none_or(|f| f == from) && self.to.is_none_or(|t| t == to)
-    }
 }
 
 /// Selective silence: every frame offered on a matching link is dropped
@@ -175,10 +172,6 @@ impl Silence {
     /// Silences one directed link forever.
     pub fn link(from: &'static str, to: &'static str) -> Self {
         Silence { from: Some(from), to: Some(to) }
-    }
-
-    fn matches(&self, from: &'static str, to: &'static str) -> bool {
-        self.from.is_none_or(|f| f == from) && self.to.is_none_or(|t| t == to)
     }
 }
 
@@ -341,7 +334,10 @@ impl FaultPlan {
         let mut arrival = k + self.base_latency.max(1) + jit + drops * self.rto.max(1);
         let mut held = false;
         for partition in &self.partitions {
-            if partition.matches(from, to) && partition.start <= k && k < partition.heal {
+            if edge_matches(partition.from, partition.to, from, to)
+                && partition.start <= k
+                && k < partition.heal
+            {
                 held = true;
                 arrival = arrival.max(partition.heal + self.base_latency.max(1));
             }
@@ -357,7 +353,7 @@ impl FaultPlan {
 
     /// Whether the plan silences `from → to` forever.
     fn silenced(&self, from: &'static str, to: &'static str) -> bool {
-        self.silence.iter().any(|s| s.matches(from, to))
+        self.silence.iter().any(|s| edge_matches(s.from, s.to, from, to))
     }
 
     /// The deterministic corruption decision for frame `k` on
@@ -380,7 +376,7 @@ impl FaultPlan {
         let probability = self
             .corruption
             .iter()
-            .filter(|c| c.matches(from, to))
+            .filter(|c| edge_matches(c.from, c.to, from, to))
             .map(|c| c.probability)
             .fold(0.0f64, f64::max);
         if probability <= 0.0 {
@@ -441,7 +437,7 @@ pub enum SimEventKind {
     Withheld,
     /// The frame was released to its session mailbox, in FIFO order.
     Delivered,
-    /// A duplicate arrival was discarded by the reorder stage.
+    /// A duplicate arrival was discarded.
     DuplicateDropped,
     /// An adversarial [`Corruption`] rule flipped one payload bit
     /// before the frame was scheduled (logged in addition to `Sent`).
@@ -475,127 +471,42 @@ pub struct SimEvent {
     pub kind: SimEventKind,
 }
 
-/// One scheduled arrival waiting in a link's in-flight set, ordered by
-/// `(arrival, uid)` so draining is a deterministic total order.
-struct Flight {
-    arrival: u64,
-    uid: u64,
-    frame: u64,
-    env: Envelope,
-}
-
-impl PartialEq for Flight {
-    fn eq(&self, other: &Self) -> bool {
-        (self.arrival, self.uid) == (other.arrival, other.uid)
-    }
-}
-impl Eq for Flight {}
-impl PartialOrd for Flight {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Flight {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.arrival, self.uid).cmp(&(other.arrival, other.uid))
-    }
-}
-
-/// Per-session reorder state: re-establishes the FIFO stream out of the
-/// arrival order.
-#[derive(Default)]
-struct SessionStream {
-    next_seq: u64,
-    /// Out-of-order arrivals by seq: `(frame index, arrival tick, frame)`.
-    pending: BTreeMap<u64, (u64, u64, Envelope)>,
-    ready: VecDeque<Envelope>,
-}
-
 /// One directed link's whole state.
 #[derive(Default)]
 struct SimLink {
     /// Frames offered so far; the next frame's index and send tick.
     sent: u64,
-    /// Monotonic tie-break for equal arrival ticks.
-    next_uid: u64,
-    /// Scheduled arrivals not yet drained.
-    in_flight: std::collections::BinaryHeap<Reverse<Flight>>,
-    /// Link-local virtual time: the latest arrival tick drained.
+    /// Link-local virtual time: the latest arrival tick logged.
     now: u64,
-    /// Frame indices already admitted once (duplicate filter).
-    seen: HashSet<u64>,
-    /// Per-session reorder stages.
-    streams: HashMap<SessionId, SessionStream>,
+    /// Per-session mailboxes, each in the order its sender offered.
+    mailboxes: HashMap<SessionId, VecDeque<Envelope>>,
     /// Sender-side stream validation; a violation kills the link.
     sequences: SequenceTracker,
     /// Set when a sequence violation killed the link.
     dead: Option<String>,
     /// Set when the poison plan fired, to the poison step.
     poisoned: Option<u64>,
-    /// Readiness wakers parked by the pooled session runtime. Whether a
-    /// given session is ready is only knowable after *draining* the
-    /// in-flight set (which only a receiver may do — draining advances
-    /// virtual time in the deterministic `(arrival, uid)` order), so
-    /// every waker fires on any send or link-state change and the woken
-    /// session re-polls; spurious wakes are harmless by contract.
+    /// Readiness wakers parked on empty mailboxes by the pooled session
+    /// runtime. A deposit fires its own session's waker; a link-state
+    /// change (dead, poisoned, silenced) fires them all.
     wakers: HashMap<SessionId, MailboxWaker>,
     /// Send-side schedule log, in frame order.
     sends: Vec<SimEvent>,
-    /// Delivery log, in raw drain order. Drains race sends in real
-    /// time, so this order is timing-dependent; [`SimNet::events`] and
-    /// [`SimNet::schedule_dump`] re-sort it into the deterministic
-    /// virtual-time order `(arrival, frame)` before exposing it.
+    /// Delivery log, in frame order; [`SimNet::events`] sorts it into
+    /// virtual-time order `(arrival, frame)`.
     deliveries: Vec<SimEvent>,
 }
 
-impl SimLink {
-    /// Drains the earliest in-flight arrival into its reorder stage,
-    /// advancing link-virtual time and logging the outcome.
-    fn advance(&mut self, from: &'static str, to: &'static str) {
-        let Some(Reverse(flight)) = self.in_flight.pop() else { return };
-        self.now = self.now.max(flight.arrival);
-        let session = flight.env.session;
-        let seq = flight.env.seq;
-        if !self.seen.insert(flight.frame) {
-            self.deliveries.push(SimEvent {
-                from,
-                to,
-                frame: flight.frame,
-                session,
-                seq,
-                arrival: flight.arrival,
-                kind: SimEventKind::DuplicateDropped,
-            });
-            return;
-        }
-        let stream = self.streams.entry(session).or_default();
-        stream.pending.insert(seq, (flight.frame, flight.arrival, flight.env));
-        loop {
-            if let Some((frame, arrival, env)) = stream.pending.remove(&stream.next_seq) {
-                self.deliveries.push(SimEvent {
-                    from,
-                    to,
-                    frame,
-                    session,
-                    seq: env.seq,
-                    arrival,
-                    kind: SimEventKind::Delivered,
-                });
-                stream.ready.push_back(env);
-                stream.next_seq += 1;
-                continue;
-            }
-            // A buffered seq 0 while expecting a later one marks a fresh
-            // run reusing the session id (sequence restart, the same
-            // convention `SequenceTracker` accepts). Sequential runs
-            // never overlap, so this can only be a restart.
-            if stream.next_seq > 0 && stream.pending.first_key_value().is_some_and(|(s, _)| *s == 0)
-            {
-                stream.next_seq = 0;
-                continue;
-            }
-            break;
-        }
+/// Announces a link-state change every session behind the link can
+/// observe: releases the lock, wakes every blocked receiver and fires
+/// every parked waker (outside the lock — a waker re-enqueues into a
+/// scheduler queue).
+fn wake_every_session(wq: &WaitQueue<SimLink>, mut link: MutexGuard<'_, SimLink>) {
+    let fired: Vec<MailboxWaker> = link.wakers.drain().map(|(_, w)| w).collect();
+    drop(link);
+    wq.notify_all();
+    for waker in fired {
+        waker();
     }
 }
 
@@ -644,8 +555,8 @@ impl<L: LocationSet> SimNet<L> {
         &self.shared.plan
     }
 
-    /// The current virtual time: the maximum arrival tick any link has
-    /// drained.
+    /// The current virtual time: the largest arrival tick any link has
+    /// logged.
     pub fn virtual_now(&self) -> u64 {
         self.sorted_links().map(|(_, wq)| wq.lock().now).max().unwrap_or(0)
     }
@@ -657,25 +568,14 @@ impl<L: LocationSet> SimNet<L> {
 
     /// The full schedule log, link by link in name order: each link's
     /// sends in frame order, then its deliveries in **virtual-time
-    /// order** `(arrival, frame)`. Deliveries are recorded as receivers
-    /// drain the in-flight set, and drains race sends in real time — so
-    /// the raw recording order is timing-dependent, but the sorted
-    /// view depends only on the (deterministic) per-frame schedule.
-    /// Every entry is therefore bit-for-bit reproducible for a fixed
-    /// seed and per-link send order.
-    ///
-    /// Reading the log **finalizes** each link: arrivals still in
-    /// flight (scheduled but not yet demanded by any receiver — e.g. a
-    /// trailing duplicate) are drained first, so the log covers every
-    /// scheduled flight exactly once no matter where receivers happened
-    /// to stop. Call it after the run completes.
+    /// order** `(arrival, frame)`. Both halves are written at the send
+    /// site from the (deterministic) per-frame schedule, so every entry
+    /// is bit-for-bit reproducible for a fixed seed and per-link send
+    /// order, wherever receivers happened to stop.
     pub fn events(&self) -> Vec<SimEvent> {
         let mut out = Vec::new();
-        for (key, wq) in self.sorted_links() {
-            let mut link = wq.lock();
-            while !link.in_flight.is_empty() {
-                link.advance(key.0, key.1);
-            }
+        for (_, wq) in self.sorted_links() {
+            let link = wq.lock();
             out.extend(link.sends.iter().cloned());
             let mut deliveries = link.deliveries.clone();
             // A frame's Delivered always precedes its DuplicateDropped
@@ -695,40 +595,30 @@ impl<L: LocationSet> SimNet<L> {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "# sim schedule (seed {})", self.shared.plan.seed);
-        for (key, wq) in self.sorted_links() {
-            let mut link = wq.lock();
-            // Finalize, exactly as `events` does.
-            while !link.in_flight.is_empty() {
-                link.advance(key.0, key.1);
+        let mut link = None;
+        for e in self.events() {
+            if link != Some((e.from, e.to)) {
+                link = Some((e.from, e.to));
+                let _ = writeln!(out, "== {} -> {}", e.from, e.to);
             }
-            if link.sends.is_empty() && link.deliveries.is_empty() {
-                continue;
-            }
-            let _ = writeln!(out, "== {} -> {}", key.0, key.1);
-            // Same ordering rule as `events`: sends in frame order,
-            // deliveries in deterministic virtual-time order.
-            let mut deliveries = link.deliveries.clone();
-            deliveries.sort_by_key(|e| (e.arrival, e.frame));
-            for e in link.sends.iter().chain(deliveries.iter()) {
-                let kind = match e.kind {
-                    SimEventKind::Sent { drops, held, duplicated } => format!(
-                        "sent     arrival={} drops={drops} held={held} dup={duplicated}",
-                        e.arrival
-                    ),
-                    SimEventKind::Withheld => "withheld".to_string(),
-                    SimEventKind::Delivered => format!("deliver  arrival={}", e.arrival),
-                    SimEventKind::DuplicateDropped => format!("dupdrop  arrival={}", e.arrival),
-                    SimEventKind::Corrupted { byte, bit } => {
-                        format!("corrupt  byte={byte} bit={bit}")
-                    }
-                    SimEventKind::Silenced => "silenced".to_string(),
-                };
-                let _ = writeln!(
-                    out,
-                    "frame={:<5} session={:<4} seq={:<5} {kind}",
-                    e.frame, e.session, e.seq
-                );
-            }
+            let kind = match e.kind {
+                SimEventKind::Sent { drops, held, duplicated } => format!(
+                    "sent     arrival={} drops={drops} held={held} dup={duplicated}",
+                    e.arrival
+                ),
+                SimEventKind::Withheld => "withheld".to_string(),
+                SimEventKind::Delivered => format!("deliver  arrival={}", e.arrival),
+                SimEventKind::DuplicateDropped => format!("dupdrop  arrival={}", e.arrival),
+                SimEventKind::Corrupted { byte, bit } => {
+                    format!("corrupt  byte={byte} bit={bit}")
+                }
+                SimEventKind::Silenced => "silenced".to_string(),
+            };
+            let _ = writeln!(
+                out,
+                "frame={:<5} session={:<4} seq={:<5} {kind}",
+                e.frame, e.session, e.seq
+            );
         }
         out
     }
@@ -811,6 +701,39 @@ impl<L: LocationSet, Target: ChoreographyLocation> SimTransport<L, Target> {
             })
         })
     }
+
+    /// One non-blocking look at `session`'s mailbox on `from → Target`:
+    /// the next queued frame, else the link's failure if it has one
+    /// (frames queued before a failure drain first; dead outranks
+    /// poisoned outranks silenced), else `None`.
+    fn poll_mailbox(
+        &self,
+        link: &mut SimLink,
+        session: SessionId,
+        from: &'static str,
+    ) -> Result<Option<Envelope>, TransportError> {
+        if let Some(env) = link.mailboxes.get_mut(&session).and_then(VecDeque::pop_front) {
+            *self.net.shared.received.lock().expect("sim counters poisoned") += 1;
+            return Ok(Some(env));
+        }
+        if let Some(reason) = &link.dead {
+            return Err(TransportError::Protocol(format!("link from {from} is down: {reason}")));
+        }
+        if let Some(step) = link.poisoned {
+            return Err(TransportError::Protocol(format!(
+                "link from {from} poisoned at frame {step}: subsequent frames withheld"
+            )));
+        }
+        let to = Target::NAME;
+        if self.net.shared.plan.silenced(from, to) {
+            // The silence is a plan-level fact: no frame will ever
+            // arrive, so fail now instead of burning the watchdog.
+            return Err(TransportError::Protocol(format!(
+                "link {from} -> {to} silenced: every frame dropped (selective silence)"
+            )));
+        }
+        Ok(None)
+    }
 }
 
 impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
@@ -824,47 +747,27 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         let mut link = wq.lock();
         let k = link.sent;
         link.sent += 1;
-
-        let withheld = |link: &mut SimLink| {
-            link.sends.push(SimEvent {
-                from,
-                to,
-                frame: k,
-                session: frame.session,
-                seq: frame.seq,
-                arrival: 0,
-                kind: SimEventKind::Withheld,
-            });
-        };
+        let (session, seq) = (frame.session, frame.seq);
+        let event = |arrival, kind| SimEvent { from, to, frame: k, session, seq, arrival, kind };
 
         // A link that already died (sequence violation) or got poisoned
         // withholds everything; as with `LocalTransport`, the send
         // itself reports `Ok` and the error surfaces at the receivers.
         if link.dead.is_some() || link.poisoned.is_some() {
-            withheld(&mut link);
+            link.sends.push(event(0, SimEventKind::Withheld));
             return Ok(());
         }
-        if let Err(e) = link.sequences.check(frame.session, from, frame.seq) {
+        if let Err(e) = link.sequences.check(session, from, seq) {
             link.dead = Some(e.to_string());
-            withheld(&mut link);
-            let fired: Vec<MailboxWaker> = link.wakers.drain().map(|(_, w)| w).collect();
-            drop(link);
-            wq.notify_all();
-            for waker in fired {
-                waker();
-            }
+            link.sends.push(event(0, SimEventKind::Withheld));
+            wake_every_session(wq, link);
             return Ok(());
         }
         if let Some(poison) = &plan.poison {
-            if poison.matches(from, to) && k >= poison.after {
+            if edge_matches(poison.from, poison.to, from, to) && k >= poison.after {
                 link.poisoned = Some(poison.after);
-                withheld(&mut link);
-                let fired: Vec<MailboxWaker> = link.wakers.drain().map(|(_, w)| w).collect();
-                drop(link);
-                wq.notify_all();
-                for waker in fired {
-                    waker();
-                }
+                link.sends.push(event(0, SimEventKind::Withheld));
+                wake_every_session(wq, link);
                 return Ok(());
             }
         }
@@ -873,21 +776,8 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         // knowledge), so wakers still fire and parked sessions resolve
         // with a protocol error instead of a watchdog timeout.
         if plan.silenced(from, to) {
-            link.sends.push(SimEvent {
-                from,
-                to,
-                frame: k,
-                session: frame.session,
-                seq: frame.seq,
-                arrival: 0,
-                kind: SimEventKind::Silenced,
-            });
-            let fired: Vec<MailboxWaker> = link.wakers.drain().map(|(_, w)| w).collect();
-            drop(link);
-            wq.notify_all();
-            for waker in fired {
-                waker();
-            }
+            link.sends.push(event(0, SimEventKind::Silenced));
+            wake_every_session(wq, link);
             return Ok(());
         }
         // Adversarial corruption: flip one payload bit, in a fresh
@@ -897,74 +787,36 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
             let mut tampered = frame.payload.to_vec();
             tampered[byte] ^= 1 << bit;
             frame.payload = chorus_wire::Bytes::from(tampered);
-            link.sends.push(SimEvent {
-                from,
-                to,
-                frame: k,
-                session: frame.session,
-                seq: frame.seq,
-                arrival: 0,
-                kind: SimEventKind::Corrupted { byte: byte as u64, bit },
-            });
+            link.sends.push(event(0, SimEventKind::Corrupted { byte: byte as u64, bit }));
         }
 
         let schedule = plan.schedule(from, to, k);
-        link.sends.push(SimEvent {
-            from,
-            to,
-            frame: k,
-            session: frame.session,
-            seq: frame.seq,
-            arrival: schedule.arrival,
-            kind: SimEventKind::Sent {
+        link.sends.push(event(
+            schedule.arrival,
+            SimEventKind::Sent {
                 drops: schedule.drops,
                 held: schedule.held,
                 duplicated: schedule.duplicate.is_some(),
             },
-        });
-        if let Some(dup_arrival) = schedule.duplicate {
-            let uid = link.next_uid;
-            link.next_uid += 1;
-            link.in_flight.push(Reverse(Flight {
-                arrival: dup_arrival,
-                uid,
-                frame: k,
-                env: frame.clone(),
-            }));
+        ));
+        // Admission. `sequences.check` above accepted the frame as the
+        // next of its stream (or a restart at zero), so it joins its
+        // session's mailbox in offer order whatever its arrival tick:
+        // the schedule orders the *log*, never delivery. A duplicate is
+        // scheduled strictly after its original and discarded.
+        link.deliveries.push(event(schedule.arrival, SimEventKind::Delivered));
+        link.now = link.now.max(schedule.arrival);
+        if let Some(duplicate) = schedule.duplicate {
+            link.deliveries.push(event(duplicate, SimEventKind::DuplicateDropped));
+            link.now = link.now.max(duplicate);
         }
-        let uid = link.next_uid;
-        link.next_uid += 1;
-        link.in_flight.push(Reverse(Flight {
-            arrival: schedule.arrival,
-            uid,
-            frame: k,
-            env: frame,
-        }));
-        // Drain the whole in-flight set eagerly — the same
-        // deterministic `(arrival, uid)` total order any receiver
-        // would drain in, so the delivery schedule is unchanged (and
-        // the dumps re-sort by `(arrival, frame)` regardless) — then
-        // wake only the sessions whose mailboxes actually gained a
-        // frame. A deposit for session A no longer costs every other
-        // parked session a spurious wake (and a scheduler requeue) per
-        // frame; sessions whose frames are still held in the reorder
-        // stage stay parked until the stream really resumes.
-        while !link.in_flight.is_empty() {
-            link.advance(from, to);
-        }
-        let woken: Vec<SessionId> = link
-            .wakers
-            .keys()
-            .copied()
-            .filter(|session| link.streams.get(session).is_some_and(|s| !s.ready.is_empty()))
-            .collect();
-        let mut fired: Vec<MailboxWaker> = Vec::with_capacity(woken.len());
-        for session in woken {
-            fired.extend(link.wakers.remove(&session));
-        }
+        link.mailboxes.entry(session).or_default().push_back(frame);
+        // Only this session's mailbox gained a frame, so only its waker
+        // fires — outside the lock, like every waker.
+        let fired = link.wakers.remove(&session);
         drop(link);
         wq.notify_all();
-        for waker in fired {
+        if let Some(waker) = fired {
             waker();
         }
         Ok(())
@@ -972,49 +824,17 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
 
     fn receive_frame(&self, session: SessionId, from: &str) -> Result<Envelope, TransportError> {
         let from = self.names.resolve(from)?;
-        let to = Target::NAME;
-        let wq = self.link(from, to)?;
+        let wq = self.link(from, Target::NAME)?;
         let started = Instant::now();
         let deadline = started + self.net.shared.plan.watchdog;
         let mut link = wq.lock();
         loop {
-            if let Some(env) = link.streams.get_mut(&session).and_then(|s| s.ready.pop_front()) {
-                drop(link);
-                *self.net.shared.received.lock().expect("sim counters poisoned") += 1;
-                // Other receivers of this link may be waiting on frames
-                // this thread drained into their mailboxes.
-                wq.notify_all();
+            if let Some(env) = self.poll_mailbox(&mut link, session, from)? {
                 return Ok(env);
-            }
-            if !link.in_flight.is_empty() {
-                // Nothing ready: advance virtual time by draining the
-                // earliest scheduled arrival, then re-check.
-                link.advance(from, to);
-                continue;
-            }
-            if let Some(reason) = &link.dead {
-                return Err(TransportError::Protocol(format!(
-                    "link from {from} is down: {reason}"
-                )));
-            }
-            if let Some(step) = link.poisoned {
-                return Err(TransportError::Protocol(format!(
-                    "link from {from} poisoned at frame {step}: subsequent frames withheld"
-                )));
-            }
-            if self.net.shared.plan.silenced(from, to) {
-                // The silence is a plan-level fact: no frame will ever
-                // arrive, so fail now instead of burning the watchdog.
-                return Err(TransportError::Protocol(format!(
-                    "link {from} -> {to} silenced: every frame dropped (selective silence)"
-                )));
             }
             let (guard, timed_out) = wq.wait_deadline(link, deadline);
             link = guard;
-            if timed_out
-                && link.in_flight.is_empty()
-                && link.streams.get(&session).is_none_or(|s| s.ready.is_empty())
-            {
+            if timed_out && link.mailboxes.get(&session).is_none_or(VecDeque::is_empty) {
                 return Err(TransportError::Protocol(format!(
                     "sim watchdog: no frame of session {session} from {from} after {}ms \
                      (configured deadline {}ms; schedule stalled or sender never sent)",
@@ -1031,41 +851,9 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         from: &str,
     ) -> Result<Option<Envelope>, TransportError> {
         let from = self.names.resolve(from)?;
-        let to = Target::NAME;
-        let wq = self.link(from, to)?;
+        let wq = self.link(from, Target::NAME)?;
         let mut link = wq.lock();
-        loop {
-            if let Some(env) = link.streams.get_mut(&session).and_then(|s| s.ready.pop_front()) {
-                drop(link);
-                *self.net.shared.received.lock().expect("sim counters poisoned") += 1;
-                wq.notify_all();
-                return Ok(Some(env));
-            }
-            if !link.in_flight.is_empty() {
-                // Draining advances virtual time in the deterministic
-                // (arrival, uid) total order — the *same* order any
-                // blocking receiver would drain in, so which thread
-                // drains never changes the schedule.
-                link.advance(from, to);
-                continue;
-            }
-            if let Some(reason) = &link.dead {
-                return Err(TransportError::Protocol(format!(
-                    "link from {from} is down: {reason}"
-                )));
-            }
-            if let Some(step) = link.poisoned {
-                return Err(TransportError::Protocol(format!(
-                    "link from {from} poisoned at frame {step}: subsequent frames withheld"
-                )));
-            }
-            if self.net.shared.plan.silenced(from, to) {
-                return Err(TransportError::Protocol(format!(
-                    "link {from} -> {to} silenced: every frame dropped (selective silence)"
-                )));
-            }
-            return Ok(None);
-        }
+        self.poll_mailbox(&mut link, session, from)
     }
 
     fn register_waker(
@@ -1077,16 +865,13 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         let from = self.names.resolve(from)?;
         let wq = self.link(from, Target::NAME)?;
         let mut link = wq.lock();
-        // "Ready" is conservative: a non-empty in-flight set *may* hold
-        // this session's frame, and only draining (a receiver's job)
-        // can tell — so report ready and let the caller re-poll, which
-        // drains. Exactly ready states (ready frame, dead, poisoned)
-        // also refuse the registration.
+        // Ready-check and registration under the one link lock senders
+        // deposit under: a frame can never slip between them. A failed
+        // link is ready too (the error is there to observe).
         let ready = link.dead.is_some()
             || link.poisoned.is_some()
             || self.net.shared.plan.silenced(from, Target::NAME)
-            || !link.in_flight.is_empty()
-            || link.streams.get(&session).is_some_and(|s| !s.ready.is_empty());
+            || link.mailboxes.get(&session).is_some_and(|mailbox| !mailbox.is_empty());
         if ready {
             return Ok(true);
         }
@@ -1176,8 +961,8 @@ mod tests {
         assert_eq!(first, second, "one seed, one schedule — bit for bit");
         assert!(first.contains("== Alice -> Bob"));
         // Not only against a second run of this code: the golden file
-        // was dumped by the receiver-draining implementation (in-flight
-        // heap, reorder stage) this one replaced.
+        // is the dump of an earlier, independent implementation of the
+        // same model (CHANGES.md, PR 19).
         assert_eq!(first, include_str!("../tests/golden/sim_seed7_chaos.txt"));
     }
 
@@ -1405,10 +1190,10 @@ mod tests {
 
     #[test]
     fn eager_draining_leaves_chaos_schedules_bit_identical() {
-        // Senders now drain the in-flight set at deposit time (so they
-        // can tell which mailboxes gained frames). The dump must not
-        // care *who* drains: a run that consumes after every send and a
-        // run that consumes only at the end see one schedule.
+        // The whole schedule is computed and logged at the send site,
+        // so the dump must not care *when* receivers consume: a run
+        // that consumes after every send and a run that consumes only
+        // at the end see one schedule.
         let plan = || {
             FaultPlan::ideal().with_seed(77).with_jitter(14).with_drop(0.25).with_duplicate(0.25)
         };

@@ -121,9 +121,9 @@ fn panic_is_contained_to_its_session() {
 
 /// Pooled sessions run over the deterministic sim under a hostile
 /// schedule (jitter, drops, duplicates): every session still completes
-/// with the right answer, because the try-receive path drains the
-/// in-flight set in the same deterministic order blocking receivers
-/// use.
+/// with the right answer, because the try-receive path pops the same
+/// mailboxes blocking receivers do, filled in offer order at the send
+/// site whatever the schedule.
 #[test]
 fn pooled_sessions_survive_sim_chaos() {
     const SESSIONS: u64 = 64;

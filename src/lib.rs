@@ -16,8 +16,9 @@
 //!   (join/leave, live resharding, replica recovery).
 //! * [`baseline`] — the HasChor-style broadcast-KoC baseline.
 //!
-//! See `README.md` for a guided tour, `DESIGN.md` for the system
-//! inventory, and `EXPERIMENTS.md` for the reproduced tables/figures.
+//! See `README.md` for a guided tour (its "The benchmark" section names
+//! the four table binaries that reproduce the paper's message-count
+//! tables, and `chorus_e2e`), and `DESIGN.md` for the system inventory.
 
 pub use chorus_baseline as baseline;
 pub use chorus_core as core;
