@@ -27,18 +27,20 @@ static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
 static LIVE: AtomicIsize = AtomicIsize::new(0);
 static LIVE_BYTES: AtomicIsize = AtomicIsize::new(0);
 
+fn count_new(layout: Layout) {
+    ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    LIVE.fetch_add(1, Ordering::Relaxed);
+    LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        count_new(layout);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        LIVE.fetch_add(1, Ordering::Relaxed);
-        LIVE_BYTES.fetch_add(layout.size() as isize, Ordering::Relaxed);
+        count_new(layout);
         System.alloc_zeroed(layout)
     }
 

@@ -29,14 +29,24 @@ fn frame(session: u64, seq: u64, payload: &[u8]) -> Envelope {
     Envelope::new(session, seq, payload.to_vec())
 }
 
-/// A waker that flips a shared flag and wakes whoever parked on it —
-/// the same shape the pooled runtime's re-enqueue waker has.
-fn gate_waker(gate: &Arc<WaitQueue<bool>>) -> MailboxWaker {
+/// A waker that counts its fires on a shared gate and wakes whoever
+/// parked on it — the same shape the pooled runtime's re-enqueue waker
+/// has, counting so a case can tell "fired once" from "fired again".
+fn gate_waker(gate: &Arc<WaitQueue<usize>>) -> MailboxWaker {
     let gate = Arc::clone(gate);
     Arc::new(move || {
-        *gate.lock() = true;
+        *gate.lock() += 1;
         gate.notify_all();
     })
+}
+
+/// Parks until a [`gate_waker`] has fired at least `count` times: waits
+/// for the waker, never for wall-clock time.
+fn wait_for_fires(gate: &WaitQueue<usize>, count: usize) {
+    let mut fired = gate.lock();
+    while *fired < count {
+        fired = gate.wait(fired);
+    }
 }
 
 /// Receives one frame through the *non-blocking* path only:
@@ -54,16 +64,13 @@ fn recv_eventually(
         if let Some(envelope) = bob.try_receive_frame(session, from)? {
             return Ok(envelope);
         }
-        let gate = Arc::new(WaitQueue::new(false));
+        let gate = Arc::new(WaitQueue::new(0));
         if bob.register_waker(session, from, gate_waker(&gate))? {
             // Already ready: a frame (or an error) slipped in between
             // the failed try and the registration — re-poll.
             continue;
         }
-        let mut fired = gate.lock();
-        while !*fired {
-            fired = gate.wait(fired);
-        }
+        wait_for_fires(&gate, 1);
     }
 }
 
@@ -207,37 +214,14 @@ pub fn try_receive_on_empty_mailbox_is_none(alice: impl AliceTransport, bob: imp
 /// deposited, and the frame is then deliverable through the
 /// non-blocking path.
 pub fn waker_fires_on_deposit(alice: impl AliceTransport, bob: impl BobTransport) {
-    let gate = Arc::new(WaitQueue::new(false));
+    let gate = Arc::new(WaitQueue::new(0));
     let parked = !bob.register_waker(7, "Alice", gate_waker(&gate)).unwrap();
     assert!(parked, "nothing was sent; the waker must park");
     alice.send_frame("Bob", frame(7, 0, b"wake")).unwrap();
-    // Wait for the waker, not for wall-clock time.
-    let mut fired = gate.lock();
-    while !*fired {
-        fired = gate.wait(fired);
-    }
-    drop(fired);
+    wait_for_fires(&gate, 1);
     // A fired waker is a readiness *hint* (spurious wakes are legal), so
     // drain through the full poll/register protocol.
     assert_eq!(recv_eventually(&bob, 7, "Alice").unwrap().payload, b"wake");
-}
-
-/// A waker that counts its fires on a shared gate, so a case can tell
-/// "fired once" from "fired again".
-fn counting_waker(fires: &Arc<WaitQueue<usize>>) -> MailboxWaker {
-    let fires = Arc::clone(fires);
-    Arc::new(move || {
-        *fires.lock() += 1;
-        fires.notify_all();
-    })
-}
-
-/// Parks until a [`counting_waker`] has fired at least `count` times.
-fn wait_for_fires(fires: &WaitQueue<usize>, count: usize) {
-    let mut fired = fires.lock();
-    while *fired < count {
-        fired = fires.wait(fired);
-    }
 }
 
 /// A deposit wakes the session it is for and no other: a frame for one
@@ -246,8 +230,8 @@ fn wait_for_fires(fires: &WaitQueue<usize>, count: usize) {
 /// fired, is spent.
 pub fn deposit_wakes_only_its_own_session(alice: impl AliceTransport, bob: impl BobTransport) {
     let (one, two) = (Arc::new(WaitQueue::new(0)), Arc::new(WaitQueue::new(0)));
-    assert!(!bob.register_waker(1, "Alice", counting_waker(&one)).unwrap());
-    assert!(!bob.register_waker(2, "Alice", counting_waker(&two)).unwrap());
+    assert!(!bob.register_waker(1, "Alice", gate_waker(&one)).unwrap());
+    assert!(!bob.register_waker(2, "Alice", gate_waker(&two)).unwrap());
     alice.send_frame("Bob", frame(1, 0, b"for-one")).unwrap();
     wait_for_fires(&one, 1);
     assert_eq!(*two.lock(), 0, "session 2 gained no frame");
@@ -271,7 +255,7 @@ pub fn deposit_wakes_only_its_own_session(alice: impl AliceTransport, bob: impl 
 pub fn link_failure_wakes_every_parked_session(alice: impl AliceTransport, bob: impl BobTransport) {
     let gates: Vec<_> = (1..=3u64).map(|_| Arc::new(WaitQueue::new(0))).collect();
     for (session, gate) in (1..=3u64).zip(&gates) {
-        assert!(!bob.register_waker(session, "Alice", counting_waker(gate)).unwrap());
+        assert!(!bob.register_waker(session, "Alice", gate_waker(gate)).unwrap());
     }
     // A sequence gap in a session nobody is parked on.
     alice.send_frame("Bob", frame(9, 4, b"gap")).unwrap();
@@ -283,7 +267,7 @@ pub fn link_failure_wakes_every_parked_session(alice: impl AliceTransport, bob: 
             "session {session} must observe the failure, got {err:?}"
         );
         assert!(
-            bob.register_waker(session, "Alice", counting_waker(gate)).unwrap(),
+            bob.register_waker(session, "Alice", gate_waker(gate)).unwrap(),
             "a failed link is ready, never parked on"
         );
         assert_eq!(*gate.lock(), 1, "session {session}'s waker fires once");
@@ -301,18 +285,15 @@ pub fn registration_reports_ready_mailbox(alice: impl AliceTransport, bob: impl 
     // With "b" still undelivered, registration must eventually report
     // ready rather than leave the caller parked forever.
     loop {
-        let gate = Arc::new(WaitQueue::new(false));
+        let gate = Arc::new(WaitQueue::new(0));
         if bob.register_waker(3, "Alice", gate_waker(&gate)).unwrap() {
             break;
         }
-        let mut fired = gate.lock();
-        while !*fired {
-            fired = gate.wait(fired);
-        }
+        wait_for_fires(&gate, 1);
     }
     assert_eq!(bob.try_receive_frame(3, "Alice").unwrap().unwrap().payload, b"b");
     // Drained: a fresh registration parks.
-    let gate = Arc::new(WaitQueue::new(false));
+    let gate = Arc::new(WaitQueue::new(0));
     assert!(
         !bob.register_waker(3, "Alice", gate_waker(&gate)).unwrap(),
         "the mailbox was drained; the waker must park"
