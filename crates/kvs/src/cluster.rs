@@ -14,24 +14,34 @@
 //! caller picks the census" (§3.4) driven by runtime data.
 //!
 //! Every client operation, config round, and shard pull is one
-//! short-lived choreography session: the driver allocates a fresh
-//! session id, spawns one thread per participant with its own
-//! [`Endpoint`] over the shared net, and joins them. Node state persists
-//! across sessions in [`NodeCtx`] handles. The driver is sequential and
-//! each link has a single sending thread per session, so runs are
-//! deterministic per fault-plan seed.
+//! short-lived choreography session under a fresh session id, run by
+//! long-lived roles: the cluster owns one thread per candidate node
+//! (`sim-N1` … `sim-N4`), each with its node's [`Endpoint`] over the
+//! shared net, built once for the cluster's life; the client's role
+//! runs on the caller's thread over one endpoint the cluster holds. A
+//! session hands each participating node one job, and ends when every
+//! one of its roles has returned; then the first role that panicked —
+//! nodes in census order, then the client — is re-raised on the caller
+//! with its own payload, and the node threads serve the next session.
+//! Node state persists across sessions in [`NodeCtx`] handles. The
+//! driver is sequential and each link has a single sending thread per
+//! session, so runs are deterministic per fault-plan seed.
 
 use crate::config::{ClusterConfig, ShardId};
 use crate::data_plane::{ClusterOp, KvsError, OpOutcome};
 use crate::model::ConsistencyModel;
 use crate::node::{KvsOp, NodeCtx, StampedRequest, Versioned};
 use crate::reconfig::{InstallConfig, PullMode, PullReport, ShardPull};
-use chorus_core::{ChoreographyLocation as _, Endpoint, LocationSet};
+use chorus_core::{ChoreographyLocation, Endpoint, LocationSet, Session, SessionId};
 use chorus_patterns::Misbehavior;
 use chorus_protocols::roles::Client;
 use chorus_transport::{FaultPlan, SimNet, SimTransport};
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
+use std::thread;
 
 chorus_core::locations! { N1, N2, N3, N4 }
 
@@ -50,8 +60,11 @@ pub const NODE_NAMES: [&str; 4] = ["N1", "N2", "N3", "N4"];
 /// * `members(names) => cb` expands `cb!(Role, ...)`, in candidate order;
 /// * `round(proposer, names) => cb` expands `cb!(Proposer; Role, ...)`;
 /// * `pair(donor, recipient) => cb` expands `cb!(Donor, Recipient)` for
-///   two distinct candidates.
+///   two distinct candidates;
+/// * `candidates => cb` expands `cb!(N1, ..., N4)`, every candidate.
 macro_rules! bind_census {
+    (candidates => $cb:ident) => { bind_census!(@candidates @all $cb) };
+    (@all $cb:ident [$($node:ident)+]) => { $cb!($($node),+) };
     (members($names:expr) => $cb:ident) => {{
         let names: &[&str] = $names;
         assert_candidates(names);
@@ -160,10 +173,55 @@ pub struct FreezeWindow {
     pub wall: std::time::Duration,
 }
 
+/// A role's endpoint over the net, built once for the cluster's life.
+type SimEndpoint<R> = Endpoint<Universe, R, SimTransport<Universe, R>>;
+
+/// A role's session on its [`SimEndpoint`].
+type SimSession<'e, R> = Session<'e, Universe, R, SimTransport<Universe, R>>;
+
+/// Work for a role thread. It gets the thread's endpoint as `&dyn Any`,
+/// so every node's thread has this one type; [`SimCluster::role`] is the
+/// one place that recovers the endpoint's type.
+type Job = Box<dyn FnOnce(&dyn Any) + Send>;
+
+/// One candidate node's thread: builds the node's endpoint, then runs
+/// jobs from `jobs` until the cluster closes it.
+struct RoleThread {
+    jobs: mpsc::Sender<Job>,
+    handle: thread::JoinHandle<()>,
+}
+
+impl RoleThread {
+    fn spawn<R: ChoreographyLocation + Send + 'static>(node: R, net: &SimNet<Universe>) -> Self {
+        let (jobs, queue) = mpsc::channel::<Job>();
+        let net = net.clone();
+        let handle = thread::Builder::new()
+            .name(format!("sim-{}", R::NAME))
+            .spawn(move || {
+                let endpoint: SimEndpoint<R> = Endpoint::new(SimTransport::new(node, net));
+                for job in queue {
+                    job(&endpoint);
+                }
+            })
+            .expect("spawning a role thread");
+        RoleThread { jobs, handle }
+    }
+}
+
+/// A node's part of one session, bound for that node's thread.
+struct Role<T> {
+    node: &'static str,
+    run: Box<dyn FnOnce(&dyn Any) -> T + Send>,
+}
+
 /// The simulated cluster.
 pub struct SimCluster {
     net: SimNet<Universe>,
     nodes: BTreeMap<&'static str, NodeCtx>,
+    /// One role thread per candidate node, for the cluster's life.
+    threads: BTreeMap<&'static str, RoleThread>,
+    /// The client's endpoint; its role runs on the caller's thread.
+    client: SimEndpoint<Client>,
     client_config: ClusterConfig,
     next_version: u64,
     next_session: u64,
@@ -185,9 +243,17 @@ impl SimCluster {
         for member in &config.census {
             nodes[member.as_str()].install_config(&config);
         }
+        macro_rules! spawn_role_threads {
+            ($($node:ident),+) => {
+                BTreeMap::from([$((<$node>::NAME, RoleThread::spawn($node, &net))),+])
+            };
+        }
+        let threads = bind_census!(candidates => spawn_role_threads);
         Self {
+            client: Endpoint::new(SimTransport::new(Client, net.clone())),
             net,
             nodes,
+            threads,
             client_config: config,
             next_version: 0,
             next_session: 0,
@@ -241,6 +307,58 @@ impl SimCluster {
         self.next_session
     }
 
+    /// Node `R`'s part of session `sid`: `run` gets the session, opened
+    /// on `R`'s own endpoint, and `R`'s state.
+    fn role<R, T>(
+        &self,
+        sid: SessionId,
+        run: impl FnOnce(SimSession<'_, R>, NodeCtx) -> T + Send + 'static,
+    ) -> Role<T>
+    where
+        R: ChoreographyLocation + 'static,
+    {
+        let ctx = self.nodes[R::NAME].clone();
+        Role {
+            node: R::NAME,
+            run: Box::new(move |endpoint: &dyn Any| {
+                let endpoint: &SimEndpoint<R> =
+                    endpoint.downcast_ref().expect("a role runs on its own node's thread");
+                run(endpoint.session_with_id(sid), ctx)
+            }),
+        }
+    }
+
+    /// Runs one session: each of `roles` on its node's thread, `client`
+    /// inline on this one. Returns once every role has returned; if any
+    /// panicked, the first — `roles` in order, then `client` — is
+    /// re-raised here with its own payload.
+    fn run_session<T: Send + 'static, C>(
+        &self,
+        roles: Vec<Role<T>>,
+        client: impl FnOnce() -> C,
+    ) -> (Vec<T>, C) {
+        let (done, reports) = mpsc::channel();
+        for (index, Role { node, run }) in roles.into_iter().enumerate() {
+            let done = done.clone();
+            let job: Job = Box::new(move |endpoint| {
+                let outcome = catch_unwind(AssertUnwindSafe(|| run(endpoint)));
+                // The driver holds the receiver until every job reports.
+                let _ = done.send((index, outcome));
+            });
+            self.threads[node].jobs.send(job).expect("role threads live as long as the cluster");
+        }
+        drop(done);
+        let client = catch_unwind(AssertUnwindSafe(client));
+        // Ends when the last job has reported and dropped its sender.
+        let mut reports: Vec<(usize, thread::Result<T>)> = reports.into_iter().collect();
+        reports.sort_by_key(|(index, _)| *index);
+        let outputs = reports
+            .into_iter()
+            .map(|(_, outcome)| outcome.unwrap_or_else(|payload| resume_unwind(payload)))
+            .collect();
+        (outputs, client.unwrap_or_else(|payload| resume_unwind(payload)))
+    }
+
     /// Re-reads the config from the freshest live node, modeling config
     /// discovery (a client that got a stale-epoch rejection asks the
     /// cluster for the current config before retrying).
@@ -271,41 +389,27 @@ impl SimCluster {
         macro_rules! run_op {
             ($($role:ident),+) => {{
                 type M = chorus_core::LocationSet!($($role),+);
-                let mut handles = Vec::new();
-                $(
-                    {
-                        let net = self.net.clone();
-                        let ctx = self.nodes[<$role>::NAME].clone();
-                        handles.push(std::thread::spawn(move || {
-                            let endpoint = Endpoint::new(SimTransport::new($role, net));
-                            let session = endpoint.session_with_id(sid);
-                            let _ = session.epp_and_run(ClusterOp::<M, _, _> {
-                                request: session.remote(Client),
-                                nodes: session.local_faceted(ctx),
-                                config: session.remote(Client),
-                                phantom: PhantomData,
-                            });
-                        }));
-                    }
-                )+
-                let net = self.net.clone();
-                let request = request.clone();
-                let config = self.client_config.clone();
-                let client = std::thread::spawn(move || {
-                    let endpoint = Endpoint::new(SimTransport::new(Client, net));
-                    let session = endpoint.session_with_id(sid);
+                let nodes = vec![$(
+                    self.role(sid, |session: SimSession<'_, $role>, ctx| {
+                        let _ = session.epp_and_run(ClusterOp::<M, _, _> {
+                            request: session.remote(Client),
+                            nodes: session.local_faceted(ctx),
+                            config: session.remote(Client),
+                            phantom: PhantomData,
+                        });
+                    })
+                ),+];
+                let (_, out) = self.run_session(nodes, || {
+                    let session = self.client.session_with_id(sid);
                     let out = session.epp_and_run(ClusterOp::<M, _, _> {
                         request: session.local(request),
                         nodes: session.remote_faceted(<M>::new()),
-                        config: session.local(config),
+                        config: session.local(self.client_config.clone()),
                         phantom: PhantomData,
                     });
                     session.unwrap(out)
                 });
-                for handle in handles {
-                    handle.join().expect("node endpoint panicked");
-                }
-                client.join().expect("client endpoint panicked")
+                out
             }};
         }
         let result = bind_census!(members(names.as_slice()) => run_op);
@@ -388,42 +492,21 @@ impl SimCluster {
         let sid = self.next_session_id();
         let chunk = self.chunk;
         macro_rules! run_pull {
-            ($d:ident, $r:ident) => {{
-                let mut handles = Vec::new();
-                for ctx in [self.nodes[<$d>::NAME].clone(), self.nodes[<$r>::NAME].clone()] {
-                    let net = self.net.clone();
-                    let donor_side = ctx.name() == <$d>::NAME;
-                    handles.push(std::thread::spawn(move || {
-                        let report = if donor_side {
-                            let endpoint = Endpoint::new(SimTransport::new($d, net));
-                            let session = endpoint.session_with_id(sid);
-                            session.epp_and_run(ShardPull::<'_, $d, $r> {
-                                shard,
-                                range,
-                                mode,
-                                chunk,
-                                ctx: &ctx,
-                                phantom: PhantomData,
-                            })
-                        } else {
-                            let endpoint = Endpoint::new(SimTransport::new($r, net));
-                            let session = endpoint.session_with_id(sid);
-                            session.epp_and_run(ShardPull::<'_, $d, $r> {
-                                shard,
-                                range,
-                                mode,
-                                chunk,
-                                ctx: &ctx,
-                                phantom: PhantomData,
-                            })
-                        };
-                        report
-                    }));
-                }
-                let reports: Vec<PullReport> = handles
-                    .into_iter()
-                    .map(|h| h.join().expect("pull endpoint panicked"))
-                    .collect();
+            ($d:ident, $r:ident) => { run_pull!($d, $r; $d, $r) };
+            ($d:ident, $r:ident; $($side:ident),+) => {{
+                let sides = vec![$(
+                    self.role(sid, move |session: SimSession<'_, $side>, ctx| {
+                        session.epp_and_run(ShardPull::<'_, $d, $r> {
+                            shard,
+                            range,
+                            mode,
+                            chunk,
+                            ctx: &ctx,
+                            phantom: PhantomData,
+                        })
+                    })
+                ),+];
+                let (reports, ()) = self.run_session(sides, || ());
                 assert_eq!(reports[0], reports[1], "pull sides agree on the report");
                 reports.into_iter().next().unwrap()
             }};
@@ -446,29 +529,20 @@ impl SimCluster {
         macro_rules! run_install {
             ($p:ident; $($role:ident),+) => {{
                 type M = chorus_core::LocationSet!($($role),+);
-                let mut handles = Vec::new();
-                $(
-                    {
-                        let net = self.net.clone();
-                        let ctx = self.nodes[<$role>::NAME].clone();
-                        let proposed = proposed.clone();
-                        handles.push(std::thread::spawn(move || {
-                            let endpoint = Endpoint::new(SimTransport::new($role, net));
-                            let session = endpoint.session_with_id(sid);
-                            let out = session.epp_and_run(InstallConfig::<'_, $p, M, _, _, _> {
-                                proposed,
-                                quorum,
-                                ctx: &ctx,
-                                phantom: PhantomData,
-                            });
-                            (<$role>::NAME, session.unwrap_faceted(out))
-                        }));
-                    }
-                )+
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("config-round endpoint panicked"))
-                    .collect::<BTreeMap<_, _>>()
+                let members = vec![$({
+                    let proposed = proposed.clone();
+                    self.role(sid, move |session: SimSession<'_, $role>, ctx| {
+                        let out = session.epp_and_run(InstallConfig::<'_, $p, M, _, _, _> {
+                            proposed,
+                            quorum,
+                            ctx: &ctx,
+                            phantom: PhantomData,
+                        });
+                        (<$role>::NAME, session.unwrap_faceted(out))
+                    })
+                }),+];
+                let (outcomes, ()) = self.run_session(members, || ());
+                outcomes.into_iter().collect::<BTreeMap<_, _>>()
             }};
         }
         bind_census!(round(proposer, names.as_slice()) => run_install)
@@ -644,6 +718,18 @@ impl SimCluster {
     }
 }
 
+impl Drop for SimCluster {
+    /// Closes every role thread's queue and joins the thread.
+    fn drop(&mut self) {
+        for (_, RoleThread { jobs, handle }) in std::mem::take(&mut self.threads) {
+            drop(jobs);
+            // Jobs catch their roles' panics, so a thread only ends when
+            // its queue closes.
+            let _ = handle.join();
+        }
+    }
+}
+
 /// The census of a config round: old ∪ new members, sorted — a leaver
 /// still votes on its own departure, a joiner already votes on its
 /// arrival.
@@ -766,6 +852,33 @@ mod tests {
         );
         cluster.refresh_config();
         assert_eq!(cluster.get("k").expect("get").expect("value").value, "v");
+    }
+
+    #[test]
+    fn a_role_panic_surfaces_with_its_own_message_and_the_cluster_serves_on() {
+        let plan = FaultPlan::ideal()
+            .with_silence(chorus_transport::Silence::link("N1", "N2"))
+            .with_watchdog(std::time::Duration::from_secs(2));
+        let mut cluster = SimCluster::new(plan, &["N1", "N2", "N3"], 4);
+        let config = cluster.config().clone();
+        let shard = config.shards[0].id;
+        let (start, end) = config.shard_range(shard).expect("shard in own config");
+        let transfer =
+            Transfer { shard, start, end, recipient: "N2".into(), donors: vec!["N1".into()] };
+        // The shard is empty, so the donor sends only the count and
+        // returns; the recipient cannot hear it.
+        let payload = catch_unwind(AssertUnwindSafe(|| cluster.precopy(&transfer)))
+            .expect_err("the recipient's receive from N1 fails");
+        let message = payload.downcast_ref::<String>().expect("the role's formatted message");
+        assert!(
+            message.starts_with("failed to receive from N1:")
+                && message.contains("link N1 -> N2 silenced"),
+            "got {message:?}"
+        );
+        // Both node threads survived the session: a put over N1 and N2
+        // (whose links to and from the client are clean) commits.
+        cluster.put("after", "v").expect("put commits");
+        assert_eq!(cluster.get("after").expect("get").expect("present").value, "v");
     }
 
     #[test]

@@ -62,6 +62,7 @@ use chorus_wire::Envelope;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -513,8 +514,10 @@ fn wake_every_session(wq: &WaitQueue<SimLink>, mut link: MutexGuard<'_, SimLink>
 struct SimShared {
     plan: FaultPlan,
     links: HashMap<(&'static str, &'static str), WaitQueue<SimLink>>,
-    /// Frames handed to receivers, across all links.
-    received: Mutex<u64>,
+    /// Frames handed to receivers, across all links. Relaxed: a reader
+    /// that must see a session's frames has already synchronized with
+    /// its receivers (joined them, or heard back from them).
+    received: AtomicU64,
 }
 
 /// The shared simulated network connecting every ordered pair of
@@ -545,7 +548,7 @@ impl<L: LocationSet> SimNet<L> {
             }
         }
         SimNet {
-            shared: Arc::new(SimShared { plan, links, received: Mutex::new(0) }),
+            shared: Arc::new(SimShared { plan, links, received: AtomicU64::new(0) }),
             system: PhantomData,
         }
     }
@@ -563,7 +566,7 @@ impl<L: LocationSet> SimNet<L> {
 
     /// Frames handed to receivers so far, across all links.
     pub fn messages_received(&self) -> u64 {
-        *self.shared.received.lock().expect("sim counters poisoned")
+        self.shared.received.load(Ordering::Relaxed)
     }
 
     /// The full schedule log, link by link in name order: each link's
@@ -713,7 +716,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SimTransport<L, Target> {
         from: &'static str,
     ) -> Result<Option<Envelope>, TransportError> {
         if let Some(env) = link.mailboxes.get_mut(&session).and_then(VecDeque::pop_front) {
-            *self.net.shared.received.lock().expect("sim counters poisoned") += 1;
+            self.net.shared.received.fetch_add(1, Ordering::Relaxed);
             return Ok(Some(env));
         }
         if let Some(reason) = &link.dead {
