@@ -374,8 +374,7 @@ impl<Census: LocationSet> HasChorOp<Census> for BaselineRunOp<Census> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use chorus_core::Endpoint;
-    use chorus_transport::{LocalTransport, LocalTransportChannel, TransportMetrics};
+    use chorus_transport::{Cohort, LocalTransportChannel, TransportMetrics};
     use std::sync::Arc;
 
     chorus_core::locations! { Alice, Bob, Carol }
@@ -416,33 +415,25 @@ mod tests {
 
     #[test]
     fn cond_broadcasts_to_every_party() {
-        let channel = LocalTransportChannel::<Census>::new();
         let metrics = Arc::new(TransportMetrics::new());
-
-        let mut handles = Vec::new();
-        macro_rules! endpoint {
-            ($loc:expr, $ty:ty, $flag:expr) => {{
-                let c = channel.clone();
-                let m = Arc::clone(&metrics);
-                handles.push(std::thread::spawn(move || {
-                    let endpoint = Endpoint::builder($loc)
-                        .transport(LocalTransport::new($loc, c))
-                        .layer(m)
-                        .build();
+        let cohort = Cohort::over(LocalTransportChannel::<Census>::new()).layer(metrics.clone());
+        macro_rules! role {
+            ($loc:ident, $flag:expr) => {
+                cohort.role($loc, |endpoint| {
                     let session = endpoint.session();
                     let projector = BaselineProjector::new($loc, &session);
                     let flag: Located<bool, Alice> = $flag(&projector);
                     projector.epp_and_run(Branchy { flag })
-                }));
-            }};
+                })
+            };
         }
-        endpoint!(Alice, Alice, |p: &BaselineProjector<Census, Alice, _, _>| p.local(true));
-        endpoint!(Bob, Bob, |p: &BaselineProjector<Census, Bob, _, _>| p.remote(Alice));
-        endpoint!(Carol, Carol, |p: &BaselineProjector<Census, Carol, _, _>| p.remote(Alice));
-
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 1);
-        }
+        let roles = vec![
+            role!(Alice, |p: &BaselineProjector<Census, Alice, _, _>| p.local(true)),
+            role!(Bob, |p: &BaselineProjector<Census, Bob, _, _>| p.remote(Alice)),
+            role!(Carol, |p: &BaselineProjector<Census, Carol, _, _>| p.remote(Alice)),
+        ];
+        let (branches, ()) = cohort.run(roles, || ());
+        assert_eq!(branches, [1, 1, 1]);
         // The broadcast reached BOTH Bob and Carol even though Carol is
         // irrelevant to the branch.
         assert_eq!(metrics.messages_to("Bob"), 1);

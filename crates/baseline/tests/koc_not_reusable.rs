@@ -3,8 +3,7 @@
 //! in the negative), and every broadcast reaches bystanders.
 
 use chorus_baseline::{BaselineChoreography, BaselineProjector, HasChorOp, Located};
-use chorus_core::Endpoint;
-use chorus_transport::{LocalTransport, LocalTransportChannel, TransportMetrics};
+use chorus_transport::{Cohort, LocalTransportChannel, TransportMetrics};
 use std::sync::Arc;
 
 chorus_core::locations! { Decider, Worker, Bystander }
@@ -26,33 +25,24 @@ impl BaselineChoreography<(u32, u32)> for DoubleBranch {
 }
 
 fn run_double_branch() -> ((u32, u32), Arc<TransportMetrics>) {
-    let channel = LocalTransportChannel::<Census>::new();
     let metrics = Arc::new(TransportMetrics::new());
-    let mut handles = Vec::new();
-
-    macro_rules! endpoint {
-        ($ty:ty, $mk_flag:expr) => {{
-            let c = channel.clone();
-            let m = Arc::clone(&metrics);
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::builder(<$ty>::default())
-                    .transport(LocalTransport::new(<$ty>::default(), c))
-                    .layer(m)
-                    .build();
+    let cohort = Cohort::over(LocalTransportChannel::<Census>::new()).layer(metrics.clone());
+    macro_rules! role {
+        ($loc:ident, $mk_flag:expr) => {
+            cohort.role($loc, |endpoint| {
                 let session = endpoint.session();
-                let projector = BaselineProjector::new(<$ty>::default(), &session);
+                let projector = BaselineProjector::new($loc, &session);
                 let flag: Located<bool, Decider> = $mk_flag(&projector);
                 projector.epp_and_run(DoubleBranch { flag })
-            }));
-        }};
+            })
+        };
     }
-
-    endpoint!(Decider, |p: &BaselineProjector<Census, Decider, _, _>| p.local(true));
-    endpoint!(Worker, |p: &BaselineProjector<Census, Worker, _, _>| p.remote(Decider));
-    endpoint!(Bystander, |p: &BaselineProjector<Census, Bystander, _, _>| p.remote(Decider));
-
-    let results: Vec<(u32, u32)> =
-        handles.into_iter().map(|h| h.join().expect("endpoint")).collect();
+    let roles = vec![
+        role!(Decider, |p: &BaselineProjector<Census, Decider, _, _>| p.local(true)),
+        role!(Worker, |p: &BaselineProjector<Census, Worker, _, _>| p.remote(Decider)),
+        role!(Bystander, |p: &BaselineProjector<Census, Bystander, _, _>| p.remote(Decider)),
+    ];
+    let (results, ()) = cohort.run(roles, || ());
     let first = results[0];
     assert!(results.iter().all(|r| *r == first), "replicated results must agree");
     (first, metrics)

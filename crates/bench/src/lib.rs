@@ -4,119 +4,72 @@
 //! message counts. The table binaries and `metrics_parity.rs` build on
 //! these.
 //!
-//! Each participant builds one [`chorus_core::Endpoint`] with a shared
-//! [`TransportMetrics`] layer and runs the choreography in a session;
-//! the endpoints share one in-process fabric per run.
+//! Each run is a [`chorus_transport::Cohort`] over one in-process
+//! fabric, with a shared [`TransportMetrics`] layer on every endpoint:
+//! one thread per location, and the location whose result the table
+//! reads (client, analyst) inline on the caller's thread.
 
 pub use chorus_transport::{EdgeMetrics, MetricsSnapshot, TransportMetrics};
 
 /// Runs the census-polymorphic replicated KVS (paper Fig. 2) once over
 /// a metrics-instrumented in-process endpoint per location, one thread
-/// per location.
+/// per server.
 ///
 /// Expands to a block evaluating to
 /// `(Response, bool /* resynched */, Arc<TransportMetrics>)`.
 #[macro_export]
 macro_rules! run_replicated_kvs {
     (backups = [$($backup:ty),* $(,)?], request = $request:expr, corrupt = $corrupt:expr) => {{
-        use chorus_core::{ChoreographyLocation as _, Endpoint, LocationSet as _};
+        use chorus_core::{ChoreographyLocation as _, LocationSet as _};
         use chorus_protocols::kvs_backup::{KvsCensus, ReplicatedKvs, Servers};
         use chorus_protocols::roles::{Client, Primary};
         use chorus_protocols::store::{Request, SharedStore};
-        use chorus_transport::{LocalTransport, LocalTransportChannel, TransportMetrics};
+        use chorus_transport::{Cohort, LocalTransportChannel, TransportMetrics};
         use std::marker::PhantomData;
         use std::sync::Arc;
 
         type Backups = chorus_core::LocationSet!($($backup),*);
         type Census = KvsCensus<Backups>;
 
-        let channel = LocalTransportChannel::<Census>::new();
         let metrics = Arc::new(TransportMetrics::new());
+        let cohort = Cohort::over(LocalTransportChannel::<Census>::new()).layer(metrics.clone());
         let request: Request = $request;
         let corrupt: &[&str] = $corrupt;
 
-        let mut server_handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-
-        // The client.
-        let client_handle = {
-            let c = channel.clone();
-            let m = Arc::clone(&metrics);
-            let request = request.clone();
-            std::thread::spawn(move || {
-                let endpoint = Endpoint::builder(Client)
-                    .transport(LocalTransport::new(Client, c))
-                    .layer(m)
-                    .build();
-                let session = endpoint.session();
-                let outcome = session.epp_and_run(ReplicatedKvs::<Backups, _, _, _> {
-                    request: session.local(request),
-                    states: session.remote_faceted::<SharedStore, Servers<Backups>>(
-                        <Servers<Backups>>::new(),
-                    ),
-                    phantom: PhantomData,
-                });
-                session.unwrap(outcome.response)
-            })
-        };
-
-        // The primary.
-        let primary_handle = {
-            let c = channel.clone();
-            let m = Arc::clone(&metrics);
-            let request = request.clone();
-            let corrupt_me = corrupt.contains(&Primary::NAME);
-            std::thread::spawn(move || {
-                let _ = request;
-                let endpoint = Endpoint::builder(Primary)
-                    .transport(LocalTransport::new(Primary, c))
-                    .layer(m)
-                    .build();
-                let session = endpoint.session();
-                let store = SharedStore::new();
-                if corrupt_me {
-                    store.corrupt_next_put();
-                }
-                let outcome = session.epp_and_run(ReplicatedKvs::<Backups, _, _, _> {
-                    request: session.remote(Client),
-                    states: session.local_faceted(store),
-                    phantom: PhantomData,
-                });
-                session.unwrap(outcome.resynched)
-            })
-        };
-
-        // The backups.
-        $(
-            {
-                let c = channel.clone();
-                let m = Arc::clone(&metrics);
-                let corrupt_me = corrupt.contains(&<$backup>::NAME);
-                server_handles.push(std::thread::spawn(move || {
-                    let endpoint = Endpoint::builder(<$backup>::new())
-                        .transport(LocalTransport::new(<$backup>::new(), c))
-                        .layer(m)
-                        .build();
-                    let session = endpoint.session();
-                    let store = SharedStore::new();
-                    if corrupt_me {
-                        store.corrupt_next_put();
-                    }
-                    let outcome = session.epp_and_run(ReplicatedKvs::<Backups, _, _, _> {
-                        request: session.remote(Client),
-                        states: session.local_faceted(store),
-                        phantom: PhantomData,
-                    });
-                    let _ = outcome;
-                }));
-            }
-        )*
-
-        let response = client_handle.join().expect("client endpoint");
-        let resynched = primary_handle.join().expect("primary endpoint");
-        for h in server_handles {
-            h.join().expect("backup endpoint");
+        // Every server reports whether it resynched; the primary's is
+        // first.
+        let servers = vec![
+            $crate::run_replicated_kvs!(@server cohort, corrupt, Primary),
+            $($crate::run_replicated_kvs!(@server cohort, corrupt, $backup)),*
+        ];
+        let (resynched, response) = cohort.run(servers, || {
+            let endpoint = cohort.endpoint(Client);
+            let session = endpoint.session();
+            let outcome = session.epp_and_run(ReplicatedKvs::<Backups, _, _, _> {
+                request: session.local(request),
+                states: session.remote_faceted::<SharedStore, Servers<Backups>>(
+                    <Servers<Backups>>::new(),
+                ),
+                phantom: PhantomData,
+            });
+            session.unwrap(outcome.response)
+        });
+        (response, resynched[0], metrics)
+    }};
+    (@server $cohort:ident, $corrupt:ident, $server:ty) => {{
+        let store = SharedStore::new();
+        if $corrupt.contains(&<$server>::NAME) {
+            store.corrupt_next_put();
         }
-        (response, resynched, metrics)
+        $cohort.role(<$server>::default(), move |endpoint| {
+            let session = endpoint.session();
+            let outcome = session.epp_and_run(ReplicatedKvs::<Backups, _, _, _> {
+                request: session.remote(Client),
+                states: session.local_faceted(store),
+                phantom: PhantomData,
+            });
+            session.unwrap(outcome.resynched)
+        })
     }};
 }
 
@@ -133,96 +86,49 @@ macro_rules! run_baseline_kvs {
         corrupt = $corrupt:expr
     ) => {{
         use chorus_baseline::BaselineProjector;
-        use chorus_core::{ChoreographyLocation as _, Endpoint};
+        use chorus_core::ChoreographyLocation as _;
         use chorus_protocols::kvs_baseline::$choreo;
         use chorus_protocols::roles::{Client, Primary};
         use chorus_protocols::store::{Request, SharedStore};
-        use chorus_transport::{LocalTransport, LocalTransportChannel, TransportMetrics};
+        use chorus_transport::{Cohort, LocalTransportChannel, TransportMetrics};
         use std::sync::Arc;
 
         type Census = <$choreo as chorus_baseline::BaselineChoreography<
             chorus_baseline::Located<chorus_protocols::store::Response, Client>,
         >>::L;
 
-        let channel = LocalTransportChannel::<Census>::new();
         let metrics = Arc::new(TransportMetrics::new());
+        let cohort = Cohort::over(LocalTransportChannel::<Census>::new()).layer(metrics.clone());
         let request: Request = $request;
         let corrupt: &[&str] = $corrupt;
 
-        let own_store = |name: &'static str, corrupt: bool| {
-            let store = SharedStore::new();
-            if corrupt {
-                store.corrupt_next_put();
-            }
-            let mut map = ::std::collections::BTreeMap::new();
-            map.insert(name.to_string(), store);
-            map
-        };
-
-        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-
-        let client_handle = {
-            let c = channel.clone();
-            let m = Arc::clone(&metrics);
-            let request = request.clone();
-            std::thread::spawn(move || {
-                let endpoint = Endpoint::builder(Client)
-                    .transport(LocalTransport::new(Client, c))
-                    .layer(m)
-                    .build();
-                let session = endpoint.session();
-                let projector = BaselineProjector::new(Client, &session);
-                let out = projector.epp_and_run($choreo {
-                    request: projector.local(request),
-                    stores: ::std::collections::BTreeMap::new(),
-                });
-                projector.unwrap(out)
-            })
-        };
-
-        {
-            let c = channel.clone();
-            let m = Arc::clone(&metrics);
-            let stores = own_store(Primary::NAME, corrupt.contains(&Primary::NAME));
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::builder(Primary)
-                    .transport(LocalTransport::new(Primary, c))
-                    .layer(m)
-                    .build();
-                let session = endpoint.session();
-                let projector = BaselineProjector::new(Primary, &session);
-                let _ = projector.epp_and_run($choreo {
-                    request: projector.remote(Client),
-                    stores,
-                });
-            }));
-        }
-
-        $(
-            {
-                let c = channel.clone();
-                let m = Arc::clone(&metrics);
-                let stores = own_store(<$backup>::NAME, corrupt.contains(&<$backup>::NAME));
-                handles.push(std::thread::spawn(move || {
-                    let endpoint = Endpoint::builder(<$backup>::new())
-                        .transport(LocalTransport::new(<$backup>::new(), c))
-                        .layer(m)
-                        .build();
-                    let session = endpoint.session();
-                    let projector = BaselineProjector::new(<$backup>::new(), &session);
-                    let _ = projector.epp_and_run($choreo {
-                        request: projector.remote(Client),
-                        stores,
-                    });
-                }));
-            }
-        )*
-
-        let response = client_handle.join().expect("client endpoint");
-        for h in handles {
-            h.join().expect("server endpoint");
-        }
+        let servers = vec![
+            $crate::run_baseline_kvs!(@server $choreo, cohort, corrupt, Primary),
+            $($crate::run_baseline_kvs!(@server $choreo, cohort, corrupt, $backup)),*
+        ];
+        let (_, response) = cohort.run(servers, || {
+            let endpoint = cohort.endpoint(Client);
+            let session = endpoint.session();
+            let projector = BaselineProjector::new(Client, &session);
+            let out = projector.epp_and_run($choreo {
+                request: projector.local(request),
+                stores: ::std::collections::BTreeMap::new(),
+            });
+            projector.unwrap(out)
+        });
         (response, metrics)
+    }};
+    (@server $choreo:ident, $cohort:ident, $corrupt:ident, $server:ty) => {{
+        let store = SharedStore::new();
+        if $corrupt.contains(&<$server>::NAME) {
+            store.corrupt_next_put();
+        }
+        let stores = ::std::collections::BTreeMap::from([(<$server>::NAME.to_string(), store)]);
+        $cohort.role(<$server>::default(), move |endpoint| {
+            let session = endpoint.session();
+            let projector = BaselineProjector::new(<$server>::default(), &session);
+            let _ = projector.epp_and_run($choreo { request: projector.remote(Client), stores });
+        })
     }};
 }
 
@@ -233,42 +139,32 @@ macro_rules! run_baseline_kvs {
 #[macro_export]
 macro_rules! run_gmw {
     (parties = [$($party:ty),* $(,)?], circuit = $circuit:expr, inputs = $inputs:expr) => {{
-        use chorus_core::{ChoreographyLocation as _, Endpoint};
+        use chorus_core::ChoreographyLocation as _;
         use chorus_protocols::gmw::Gmw;
-        use chorus_transport::{LocalTransport, LocalTransportChannel, TransportMetrics};
+        use chorus_transport::{Cohort, LocalTransportChannel, TransportMetrics};
         use std::marker::PhantomData;
         use std::sync::Arc;
 
         type Parties = chorus_core::LocationSet!($($party),*);
 
-        let channel = LocalTransportChannel::<Parties>::new();
         let metrics = Arc::new(TransportMetrics::new());
+        let cohort = Cohort::over(LocalTransportChannel::<Parties>::new()).layer(metrics.clone());
         let circuit: Arc<chorus_mpc::Circuit> = Arc::new($circuit);
         let inputs: ::std::collections::BTreeMap<String, Vec<bool>> = $inputs;
 
-        let mut handles: Vec<std::thread::JoinHandle<bool>> = Vec::new();
-        $(
-            {
-                let c = channel.clone();
-                let m = Arc::clone(&metrics);
-                let circuit = Arc::clone(&circuit);
-                let my_inputs = inputs.get(<$party>::NAME).cloned().unwrap_or_default();
-                handles.push(std::thread::spawn(move || {
-                    let endpoint = Endpoint::builder(<$party>::new())
-                        .transport(LocalTransport::new(<$party>::new(), c))
-                        .layer(m)
-                        .build();
-                    let session = endpoint.session();
-                    session.epp_and_run(Gmw::<Parties, _, _> {
-                        circuit: &circuit,
-                        inputs: &session.local_faceted(my_inputs),
-                        phantom: PhantomData,
-                    })
-                }));
-            }
-        )*
-
-        let mut results: Vec<bool> = handles.into_iter().map(|h| h.join().expect("party")).collect();
+        let parties = vec![$({
+            let circuit = Arc::clone(&circuit);
+            let my_inputs = inputs.get(<$party>::NAME).cloned().unwrap_or_default();
+            cohort.role(<$party>::new(), move |endpoint| {
+                let session = endpoint.session();
+                session.epp_and_run(Gmw::<Parties, _, _> {
+                    circuit: &circuit,
+                    inputs: &session.local_faceted(my_inputs),
+                    phantom: PhantomData,
+                })
+            })
+        }),*];
+        let (mut results, ()) = cohort.run(parties, || ());
         let first = results.pop().expect("at least one party");
         assert!(results.iter().all(|r| *r == first), "parties disagree on the GMW output");
         (first, metrics)
@@ -276,7 +172,7 @@ macro_rules! run_gmw {
 }
 
 /// Runs the DPrio lottery once over a metrics-instrumented in-process
-/// endpoint per participant, one thread per endpoint.
+/// endpoint per participant, one thread per client and server.
 ///
 /// Expands to a block evaluating to
 /// `(Result<u64, LotteryError>, Arc<TransportMetrics>)`.
@@ -289,11 +185,11 @@ macro_rules! run_lottery {
         tau = $tau:expr,
         cheaters = $cheaters:expr
     ) => {{
-        use chorus_core::{ChoreographyLocation as _, Endpoint, LocationSet as _};
+        use chorus_core::{ChoreographyLocation as _, LocationSet as _};
         use chorus_mpc::field::FLOTTERY;
         use chorus_protocols::lottery::Lottery;
         use chorus_protocols::roles::Analyst;
-        use chorus_transport::{LocalTransport, LocalTransportChannel, TransportMetrics};
+        use chorus_transport::{Cohort, LocalTransportChannel, TransportMetrics};
         use std::marker::PhantomData;
         use std::sync::Arc;
 
@@ -301,100 +197,56 @@ macro_rules! run_lottery {
         type Servers = chorus_core::LocationSet!($($server),*);
         type Census = chorus_core::LocationSet!(Analyst, $($client,)* $($server),*);
 
-        let channel = LocalTransportChannel::<Census>::new();
         let metrics = Arc::new(TransportMetrics::new());
+        let cohort = Cohort::over(LocalTransportChannel::<Census>::new()).layer(metrics.clone());
         let secrets: ::std::collections::BTreeMap<String, u64> = $secrets;
         let cheaters: ::std::collections::BTreeMap<String, bool> = $cheaters;
         let tau: u64 = $tau;
 
-        let mut handles: Vec<std::thread::JoinHandle<()>> = Vec::new();
-
-        let analyst_handle = {
-            let c = channel.clone();
-            let m = Arc::clone(&metrics);
-            std::thread::spawn(move || {
-                let endpoint = Endpoint::builder(Analyst)
-                    .transport(LocalTransport::new(Analyst, c))
-                    .layer(m)
-                    .build();
+        let mut roles = Vec::new();
+        $({
+            let secret = FLOTTERY::new(secrets[<$client>::NAME]);
+            roles.push(cohort.role(<$client>::new(), move |endpoint| {
                 let session = endpoint.session();
-                let out = session.epp_and_run(
+                let _ = session.epp_and_run(
                     Lottery::<Clients, Servers, Census, _, _, _, _, _, _, _> {
-                        secrets: &session.remote_faceted(Clients::new()),
+                        secrets: &session.local_faceted(secret),
                         tau,
                         cheaters: &session.remote_faceted(Servers::new()),
                         phantom: PhantomData,
                     },
                 );
-                session.unwrap(out)
-            })
-        };
-
-        $(
-            {
-                let c = channel.clone();
-                let m = Arc::clone(&metrics);
-                let secret = FLOTTERY::new(secrets[<$client>::NAME]);
-                handles.push(std::thread::spawn(move || {
-                    let endpoint = Endpoint::builder(<$client>::new())
-                        .transport(LocalTransport::new(<$client>::new(), c))
-                        .layer(m)
-                        .build();
-                    let session = endpoint.session();
-                    let _ = session.epp_and_run(
-                        Lottery::<Clients, Servers, Census, _, _, _, _, _, _, _> {
-                            secrets: &session.local_faceted(secret),
-                            tau,
-                            cheaters: &session.remote_faceted(Servers::new()),
-                            phantom: PhantomData,
-                        },
-                    );
-                }));
-            }
-        )*
-
-        $(
-            {
-                let c = channel.clone();
-                let m = Arc::clone(&metrics);
-                let cheat = cheaters.get(<$server>::NAME).copied().unwrap_or(false);
-                handles.push(std::thread::spawn(move || {
-                    let endpoint = Endpoint::builder(<$server>::new())
-                        .transport(LocalTransport::new(<$server>::new(), c))
-                        .layer(m)
-                        .build();
-                    let session = endpoint.session();
-                    let _ = session.epp_and_run(
-                        Lottery::<Clients, Servers, Census, _, _, _, _, _, _, _> {
-                            secrets: &session.remote_faceted(Clients::new()),
-                            tau,
-                            cheaters: &session.local_faceted(cheat),
-                            phantom: PhantomData,
-                        },
-                    );
-                }));
-            }
-        )*
-
-        let result = analyst_handle.join().expect("analyst endpoint");
-        for h in handles {
-            h.join().expect("lottery endpoint");
-        }
+            }));
+        })*
+        $({
+            let cheat = cheaters.get(<$server>::NAME).copied().unwrap_or(false);
+            roles.push(cohort.role(<$server>::new(), move |endpoint| {
+                let session = endpoint.session();
+                let _ = session.epp_and_run(
+                    Lottery::<Clients, Servers, Census, _, _, _, _, _, _, _> {
+                        secrets: &session.remote_faceted(Clients::new()),
+                        tau,
+                        cheaters: &session.local_faceted(cheat),
+                        phantom: PhantomData,
+                    },
+                );
+            }));
+        })*
+        let (_, result) = cohort.run(roles, || {
+            let endpoint = cohort.endpoint(Analyst);
+            let session = endpoint.session();
+            let out = session.epp_and_run(
+                Lottery::<Clients, Servers, Census, _, _, _, _, _, _, _> {
+                    secrets: &session.remote_faceted(Clients::new()),
+                    tau,
+                    cheaters: &session.remote_faceted(Servers::new()),
+                    phantom: PhantomData,
+                },
+            );
+            session.unwrap(out)
+        });
         (result, metrics)
     }};
-}
-
-/// Formats a metrics snapshot as an aligned per-edge table (used by the
-/// table binaries).
-pub fn format_edges(metrics: &TransportMetrics) -> String {
-    let mut out = String::new();
-    for ((from, to), edge) in metrics.snapshot() {
-        out.push_str(&format!(
-            "    {from:>8} -> {to:<8}  {:>4} msgs  {:>6} bytes\n",
-            edge.messages, edge.bytes
-        ));
-    }
-    out
 }
 
 #[cfg(test)]

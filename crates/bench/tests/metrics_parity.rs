@@ -9,11 +9,10 @@
 //! what "one message" means.
 
 use chorus_bench::{run_gmw, run_lottery};
-use chorus_core::Endpoint;
 use chorus_protocols::kvs_simple::{SimpleKvs, SimpleKvsCensus};
 use chorus_protocols::roles::{Client, Primary, C1, C2, C3, P1, P2, P3, S1, S2};
 use chorus_protocols::store::{Request, Response, SharedStore};
-use chorus_transport::{EdgeMetrics, LocalTransport, LocalTransportChannel, TransportMetrics};
+use chorus_transport::{Cohort, EdgeMetrics, LocalTransportChannel, TransportMetrics};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -23,35 +22,29 @@ fn edge(from: &str, to: &str, messages: u64, bytes: u64) -> ((String, String), E
 
 #[test]
 fn kvs_simple_per_edge_counts_are_exact() {
-    let channel = LocalTransportChannel::<SimpleKvsCensus>::new();
     let metrics = Arc::new(TransportMetrics::new());
+    let cohort =
+        Cohort::over(LocalTransportChannel::<SimpleKvsCensus>::new()).layer(metrics.clone());
     let store = SharedStore::new();
     store.put("k", "v");
 
-    let ch = channel.clone();
-    let m = Arc::clone(&metrics);
-    let store_for_server = store.clone();
-    let server = std::thread::spawn(move || {
-        let endpoint =
-            Endpoint::builder(Primary).transport(LocalTransport::new(Primary, ch)).layer(m).build();
+    let server = cohort.role(Primary, move |endpoint| {
         let session = endpoint.session();
         session.epp_and_run(SimpleKvs {
             request: session.remote(Client),
-            state: session.local(store_for_server),
+            state: session.local(store),
         });
     });
-    let endpoint = Endpoint::builder(Client)
-        .transport(LocalTransport::new(Client, channel))
-        .layer(Arc::clone(&metrics))
-        .build();
-    let session = endpoint.session();
     let request = Request::Get("k".into());
-    let out = session.epp_and_run(SimpleKvs {
-        request: session.local(request.clone()),
-        state: session.remote(Primary),
+    let (_, response) = cohort.run(vec![server], || {
+        let endpoint = cohort.endpoint(Client);
+        let session = endpoint.session();
+        let out = session.epp_and_run(SimpleKvs {
+            request: session.local(request.clone()),
+            state: session.remote(Primary),
+        });
+        session.unwrap(out)
     });
-    server.join().unwrap();
-    let response = session.unwrap(out);
     assert_eq!(response, Response::Found("v".into()));
 
     // Exactly one request and one response, whose byte counts are the

@@ -90,3 +90,14 @@ pub use transport::{
     InternedNames, MailboxWaker, SequenceTracker, SessionId, SessionTransport, Transport,
     TransportError, RAW_SESSION,
 };
+
+/// The text of a caught panic's payload: the `&str` or `String` that
+/// `panic!` carries, or a placeholder for any other payload. Pass the
+/// payload itself (`&*boxed`), not the `Box` around it.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
+}

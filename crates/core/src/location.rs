@@ -28,7 +28,7 @@ use std::marker::PhantomData;
 /// assert_eq!(Alice::NAME, "Alice");
 /// let _witness: Alice = Alice::new();
 /// ```
-pub trait ChoreographyLocation: Copy + Default + 'static {
+pub trait ChoreographyLocation: Copy + Default + Send + Sync + 'static {
     /// The unique, human-readable name of this location. Transports route
     /// messages by this name.
     const NAME: &'static str;
@@ -110,8 +110,10 @@ macro_rules! LocationSet {
 /// ownership set of a multiply-located value.
 ///
 /// This trait is sealed: the only implementors are [`HNil`] and
-/// [`HCons`], as produced by the `LocationSet!` macro.
-pub trait LocationSet: Copy + Default + sealed::Sealed + 'static {
+/// [`HCons`], as produced by the `LocationSet!` macro. Locations and
+/// their sets are names, so both traits require `Send` and `Sync`, and
+/// anything holding one only as a type parameter is `Send` and `Sync`.
+pub trait LocationSet: Copy + Default + Send + Sync + sealed::Sealed + 'static {
     /// The number of locations in the set.
     const LENGTH: usize;
 

@@ -659,19 +659,13 @@ impl SessionRuntime {
             match resumed {
                 Ok(Ok(Step::Done(value))) => PollOutcome::Done(deferred(&mut complete, Ok(value))),
                 Ok(Err(e)) => PollOutcome::Done(deferred(&mut complete, Err(e))),
-                Err(panic) => {
-                    let message = panic
-                        .downcast_ref::<&str>()
-                        .map(|s| (*s).to_string())
-                        .or_else(|| panic.downcast_ref::<String>().cloned())
-                        .unwrap_or_else(|| "non-string panic payload".to_string());
-                    PollOutcome::Done(deferred(
-                        &mut complete,
-                        Err(TransportError::Protocol(format!(
-                            "session {id} role program panicked: {message}"
-                        ))),
-                    ))
-                }
+                Err(panic) => PollOutcome::Done(deferred(
+                    &mut complete,
+                    Err(TransportError::Protocol(format!(
+                        "session {id} role program panicked: {}",
+                        crate::panic_message(&*panic)
+                    ))),
+                )),
                 Ok(Ok(Step::Pending)) => {
                     // The program could not finish. If the watchdog has
                     // already flagged the stall, this resume was its

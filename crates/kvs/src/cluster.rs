@@ -14,34 +14,29 @@
 //! caller picks the census" (§3.4) driven by runtime data.
 //!
 //! Every client operation, config round, and shard pull is one
-//! short-lived choreography session under a fresh session id, run by
-//! long-lived roles: the cluster owns one thread per candidate node
-//! (`sim-N1` … `sim-N4`), each with its node's [`Endpoint`] over the
-//! shared net, built once for the cluster's life; the client's role
-//! runs on the caller's thread over one endpoint the cluster holds. A
-//! session hands each participating node one job, and ends when every
-//! one of its roles has returned; then the first role that panicked —
-//! nodes in census order, then the client — is re-raised on the caller
-//! with its own payload, and the node threads serve the next session.
-//! Node state persists across sessions in [`NodeCtx`] handles. The
-//! driver is sequential and each link has a single sending thread per
-//! session, so runs are deterministic per fault-plan seed.
+//! short-lived choreography session under a fresh session id, run by a
+//! [`Cohort`] over the shared net: it owns one thread and endpoint per
+//! candidate node (`N1` … `N4`) for the cluster's life, and the client's
+//! role runs on the caller's thread over one endpoint the cluster holds.
+//! A session ends when every one of its roles has returned; then the
+//! first role that panicked — nodes in census order, then the client —
+//! is re-raised on the caller with its own payload, and the node threads
+//! serve the next session. Node state persists across sessions in
+//! [`NodeCtx`] handles. The driver is sequential and each link has a
+//! single sending thread per session, so runs are deterministic per
+//! fault-plan seed.
 
 use crate::config::{ClusterConfig, ShardId};
 use crate::data_plane::{ClusterOp, KvsError, OpOutcome};
 use crate::model::ConsistencyModel;
 use crate::node::{KvsOp, NodeCtx, StampedRequest, Versioned};
 use crate::reconfig::{InstallConfig, PullMode, PullReport, ShardPull};
-use chorus_core::{ChoreographyLocation, Endpoint, LocationSet, Session, SessionId};
+use chorus_core::{ChoreographyLocation, LocationSet, Session, SessionId};
 use chorus_patterns::Misbehavior;
 use chorus_protocols::roles::Client;
-use chorus_transport::{FaultPlan, SimNet, SimTransport};
-use std::any::Any;
+use chorus_transport::{Cohort, CohortEndpoint, FaultPlan, Role, SimNet, SimTransport};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::mpsc;
-use std::thread;
 
 chorus_core::locations! { N1, N2, N3, N4 }
 
@@ -174,52 +169,17 @@ pub struct FreezeWindow {
 }
 
 /// A role's endpoint over the net, built once for the cluster's life.
-type SimEndpoint<R> = Endpoint<Universe, R, SimTransport<Universe, R>>;
+type SimEndpoint<R> = CohortEndpoint<Universe, R, SimNet<Universe>>;
 
 /// A role's session on its [`SimEndpoint`].
 type SimSession<'e, R> = Session<'e, Universe, R, SimTransport<Universe, R>>;
 
-/// Work for a role thread. It gets the thread's endpoint as `&dyn Any`,
-/// so every node's thread has this one type; [`SimCluster::role`] is the
-/// one place that recovers the endpoint's type.
-type Job = Box<dyn FnOnce(&dyn Any) + Send>;
-
-/// One candidate node's thread: builds the node's endpoint, then runs
-/// jobs from `jobs` until the cluster closes it.
-struct RoleThread {
-    jobs: mpsc::Sender<Job>,
-    handle: thread::JoinHandle<()>,
-}
-
-impl RoleThread {
-    fn spawn<R: ChoreographyLocation + Send + 'static>(node: R, net: &SimNet<Universe>) -> Self {
-        let (jobs, queue) = mpsc::channel::<Job>();
-        let net = net.clone();
-        let handle = thread::Builder::new()
-            .name(format!("sim-{}", R::NAME))
-            .spawn(move || {
-                let endpoint: SimEndpoint<R> = Endpoint::new(SimTransport::new(node, net));
-                for job in queue {
-                    job(&endpoint);
-                }
-            })
-            .expect("spawning a role thread");
-        RoleThread { jobs, handle }
-    }
-}
-
-/// A node's part of one session, bound for that node's thread.
-struct Role<T> {
-    node: &'static str,
-    run: Box<dyn FnOnce(&dyn Any) -> T + Send>,
-}
-
 /// The simulated cluster.
 pub struct SimCluster {
-    net: SimNet<Universe>,
+    /// One role thread and endpoint per candidate node, for the
+    /// cluster's life.
+    cohort: Cohort<Universe, SimNet<Universe>>,
     nodes: BTreeMap<&'static str, NodeCtx>,
-    /// One role thread per candidate node, for the cluster's life.
-    threads: BTreeMap<&'static str, RoleThread>,
     /// The client's endpoint; its role runs on the caller's thread.
     client: SimEndpoint<Client>,
     client_config: ClusterConfig,
@@ -236,7 +196,7 @@ impl SimCluster {
     /// Boots a cluster over `plan` with the given initial census (a
     /// subset of [`NODE_NAMES`]) and shard count.
     pub fn new(plan: FaultPlan, census: &[&str], shards: u32) -> Self {
-        let net = SimNet::<Universe>::new(plan);
+        let cohort = Cohort::over(SimNet::<Universe>::new(plan));
         let nodes: BTreeMap<&'static str, NodeCtx> =
             NODE_NAMES.iter().map(|n| (*n, NodeCtx::new(n))).collect();
         let config = ClusterConfig::bootstrap(census, shards);
@@ -244,16 +204,13 @@ impl SimCluster {
             nodes[member.as_str()].install_config(&config);
         }
         macro_rules! spawn_role_threads {
-            ($($node:ident),+) => {
-                BTreeMap::from([$((<$node>::NAME, RoleThread::spawn($node, &net))),+])
-            };
+            ($($node:ident),+) => { $(cohort.spawn($node);)+ };
         }
-        let threads = bind_census!(candidates => spawn_role_threads);
+        bind_census!(candidates => spawn_role_threads);
         Self {
-            client: Endpoint::new(SimTransport::new(Client, net.clone())),
-            net,
+            client: cohort.endpoint(Client),
+            cohort,
             nodes,
-            threads,
             client_config: config,
             next_version: 0,
             next_session: 0,
@@ -265,7 +222,7 @@ impl SimCluster {
 
     /// The underlying net (for schedule dumps and virtual time).
     pub fn net(&self) -> &SimNet<Universe> {
-        &self.net
+        self.cohort.net()
     }
 
     /// A node's state handle.
@@ -318,45 +275,7 @@ impl SimCluster {
         R: ChoreographyLocation + 'static,
     {
         let ctx = self.nodes[R::NAME].clone();
-        Role {
-            node: R::NAME,
-            run: Box::new(move |endpoint: &dyn Any| {
-                let endpoint: &SimEndpoint<R> =
-                    endpoint.downcast_ref().expect("a role runs on its own node's thread");
-                run(endpoint.session_with_id(sid), ctx)
-            }),
-        }
-    }
-
-    /// Runs one session: each of `roles` on its node's thread, `client`
-    /// inline on this one. Returns once every role has returned; if any
-    /// panicked, the first — `roles` in order, then `client` — is
-    /// re-raised here with its own payload.
-    fn run_session<T: Send + 'static, C>(
-        &self,
-        roles: Vec<Role<T>>,
-        client: impl FnOnce() -> C,
-    ) -> (Vec<T>, C) {
-        let (done, reports) = mpsc::channel();
-        for (index, Role { node, run }) in roles.into_iter().enumerate() {
-            let done = done.clone();
-            let job: Job = Box::new(move |endpoint| {
-                let outcome = catch_unwind(AssertUnwindSafe(|| run(endpoint)));
-                // The driver holds the receiver until every job reports.
-                let _ = done.send((index, outcome));
-            });
-            self.threads[node].jobs.send(job).expect("role threads live as long as the cluster");
-        }
-        drop(done);
-        let client = catch_unwind(AssertUnwindSafe(client));
-        // Ends when the last job has reported and dropped its sender.
-        let mut reports: Vec<(usize, thread::Result<T>)> = reports.into_iter().collect();
-        reports.sort_by_key(|(index, _)| *index);
-        let outputs = reports
-            .into_iter()
-            .map(|(_, outcome)| outcome.unwrap_or_else(|payload| resume_unwind(payload)))
-            .collect();
-        (outputs, client.unwrap_or_else(|payload| resume_unwind(payload)))
+        self.cohort.role(R::default(), move |endpoint| run(endpoint.session_with_id(sid), ctx))
     }
 
     /// Re-reads the config from the freshest live node, modeling config
@@ -399,7 +318,7 @@ impl SimCluster {
                         });
                     })
                 ),+];
-                let (_, out) = self.run_session(nodes, || {
+                let (_, out) = self.cohort.run(nodes, || {
                     let session = self.client.session_with_id(sid);
                     let out = session.epp_and_run(ClusterOp::<M, _, _> {
                         request: session.local(request),
@@ -506,7 +425,7 @@ impl SimCluster {
                         })
                     })
                 ),+];
-                let (reports, ()) = self.run_session(sides, || ());
+                let (reports, ()) = self.cohort.run(sides, || ());
                 assert_eq!(reports[0], reports[1], "pull sides agree on the report");
                 reports.into_iter().next().unwrap()
             }};
@@ -541,7 +460,7 @@ impl SimCluster {
                         (<$role>::NAME, session.unwrap_faceted(out))
                     })
                 }),+];
-                let (outcomes, ()) = self.run_session(members, || ());
+                let (outcomes, ()) = self.cohort.run(members, || ());
                 outcomes.into_iter().collect::<BTreeMap<_, _>>()
             }};
         }
@@ -596,7 +515,7 @@ impl SimCluster {
     /// donor lifts its freeze. The freeze window (virtual time) is
     /// recorded for the bench.
     pub fn finalize(&mut self, next: &ClusterConfig, transfers: &[Transfer]) -> bool {
-        let frames_start = self.net.messages_received();
+        let frames_start = self.net().messages_received();
         let wall_start = std::time::Instant::now();
         for transfer in transfers.iter().cloned() {
             for donor in &transfer.donors {
@@ -619,7 +538,7 @@ impl SimCluster {
         let committed =
             outcomes.iter().any(|(name, outcome)| self.nodes[*name].is_up() && outcome.is_ok());
         self.last_freeze_window = Some(FreezeWindow {
-            frames: self.net.messages_received() - frames_start,
+            frames: self.net().messages_received() - frames_start,
             wall: wall_start.elapsed(),
         });
         if committed {
@@ -718,18 +637,6 @@ impl SimCluster {
     }
 }
 
-impl Drop for SimCluster {
-    /// Closes every role thread's queue and joins the thread.
-    fn drop(&mut self) {
-        for (_, RoleThread { jobs, handle }) in std::mem::take(&mut self.threads) {
-            drop(jobs);
-            // Jobs catch their roles' panics, so a thread only ends when
-            // its queue closes.
-            let _ = handle.join();
-        }
-    }
-}
-
 /// The census of a config round: old ∪ new members, sorted — a leaver
 /// still votes on its own departure, a joiner already votes on its
 /// arrival.
@@ -744,6 +651,7 @@ fn round_census(current: &ClusterConfig, next: &ClusterConfig) -> Vec<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     fn bound_members(names: &[&str]) -> Vec<&'static str> {
         macro_rules! names_of {

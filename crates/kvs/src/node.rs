@@ -150,11 +150,6 @@ impl NodeCtx {
         }
     }
 
-    /// The node's role name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-
     /// The installed config, if any.
     pub fn config(&self) -> Option<ClusterConfig> {
         self.inner.lock().config.clone()

@@ -207,8 +207,7 @@ where
 mod tests {
     use super::*;
     use crate::node::{KvsOp, StampedRequest};
-    use chorus_core::Endpoint;
-    use chorus_transport::{FaultPlan, SimNet, SimTransport};
+    use chorus_transport::{Cohort, FaultPlan, SimNet};
 
     chorus_core::locations! { D, R }
     type Duo = chorus_core::LocationSet!(D, R);
@@ -234,41 +233,27 @@ mod tests {
         let (start, end) = config.shard_range(shard).unwrap();
 
         let run_pull = |mode: PullMode| {
-            let net = SimNet::<Duo>::new(FaultPlan::ideal());
-            let donor = {
-                let net = net.clone();
-                let ctx = donor_ctx.clone();
-                std::thread::spawn(move || {
-                    let endpoint = Endpoint::new(SimTransport::new(D, net));
-                    let session = endpoint.session();
-                    session.epp_and_run(ShardPull::<'_, D, R> {
-                        shard,
-                        range: (start, end),
-                        mode,
-                        chunk: 3,
-                        ctx: &ctx,
-                        phantom: PhantomData,
+            let cohort = Cohort::over(SimNet::<Duo>::new(FaultPlan::ideal()));
+            macro_rules! side {
+                ($side:ident, $ctx:expr) => {{
+                    let ctx = $ctx.clone();
+                    cohort.role($side, move |endpoint| {
+                        let session = endpoint.session();
+                        session.epp_and_run(ShardPull::<'_, D, R> {
+                            shard,
+                            range: (start, end),
+                            mode,
+                            chunk: 3,
+                            ctx: &ctx,
+                            phantom: PhantomData,
+                        })
                     })
-                })
-            };
-            let recipient = {
-                let ctx = recipient_ctx.clone();
-                std::thread::spawn(move || {
-                    let endpoint = Endpoint::new(SimTransport::new(R, net));
-                    let session = endpoint.session();
-                    session.epp_and_run(ShardPull::<'_, D, R> {
-                        shard,
-                        range: (start, end),
-                        mode,
-                        chunk: 3,
-                        ctx: &ctx,
-                        phantom: PhantomData,
-                    })
-                })
-            };
-            let report = donor.join().unwrap();
-            assert_eq!(report, recipient.join().unwrap());
-            report
+                }};
+            }
+            let (reports, ()) =
+                cohort.run(vec![side!(D, donor_ctx), side!(R, recipient_ctx)], || ());
+            assert_eq!(reports[0], reports[1]);
+            reports[0].clone()
         };
 
         let snapshot = run_pull(PullMode::Snapshot { track: true });

@@ -4,9 +4,11 @@
 //! asserting detection with the correct culprit named and — crucially —
 //! no hangs: every endpoint resolves.
 
-use chorus_core::{ChoreographyLocation as _, Endpoint, Quire};
+use chorus_core::{ChoreographyLocation, Quire};
 use chorus_patterns::{BroadcastGather, Misbehavior, MisbehaviorKind, VerifyConsistent};
-use chorus_transport::{Corruption, Equivocator, FaultPlan, Silence, SimNet, SimTransport};
+use chorus_transport::{
+    Cohort, Corruption, Equivocator, FaultPlan, MakeTransport, Silence, SimNet, SimTransport,
+};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
@@ -18,13 +20,10 @@ type GatherOutcome = Result<Quire<u64, Trio>, Misbehavior>;
 /// Runs one `BroadcastGather` round at every endpoint and collects each
 /// endpoint's own outcome.
 fn run_gather(plan: FaultPlan) -> BTreeMap<String, GatherOutcome> {
-    let net = SimNet::<Trio>::new(plan);
-    let mut handles = Vec::new();
+    let cohort = Cohort::over(SimNet::<Trio>::new(plan));
     macro_rules! node {
-        ($ty:ty, $value:expr) => {{
-            let net = net.clone();
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::new(SimTransport::new(<$ty>::new(), net));
+        ($loc:ident, $value:expr) => {
+            cohort.role($loc, |endpoint| {
                 let session = endpoint.session();
                 // The validation hook knows the protocol's value space
                 // (multiples of ten up to thirty), so a tampered payload
@@ -41,14 +40,12 @@ fn run_gather(plan: FaultPlan) -> BTreeMap<String, GatherOutcome> {
                     },
                     phantom: PhantomData,
                 });
-                (<$ty>::NAME.to_string(), session.unwrap_faceted(out))
-            }));
-        }};
+                ($loc::NAME.to_string(), session.unwrap_faceted(out))
+            })
+        };
     }
-    node!(A, 10);
-    node!(B, 20);
-    node!(C, 30);
-    handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let (outcomes, ()) = cohort.run(vec![node!(A, 10), node!(B, 20), node!(C, 30)], || ());
+    outcomes.into_iter().collect()
 }
 
 #[test]
@@ -93,6 +90,26 @@ fn corrupted_link_is_detected_and_attributed() {
     assert!(outcomes["B"].is_ok() && outcomes["C"].is_ok());
 }
 
+/// The sim net with one equivocating location: `culprit`'s frames to
+/// `victims` are tampered with, and every other transport passes its
+/// frames through untouched.
+#[derive(Clone)]
+struct Equivocating {
+    net: SimNet<Trio>,
+    seed: u64,
+    culprit: &'static str,
+    victims: Vec<&'static str>,
+}
+
+impl MakeTransport<Trio> for Equivocating {
+    type Transport<R: ChoreographyLocation> = Equivocator<SimTransport<Trio, R>>;
+
+    fn transport<R: ChoreographyLocation>(&self, location: R) -> Self::Transport<R> {
+        let victims = if R::NAME == self.culprit { self.victims.clone() } else { Vec::new() };
+        Equivocator::new(self.net.transport(location), self.seed, victims)
+    }
+}
+
 /// An equivocating sender caught by commit-reveal verification: B runs
 /// behind an [`Equivocator`] that tampers with every payload it sends
 /// to its victim A, so A's view of B's opening contradicts B's
@@ -101,28 +118,26 @@ fn corrupted_link_is_detected_and_attributed() {
 /// culprit B.
 #[test]
 fn equivocating_sender_is_caught_by_verify_consistent() {
-    let net = SimNet::<Trio>::new(FaultPlan::ideal().with_seed(4));
-    let mut handles = Vec::new();
+    let cohort = Cohort::over(Equivocating {
+        net: SimNet::<Trio>::new(FaultPlan::ideal().with_seed(4)),
+        seed: 0xB0B,
+        culprit: "B",
+        victims: vec!["A"],
+    });
     macro_rules! node {
-        ($ty:ty, $wrap:expr) => {{
-            let net = net.clone();
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::new($wrap(SimTransport::new(<$ty>::new(), net)));
+        ($loc:ident) => {
+            cohort.role($loc, |endpoint| {
                 let session = endpoint.session();
                 let out = session.epp_and_run(VerifyConsistent::<'_, u64, Trio, _, _> {
                     values: &session.local_faceted(777u64),
                     epoch: 5,
                     phantom: PhantomData,
                 });
-                (<$ty>::NAME.to_string(), session.unwrap_faceted(out))
-            }));
-        }};
+                ($loc::NAME.to_string(), session.unwrap_faceted(out))
+            })
+        };
     }
-    node!(A, |t| t);
-    node!(B, |t| Equivocator::new(t, 0xB0B, vec!["A"]));
-    node!(C, |t| t);
-    let outcomes: BTreeMap<String, Result<u64, Misbehavior>> =
-        handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let (outcomes, ()) = cohort.run(vec![node!(A), node!(B), node!(C)], || ());
     for (name, outcome) in outcomes {
         let m = outcome.expect_err("equivocation must be detected everywhere");
         assert_eq!(m.culprit, "B", "{name} must converge on the equivocator");

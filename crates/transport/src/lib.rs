@@ -31,8 +31,12 @@
 //!   the benchmark harness uses it.
 //! * [`Trace`] — a layer recording an ordered, session-tagged log of
 //!   every send and receive.
+//! * [`Cohort`] — runs one role per location over any of these, on one
+//!   long-lived thread and endpoint per location: how tests, tables and
+//!   examples run a census.
 
 mod byzantine;
+mod cohort;
 mod faulty;
 mod link;
 mod local;
@@ -42,6 +46,7 @@ mod tcp;
 mod trace;
 
 pub use byzantine::Equivocator;
+pub use cohort::{Cohort, CohortEndpoint, MakeTransport, Role};
 pub use faulty::{FaultyPlan, FaultyTcp};
 pub use link::{LinkTuning, TcpLinkStats};
 pub use local::{LocalTransport, LocalTransportChannel};

@@ -3,10 +3,10 @@
 //! confirming the n-messages-to-recipient shape.
 
 use chorus_core::{
-    ChoreoOp, Choreography, Endpoint, Located, LocationSet, LocationSetFoldable, Member,
-    MultiplyLocated, Quire, Subset,
+    ChoreoOp, Choreography, Located, LocationSet, LocationSetFoldable, Member, MultiplyLocated,
+    Quire, Subset,
 };
-use chorus_transport::{LocalTransport, LocalTransportChannel, TransportMetrics};
+use chorus_transport::{Cohort, LocalTransportChannel, TransportMetrics};
 use std::marker::PhantomData;
 use std::sync::Arc;
 
@@ -46,39 +46,25 @@ where
     Boss: Member<Census, BossIdx>,
     Tally<Workers, WSub, WFold, BossIdx>: Send + 'static,
 {
-    let channel = LocalTransportChannel::<Census>::new();
     let metrics = Arc::new(TransportMetrics::new());
-    let mut handles = Vec::new();
-
+    let cohort = Cohort::over(LocalTransportChannel::<Census>::new()).layer(metrics.clone());
     macro_rules! worker {
-        ($ty:ty) => {{
-            let c = channel.clone();
-            let m = Arc::clone(&metrics);
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::builder(<$ty>::default())
-                    .transport(LocalTransport::new(<$ty>::default(), c))
-                    .layer(m)
-                    .build();
+        ($loc:ident) => {
+            cohort.role($loc, |endpoint| {
                 let session = endpoint.session();
                 let _ = session
                     .epp_and_run(Tally::<Workers, WSub, WFold, BossIdx> { phantom: PhantomData });
-            }));
-        }};
+            })
+        };
     }
-    worker!(W1);
-    worker!(W2);
-    worker!(W3);
-
-    let endpoint = Endpoint::builder(Boss)
-        .transport(LocalTransport::new(Boss, channel))
-        .layer(Arc::clone(&metrics))
-        .build();
-    let session = endpoint.session();
-    let out = session.epp_and_run(Tally::<Workers, WSub, WFold, BossIdx> { phantom: PhantomData });
-    for h in handles {
-        h.join().unwrap();
-    }
-    let sum = session.unwrap::<u32, chorus_core::LocationSet!(Boss), chorus_core::Here>(out);
+    let workers = vec![worker!(W1), worker!(W2), worker!(W3)];
+    let (_, sum) = cohort.run(workers, || {
+        let endpoint = cohort.endpoint(Boss);
+        let session = endpoint.session();
+        let out =
+            session.epp_and_run(Tally::<Workers, WSub, WFold, BossIdx> { phantom: PhantomData });
+        session.unwrap::<u32, chorus_core::LocationSet!(Boss), chorus_core::Here>(out)
+    });
     (sum, metrics)
 }
 

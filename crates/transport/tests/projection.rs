@@ -3,10 +3,10 @@
 //! results — the paper's portability claim (§2.1).
 
 use chorus_core::{
-    ChoreoOp, Choreography, Endpoint, Faceted, Located, LocationSet, MultiplyLocated, Quire, Runner,
+    ChoreoOp, Choreography, Faceted, Located, LocationSet, MultiplyLocated, Quire, Runner,
 };
 use chorus_transport::{
-    free_local_addrs, LocalTransport, LocalTransportChannel, TcpConfigBuilder, TcpTransport,
+    free_local_addrs, Cohort, LocalTransportChannel, MakeTransport, TcpConfigBuilder,
     TransportMetrics,
 };
 use std::sync::Arc;
@@ -67,6 +67,28 @@ impl Choreography<Faceted<u64, Servers>> for AsFacets {
 const INPUT: u64 = 21;
 const EXPECTED: u64 = 84; // two servers, each holding 21*2
 
+/// Runs [`Replicate`] once over `cohort`: the servers on their threads,
+/// the client inline. Returns the client's result.
+fn replicate<N: MakeTransport<Census>>(cohort: &Cohort<Census, N>) -> u64 {
+    let servers = vec![
+        cohort.role(Primary, |endpoint| {
+            let session = endpoint.session();
+            session.epp_and_run(Replicate { input: session.remote(Client) });
+        }),
+        cohort.role(Backup, |endpoint| {
+            let session = endpoint.session();
+            session.epp_and_run(Replicate { input: session.remote(Client) });
+        }),
+    ];
+    let (_, out) = cohort.run(servers, || {
+        let endpoint = cohort.endpoint(Client);
+        let session = endpoint.session();
+        let out = session.epp_and_run(Replicate { input: session.local(INPUT) });
+        session.unwrap(out)
+    });
+    out
+}
+
 #[test]
 fn centralized_runner_computes_the_protocol() {
     let runner: Runner<Census> = Runner::new();
@@ -76,31 +98,7 @@ fn centralized_runner_computes_the_protocol() {
 
 #[test]
 fn local_transport_projection_agrees_with_runner() {
-    let channel = LocalTransportChannel::<Census>::new();
-
-    let c = channel.clone();
-    let client = std::thread::spawn(move || {
-        let endpoint = Endpoint::new(LocalTransport::new(Client, c));
-        let session = endpoint.session();
-        let out = session.epp_and_run(Replicate { input: session.local(INPUT) });
-        session.unwrap(out)
-    });
-    let c = channel.clone();
-    let primary = std::thread::spawn(move || {
-        let endpoint = Endpoint::new(LocalTransport::new(Primary, c));
-        let session = endpoint.session();
-        session.epp_and_run(Replicate { input: session.remote(Client) });
-    });
-    let c = channel;
-    let backup = std::thread::spawn(move || {
-        let endpoint = Endpoint::new(LocalTransport::new(Backup, c));
-        let session = endpoint.session();
-        session.epp_and_run(Replicate { input: session.remote(Client) });
-    });
-
-    assert_eq!(client.join().unwrap(), EXPECTED);
-    primary.join().unwrap();
-    backup.join().unwrap();
+    assert_eq!(replicate(&Cohort::over(LocalTransportChannel::<Census>::new())), EXPECTED);
 }
 
 #[test]
@@ -112,80 +110,16 @@ fn tcp_transport_projection_agrees_with_runner() {
         .location(Backup, addrs[2])
         .build::<Census>()
         .unwrap();
-
-    let cfg = config.clone();
-    let client = std::thread::spawn(move || {
-        let endpoint = Endpoint::new(TcpTransport::bind(Client, cfg).unwrap());
-        let session = endpoint.session();
-        let out = session.epp_and_run(Replicate { input: session.local(INPUT) });
-        session.unwrap(out)
-    });
-    let cfg = config.clone();
-    let primary = std::thread::spawn(move || {
-        let endpoint = Endpoint::new(TcpTransport::bind(Primary, cfg).unwrap());
-        let session = endpoint.session();
-        session.epp_and_run(Replicate { input: session.remote(Client) });
-    });
-    let cfg = config;
-    let backup = std::thread::spawn(move || {
-        let endpoint = Endpoint::new(TcpTransport::bind(Backup, cfg).unwrap());
-        let session = endpoint.session();
-        session.epp_and_run(Replicate { input: session.remote(Client) });
-    });
-
-    assert_eq!(client.join().unwrap(), EXPECTED);
-    primary.join().unwrap();
-    backup.join().unwrap();
+    assert_eq!(replicate(&Cohort::over(config)), EXPECTED);
 }
 
 #[test]
 fn conclaves_send_nothing_to_outsiders() {
     // The paper's headline efficiency claim (§3.2): the client receives no
     // traffic from the servers' internal conclave work.
-    let channel = LocalTransportChannel::<Census>::new();
     let metrics = Arc::new(TransportMetrics::new());
-
-    let mut handles = Vec::new();
-    {
-        let c = channel.clone();
-        let m = Arc::clone(&metrics);
-        handles.push(std::thread::spawn(move || {
-            let endpoint = Endpoint::builder(Client)
-                .transport(LocalTransport::new(Client, c))
-                .layer(m)
-                .build();
-            let session = endpoint.session();
-            let out = session.epp_and_run(Replicate { input: session.local(INPUT) });
-            assert_eq!(session.unwrap(out), EXPECTED);
-        }));
-    }
-    {
-        let c = channel.clone();
-        let m = Arc::clone(&metrics);
-        handles.push(std::thread::spawn(move || {
-            let endpoint = Endpoint::builder(Primary)
-                .transport(LocalTransport::new(Primary, c))
-                .layer(m)
-                .build();
-            let session = endpoint.session();
-            session.epp_and_run(Replicate { input: session.remote(Client) });
-        }));
-    }
-    {
-        let c = channel;
-        let m = Arc::clone(&metrics);
-        handles.push(std::thread::spawn(move || {
-            let endpoint = Endpoint::builder(Backup)
-                .transport(LocalTransport::new(Backup, c))
-                .layer(m)
-                .build();
-            let session = endpoint.session();
-            session.epp_and_run(Replicate { input: session.remote(Client) });
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
+    let cohort = Cohort::over(LocalTransportChannel::<Census>::new()).layer(metrics.clone());
+    assert_eq!(replicate(&cohort), EXPECTED);
 
     // Client → Primary: 1 (request). Primary → Backup: replication +
     // conclave-internal multicasts. Client receives ONLY the gathered

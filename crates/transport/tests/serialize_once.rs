@@ -7,8 +7,8 @@
 //! invocations (one counter per test, so the tests can run on the
 //! harness's concurrent threads without interfering).
 
-use chorus_core::{ChoreoOp, Choreography, Endpoint, Located, LocationSet as _, MultiplyLocated};
-use chorus_transport::{LocalTransport, LocalTransportChannel};
+use chorus_core::{ChoreoOp, Choreography, Located, LocationSet as _, MultiplyLocated};
+use chorus_transport::{Cohort, LocalTransportChannel, MakeTransport};
 use serde::de::Deserializer;
 use serde::ser::Serializer;
 use serde::{Deserialize, Serialize};
@@ -71,31 +71,26 @@ impl Choreography<u64> for Shout {
     }
 }
 
-fn run_everywhere<C: Choreography<u64, L = Census> + Clone + Send + 'static>(
-    choreo: C,
-) -> Vec<u64> {
-    let channel = LocalTransportChannel::<Census>::new();
-    let mut handles = Vec::new();
-    macro_rules! spawn_at {
+/// Runs `choreo` as session 7 at every location of the census over
+/// `net`, each on its own thread; returns what each observed.
+fn run_everywhere<N, Choreo>(net: N, choreo: Choreo) -> Vec<u64>
+where
+    N: MakeTransport<Census>,
+    Choreo: Choreography<u64, L = Census> + Clone + Send + 'static,
+{
+    let cohort = Cohort::over(net);
+    macro_rules! at {
         ($loc:ident) => {{
-            let ch = channel.clone();
-            let c = choreo.clone();
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::new(LocalTransport::new($loc, ch));
-                endpoint.session_with_id(7).epp_and_run(c)
-            }));
+            let choreo = choreo.clone();
+            cohort.role($loc, move |endpoint| endpoint.session_with_id(7).epp_and_run(choreo))
         }};
     }
-    spawn_at!(A);
-    spawn_at!(B);
-    spawn_at!(C);
-    spawn_at!(D);
-    handles.into_iter().map(|h| h.join().expect("participant")).collect()
+    cohort.run(vec![at!(A), at!(B), at!(C), at!(D)], || ()).0
 }
 
 #[test]
 fn multicast_serializes_exactly_once_regardless_of_census_size() {
-    let results = run_everywhere(FanOut);
+    let results = run_everywhere(LocalTransportChannel::new(), FanOut);
     assert_eq!(results, vec![41, 41, 41, 41]);
     // One fan-out to 3 remote destinations plus the sender's keep-copy:
     // one serialization total. (The counter also proves the keep-copy
@@ -128,7 +123,7 @@ impl Choreography<u64> for TcpFanOut {
 /// buffer — so the probe still serializes exactly once.
 #[test]
 fn tcp_batched_multicast_serializes_exactly_once() {
-    use chorus_transport::{free_local_addrs, TcpConfigBuilder, TcpTransport};
+    use chorus_transport::{free_local_addrs, TcpConfigBuilder};
     use std::time::Duration;
 
     let addrs = free_local_addrs(4).unwrap();
@@ -140,21 +135,7 @@ fn tcp_batched_multicast_serializes_exactly_once() {
         .flush_delay(Duration::from_micros(200))
         .build::<Census>()
         .unwrap();
-    let mut handles = Vec::new();
-    macro_rules! spawn_at {
-        ($loc:ident) => {{
-            let cfg = cfg.clone();
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::new(TcpTransport::bind($loc, cfg).unwrap());
-                endpoint.session_with_id(7).epp_and_run(TcpFanOut)
-            }));
-        }};
-    }
-    spawn_at!(A);
-    spawn_at!(B);
-    spawn_at!(C);
-    spawn_at!(D);
-    let results: Vec<u64> = handles.into_iter().map(|h| h.join().expect("participant")).collect();
+    let results = run_everywhere(cfg, TcpFanOut);
     assert_eq!(results, vec![23, 23, 23, 23]);
     assert_eq!(
         TCP_BATCH_SERIALIZATIONS.load(Ordering::SeqCst),
@@ -165,7 +146,7 @@ fn tcp_batched_multicast_serializes_exactly_once() {
 
 #[test]
 fn broadcast_serializes_exactly_once() {
-    let results = run_everywhere(Shout);
+    let results = run_everywhere(LocalTransportChannel::new(), Shout);
     assert_eq!(results, vec![17, 17, 17, 17]);
     assert_eq!(
         BROADCAST_SERIALIZATIONS.load(Ordering::SeqCst),

@@ -6,11 +6,11 @@
 //!
 //! Run with: `cargo run --example lottery [-- --cheat]`
 
-use chorus_repro::core::{Endpoint, LocationSet as _};
+use chorus_repro::core::LocationSet as _;
 use chorus_repro::mpc::field::FLOTTERY;
 use chorus_repro::protocols::lottery::Lottery;
 use chorus_repro::protocols::roles::{Analyst, C1, C2, C3, S1, S2};
-use chorus_repro::transport::{LocalTransport, LocalTransportChannel};
+use chorus_repro::transport::{Cohort, LocalTransportChannel};
 use std::marker::PhantomData;
 
 type Clients = chorus_repro::core::LocationSet!(C1, C2, C3);
@@ -25,70 +25,61 @@ fn main() {
         println!("server S2 will open a value it never committed to ...");
     }
 
-    let channel = LocalTransportChannel::<Census>::new();
-    let mut handles = Vec::new();
-
+    // Every participant runs on its own thread over one in-process
+    // channel; the analyst runs on this one.
+    let cohort = Cohort::over(LocalTransportChannel::<Census>::new());
+    macro_rules! lottery {
+        ($secrets:expr, $cheaters:expr) => {
+            Lottery::<Clients, Servers, Census, _, _, _, _, _, _, _> {
+                secrets: $secrets,
+                tau: 300,
+                cheaters: $cheaters,
+                phantom: PhantomData,
+            }
+        };
+    }
     macro_rules! client {
-        ($ty:ty, $secret:expr) => {{
-            let c = channel.clone();
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::builder(<$ty>::default())
-                    .transport(LocalTransport::new(<$ty>::default(), c))
-                    .build();
+        ($loc:ident, $secret:expr) => {
+            cohort.role($loc, |endpoint| {
                 let session = endpoint.session();
-                let _ =
-                    session.epp_and_run(Lottery::<Clients, Servers, Census, _, _, _, _, _, _, _> {
-                        secrets: &session.local_faceted(FLOTTERY::new($secret)),
-                        tau: 300,
-                        cheaters: &session.remote_faceted(Servers::new()),
-                        phantom: PhantomData,
-                    });
-            }));
-        }};
+                let _ = session.epp_and_run(lottery!(
+                    &session.local_faceted(FLOTTERY::new($secret)),
+                    &session.remote_faceted(Servers::new())
+                ));
+            })
+        };
     }
-
     macro_rules! server {
-        ($ty:ty, $cheats:expr) => {{
-            let c = channel.clone();
+        ($loc:ident, $cheats:expr) => {{
             let cheats: bool = $cheats;
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::builder(<$ty>::default())
-                    .transport(LocalTransport::new(<$ty>::default(), c))
-                    .build();
+            cohort.role($loc, move |endpoint| {
                 let session = endpoint.session();
-                let _ =
-                    session.epp_and_run(Lottery::<Clients, Servers, Census, _, _, _, _, _, _, _> {
-                        secrets: &session.remote_faceted(Clients::new()),
-                        tau: 300,
-                        cheaters: &session.local_faceted(cheats),
-                        phantom: PhantomData,
-                    });
-            }));
+                let _ = session.epp_and_run(lottery!(
+                    &session.remote_faceted(Clients::new()),
+                    &session.local_faceted(cheats)
+                ));
+            })
         }};
     }
+    let roles = vec![
+        client!(C1, 1001),
+        client!(C2, 2002),
+        client!(C3, 3003),
+        server!(S1, false),
+        server!(S2, cheat),
+    ];
 
-    client!(C1, 1001);
-    client!(C2, 2002);
-    client!(C3, 3003);
-    server!(S1, false);
-    server!(S2, cheat);
-
-    // The analyst.
-    let endpoint =
-        Endpoint::builder(Analyst).transport(LocalTransport::new(Analyst, channel)).build();
-    let session = endpoint.session();
-    let out = session.epp_and_run(Lottery::<Clients, Servers, Census, _, _, _, _, _, _, _> {
-        secrets: &session.remote_faceted(Clients::new()),
-        tau: 300,
-        cheaters: &session.remote_faceted(Servers::new()),
-        phantom: PhantomData,
+    let (_, verdict) = cohort.run(roles, || {
+        let endpoint = cohort.endpoint(Analyst);
+        let session = endpoint.session();
+        let out = session.epp_and_run(lottery!(
+            &session.remote_faceted(Clients::new()),
+            &session.remote_faceted(Servers::new())
+        ));
+        session.unwrap(out)
     });
 
-    for h in handles {
-        h.join().expect("endpoint thread");
-    }
-
-    match session.unwrap(out) {
+    match verdict {
         Ok(value) => {
             println!("[Analyst] reconstructed {value} (one of the secrets, sender unknown)");
             assert!(secrets.iter().any(|(_, v)| *v == value));

@@ -16,10 +16,8 @@
 //!
 //! Run with: `cargo run --example selective`
 
-use chorus_repro::core::{
-    ChoreoOp, Choreography, Endpoint, Located, LocationSet as _, MultiplyLocated,
-};
-use chorus_repro::transport::{LocalTransport, LocalTransportChannel, TransportMetrics};
+use chorus_repro::core::{ChoreoOp, Choreography, Located, LocationSet as _, MultiplyLocated};
+use chorus_repro::transport::{Cohort, LocalTransportChannel, TransportMetrics};
 use std::sync::Arc;
 
 chorus_repro::core::locations! { Buyer, Seller, Shipper }
@@ -115,43 +113,23 @@ impl Choreography<Located<Option<u64>, Seller>> for FulfillBranch {
 }
 
 fn run_offer(offer: u32) -> (Option<u64>, Arc<TransportMetrics>) {
-    let channel = LocalTransportChannel::<Census>::new();
     let metrics = Arc::new(TransportMetrics::new());
-    let mut handles = Vec::new();
-
+    let cohort = Cohort::over(LocalTransportChannel::<Census>::new()).layer(metrics.clone());
     macro_rules! endpoint {
-        ($ty:ty) => {{
-            let c = channel.clone();
-            let m = Arc::clone(&metrics);
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::builder(<$ty>::default())
-                    .transport(LocalTransport::new(<$ty>::default(), c))
-                    .layer(m)
-                    .build();
+        ($loc:ident) => {
+            cohort.role($loc, |endpoint| {
                 let session = endpoint.session();
                 session.epp_and_run(Negotiate { offer: session.remote(Buyer) });
-            }));
-        }};
+            })
+        };
     }
 
-    let buyer_channel = channel.clone();
-    let buyer_metrics = Arc::clone(&metrics);
-    let buyer = std::thread::spawn(move || {
-        let endpoint = Endpoint::builder(Buyer)
-            .transport(LocalTransport::new(Buyer, buyer_channel))
-            .layer(buyer_metrics)
-            .build();
+    let (_, result) = cohort.run(vec![endpoint!(Seller), endpoint!(Shipper)], || {
+        let endpoint = cohort.endpoint(Buyer);
         let session = endpoint.session();
         let out = session.epp_and_run(Negotiate { offer: session.local(offer) });
         session.unwrap(out)
     });
-    endpoint!(Seller);
-    endpoint!(Shipper);
-
-    let result = buyer.join().expect("buyer");
-    for h in handles {
-        h.join().expect("endpoint");
-    }
     (result, metrics)
 }
 

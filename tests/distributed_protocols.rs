@@ -2,16 +2,15 @@
 //! executed as real distributed systems (threads + TCP sockets or
 //! channels), exercised through the facade crate.
 
-use chorus_repro::core::{ChoreographyLocation as _, Endpoint, LocationSet as _};
+use chorus_repro::core::LocationSet as _;
 use chorus_repro::mpc::Circuit;
 use chorus_repro::protocols::gmw::Gmw;
 use chorus_repro::protocols::kvs_backup::{KvsCensus, ReplicatedKvs, Servers};
 use chorus_repro::protocols::roles::{Backup1, Backup2, Client, Primary, P1, P2, P3};
 use chorus_repro::protocols::store::{Request, Response, SharedStore};
-use chorus_repro::transport::{
-    free_local_addrs, LocalTransport, LocalTransportChannel, TcpConfigBuilder, TcpTransport,
-};
+use chorus_repro::transport::{free_local_addrs, Cohort, LocalTransportChannel, TcpConfigBuilder};
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 type Backups = chorus_repro::core::LocationSet!(Backup1, Backup2);
 type Census = KvsCensus<Backups>;
@@ -27,33 +26,27 @@ fn replicated_kvs_over_tcp_with_fault_injection() {
         .build::<Census>()
         .unwrap();
 
-    let mut servers = Vec::new();
+    let cohort = Cohort::over(config);
     macro_rules! server {
-        ($ty:ty, $corrupt:expr) => {{
-            let cfg = config.clone();
-            servers.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::new(TcpTransport::bind(<$ty>::new(), cfg).unwrap());
+        ($loc:ident, $corrupt:expr) => {{
+            let store = SharedStore::new();
+            if $corrupt {
+                store.corrupt_next_put();
+            }
+            cohort.role($loc, move |endpoint| {
                 let session = endpoint.session();
-                let store = SharedStore::new();
-                if $corrupt {
-                    store.corrupt_next_put();
-                }
                 let outcome = session.epp_and_run(ReplicatedKvs::<Backups, _, _, _> {
                     request: session.remote(Client),
                     states: session.local_faceted(store.clone()),
                     phantom: PhantomData,
                 });
                 (session.unwrap(outcome.resynched), store.snapshot())
-            }));
+            })
         }};
     }
-    server!(Primary, false);
-    server!(Backup1, true);
-    server!(Backup2, false);
-
-    let cfg = config;
-    let client = std::thread::spawn(move || {
-        let endpoint = Endpoint::new(TcpTransport::bind(Client, cfg).unwrap());
+    let servers = vec![server!(Primary, false), server!(Backup1, true), server!(Backup2, false)];
+    let (results, response) = cohort.run(servers, || {
+        let endpoint = cohort.endpoint(Client);
         let session = endpoint.session();
         let outcome = session.epp_and_run(ReplicatedKvs::<Backups, _, _, _> {
             request: session.local(Request::Put("k".into(), "v".into())),
@@ -63,8 +56,7 @@ fn replicated_kvs_over_tcp_with_fault_injection() {
         session.unwrap(outcome.response)
     });
 
-    assert_eq!(client.join().unwrap(), Response::NotFound);
-    let results: Vec<_> = servers.into_iter().map(|h| h.join().unwrap()).collect();
+    assert_eq!(response, Response::NotFound);
     // Every server saw the resynch and all replicas converged.
     assert!(results.iter().all(|(resynched, _)| *resynched));
     let reference = &results[0].1;
@@ -84,34 +76,29 @@ fn gmw_three_parties_over_tcp() {
         .unwrap();
 
     // majority(a,b,c) over private inputs (true, true, false) = true
-    let circuit = std::sync::Arc::new(
+    let circuit = Arc::new(
         Circuit::input("P1", 0)
             .and(Circuit::input("P2", 0))
             .xor(Circuit::input("P1", 0).and(Circuit::input("P3", 0)))
             .xor(Circuit::input("P2", 0).and(Circuit::input("P3", 0))),
     );
 
-    let mut handles = Vec::new();
+    let cohort = Cohort::over(config);
     macro_rules! party {
-        ($ty:ty, $input:expr) => {{
-            let cfg = config.clone();
-            let circuit = std::sync::Arc::clone(&circuit);
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::new(TcpTransport::bind(<$ty>::new(), cfg).unwrap());
+        ($loc:ident, $input:expr) => {{
+            let circuit = Arc::clone(&circuit);
+            cohort.role($loc, move |endpoint| {
                 let session = endpoint.session();
                 session.epp_and_run(Gmw::<Parties, _, _> {
                     circuit: &circuit,
                     inputs: &session.local_faceted(vec![$input]),
                     phantom: PhantomData,
                 })
-            }));
+            })
         }};
     }
-    party!(P1, true);
-    party!(P2, true);
-    party!(P3, false);
-
-    let results: Vec<bool> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let (results, ()) =
+        cohort.run(vec![party!(P1, true), party!(P2, true), party!(P3, false)], || ());
     assert_eq!(results, vec![true, true, true]);
 }
 
@@ -121,14 +108,12 @@ fn kvs_gather_choreography_over_channels() {
     use chorus_repro::protocols::store::KeyValueStore as _;
 
     type GatherCensus = KvsCensus<Backups>;
-    let channel = LocalTransportChannel::<GatherCensus>::new();
+    let cohort = Cohort::over(LocalTransportChannel::<GatherCensus>::new());
 
-    let mut handles = Vec::new();
+    // Every server returns what it stores under "x".
     macro_rules! backup {
-        ($ty:ty) => {{
-            let c = channel.clone();
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::new(LocalTransport::new(<$ty>::new(), c));
+        ($loc:ident) => {
+            cohort.role($loc, |endpoint| {
                 let session = endpoint.session();
                 let store = Store::default();
                 let _ = session.epp_and_run(Kvs::<Backups, _, _, _, _> {
@@ -138,16 +123,11 @@ fn kvs_gather_choreography_over_channels() {
                     phantom: PhantomData,
                 });
                 store.get("x")
-            }));
-        }};
+            })
+        };
     }
-    backup!(Backup1);
-    backup!(Backup2);
-
     // The primary (cannot use the macro: it owns `server_store`).
-    let c = channel.clone();
-    let primary = std::thread::spawn(move || {
-        let endpoint = Endpoint::new(LocalTransport::new(Primary, c));
+    let primary = cohort.role(Primary, |endpoint| {
         let session = endpoint.session();
         let store = Store::default();
         let _ = session.epp_and_run(Kvs::<Backups, _, _, _, _> {
@@ -159,18 +139,17 @@ fn kvs_gather_choreography_over_channels() {
         store.get("x")
     });
 
-    let endpoint = Endpoint::new(LocalTransport::new(Client, channel));
-    let session = endpoint.session();
-    let out = session.epp_and_run(Kvs::<Backups, _, _, _, _> {
-        request: session.local(Request::Put("x".into(), 9)),
-        backup_stores: &session.remote_faceted(Backups::new()),
-        server_store: &session.remote(Primary),
-        phantom: PhantomData,
+    let (stored, put) = cohort.run(vec![primary, backup!(Backup1), backup!(Backup2)], || {
+        let endpoint = cohort.endpoint(Client);
+        let session = endpoint.session();
+        let out = session.epp_and_run(Kvs::<Backups, _, _, _, _> {
+            request: session.local(Request::Put("x".into(), 9)),
+            backup_stores: &session.remote_faceted(Backups::new()),
+            server_store: &session.remote(Primary),
+            phantom: PhantomData,
+        });
+        session.unwrap(out)
     });
-    assert_eq!(session.unwrap(out), 0, "put succeeds");
-
-    assert_eq!(primary.join().unwrap(), Some(9));
-    for h in handles {
-        assert_eq!(h.join().unwrap(), Some(9), "backups hold the written value");
-    }
+    assert_eq!(put, 0, "put succeeds");
+    assert_eq!(stored, [Some(9); 3], "the primary and the backups hold the written value");
 }

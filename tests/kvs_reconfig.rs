@@ -12,6 +12,7 @@
 //! dumped to `target/sim-traces/kvs-<op>-seed-<seed>.log` and the panic
 //! names the replaying env value.
 
+use chorus_repro::core::panic_message;
 use chorus_repro::kvs::cluster::{SimCluster, Universe};
 use chorus_repro::kvs::data_plane::KvsError;
 use chorus_repro::transport::{FaultPlan, Partition, SimNet};
@@ -33,11 +34,7 @@ fn seed_base() -> u64 {
 /// as `sim_chaos::with_schedule_dump`.
 fn with_cluster_dump(op: &str, seed: u64, net: &SimNet<Universe>, body: impl FnOnce()) {
     if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
+        let message = panic_message(&*payload);
         let dir = std::path::Path::new("target").join("sim-traces");
         std::fs::create_dir_all(&dir).ok();
         let path = dir.join(format!("kvs-{op}-seed-{seed}.log"));

@@ -23,7 +23,7 @@
 //! `CHORUS_SIM_SEED_BASE=<base> cargo test --test sim_chaos` to replay
 //! bit-for-bit.
 
-use chorus_repro::core::{ChoreographyLocation as _, Endpoint, LocationSet};
+use chorus_repro::core::{panic_message, ChoreographyLocation, LocationSet};
 use chorus_repro::mpc::field::FLOTTERY;
 use chorus_repro::mpc::Circuit;
 use chorus_repro::patterns::Misbehavior;
@@ -35,10 +35,13 @@ use chorus_repro::protocols::roles::{
     Analyst, Backup1, Backup2, Client, Primary, C1, C2, C3, P1, P2, P3, S1, S2, S3,
 };
 use chorus_repro::protocols::store::{Request, Response, SharedStore};
-use chorus_repro::transport::{Corruption, Equivocator, FaultPlan, Silence, SimNet, SimTransport};
+use chorus_repro::transport::{
+    Cohort, Corruption, Equivocator, FaultPlan, MakeTransport, Silence, SimNet, SimTransport,
+};
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::panic::AssertUnwindSafe;
+use std::sync::Arc;
 
 /// Distinct seeds per protocol; the three matrices are disjoint, so one
 /// full run covers `3 × PER_PROTOCOL ≥ 100` distinct fault plans.
@@ -59,11 +62,7 @@ fn with_schedule_dump<L: LocationSet>(
     body: impl FnOnce(),
 ) {
     if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(body)) {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
+        let message = panic_message(&*payload);
         let dir = std::path::Path::new("target").join("sim-traces");
         std::fs::create_dir_all(&dir).ok();
         let path = dir.join(format!("{protocol}-seed-{seed}.log"));
@@ -104,33 +103,27 @@ type Backups = chorus_repro::core::LocationSet!(Backup1, Backup2);
 type KvsSystem = KvsCensus<Backups>;
 
 fn run_kvs_backup(net: &SimNet<KvsSystem>) {
-    let mut servers = Vec::new();
+    let cohort = Cohort::over(net.clone());
     macro_rules! server {
-        ($ty:ty, $corrupt:expr) => {{
-            let net = net.clone();
-            servers.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::new(SimTransport::new(<$ty>::new(), net));
+        ($loc:ident, $corrupt:expr) => {{
+            let store = SharedStore::new();
+            if $corrupt {
+                store.corrupt_next_put();
+            }
+            cohort.role($loc, move |endpoint| {
                 let session = endpoint.session();
-                let store = SharedStore::new();
-                if $corrupt {
-                    store.corrupt_next_put();
-                }
                 let outcome = session.epp_and_run(ReplicatedKvs::<Backups, _, _, _> {
                     request: session.remote(Client),
                     states: session.local_faceted(store.clone()),
                     phantom: PhantomData,
                 });
                 (session.unwrap(outcome.resynched), store.snapshot())
-            }));
+            })
         }};
     }
-    server!(Primary, false);
-    server!(Backup1, true);
-    server!(Backup2, false);
-
-    let client_net = net.clone();
-    let client = std::thread::spawn(move || {
-        let endpoint = Endpoint::new(SimTransport::new(Client, client_net));
+    let servers = vec![server!(Primary, false), server!(Backup1, true), server!(Backup2, false)];
+    let (results, response) = cohort.run(servers, || {
+        let endpoint = cohort.endpoint(Client);
         let session = endpoint.session();
         let outcome = session.epp_and_run(ReplicatedKvs::<Backups, _, _, _> {
             request: session.local(Request::Put("k".into(), "v".into())),
@@ -140,8 +133,7 @@ fn run_kvs_backup(net: &SimNet<KvsSystem>) {
         session.unwrap(outcome.response)
     });
 
-    assert_eq!(client.join().unwrap(), Response::NotFound);
-    let results: Vec<_> = servers.into_iter().map(|h| h.join().unwrap()).collect();
+    assert_eq!(response, Response::NotFound);
     assert!(results.iter().all(|(resynched, _)| *resynched), "every server saw the resynch");
     let reference = &results[0].1;
     assert!(results.iter().all(|(_, snapshot)| snapshot == reference), "replicas converged");
@@ -178,33 +170,34 @@ fn kvs_backup_schedule_is_deterministic_across_runs() {
 
 type Parties = chorus_repro::core::LocationSet!(P1, P2, P3);
 
-fn run_gmw(net: &SimNet<Parties>) {
-    let circuit = std::sync::Arc::new(
+/// majority(P1, P2, P3) = P1·P2 ⊕ P1·P3 ⊕ P2·P3 over GF(2).
+fn majority() -> Arc<Circuit> {
+    Arc::new(
         Circuit::input("P1", 0)
             .and(Circuit::input("P2", 0))
             .xor(Circuit::input("P1", 0).and(Circuit::input("P3", 0)))
             .xor(Circuit::input("P2", 0).and(Circuit::input("P3", 0))),
-    );
-    let mut handles = Vec::new();
+    )
+}
+
+fn run_gmw(net: &SimNet<Parties>) {
+    let cohort = Cohort::over(net.clone());
+    let circuit = majority();
     macro_rules! party {
-        ($ty:ty, $input:expr) => {{
-            let net = net.clone();
-            let circuit = std::sync::Arc::clone(&circuit);
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::new(SimTransport::new(<$ty>::new(), net));
+        ($loc:ident, $input:expr) => {{
+            let circuit = Arc::clone(&circuit);
+            cohort.role($loc, move |endpoint| {
                 let session = endpoint.session();
                 session.epp_and_run(Gmw::<Parties, _, _> {
                     circuit: &circuit,
                     inputs: &session.local_faceted(vec![$input]),
                     phantom: PhantomData,
                 })
-            }));
+            })
         }};
     }
-    party!(P1, true);
-    party!(P2, true);
-    party!(P3, false);
-    let results: Vec<bool> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let (results, ()) =
+        cohort.run(vec![party!(P1, true), party!(P2, true), party!(P3, false)], || ());
     assert_eq!(results, vec![true, true, true], "majority(t, t, f) = t at every party");
 }
 
@@ -228,95 +221,57 @@ type LotteryCensus = chorus_repro::core::LocationSet!(Analyst, C1, C2, C3, S1, S
 
 fn run_lottery(net: &SimNet<LotteryCensus>) {
     const SECRETS: [u64; 3] = [1001, 2002, 3003];
-    let mut handles = Vec::new();
-
+    let cohort = Cohort::over(net.clone());
+    macro_rules! lottery {
+        ($secrets:expr, $cheaters:expr) => {
+            Lottery::<Clients, LotteryServers, LotteryCensus, _, _, _, _, _, _, _> {
+                secrets: $secrets,
+                tau: 300,
+                cheaters: $cheaters,
+                phantom: PhantomData,
+            }
+        };
+    }
     macro_rules! client {
-        ($ty:ty, $secret:expr) => {{
-            let net = net.clone();
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::new(SimTransport::new(<$ty>::default(), net));
+        ($loc:ident, $secret:expr) => {
+            cohort.role($loc, |endpoint| {
                 let session = endpoint.session();
-                let _ = session.epp_and_run(Lottery::<
-                    Clients,
-                    LotteryServers,
-                    LotteryCensus,
-                    _,
-                    _,
-                    _,
-                    _,
-                    _,
-                    _,
-                    _,
-                > {
-                    secrets: &session.local_faceted(FLOTTERY::new($secret)),
-                    tau: 300,
-                    cheaters: &session.remote_faceted(LotteryServers::new()),
-                    phantom: PhantomData,
-                });
-            }));
-        }};
+                let _ = session.epp_and_run(lottery!(
+                    &session.local_faceted(FLOTTERY::new($secret)),
+                    &session.remote_faceted(LotteryServers::new())
+                ));
+            })
+        };
     }
     macro_rules! server {
-        ($ty:ty) => {{
-            let net = net.clone();
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::new(SimTransport::new(<$ty>::default(), net));
+        ($loc:ident) => {
+            cohort.role($loc, |endpoint| {
                 let session = endpoint.session();
-                let _ = session.epp_and_run(Lottery::<
-                    Clients,
-                    LotteryServers,
-                    LotteryCensus,
-                    _,
-                    _,
-                    _,
-                    _,
-                    _,
-                    _,
-                    _,
-                > {
-                    secrets: &session.remote_faceted(Clients::new()),
-                    tau: 300,
-                    cheaters: &session.local_faceted(false),
-                    phantom: PhantomData,
-                });
-            }));
-        }};
+                let _ = session.epp_and_run(lottery!(
+                    &session.remote_faceted(Clients::new()),
+                    &session.local_faceted(false)
+                ));
+            })
+        };
     }
-
-    client!(C1, SECRETS[0]);
-    client!(C2, SECRETS[1]);
-    client!(C3, SECRETS[2]);
-    server!(S1);
-    server!(S2);
-
-    let analyst_net = net.clone();
-    let analyst = std::thread::spawn(move || {
-        let endpoint = Endpoint::new(SimTransport::new(Analyst, analyst_net));
+    let roles = vec![
+        client!(C1, SECRETS[0]),
+        client!(C2, SECRETS[1]),
+        client!(C3, SECRETS[2]),
+        server!(S1),
+        server!(S2),
+    ];
+    let (_, verdict) = cohort.run(roles, || {
+        let endpoint = cohort.endpoint(Analyst);
         let session = endpoint.session();
-        let out = session.epp_and_run(Lottery::<
-            Clients,
-            LotteryServers,
-            LotteryCensus,
-            _,
-            _,
-            _,
-            _,
-            _,
-            _,
-            _,
-        > {
-            secrets: &session.remote_faceted(Clients::new()),
-            tau: 300,
-            cheaters: &session.remote_faceted(LotteryServers::new()),
-            phantom: PhantomData,
-        });
+        let out = session.epp_and_run(lottery!(
+            &session.remote_faceted(Clients::new()),
+            &session.remote_faceted(LotteryServers::new())
+        ));
         session.unwrap(out)
     });
 
-    for h in handles {
-        h.join().unwrap();
-    }
-    let value = analyst.join().unwrap().expect("honest servers, so the lottery must not abort");
+    let value = verdict.expect("honest servers, so the lottery must not abort");
     assert!(
         SECRETS.contains(&value),
         "the analyst must reconstruct one of the client secrets, got {value}"
@@ -389,14 +344,31 @@ fn adversarial_plan(seed: u64, inj: &Injection) -> FaultPlan {
     }
 }
 
-/// The victims `me` equivocates against — empty (a transparent
-/// pass-through) unless this seed makes `me` the equivocator. Wrapping
-/// *every* endpoint keeps the transport type uniform across the matrix.
-fn equivocation_victims(inj: &Injection, me: &'static str) -> Vec<&'static str> {
-    if inj.mode == Adversary::Equivocation && inj.culprit == me {
-        vec![inj.victim]
-    } else {
-        Vec::new()
+/// The seed's sim net as the byzantine matrix runs it: the injected
+/// culprit equivocates against its victim when the mode is
+/// equivocation, and every other transport passes its frames through
+/// untouched — so the transport type is uniform across the matrix.
+struct Equivocating<L: LocationSet> {
+    net: SimNet<L>,
+    seed: u64,
+    culprit: &'static str,
+    victims: Vec<&'static str>,
+}
+
+impl<L: LocationSet> Equivocating<L> {
+    fn new(net: &SimNet<L>, seed: u64, inj: Injection) -> Self {
+        let victims =
+            if inj.mode == Adversary::Equivocation { vec![inj.victim] } else { Vec::new() };
+        Equivocating { net: net.clone(), seed, culprit: inj.culprit, victims }
+    }
+}
+
+impl<L: LocationSet> MakeTransport<L> for Equivocating<L> {
+    type Transport<R: ChoreographyLocation> = Equivocator<SimTransport<L, R>>;
+
+    fn transport<R: ChoreographyLocation>(&self, location: R) -> Self::Transport<R> {
+        let victims = if R::NAME == self.culprit { self.victims.clone() } else { Vec::new() };
+        Equivocator::new(self.net.transport(location), self.seed, victims)
     }
 }
 
@@ -406,24 +378,12 @@ fn equivocation_victims(inj: &Injection, me: &'static str) -> Vec<&'static str> 
 // ---------------------------------------------------------------------
 
 fn run_hardened_gmw(seed: u64, net: &SimNet<Parties>, inj: Injection) {
-    let circuit = std::sync::Arc::new(
-        Circuit::input("P1", 0)
-            .and(Circuit::input("P2", 0))
-            .xor(Circuit::input("P1", 0).and(Circuit::input("P3", 0)))
-            .xor(Circuit::input("P2", 0).and(Circuit::input("P3", 0))),
-    );
-    let mut handles = Vec::new();
+    let cohort = Cohort::over(Equivocating::new(net, seed, inj));
+    let circuit = majority();
     macro_rules! party {
-        ($ty:ty, $input:expr) => {{
-            let net = net.clone();
-            let circuit = std::sync::Arc::clone(&circuit);
-            let victims = equivocation_victims(&inj, <$ty>::NAME);
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::new(Equivocator::new(
-                    SimTransport::new(<$ty>::new(), net),
-                    seed,
-                    victims,
-                ));
+        ($loc:ident, $input:expr) => {{
+            let circuit = Arc::clone(&circuit);
+            cohort.role($loc, move |endpoint| {
                 let session = endpoint.session();
                 let out = session.epp_and_run(HardenedGmw::<Parties, _, _> {
                     circuit: &circuit,
@@ -431,15 +391,12 @@ fn run_hardened_gmw(seed: u64, net: &SimNet<Parties>, inj: Injection) {
                     epoch: seed,
                     phantom: PhantomData,
                 });
-                (<$ty>::NAME, session.unwrap_faceted(out))
-            }));
+                ($loc::NAME, session.unwrap_faceted(out))
+            })
         }};
     }
-    party!(P1, true);
-    party!(P2, true);
-    party!(P3, false);
-    let results: Vec<(&str, Result<bool, Misbehavior>)> =
-        handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let (results, ()) =
+        cohort.run(vec![party!(P1, true), party!(P2, true), party!(P3, false)], || ());
     for (name, result) in results {
         match inj.mode {
             Adversary::Clean => {
@@ -484,101 +441,60 @@ type HardenedLotteryCensus = chorus_repro::core::LocationSet!(Analyst, C1, C2, C
 
 fn run_hardened_lottery(seed: u64, net: &SimNet<HardenedLotteryCensus>, inj: Injection) {
     const SECRETS: [u64; 3] = [1001, 2002, 3003];
-    let mut handles = Vec::new();
-
-    macro_rules! node {
-        ($ty:ty, $secrets:expr, $cheaters:expr) => {{
-            let net = net.clone();
-            let victims = equivocation_victims(&inj, <$ty>::NAME);
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::new(Equivocator::new(
-                    SimTransport::new(<$ty>::default(), net),
-                    seed,
-                    victims,
-                ));
-                let session = endpoint.session();
-                let _ = session.epp_and_run(HardenedLottery::<
-                    Clients,
-                    HardenedServers,
-                    HardenedLotteryCensus,
-                    _,
-                    _,
-                    _,
-                    _,
-                    _,
-                    _,
-                    _,
-                > {
-                    secrets: &$secrets(&session),
-                    tau: 300,
-                    epoch: seed,
-                    cheaters: &$cheaters(&session),
-                    phantom: PhantomData,
-                });
-            }));
-        }};
+    let cohort = Cohort::over(Equivocating::new(net, seed, inj));
+    macro_rules! lottery {
+        ($secrets:expr, $cheaters:expr) => {
+            HardenedLottery::<Clients, HardenedServers, HardenedLotteryCensus, _, _, _, _, _, _, _> {
+                secrets: $secrets,
+                tau: 300,
+                epoch: seed,
+                cheaters: $cheaters,
+                phantom: PhantomData,
+            }
+        };
     }
-
     macro_rules! client {
-        ($ty:ty, $secret:expr) => {
-            node!(
-                $ty,
-                |s: &chorus_repro::core::Session<_, $ty, _>| s
-                    .local_faceted(FLOTTERY::new($secret)),
-                |s: &chorus_repro::core::Session<_, $ty, _>| s
-                    .remote_faceted(HardenedServers::new())
-            )
+        ($loc:ident, $secret:expr) => {
+            cohort.role($loc, move |endpoint| {
+                let session = endpoint.session();
+                let _ = session.epp_and_run(lottery!(
+                    &session.local_faceted(FLOTTERY::new($secret)),
+                    &session.remote_faceted(HardenedServers::new())
+                ));
+            })
         };
     }
     macro_rules! server {
-        ($ty:ty) => {
-            node!(
-                $ty,
-                |s: &chorus_repro::core::Session<_, $ty, _>| s.remote_faceted(Clients::new()),
-                |s: &chorus_repro::core::Session<_, $ty, _>| s
-                    .local_faceted(inj.mode == Adversary::Cheat && inj.culprit == <$ty>::NAME)
-            )
+        ($loc:ident) => {
+            cohort.role($loc, move |endpoint| {
+                let session = endpoint.session();
+                let cheats = inj.mode == Adversary::Cheat && inj.culprit == $loc::NAME;
+                let _ = session.epp_and_run(lottery!(
+                    &session.remote_faceted(Clients::new()),
+                    &session.local_faceted(cheats)
+                ));
+            })
         };
     }
-
-    client!(C1, SECRETS[0]);
-    client!(C2, SECRETS[1]);
-    client!(C3, SECRETS[2]);
-    server!(S1);
-    server!(S2);
-    server!(S3);
-
-    let analyst_net = net.clone();
-    let analyst = std::thread::spawn(move || {
-        let endpoint = Endpoint::new(SimTransport::new(Analyst, analyst_net));
-        let session = endpoint.session();
-        let out = session.epp_and_run(HardenedLottery::<
-            Clients,
-            HardenedServers,
-            HardenedLotteryCensus,
-            _,
-            _,
-            _,
-            _,
-            _,
-            _,
-            _,
-        > {
-            secrets: &session.remote_faceted(Clients::new()),
-            tau: 300,
-            epoch: seed,
-            cheaters: &session.remote_faceted(HardenedServers::new()),
-            phantom: PhantomData,
-        });
-        session.unwrap(out)
-    });
-
+    let roles = vec![
+        client!(C1, SECRETS[0]),
+        client!(C2, SECRETS[1]),
+        client!(C3, SECRETS[2]),
+        server!(S1),
+        server!(S2),
+        server!(S3),
+    ];
     // Every endpoint resolves — a hang would park a thread forever and
     // the watchdog turns that into a panic instead.
-    for h in handles {
-        h.join().unwrap();
-    }
-    let verdict = analyst.join().unwrap();
+    let (_, verdict) = cohort.run(roles, || {
+        let endpoint = cohort.endpoint(Analyst);
+        let session = endpoint.session();
+        let out = session.epp_and_run(lottery!(
+            &session.remote_faceted(Clients::new()),
+            &session.remote_faceted(HardenedServers::new())
+        ));
+        session.unwrap(out)
+    });
     match inj.mode {
         Adversary::Clean => {
             let value = verdict.expect("a clean net must pay out");
@@ -630,34 +546,29 @@ fn run_config_change(
     net: &SimNet<Parties>,
     inj: Injection,
 ) -> BTreeMap<&'static str, Result<u64, Misbehavior>> {
-    let mut handles = Vec::new();
+    let cohort = Cohort::over(Equivocating::new(net, seed, inj));
     macro_rules! party {
-        ($ty:ty, $version:expr) => {{
-            let net = net.clone();
-            let victims = equivocation_victims(&inj, <$ty>::NAME);
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::new(Equivocator::new(
-                    SimTransport::new(<$ty>::new(), net),
-                    seed,
-                    victims,
-                ));
-                let session = endpoint.session();
-                let version = $version;
-                let out = session.epp_and_run(ConfigChange::<P1, Parties, _, _, _> {
-                    new_version: &version(&session),
+        ($loc:ident, |$session:ident| $version:expr) => {
+            cohort.role($loc, move |endpoint| {
+                let $session = endpoint.session();
+                let out = $session.epp_and_run(ConfigChange::<P1, Parties, _, _, _> {
+                    new_version: &$version,
                     current_version: 3,
                     epoch: seed,
                     quorum: 3,
                     phantom: PhantomData,
                 });
-                (<$ty>::NAME, session.unwrap_faceted(out))
-            }));
-        }};
+                ($loc::NAME, $session.unwrap_faceted(out))
+            })
+        };
     }
-    party!(P1, |s: &chorus_repro::core::Session<_, P1, _>| s.local(4u64));
-    party!(P2, |s: &chorus_repro::core::Session<_, P2, _>| s.remote(P1));
-    party!(P3, |s: &chorus_repro::core::Session<_, P3, _>| s.remote(P1));
-    handles.into_iter().map(|h| h.join().unwrap()).collect()
+    let parties = vec![
+        party!(P1, |session| session.local(4u64)),
+        party!(P2, |session| session.remote(P1)),
+        party!(P3, |session| session.remote(P1)),
+    ];
+    let (results, ()) = cohort.run(parties, || ());
+    results.into_iter().collect()
 }
 
 fn assert_config_change_outcome(

@@ -18,7 +18,9 @@
 //! written to `target/tcp-chaos/` and the panic names the seed: replay
 //! with `CHORUS_TCP_SEED_BASE=<base> cargo test --test tcp_chaos`.
 
-use chorus_repro::core::{Endpoint, LocationSet as _, SessionRuntime};
+use chorus_repro::core::{
+    panic_message, ChoreographyLocation, Endpoint, LocationSet, SessionRuntime,
+};
 use chorus_repro::mpc::field::FLOTTERY;
 use chorus_repro::mpc::Circuit;
 use chorus_repro::protocols::gmw::Gmw;
@@ -30,9 +32,10 @@ use chorus_repro::protocols::roles::{
 };
 use chorus_repro::protocols::store::{Request, Response, SharedStore};
 use chorus_repro::transport::{
-    free_local_addrs, FaultyPlan, FaultyTcp, MetricsSnapshot, TcpConfigBuilder, TcpTransport,
-    TransportMetrics,
+    free_local_addrs, Cohort, FaultyPlan, FaultyTcp, MakeTransport, MetricsSnapshot, TcpConfig,
+    TcpConfigBuilder, TcpTransport, TransportMetrics,
 };
+use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::net::SocketAddr;
 use std::panic::AssertUnwindSafe;
@@ -83,12 +86,33 @@ impl Router {
     }
 }
 
-/// Builds the `TcpConfig` the location `$me` uses: its own entry is its
-/// real address (the listener bind), every peer's entry is routed
-/// through the run's proxy for the `me->peer` edge — so each direction
-/// of each link gets its own independent fault schedule.
-macro_rules! cfg_for {
-    ($census:ty, $me:ident, $router:expr, $addr_of:expr, [$($loc:ident),+ $(,)?]) => {{
+/// One run's TCP net: a config per location, in which the location's
+/// own entry is its real address (the listener bind) and every peer's
+/// entry is routed through the run's proxy for the `me->peer` edge — so
+/// each direction of each link gets its own independent fault schedule.
+struct Routed<L: LocationSet>(BTreeMap<&'static str, TcpConfig<L>>);
+
+impl<L: LocationSet> MakeTransport<L> for Routed<L> {
+    type Transport<R: ChoreographyLocation> = TcpTransport<L, R>;
+
+    fn transport<R: ChoreographyLocation>(&self, location: R) -> TcpTransport<L, R> {
+        self.0[R::NAME].transport(location)
+    }
+}
+
+/// Builds the [`Routed`] net of `$census`, whose locations are
+/// `[$loc, ...]`, over fresh loopback addresses and `$router`.
+macro_rules! routed {
+    ($census:ty, $router:expr, $locs:tt) => { routed!(@each $census, $router, $locs, $locs) };
+    (@each $census:ty, $router:expr, [$($me:ident),+], $locs:tt) => {{
+        let names = [$(stringify!($me)),+];
+        let addrs = free_local_addrs(names.len()).unwrap();
+        let addr_of = |name: &str| addrs[names.iter().position(|n| *n == name).unwrap()];
+        Routed(BTreeMap::from([
+            $((stringify!($me), routed!(@config $census, $router, addr_of, $me, $locs))),+
+        ]))
+    }};
+    (@config $census:ty, $router:expr, $addr_of:ident, $me:ident, [$($loc:ident),+]) => {{
         let me = stringify!($me);
         let mut builder =
             TcpConfigBuilder::new().heartbeat(HEARTBEAT).retry_base(RETRY_BASE);
@@ -108,11 +132,7 @@ macro_rules! cfg_for {
 /// with the seed and replay instructions.
 fn with_scenario_dump(protocol: &str, seed: u64, router: &Router, body: impl FnOnce()) {
     if let Err(payload) = std::panic::catch_unwind(AssertUnwindSafe(body)) {
-        let message = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
+        let message = panic_message(&*payload);
         let dump = router.proxy.as_ref().map_or_else(
             || "(clean run: no proxy, no schedule)".to_string(),
             FaultyTcp::scenario_dump,
@@ -176,51 +196,29 @@ type Backups = chorus_repro::core::LocationSet!(Backup1, Backup2);
 type Census = KvsCensus<Backups>;
 
 fn run_kvs_backup(router: &Router) -> MetricsSnapshot {
-    let addrs = free_local_addrs(4).unwrap();
-    let addr_of = |name: &str| match name {
-        "Client" => addrs[0],
-        "Primary" => addrs[1],
-        "Backup1" => addrs[2],
-        "Backup2" => addrs[3],
-        _ => unreachable!("unknown location {name}"),
-    };
     let metrics = Arc::new(TransportMetrics::new());
-
-    let mut servers = Vec::new();
+    let net = routed!(Census, router, [Client, Primary, Backup1, Backup2]);
+    let cohort = Cohort::over(net).layer(metrics.clone());
     macro_rules! server {
-        ($ty:ident, $corrupt:expr) => {{
-            let cfg = cfg_for!(Census, $ty, router, addr_of, [Client, Primary, Backup1, Backup2]);
-            let metrics = Arc::clone(&metrics);
-            servers.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::builder($ty)
-                    .transport(TcpTransport::bind($ty, cfg).unwrap())
-                    .layer(metrics)
-                    .build();
+        ($loc:ident, $corrupt:expr) => {{
+            let store = SharedStore::new();
+            if $corrupt {
+                store.corrupt_next_put();
+            }
+            cohort.role($loc, move |endpoint| {
                 let session = endpoint.session();
-                let store = SharedStore::new();
-                if $corrupt {
-                    store.corrupt_next_put();
-                }
                 let outcome = session.epp_and_run(ReplicatedKvs::<Backups, _, _, _> {
                     request: session.remote(Client),
                     states: session.local_faceted(store.clone()),
                     phantom: PhantomData,
                 });
                 (session.unwrap(outcome.resynched), store.snapshot())
-            }));
+            })
         }};
     }
-    server!(Primary, false);
-    server!(Backup1, true);
-    server!(Backup2, false);
-
-    let cfg = cfg_for!(Census, Client, router, addr_of, [Client, Primary, Backup1, Backup2]);
-    let client_metrics = Arc::clone(&metrics);
-    let client = std::thread::spawn(move || {
-        let endpoint = Endpoint::builder(Client)
-            .transport(TcpTransport::bind(Client, cfg).unwrap())
-            .layer(client_metrics)
-            .build();
+    let servers = vec![server!(Primary, false), server!(Backup1, true), server!(Backup2, false)];
+    let (results, response) = cohort.run(servers, || {
+        let endpoint = cohort.endpoint(Client);
         let session = endpoint.session();
         let outcome = session.epp_and_run(ReplicatedKvs::<Backups, _, _, _> {
             request: session.local(Request::Put("k".into(), "v".into())),
@@ -230,8 +228,7 @@ fn run_kvs_backup(router: &Router) -> MetricsSnapshot {
         session.unwrap(outcome.response)
     });
 
-    assert_eq!(client.join().unwrap(), Response::NotFound);
-    let results: Vec<_> = servers.into_iter().map(|h| h.join().unwrap()).collect();
+    assert_eq!(response, Response::NotFound);
     assert!(results.iter().all(|(resynched, _)| *resynched), "every server saw the resynch");
     let reference = &results[0].1;
     assert!(results.iter().all(|(_, snapshot)| snapshot == reference), "replicas converged");
@@ -257,13 +254,6 @@ fn kvs_backup_survives_real_socket_chaos() {
 type Parties = chorus_repro::core::LocationSet!(P1, P2, P3);
 
 fn run_gmw(router: &Router) -> MetricsSnapshot {
-    let addrs = free_local_addrs(3).unwrap();
-    let addr_of = |name: &str| match name {
-        "P1" => addrs[0],
-        "P2" => addrs[1],
-        "P3" => addrs[2],
-        _ => unreachable!("unknown location {name}"),
-    };
     let circuit = Arc::new(
         Circuit::input("P1", 0)
             .and(Circuit::input("P2", 0))
@@ -271,30 +261,22 @@ fn run_gmw(router: &Router) -> MetricsSnapshot {
             .xor(Circuit::input("P2", 0).and(Circuit::input("P3", 0))),
     );
     let metrics = Arc::new(TransportMetrics::new());
-    let mut handles = Vec::new();
+    let cohort = Cohort::over(routed!(Parties, router, [P1, P2, P3])).layer(metrics.clone());
     macro_rules! party {
-        ($ty:ident, $input:expr) => {{
-            let cfg = cfg_for!(Parties, $ty, router, addr_of, [P1, P2, P3]);
+        ($loc:ident, $input:expr) => {{
             let circuit = Arc::clone(&circuit);
-            let metrics = Arc::clone(&metrics);
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::builder($ty)
-                    .transport(TcpTransport::bind($ty, cfg).unwrap())
-                    .layer(metrics)
-                    .build();
+            cohort.role($loc, move |endpoint| {
                 let session = endpoint.session();
                 session.epp_and_run(Gmw::<Parties, _, _> {
                     circuit: &circuit,
                     inputs: &session.local_faceted(vec![$input]),
                     phantom: PhantomData,
                 })
-            }));
+            })
         }};
     }
-    party!(P1, true);
-    party!(P2, true);
-    party!(P3, false);
-    let results: Vec<bool> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+    let (results, ()) =
+        cohort.run(vec![party!(P1, true), party!(P2, true), party!(P3, false)], || ());
     assert_eq!(results, vec![true, true, true], "majority(t, t, f) = t at every party");
     metrics.snapshot()
 }
@@ -319,108 +301,59 @@ type LotteryCensus = chorus_repro::core::LocationSet!(Analyst, C1, C2, C3, S1, S
 
 fn run_lottery(router: &Router) -> MetricsSnapshot {
     const SECRETS: [u64; 3] = [1001, 2002, 3003];
-    let addrs = free_local_addrs(6).unwrap();
-    let addr_of = |name: &str| match name {
-        "Analyst" => addrs[0],
-        "C1" => addrs[1],
-        "C2" => addrs[2],
-        "C3" => addrs[3],
-        "S1" => addrs[4],
-        "S2" => addrs[5],
-        _ => unreachable!("unknown location {name}"),
-    };
     let metrics = Arc::new(TransportMetrics::new());
-    let mut handles = Vec::new();
-
-    macro_rules! node {
-        ($ty:ident, $secrets:expr, $cheaters:expr) => {{
-            let cfg = cfg_for!(LotteryCensus, $ty, router, addr_of, [Analyst, C1, C2, C3, S1, S2]);
-            let metrics = Arc::clone(&metrics);
-            handles.push(std::thread::spawn(move || {
-                let endpoint = Endpoint::builder($ty)
-                    .transport(TcpTransport::bind($ty, cfg).unwrap())
-                    .layer(metrics)
-                    .build();
-                let session = endpoint.session();
-                let _ = session.epp_and_run(Lottery::<
-                    Clients,
-                    LotteryServers,
-                    LotteryCensus,
-                    _,
-                    _,
-                    _,
-                    _,
-                    _,
-                    _,
-                    _,
-                > {
-                    secrets: &$secrets(&session),
-                    tau: 300,
-                    cheaters: &$cheaters(&session),
-                    phantom: PhantomData,
-                });
-            }));
-        }};
+    let net = routed!(LotteryCensus, router, [Analyst, C1, C2, C3, S1, S2]);
+    let cohort = Cohort::over(net).layer(metrics.clone());
+    macro_rules! lottery {
+        ($secrets:expr, $cheaters:expr) => {
+            Lottery::<Clients, LotteryServers, LotteryCensus, _, _, _, _, _, _, _> {
+                secrets: $secrets,
+                tau: 300,
+                cheaters: $cheaters,
+                phantom: PhantomData,
+            }
+        };
     }
     macro_rules! client {
-        ($ty:ident, $secret:expr) => {
-            node!(
-                $ty,
-                |s: &chorus_repro::core::Session<_, $ty, _>| s
-                    .local_faceted(FLOTTERY::new($secret)),
-                |s: &chorus_repro::core::Session<_, $ty, _>| s
-                    .remote_faceted(LotteryServers::new())
-            )
+        ($loc:ident, $secret:expr) => {
+            cohort.role($loc, |endpoint| {
+                let session = endpoint.session();
+                let _ = session.epp_and_run(lottery!(
+                    &session.local_faceted(FLOTTERY::new($secret)),
+                    &session.remote_faceted(LotteryServers::new())
+                ));
+            })
         };
     }
     macro_rules! server {
-        ($ty:ident) => {
-            node!(
-                $ty,
-                |s: &chorus_repro::core::Session<_, $ty, _>| s.remote_faceted(Clients::new()),
-                |s: &chorus_repro::core::Session<_, $ty, _>| s.local_faceted(false)
-            )
+        ($loc:ident) => {
+            cohort.role($loc, |endpoint| {
+                let session = endpoint.session();
+                let _ = session.epp_and_run(lottery!(
+                    &session.remote_faceted(Clients::new()),
+                    &session.local_faceted(false)
+                ));
+            })
         };
     }
-
-    client!(C1, SECRETS[0]);
-    client!(C2, SECRETS[1]);
-    client!(C3, SECRETS[2]);
-    server!(S1);
-    server!(S2);
-
-    let cfg = cfg_for!(LotteryCensus, Analyst, router, addr_of, [Analyst, C1, C2, C3, S1, S2]);
-    let analyst_metrics = Arc::clone(&metrics);
-    let analyst = std::thread::spawn(move || {
-        let endpoint = Endpoint::builder(Analyst)
-            .transport(TcpTransport::bind(Analyst, cfg).unwrap())
-            .layer(analyst_metrics)
-            .build();
+    let roles = vec![
+        client!(C1, SECRETS[0]),
+        client!(C2, SECRETS[1]),
+        client!(C3, SECRETS[2]),
+        server!(S1),
+        server!(S2),
+    ];
+    let (_, verdict) = cohort.run(roles, || {
+        let endpoint = cohort.endpoint(Analyst);
         let session = endpoint.session();
-        let out = session.epp_and_run(Lottery::<
-            Clients,
-            LotteryServers,
-            LotteryCensus,
-            _,
-            _,
-            _,
-            _,
-            _,
-            _,
-            _,
-        > {
-            secrets: &session.remote_faceted(Clients::new()),
-            tau: 300,
-            cheaters: &session.remote_faceted(LotteryServers::new()),
-            phantom: PhantomData,
-        });
+        let out = session.epp_and_run(lottery!(
+            &session.remote_faceted(Clients::new()),
+            &session.remote_faceted(LotteryServers::new())
+        ));
         session.unwrap(out)
     });
 
-    for h in handles {
-        h.join().unwrap();
-    }
-    let value = analyst.join().unwrap().expect("honest servers, so the lottery must not abort");
+    let value = verdict.expect("honest servers, so the lottery must not abort");
     assert!(
         SECRETS.contains(&value),
         "the analyst must reconstruct one of the client secrets, got {value}"
@@ -449,17 +382,10 @@ fn pooled_sessions_survive_real_socket_chaos() {
     const SESSIONS: u64 = 64;
     let seed = seed_base() + seed_offset("pooled_kvs");
     let router = Router::chaotic(seed);
-    let addrs = free_local_addrs(2).unwrap();
-    let addr_of = |name: &str| match name {
-        "Client" => addrs[0],
-        "Primary" => addrs[1],
-        _ => unreachable!("unknown location {name}"),
-    };
-    let client_cfg = cfg_for!(SimpleKvsCensus, Client, router, addr_of, [Client, Primary]);
-    let server_cfg = cfg_for!(SimpleKvsCensus, Primary, router, addr_of, [Client, Primary]);
+    let net = routed!(SimpleKvsCensus, router, [Client, Primary]);
     with_scenario_dump("pooled_kvs", seed, &router, || {
-        let client = Arc::new(Endpoint::new(TcpTransport::bind(Client, client_cfg).unwrap()));
-        let server = Arc::new(Endpoint::new(TcpTransport::bind(Primary, server_cfg).unwrap()));
+        let client = Arc::new(Endpoint::new(net.transport(Client)));
+        let server = Arc::new(Endpoint::new(net.transport(Primary)));
         let runtime = SessionRuntime::new(4);
         let store = SharedStore::new();
         let servers: Vec<_> = (0..SESSIONS)
