@@ -253,6 +253,23 @@ fn single_frame_larger_than_watermark_still_sends() {
 }
 
 #[test]
+fn a_links_first_failure_stays_its_failure() {
+    let inbox = Inbox::default();
+    let mut batch =
+        vec![(0, Envelope::new(1, 0, b"ok".to_vec())), (1, Envelope::new(1, 2, b"gap".to_vec()))];
+    inbox.deposit_batch("Alice", &mut batch);
+    assert_eq!(inbox.try_take(1, "Alice").unwrap().unwrap().payload, b"ok");
+    let first = inbox.try_take(1, "Alice").unwrap_err().to_string();
+    assert!(first.contains("frame from Alice in session 1 arrived out of order"), "got: {first}");
+    // A later batch skips link frames 2..9: a second failure, which must
+    // not replace the first.
+    let mut later = vec![(9, Envelope::new(2, 0, b"late".to_vec()))];
+    assert!(inbox.deposit_batch("Alice", &mut later).gap);
+    assert_eq!(inbox.try_take(1, "Alice").unwrap_err().to_string(), first);
+    assert_eq!(inbox.try_take(2, "Alice").unwrap_err().to_string(), first);
+}
+
+#[test]
 fn retention_reports_and_drains() {
     let addrs = free_local_addrs(2).unwrap();
     let cfg = TcpConfigBuilder::new()

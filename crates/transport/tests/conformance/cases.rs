@@ -13,10 +13,13 @@ use chorus_transport::TransportMetrics;
 use chorus_wire::Envelope;
 use std::sync::Arc;
 
-chorus_core::locations! { Alice, Bob }
+chorus_core::locations! { Alice, Bob, Carol }
 
 /// The two-party census every conformance instance runs over.
 pub type System = chorus_core::LocationSet!(Alice, Bob);
+/// The three-party census of the cases about one receiver's several
+/// links.
+pub type Trio = chorus_core::LocationSet!(Alice, Bob, Carol);
 
 /// Shorthand for the bounds a conformance transport pair must satisfy.
 pub trait AliceTransport: SessionTransport<System, Alice> + Send + Sync + 'static {}
@@ -313,6 +316,61 @@ pub fn try_receive_surfaces_link_failure(alice: impl AliceTransport, bob: impl B
         matches!(err, TransportError::Protocol(_)),
         "the failure must surface as a protocol error, got {err:?}"
     );
+}
+
+/// A link failure is final and reads the same everywhere: after a
+/// sequence gap, every session behind the link reads the one error, with
+/// the same text, on every read and through both receive paths — and a
+/// valid frame sent afterwards changes none of it.
+pub fn link_failure_is_final_and_shared(alice: impl AliceTransport, bob: impl BobTransport) {
+    alice.send_frame("Bob", frame(1, 0, b"ok")).unwrap();
+    alice.send_frame("Bob", frame(1, 2, b"gap")).unwrap();
+    assert_eq!(bob.receive_frame(1, "Alice").unwrap().payload, b"ok");
+    let failure = bob.receive_frame(1, "Alice").unwrap_err().to_string();
+    let read_everywhere = |when: &str| {
+        for session in 1..=3u64 {
+            for read in 0..2 {
+                let err = if read == 0 {
+                    bob.receive_frame(session, "Alice").unwrap_err()
+                } else {
+                    recv_eventually(&bob, session, "Alice").unwrap_err()
+                };
+                assert_eq!(err.to_string(), failure, "session {session}, read {read}, {when}");
+            }
+        }
+    };
+    read_everywhere("before the valid frame");
+    alice.send_frame("Bob", frame(2, 0, b"valid")).unwrap();
+    alice.send_frame("Bob", frame(1, 1, b"valid")).unwrap();
+    read_everywhere("after the valid frames");
+}
+
+/// One sender's failure is its own link's: with Alice→Bob poisoned by a
+/// sequence gap, Carol→Bob keeps delivering in order, and a waker for a
+/// Carol session still parks (`Ok(false)`) and fires on Carol's next
+/// deposit.
+pub fn failure_leaves_other_links_alone(
+    alice: impl SessionTransport<Trio, Alice>,
+    bob: impl SessionTransport<Trio, Bob>,
+    carol: impl SessionTransport<Trio, Carol>,
+) {
+    carol.send_frame("Bob", frame(1, 0, b"carol-0")).unwrap();
+    alice.send_frame("Bob", frame(1, 0, b"ok")).unwrap();
+    alice.send_frame("Bob", frame(1, 2, b"gap")).unwrap();
+    assert_eq!(bob.receive_frame(1, "Alice").unwrap().payload, b"ok");
+    assert!(matches!(bob.receive_frame(1, "Alice"), Err(TransportError::Protocol(_))));
+    carol.send_frame("Bob", frame(1, 1, b"carol-1")).unwrap();
+    assert_eq!(bob.receive_frame(1, "Carol").unwrap().payload, b"carol-0");
+    assert_eq!(bob.receive_frame(1, "Carol").unwrap().payload, b"carol-1");
+    let gate = Arc::new(WaitQueue::new(0));
+    assert!(
+        !bob.register_waker(2, "Carol", gate_waker(&gate)).unwrap(),
+        "Carol's link is healthy and session 2 is empty: the waker must park"
+    );
+    carol.send_frame("Bob", frame(2, 0, b"carol-s2")).unwrap();
+    wait_for_fires(&gate, 1);
+    assert_eq!(bob.try_receive_frame(2, "Carol").unwrap().unwrap().payload, b"carol-s2");
+    assert!(matches!(bob.try_receive_frame(2, "Alice"), Err(TransportError::Protocol(_))));
 }
 
 /// Per-(session, sender) FIFO holds when every receive goes through the

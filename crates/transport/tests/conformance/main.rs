@@ -109,6 +109,12 @@ macro_rules! conformance_suite {
             }
 
             #[test]
+            fn link_failure_is_final_and_shared() {
+                let (alice, bob) = $make;
+                cases::link_failure_is_final_and_shared(alice, bob);
+            }
+
+            #[test]
             fn try_receive_surfaces_link_failure() {
                 let (alice, bob) = $make;
                 cases::try_receive_surfaces_link_failure(alice, bob);
@@ -203,6 +209,51 @@ conformance_suite!(
     },
     true
 );
+
+/// The cases that need a receiver with more than one inbound link, over
+/// the three-party census `Trio`, on every transport.
+mod three_party {
+    use super::*;
+    use cases::{Carol, Trio};
+
+    #[test]
+    fn local_failure_leaves_other_links_alone() {
+        let channel = LocalTransportChannel::<Trio>::new();
+        cases::failure_leaves_other_links_alone(
+            LocalTransport::new(Alice, channel.clone()),
+            LocalTransport::new(Bob, channel.clone()),
+            LocalTransport::new(Carol, channel),
+        );
+    }
+
+    #[test]
+    fn tcp_failure_leaves_other_links_alone() {
+        let addrs = free_local_addrs(3).unwrap();
+        let config = TcpConfigBuilder::new()
+            .location(Alice, addrs[0])
+            .location(Bob, addrs[1])
+            .location(Carol, addrs[2])
+            .build::<Trio>()
+            .unwrap();
+        cases::failure_leaves_other_links_alone(
+            TcpTransport::bind(Alice, config.clone()).unwrap(),
+            TcpTransport::bind(Bob, config.clone()).unwrap(),
+            TcpTransport::bind(Carol, config).unwrap(),
+        );
+    }
+
+    #[test]
+    fn sim_failure_leaves_other_links_alone() {
+        let plan =
+            FaultPlan::ideal().with_seed(14).with_jitter(6).with_drop(0.15).with_duplicate(0.1);
+        let net = SimNet::<Trio>::new(plan);
+        cases::failure_leaves_other_links_alone(
+            SimTransport::new(Alice, net.clone()),
+            SimTransport::new(Bob, net.clone()),
+            SimTransport::new(Carol, net),
+        );
+    }
+}
 
 /// Determinism pins for the simulated network — the property the chaos
 /// tests and CI replay workflow stand on.
