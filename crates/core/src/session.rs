@@ -108,7 +108,7 @@ where
         // Hold the counter lock across the transport send: a session is
         // one sequential run, but `Session` is `Sync`, and a session
         // shared across threads must still put frames on the wire in
-        // sequence order or the receiver's tracker poisons the link for
+        // sequence order or the receiver's sequence check fails the link for
         // every session behind that sender.
         let mut seqs = self.seqs.lock().expect("session sequence counters poisoned");
         self.endpoint.stamp_and_send(self.id, &mut seqs, to, payload)

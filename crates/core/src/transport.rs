@@ -285,114 +285,12 @@ impl InternedNames {
     }
 }
 
-/// Tracks per-(session, sender) expected sequence numbers and rejects
-/// regressions.
-///
-/// A sequence restart (an incoming `seq` of zero) is accepted and resets
-/// the expectation: it marks a fresh run reusing the same session id on
-/// a long-lived transport, as consecutive
-/// [`Endpoint::session_with_id`](crate::Endpoint::session_with_id)
-/// calls with one id do.
-#[derive(Debug, Default)]
-pub struct SequenceTracker {
-    next: std::collections::HashMap<(SessionId, &'static str), u64>,
-}
-
-impl SequenceTracker {
-    /// Creates an empty tracker.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Validates `seq` as the next frame of `(session, from)`.
-    ///
-    /// `from` is the *interned* location name (the `&'static str` a
-    /// transport resolved once from its census), so the per-message
-    /// bookkeeping allocates nothing.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError::Protocol`] if `seq` is neither the
-    /// expected next sequence number nor a restart at zero.
-    pub fn check(
-        &mut self,
-        session: SessionId,
-        from: &'static str,
-        seq: u64,
-    ) -> Result<(), TransportError> {
-        let expected = self.next.entry((session, from)).or_insert(0);
-        if seq == *expected || seq == 0 {
-            *expected = seq + 1;
-            Ok(())
-        } else {
-            Err(TransportError::Protocol(format!(
-                "frame from {from} in session {session} arrived out of order: \
-                 expected seq {expected}, got {seq}"
-            )))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     crate::locations! { Alpha, Beta }
     type Census = crate::LocationSet!(Alpha, Beta);
-
-    #[test]
-    fn tracker_accepts_an_in_order_stream() {
-        let mut tracker = SequenceTracker::new();
-        for seq in 0..5 {
-            tracker.check(1, "Alpha", seq).expect("in-order frames are fine");
-        }
-    }
-
-    #[test]
-    fn tracker_rejects_a_duplicate() {
-        let mut tracker = SequenceTracker::new();
-        tracker.check(1, "Alpha", 0).unwrap();
-        tracker.check(1, "Alpha", 1).unwrap();
-        // Replaying seq 1 is neither the expected 2 nor a restart at 0.
-        let err = tracker.check(1, "Alpha", 1).unwrap_err();
-        assert!(matches!(err, TransportError::Protocol(_)));
-        assert!(err.to_string().contains("expected seq 2, got 1"), "got: {err}");
-    }
-
-    #[test]
-    fn tracker_rejects_a_gap() {
-        let mut tracker = SequenceTracker::new();
-        tracker.check(7, "Beta", 0).unwrap();
-        let err = tracker.check(7, "Beta", 2).unwrap_err();
-        assert!(matches!(err, TransportError::Protocol(_)));
-        assert!(err.to_string().contains("expected seq 1, got 2"), "got: {err}");
-    }
-
-    #[test]
-    fn tracker_keeps_interleaved_sessions_independent() {
-        let mut tracker = SequenceTracker::new();
-        // Two sessions and two senders interleave on one tracker; each
-        // (session, sender) stream keeps its own expectation.
-        tracker.check(1, "Alpha", 0).unwrap();
-        tracker.check(2, "Alpha", 0).unwrap();
-        tracker.check(1, "Beta", 0).unwrap();
-        tracker.check(1, "Alpha", 1).unwrap();
-        tracker.check(2, "Alpha", 1).unwrap();
-        tracker.check(1, "Beta", 1).unwrap();
-        // A violation in session 2 does not disturb session 1.
-        assert!(tracker.check(2, "Alpha", 5).is_err());
-        tracker.check(1, "Alpha", 2).unwrap();
-    }
-
-    #[test]
-    fn tracker_accepts_a_restart_at_zero() {
-        let mut tracker = SequenceTracker::new();
-        tracker.check(1, "Alpha", 0).unwrap();
-        tracker.check(1, "Alpha", 1).unwrap();
-        // A fresh run reusing the session id restarts at zero.
-        tracker.check(1, "Alpha", 0).unwrap();
-        tracker.check(1, "Alpha", 1).unwrap();
-    }
 
     #[test]
     fn link_down_display_names_edge_budget_and_elapsed() {

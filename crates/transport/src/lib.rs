@@ -40,6 +40,7 @@ mod cohort;
 mod faulty;
 mod link;
 mod local;
+mod mailboxes;
 mod metrics;
 mod sim;
 mod tcp;

@@ -7,13 +7,14 @@
 //! happens in-process, and the payload the receiver observes is the
 //! very buffer the sender serialized (shared, not copied).
 
+use crate::mailboxes::Mailboxes;
 use chorus_core::park::WaitQueue;
 use chorus_core::{
-    ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SequenceTracker, SessionId,
-    SessionTransport, Transport, TransportError, RAW_SESSION,
+    ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SessionId, SessionTransport,
+    Transport, TransportError, RAW_SESSION,
 };
 use chorus_wire::Envelope;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::{Arc, Mutex};
 
@@ -31,27 +32,9 @@ const RECV_SPIN_LIMIT: u32 = 128;
 /// park/wake costs two futex transitions.
 const RECV_YIELD_LIMIT: u32 = 32;
 
-/// One directed link's state: per-session FIFO mailboxes of structured
-/// frames, parked on via the core park/wake shim.
-type LinkState = WaitQueue<LinkInner>;
-
-#[derive(Default)]
-struct LinkInner {
-    /// Per-session FIFO mailboxes. Senders deposit directly (after
-    /// sequence validation); receivers only ever pop.
-    mailboxes: HashMap<SessionId, VecDeque<Envelope>>,
-    /// Per-session sequence validation.
-    sequences: SequenceTracker,
-    /// A protocol violation that poisoned the whole link. Every current
-    /// and future receiver sees it, not just the session whose frame
-    /// was bad.
-    dead: Option<String>,
-    /// Readiness wakers parked on empty mailboxes by the pooled session
-    /// runtime: at most one per session, removed (and fired, outside
-    /// the lock) when a frame for that session is deposited, drained
-    /// wholesale when the link dies.
-    wakers: HashMap<SessionId, MailboxWaker>,
-}
+/// One directed link's state: its receive side, which senders deposit
+/// into directly and receivers park on via the core park/wake shim.
+type LinkState = WaitQueue<Mailboxes>;
 
 /// The shared fabric connecting every pair of locations in `L`.
 ///
@@ -153,44 +136,19 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     fn send_frame(&self, to: &str, frame: Envelope) -> Result<(), TransportError> {
         let to = self.names.resolve(to)?;
         let link = self.link(Target::NAME, to)?;
-        let mut inner = link.lock();
+        let mut boxes = link.lock();
         // Sequence-check and demultiplex at the sender, under the link
         // lock: frames land in their session mailbox fully structured,
-        // sharing the sender's payload buffer. A violation poisons the
-        // link for every receiver, and frames sent after the poison are
-        // withheld — every session on the link sees the error, exactly
-        // as when demultiplexing stopped at the first bad frame. (The
-        // send itself still reports `Ok`; the error surfaces at the
-        // receivers.)
-        let mut fired = None;
-        let mut all_fired = Vec::new();
-        if inner.dead.is_none() {
-            match inner.sequences.check(frame.session, Target::NAME, frame.seq) {
-                Ok(()) => {
-                    let session = frame.session;
-                    inner.mailboxes.entry(session).or_default().push_back(frame);
-                    // `remove` hands the parked waker out without
-                    // allocating; it is invoked outside the lock (a waker
-                    // re-enqueues into a scheduler queue, and calling it
-                    // under the mailbox lock invites ordering deadlocks).
-                    fired = inner.wakers.remove(&session);
-                }
-                Err(e) => {
-                    inner.dead = Some(e.to_string());
-                    // The whole link is now an error state every session
-                    // observes: every parked session is ready.
-                    all_fired.extend(inner.wakers.drain().map(|(_, waker)| waker));
-                }
-            }
-        }
-        drop(inner);
+        // sharing the sender's payload buffer. A violation fails the
+        // link for every receiver. (The send itself still reports `Ok`;
+        // the error surfaces at the receivers.)
+        let (fired, all_fired) = match boxes.deposit(Target::NAME, frame) {
+            Ok(waker) => (waker, Vec::new()),
+            Err(e) => (None, boxes.fail(format!("link from {} is down: {e}", Target::NAME))),
+        };
+        drop(boxes);
         link.notify_all();
-        if let Some(waker) = fired {
-            waker();
-        }
-        for waker in all_fired {
-            waker();
-        }
+        fired.into_iter().chain(all_fired).for_each(|waker| waker());
         Ok(())
     }
 
@@ -198,34 +156,27 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         let from = self.names.resolve(from)?;
         let link = self.link(from, Target::NAME)?;
         let mut spins = 0u32;
-        let mut inner = link.lock();
+        let mut boxes = link.lock();
         loop {
-            if let Some(envelope) = inner.mailboxes.get_mut(&session).and_then(VecDeque::pop_front)
-            {
+            if let Some(envelope) = boxes.pop(session)? {
                 return Ok(envelope);
-            }
-            if let Some(reason) = &inner.dead {
-                link.notify_all();
-                return Err(TransportError::Protocol(format!(
-                    "link from {from} is down: {reason}"
-                )));
             }
             if spins < self.spin_limit {
                 // Briefly poll before escalating: drop the lock so the
                 // sender can deposit, give the core a breather, retry.
                 spins += 1;
-                drop(inner);
+                drop(boxes);
                 std::hint::spin_loop();
-                inner = link.lock();
+                boxes = link.lock();
             } else if spins < self.spin_limit + RECV_YIELD_LIMIT {
                 // Hand the core to a runnable sender; far cheaper than a
                 // park/wake when the reply is about to arrive.
                 spins += 1;
-                drop(inner);
+                drop(boxes);
                 std::thread::yield_now();
-                inner = link.lock();
+                boxes = link.lock();
             } else {
-                inner = link.wait(inner);
+                boxes = link.wait(boxes);
             }
         }
     }
@@ -236,15 +187,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         from: &str,
     ) -> Result<Option<Envelope>, TransportError> {
         let from = self.names.resolve(from)?;
-        let link = self.link(from, Target::NAME)?;
-        let mut inner = link.lock();
-        if let Some(envelope) = inner.mailboxes.get_mut(&session).and_then(VecDeque::pop_front) {
-            return Ok(Some(envelope));
-        }
-        if let Some(reason) = &inner.dead {
-            return Err(TransportError::Protocol(format!("link from {from} is down: {reason}")));
-        }
-        Ok(None)
+        self.link(from, Target::NAME)?.lock().pop(session)
     }
 
     fn register_waker(
@@ -254,17 +197,9 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         waker: MailboxWaker,
     ) -> Result<bool, TransportError> {
         let from = self.names.resolve(from)?;
-        let link = self.link(from, Target::NAME)?;
-        let mut inner = link.lock();
         // Ready-check and registration under the one link lock senders
         // deposit under: a frame can never slip between them.
-        let ready = inner.dead.is_some()
-            || inner.mailboxes.get(&session).is_some_and(|mailbox| !mailbox.is_empty());
-        if ready {
-            return Ok(true);
-        }
-        inner.wakers.insert(session, waker);
-        Ok(false)
+        Ok(self.link(from, Target::NAME)?.lock().register(session, waker))
     }
 }
 

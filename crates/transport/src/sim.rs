@@ -53,14 +53,15 @@
 //! virtual-time order — as text; CI jobs attach it as an artifact so a
 //! failing seed replays locally with nothing but the seed.
 
+use crate::mailboxes::Mailboxes;
 use chorus_core::park::{self, WaitQueue};
 use chorus_core::{
-    ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SequenceTracker, SessionId,
-    SessionTransport, Transport, TransportError, RAW_SESSION,
+    ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SessionId, SessionTransport,
+    Transport, TransportError, RAW_SESSION,
 };
 use chorus_wire::Envelope;
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
@@ -479,18 +480,9 @@ struct SimLink {
     sent: u64,
     /// Link-local virtual time: the latest arrival tick logged.
     now: u64,
-    /// Per-session mailboxes, each in the order its sender offered.
-    mailboxes: HashMap<SessionId, VecDeque<Envelope>>,
-    /// Sender-side stream validation; a violation kills the link.
-    sequences: SequenceTracker,
-    /// Set when a sequence violation killed the link.
-    dead: Option<String>,
-    /// Set when the poison plan fired, to the poison step.
-    poisoned: Option<u64>,
-    /// Readiness wakers parked on empty mailboxes by the pooled session
-    /// runtime. A deposit fires its own session's waker; a link-state
-    /// change (dead, poisoned, silenced) fires them all.
-    wakers: HashMap<SessionId, MailboxWaker>,
+    /// The receive side, filled in offer order at the send site. A
+    /// sequence violation or the poison plan fails it.
+    boxes: Mailboxes,
     /// Send-side schedule log, in frame order.
     sends: Vec<SimEvent>,
     /// Delivery log, in frame order; [`SimNet::events`] sorts it into
@@ -498,12 +490,11 @@ struct SimLink {
     deliveries: Vec<SimEvent>,
 }
 
-/// Announces a link-state change every session behind the link can
-/// observe: releases the lock, wakes every blocked receiver and fires
-/// every parked waker (outside the lock — a waker re-enqueues into a
-/// scheduler queue).
-fn wake_every_session(wq: &WaitQueue<SimLink>, mut link: MutexGuard<'_, SimLink>) {
-    let fired: Vec<MailboxWaker> = link.wakers.drain().map(|(_, w)| w).collect();
+/// Fails the link with `message`, then releases the lock, wakes every
+/// blocked receiver and fires every parked waker (outside the lock — a
+/// waker re-enqueues into a scheduler queue).
+fn fail_link(wq: &WaitQueue<SimLink>, mut link: MutexGuard<'_, SimLink>, message: String) {
+    let fired = link.boxes.fail(message);
     drop(link);
     wq.notify_all();
     for waker in fired {
@@ -707,25 +698,17 @@ impl<L: LocationSet, Target: ChoreographyLocation> SimTransport<L, Target> {
 
     /// One non-blocking look at `session`'s mailbox on `from → Target`:
     /// the next queued frame, else the link's failure if it has one
-    /// (frames queued before a failure drain first; dead outranks
-    /// poisoned outranks silenced), else `None`.
+    /// (frames queued before a failure drain first; a failure outranks
+    /// silence), else `None`.
     fn poll_mailbox(
         &self,
         link: &mut SimLink,
         session: SessionId,
         from: &'static str,
     ) -> Result<Option<Envelope>, TransportError> {
-        if let Some(env) = link.mailboxes.get_mut(&session).and_then(VecDeque::pop_front) {
+        if let Some(env) = link.boxes.pop(session)? {
             self.net.shared.received.fetch_add(1, Ordering::Relaxed);
             return Ok(Some(env));
-        }
-        if let Some(reason) = &link.dead {
-            return Err(TransportError::Protocol(format!("link from {from} is down: {reason}")));
-        }
-        if let Some(step) = link.poisoned {
-            return Err(TransportError::Protocol(format!(
-                "link from {from} poisoned at frame {step}: subsequent frames withheld"
-            )));
         }
         let to = Target::NAME;
         if self.net.shared.plan.silenced(from, to) {
@@ -753,34 +736,35 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         let (session, seq) = (frame.session, frame.seq);
         let event = |arrival, kind| SimEvent { from, to, frame: k, session, seq, arrival, kind };
 
-        // A link that already died (sequence violation) or got poisoned
+        // A link that already failed (sequence violation or poison)
         // withholds everything; as with `LocalTransport`, the send
         // itself reports `Ok` and the error surfaces at the receivers.
-        if link.dead.is_some() || link.poisoned.is_some() {
+        if link.boxes.failed() {
             link.sends.push(event(0, SimEventKind::Withheld));
             return Ok(());
         }
-        if let Err(e) = link.sequences.check(session, from, seq) {
-            link.dead = Some(e.to_string());
+        if let Err(e) = link.boxes.admit(from, session, seq) {
             link.sends.push(event(0, SimEventKind::Withheld));
-            wake_every_session(wq, link);
+            fail_link(wq, link, format!("link from {from} is down: {e}"));
             return Ok(());
         }
         if let Some(poison) = &plan.poison {
             if edge_matches(poison.from, poison.to, from, to) && k >= poison.after {
-                link.poisoned = Some(poison.after);
                 link.sends.push(event(0, SimEventKind::Withheld));
-                wake_every_session(wq, link);
+                let step = poison.after;
+                let message = format!(
+                    "link from {from} poisoned at frame {step}: subsequent frames withheld"
+                );
+                fail_link(wq, link, message);
                 return Ok(());
             }
         }
         // Selective silence: the frame is logged and dropped forever.
-        // Receivers learn of the silence eagerly (the plan is global
-        // knowledge), so wakers still fire and parked sessions resolve
-        // with a protocol error instead of a watchdog timeout.
+        // Receivers learn of the silence from the plan itself, so no
+        // receive on this link ever blocks or parks a waker, and there
+        // is nobody to wake.
         if plan.silenced(from, to) {
             link.sends.push(event(0, SimEventKind::Silenced));
-            wake_every_session(wq, link);
             return Ok(());
         }
         // Adversarial corruption: flip one payload bit, in a fresh
@@ -802,8 +786,8 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
                 duplicated: schedule.duplicate.is_some(),
             },
         ));
-        // Admission. `sequences.check` above accepted the frame as the
-        // next of its stream (or a restart at zero), so it joins its
+        // Admission. `boxes.admit` above accepted the frame as the next
+        // of its stream (or a restart at zero), so it joins its
         // session's mailbox in offer order whatever its arrival tick:
         // the schedule orders the *log*, never delivery. A duplicate is
         // scheduled strictly after its original and discarded.
@@ -813,10 +797,9 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
             link.deliveries.push(event(duplicate, SimEventKind::DuplicateDropped));
             link.now = link.now.max(duplicate);
         }
-        link.mailboxes.entry(session).or_default().push_back(frame);
         // Only this session's mailbox gained a frame, so only its waker
         // fires — outside the lock, like every waker.
-        let fired = link.wakers.remove(&session);
+        let fired = link.boxes.queue(frame);
         drop(link);
         wq.notify_all();
         if let Some(waker) = fired {
@@ -831,13 +814,12 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         let started = Instant::now();
         let deadline = started + self.net.shared.plan.watchdog;
         let mut link = wq.lock();
+        let mut timed_out = false;
         loop {
             if let Some(env) = self.poll_mailbox(&mut link, session, from)? {
                 return Ok(env);
             }
-            let (guard, timed_out) = wq.wait_deadline(link, deadline);
-            link = guard;
-            if timed_out && link.mailboxes.get(&session).is_none_or(VecDeque::is_empty) {
+            if timed_out {
                 return Err(TransportError::Protocol(format!(
                     "sim watchdog: no frame of session {session} from {from} after {}ms \
                      (configured deadline {}ms; schedule stalled or sender never sent)",
@@ -845,6 +827,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
                     self.net.shared.plan.watchdog.as_millis()
                 )));
             }
+            (link, timed_out) = wq.wait_deadline(link, deadline);
         }
     }
 
@@ -867,19 +850,13 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     ) -> Result<bool, TransportError> {
         let from = self.names.resolve(from)?;
         let wq = self.link(from, Target::NAME)?;
-        let mut link = wq.lock();
-        // Ready-check and registration under the one link lock senders
-        // deposit under: a frame can never slip between them. A failed
-        // link is ready too (the error is there to observe).
-        let ready = link.dead.is_some()
-            || link.poisoned.is_some()
-            || self.net.shared.plan.silenced(from, Target::NAME)
-            || link.mailboxes.get(&session).is_some_and(|mailbox| !mailbox.is_empty());
-        if ready {
+        // A silenced link is ready: its error is there to observe.
+        if self.net.shared.plan.silenced(from, Target::NAME) {
             return Ok(true);
         }
-        link.wakers.insert(session, waker);
-        Ok(false)
+        // Ready-check and registration under the one link lock senders
+        // deposit under: a frame can never slip between them.
+        Ok(wq.lock().boxes.register(session, waker))
     }
 }
 

@@ -1,11 +1,12 @@
-//! The receive side's shared state: per-(sender, session) mailboxes,
-//! the per-sender link cursor that dedups replays and detects gaps,
-//! poisoned-link errors, and the wakers parked on empty mailboxes.
+//! The receive side's shared state: one [`Mailboxes`] table per sender,
+//! next to that sender's link cursor, which dedups replays and detects
+//! gaps.
 
-use chorus_core::{park, MailboxWaker, SequenceTracker, SessionId, TransportError};
+use crate::mailboxes::Mailboxes;
+use chorus_core::{park, MailboxWaker, SessionId, TransportError};
 use chorus_wire::Envelope;
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex as StdMutex};
+use std::collections::HashMap;
+use std::sync::{Condvar, Mutex as StdMutex, MutexGuard};
 use std::time::Instant;
 
 /// What the link layer made of one deposited batch of data frames.
@@ -24,54 +25,32 @@ pub(super) struct BatchOutcome {
 /// The demultiplexed receive side shared by all reader threads.
 #[derive(Default)]
 pub(super) struct Inbox {
-    inner: StdMutex<InboxInner>,
+    /// Per-sender state, keyed by interned sender names so per-frame
+    /// routing allocates nothing.
+    links: StdMutex<HashMap<&'static str, InboundLink>>,
     cv: Condvar,
 }
 
 #[derive(Default)]
-struct InboxInner {
-    /// Per-(sender, session) FIFO mailboxes, keyed by interned sender
-    /// names so per-frame routing allocates nothing.
-    mailboxes: HashMap<(&'static str, SessionId), VecDeque<Envelope>>,
-    /// Per-(session, sender) sequence validation.
-    sequences: SequenceTracker,
-    /// Per-sender link cursor: the next link sequence expected,
-    /// persisted across connections (the heart of resumption — a
-    /// reconnecting sender is told exactly where to replay from).
-    cursors: HashMap<&'static str, u64>,
-    /// Senders whose stream is poisoned for good (a link cursor gap, a
-    /// session sequence violation, an undecodable frame), with the
-    /// error every session on that link observes. A connection merely
-    /// ending is not recorded here: the sender reconnects and resumes.
-    closed: HashMap<&'static str, String>,
-    /// Readiness wakers parked on empty mailboxes by the pooled session
-    /// runtime: at most one per (sender, session) mailbox, removed and
-    /// fired (outside the lock) when that mailbox gains a frame, drained
-    /// per sender when its connection ends.
-    wakers: HashMap<(&'static str, SessionId), MailboxWaker>,
+struct InboundLink {
+    /// The next link sequence expected, persisted across connections
+    /// (the heart of resumption — a reconnecting sender is told exactly
+    /// where to replay from).
+    cursor: u64,
+    /// The sender's session mailboxes. The link fails for good on a
+    /// cursor gap, a session sequence violation or an undecodable frame;
+    /// a connection merely ending is no failure (the sender reconnects
+    /// and resumes).
+    boxes: Mailboxes,
 }
 
-impl InboxInner {
-    /// Pops the next deliverable frame of `session` from `sender`;
-    /// with the mailbox drained, a poisoned link is the error.
-    fn pop(
-        &mut self,
-        session: SessionId,
-        sender: &'static str,
-    ) -> Result<Option<Envelope>, TransportError> {
-        if let Some(envelope) =
-            self.mailboxes.get_mut(&(sender, session)).and_then(VecDeque::pop_front)
-        {
-            return Ok(Some(envelope));
-        }
-        match self.closed.get(sender) {
-            Some(message) => Err(TransportError::Protocol(message.clone())),
-            None => Ok(None),
-        }
-    }
-}
+type Links<'a> = MutexGuard<'a, HashMap<&'static str, InboundLink>>;
 
 impl Inbox {
+    fn lock(&self) -> Links<'_> {
+        self.links.lock().expect("tcp inbox poisoned")
+    }
+
     /// Routes one decoded burst of data frames from `sender` through
     /// link-level dedup/gap detection and into their session mailboxes,
     /// under a single inbox lock.
@@ -87,50 +66,39 @@ impl Inbox {
     ) -> BatchOutcome {
         let mut outcome = BatchOutcome::default();
         let mut fired: Vec<MailboxWaker> = Vec::new();
-        let mut inner = self.inner.lock().expect("tcp inbox poisoned");
+        let mut links = self.lock();
+        let link = links.entry(sender).or_default();
         for (link_seq, envelope) in batch.drain(..) {
-            let cursor = inner.cursors.entry(sender).or_insert(0);
-            if link_seq < *cursor {
+            if link_seq < link.cursor {
                 // A replay of something already delivered: the sender
                 // reconnected before our ack covering this frame
                 // reached it.
                 outcome.duplicates += 1;
                 continue;
             }
-            if link_seq > *cursor {
+            if link_seq > link.cursor {
                 // Frames below `link_seq` are gone for good (this
                 // receiver restarted and lost its cursor behind a live
                 // sender). Poison the link rather than let a session
                 // see a silently shortened stream.
-                let message = format!(
-                    "link-layer sequence gap from {sender}: expected frame {cursor}, got \
-                     {link_seq} (frames lost on a dead connection)"
-                );
-                inner.closed.insert(sender, message);
-                fired.extend(drain_sender_wakers(&mut inner.wakers, sender));
+                fired.extend(link.boxes.fail(format!(
+                    "link-layer sequence gap from {sender}: expected frame {}, got \
+                     {link_seq} (frames lost on a dead connection)",
+                    link.cursor
+                )));
                 outcome.gap = true;
                 break;
             }
-            *cursor += 1;
+            link.cursor += 1;
             outcome.accepted += 1;
             // A sender that violated its session sequencing is
-            // unrecoverable: consume the frame at the link level (so
-            // the sender's retention queue drains) but withhold it from
+            // unrecoverable: the frame is consumed at the link level (so
+            // the sender's retention queue drains) but withheld from
             // every session, which observes the protocol error instead
             // of a silently resumed stream.
-            if inner.closed.contains_key(sender) {
-                continue;
-            }
-            match inner.sequences.check(envelope.session, sender, envelope.seq) {
-                Ok(()) => {
-                    let session = envelope.session;
-                    inner.mailboxes.entry((sender, session)).or_default().push_back(envelope);
-                    fired.extend(inner.wakers.remove(&(sender, session)));
-                }
-                Err(e) => {
-                    inner.closed.insert(sender, e.to_string());
-                    fired.extend(drain_sender_wakers(&mut inner.wakers, sender));
-                }
+            match link.boxes.deposit(sender, envelope) {
+                Ok(waker) => fired.extend(waker),
+                Err(e) => fired.extend(link.boxes.fail(e.to_string())),
             }
         }
         if outcome.accepted > 0 || outcome.gap {
@@ -138,7 +106,7 @@ impl Inbox {
         }
         // Wakers re-enqueue sessions into a scheduler queue; invoke them
         // outside the inbox lock to avoid ordering deadlocks.
-        drop(inner);
+        drop(links);
         for waker in fired {
             waker();
         }
@@ -148,19 +116,17 @@ impl Inbox {
     /// The next link sequence expected of `sender` — the cumulative-ack
     /// and resume cursor.
     pub(super) fn link_cursor(&self, sender: &'static str) -> u64 {
-        let mut inner = self.inner.lock().expect("tcp inbox poisoned");
-        *inner.cursors.entry(sender).or_insert(0)
+        self.lock().get(sender).map_or(0, |link| link.cursor)
     }
 
     /// Poisons `sender`'s link with `error` (the first error wins).
     pub(super) fn close(&self, sender: &'static str, error: String) {
-        let mut inner = self.inner.lock().expect("tcp inbox poisoned");
-        inner.closed.entry(sender).or_insert(error);
+        let mut links = self.lock();
         // A closed link is an observable (error) state for every session
         // parked on it: fire them all.
-        let fired = drain_sender_wakers(&mut inner.wakers, sender);
+        let fired = links.entry(sender).or_default().boxes.fail(error);
         self.cv.notify_all();
-        drop(inner);
+        drop(links);
         for waker in fired {
             waker();
         }
@@ -173,7 +139,7 @@ impl Inbox {
         session: SessionId,
         sender: &'static str,
     ) -> Result<Option<Envelope>, TransportError> {
-        self.inner.lock().expect("tcp inbox poisoned").pop(session, sender)
+        pop(&mut self.lock(), session, sender)
     }
 
     /// Parks `waker` on the (sender, session) mailbox, or reports the
@@ -186,14 +152,7 @@ impl Inbox {
         sender: &'static str,
         waker: MailboxWaker,
     ) -> Result<bool, TransportError> {
-        let mut inner = self.inner.lock().expect("tcp inbox poisoned");
-        let ready = inner.closed.contains_key(sender)
-            || inner.mailboxes.get(&(sender, session)).is_some_and(|mailbox| !mailbox.is_empty());
-        if ready {
-            return Ok(true);
-        }
-        inner.wakers.insert((sender, session), waker);
-        Ok(false)
+        Ok(self.lock().entry(sender).or_default().boxes.register(session, waker))
     }
 
     /// Blocks until a frame of `session` from `sender` arrives, bounded
@@ -207,9 +166,9 @@ impl Inbox {
     ) -> Result<Envelope, TransportError> {
         let watchdog = park::default_watchdog();
         let started = Instant::now();
-        let mut inner = self.inner.lock().expect("tcp inbox poisoned");
+        let mut links = self.lock();
         loop {
-            if let Some(envelope) = inner.pop(session, sender)? {
+            if let Some(envelope) = pop(&mut links, session, sender)? {
                 return Ok(envelope);
             }
             let waited = started.elapsed();
@@ -222,20 +181,18 @@ impl Inbox {
                 )));
             };
             let (guard, _timed_out) =
-                self.cv.wait_timeout(inner, remaining).expect("tcp inbox poisoned");
-            inner = guard;
+                self.cv.wait_timeout(links, remaining).expect("tcp inbox poisoned");
+            links = guard;
         }
     }
 }
 
-/// Removes every waker parked on `sender`'s mailboxes, for firing once
-/// the inbox lock is released. The map is typically tiny here (the
-/// link just died), so the linear scan is fine.
-fn drain_sender_wakers(
-    wakers: &mut HashMap<(&'static str, SessionId), MailboxWaker>,
+/// Pops the next deliverable frame of `session` from `sender`; with the
+/// mailbox drained, a failed link is the error.
+fn pop(
+    links: &mut Links<'_>,
+    session: SessionId,
     sender: &'static str,
-) -> Vec<MailboxWaker> {
-    let keys: Vec<(&'static str, SessionId)> =
-        wakers.keys().filter(|(s, _)| *s == sender).copied().collect();
-    keys.into_iter().filter_map(|key| wakers.remove(&key)).collect()
+) -> Result<Option<Envelope>, TransportError> {
+    links.get_mut(sender).map_or(Ok(None), |link| link.boxes.pop(session))
 }

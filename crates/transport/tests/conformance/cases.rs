@@ -488,7 +488,7 @@ pub fn multi_session_metrics_parity<TA: AliceTransport, TB: BobTransport>(
 
 /// Sequential session reuse survives a link disruption: a session id
 /// whose first run completed is reused (sequence restarting at zero,
-/// per the tracker's restart rule) and keeps working even though the
+/// per the receive side's restart rule) and keeps working even though the
 /// underlying connection was dropped and re-established in between —
 /// and again with frames in flight, so the resilient TCP link must
 /// replay its unacked tail across the reconnect. `disrupt` is

@@ -1,8 +1,9 @@
 //! The transport conformance suite: one macro-driven battery asserting
 //! the [`chorus_core::SessionTransport`] contract — per-(session,
 //! sender) FIFO, independent cross-session interleaving, sequence-gap
-//! detection, poisoned-link withholding, and multi-session metrics
-//! parity — instantiated against every transport in the workspace:
+//! detection, poisoned-link withholding, one final failure every session
+//! reads alike, and multi-session metrics parity — instantiated against
+//! every transport in the workspace:
 //!
 //! * [`LocalTransport`] — in-process queues;
 //! * [`TcpTransport`] — real sockets on loopback;
@@ -10,8 +11,10 @@
 //!   a *hostile* fault plan (jitter, drops, duplicates) to show the
 //!   contract survives adverse schedules, not just quiet ones.
 //!
-//! The sim-only module at the bottom pins the determinism guarantee:
-//! one seed, one delivery schedule, bit for bit.
+//! `three_party` runs the one case that needs a receiver with two
+//! inbound links: a failure on one leaves the other alone. The sim-only
+//! module at the bottom pins the determinism guarantee: one seed, one
+//! delivery schedule, bit for bit.
 
 mod cases;
 
