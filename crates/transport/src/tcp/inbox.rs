@@ -44,10 +44,8 @@ struct InboundLink {
     boxes: Mailboxes,
 }
 
-type Links<'a> = MutexGuard<'a, HashMap<&'static str, InboundLink>>;
-
 impl Inbox {
-    fn lock(&self) -> Links<'_> {
+    fn lock(&self) -> MutexGuard<'_, HashMap<&'static str, InboundLink>> {
         self.links.lock().expect("tcp inbox poisoned")
     }
 
@@ -139,7 +137,7 @@ impl Inbox {
         session: SessionId,
         sender: &'static str,
     ) -> Result<Option<Envelope>, TransportError> {
-        pop(&mut self.lock(), session, sender)
+        self.lock().entry(sender).or_default().boxes.pop(session)
     }
 
     /// Parks `waker` on the (sender, session) mailbox, or reports the
@@ -168,7 +166,7 @@ impl Inbox {
         let started = Instant::now();
         let mut links = self.lock();
         loop {
-            if let Some(envelope) = pop(&mut links, session, sender)? {
+            if let Some(envelope) = links.entry(sender).or_default().boxes.pop(session)? {
                 return Ok(envelope);
             }
             let waited = started.elapsed();
@@ -185,14 +183,4 @@ impl Inbox {
             links = guard;
         }
     }
-}
-
-/// Pops the next deliverable frame of `session` from `sender`; with the
-/// mailbox drained, a failed link is the error.
-fn pop(
-    links: &mut Links<'_>,
-    session: SessionId,
-    sender: &'static str,
-) -> Result<Option<Envelope>, TransportError> {
-    links.get_mut(sender).map_or(Ok(None), |link| link.boxes.pop(session))
 }
