@@ -142,7 +142,9 @@ where
     ///
     /// All participants of one choreography run must use the same id.
     /// Running two simultaneous sessions with the same id over one
-    /// endpoint corrupts both; sequential reuse is fine.
+    /// endpoint corrupts both; sequential reuse is fine. Dropping the
+    /// session closes it: its receive-side state is reclaimed, and the
+    /// id's next run starts a fresh stream at seq 0.
     pub fn session_with_id(&self, id: SessionId) -> Session<'_, TL, Target, T> {
         Session::new(self, id)
     }

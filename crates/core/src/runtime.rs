@@ -203,6 +203,7 @@ trait CxOps: Send {
         from: &'static str,
         waker: &MailboxWaker,
     ) -> Result<bool, TransportError>;
+    fn close(&self);
 }
 
 struct TypedOps<TL, Target, T>
@@ -252,6 +253,10 @@ where
         waker: &MailboxWaker,
     ) -> Result<bool, TransportError> {
         self.endpoint.transport().register_waker(self.id, from, Arc::clone(waker))
+    }
+
+    fn close(&self) {
+        self.endpoint.transport().close_session(self.id);
     }
 }
 
@@ -639,17 +644,23 @@ impl SessionRuntime {
         let mut parked_since: Option<Instant> = None;
         let watchdog = self.shared.watchdog;
 
-        // Packages the one-shot completion as a deferred thunk; the
-        // worker runs it after reclaiming the task's slab slot.
-        fn deferred<V, F>(
+        // Resolves the task: closes the session on its transport, so
+        // neither its mailboxes nor a parked waker outlive it, and
+        // packages the one-shot completion as a deferred thunk, which
+        // the worker runs after reclaiming the task's slab slot.
+        fn resolve<V, F>(
+            ops: &dyn CxOps,
             complete: &mut Option<F>,
             result: Result<V, TransportError>,
-        ) -> Option<Box<dyn FnOnce() + Send>>
+        ) -> PollOutcome
         where
             V: Send + 'static,
             F: FnOnce(Result<V, TransportError>) + Send + 'static,
         {
-            complete.take().map(|c| Box::new(move || c(result)) as Box<dyn FnOnce() + Send>)
+            ops.close();
+            PollOutcome::Done(
+                complete.take().map(|c| Box::new(move || c(result)) as Box<dyn FnOnce() + Send>),
+            )
         }
 
         let poll: PollFn = Box::new(move |entry: &TaskEntry| {
@@ -657,15 +668,16 @@ impl SessionRuntime {
             let resumed = catch_unwind(AssertUnwindSafe(|| program.resume(&mut cx)));
             let waiting = cx.waiting;
             match resumed {
-                Ok(Ok(Step::Done(value))) => PollOutcome::Done(deferred(&mut complete, Ok(value))),
-                Ok(Err(e)) => PollOutcome::Done(deferred(&mut complete, Err(e))),
-                Err(panic) => PollOutcome::Done(deferred(
+                Ok(Ok(Step::Done(value))) => resolve(&ops, &mut complete, Ok(value)),
+                Ok(Err(e)) => resolve(&ops, &mut complete, Err(e)),
+                Err(panic) => resolve(
+                    &ops,
                     &mut complete,
                     Err(TransportError::Protocol(format!(
                         "session {id} role program panicked: {}",
                         crate::panic_message(&*panic)
                     ))),
-                )),
+                ),
                 Ok(Ok(Step::Pending)) => {
                     // The program could not finish. If the watchdog has
                     // already flagged the stall, this resume was its
@@ -673,7 +685,8 @@ impl SessionRuntime {
                     if entry.timed_out.load(Ordering::Acquire) {
                         let edge = parked_edge.or(waiting).unwrap_or("<unknown>");
                         let waited = parked_since.map_or(watchdog, |since| since.elapsed());
-                        return PollOutcome::Done(deferred(
+                        return resolve(
+                            &ops,
                             &mut complete,
                             Err(TransportError::Protocol(format!(
                                 "pooled runtime watchdog: session {id} stalled waiting on \
@@ -682,19 +695,20 @@ impl SessionRuntime {
                                 waited.as_millis(),
                                 watchdog.as_millis()
                             ))),
-                        ));
+                        );
                     }
                     let Some(edge) = waiting else {
                         // Pending without a recorded receive would park
                         // forever: surface the bug instead of hanging.
-                        return PollOutcome::Done(deferred(
+                        return resolve(
+                            &ops,
                             &mut complete,
                             Err(TransportError::Protocol(format!(
                                 "session {id} yielded without a pending receive \
                                  (RoleProgram returned Step::Pending but no \
                                  try_receive_* came up empty)"
                             ))),
-                        ));
+                        );
                     };
                     if parked_edge != Some(edge) {
                         parked_since = None;
@@ -709,7 +723,7 @@ impl SessionRuntime {
                             parked_since.get_or_insert_with(Instant::now);
                             PollOutcome::Parked(edge)
                         }
-                        Err(e) => PollOutcome::Done(deferred(&mut complete, Err(e))),
+                        Err(e) => resolve(&ops, &mut complete, Err(e)),
                     }
                 }
             }

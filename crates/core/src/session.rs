@@ -322,6 +322,18 @@ where
     }
 }
 
+impl<TL, Target, T> Drop for Session<'_, TL, Target, T>
+where
+    TL: LocationSet,
+    Target: ChoreographyLocation,
+    T: SessionTransport<TL, Target>,
+{
+    /// The run is over: the transport reclaims its receive-side state.
+    fn drop(&mut self) {
+        self.endpoint.transport().close_session(self.id);
+    }
+}
+
 /// The injected operator implementations for session-scoped endpoint
 /// projection.
 struct SessionEppOp<'a, 'e, ChoreoLS, TL, Target, T>
@@ -592,6 +604,8 @@ mod tests {
         ) -> Result<bool, TransportError> {
             Ok(false)
         }
+
+        fn close_session(&self, _session: SessionId) {}
     }
 
     fn session_over(

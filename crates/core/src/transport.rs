@@ -252,6 +252,16 @@ pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
         from: &str,
         waker: MailboxWaker,
     ) -> Result<bool, TransportError>;
+
+    /// Tells the transport this endpoint is done with `session`: every
+    /// inbound link drops the session's mailbox, if it is drained, and
+    /// its parked waker.
+    ///
+    /// [`Session`](crate::Session) calls this when it is dropped, and the
+    /// pooled runtime when a task resolves. A frame that arrives later
+    /// for the closed session is dropped unless it opens a new run of
+    /// the id (seq 0).
+    fn close_session(&self, session: SessionId);
 }
 
 /// A census's names, resolved once so hot paths can validate and
@@ -282,6 +292,11 @@ impl InternedNames {
             .copied()
             .find(|n| *n == name)
             .ok_or_else(|| TransportError::UnknownLocation(name.to_string()))
+    }
+
+    /// The census names, in order, without allocating.
+    pub fn iter(&self) -> impl Iterator<Item = &'static str> + '_ {
+        self.0.iter().copied()
     }
 }
 
@@ -323,6 +338,7 @@ mod tests {
         let names = InternedNames::of::<Census>();
         assert_eq!(names.resolve("Alpha").unwrap(), "Alpha");
         assert_eq!(names.resolve("Beta").unwrap(), "Beta");
+        assert_eq!(names.iter().collect::<Vec<_>>(), ["Alpha", "Beta"]);
     }
 
     #[test]

@@ -109,6 +109,10 @@ where
     ) -> Result<bool, TransportError> {
         self.inner.register_waker(session, from, waker)
     }
+
+    fn close_session(&self, session: SessionId) {
+        self.inner.close_session(session);
+    }
 }
 
 #[cfg(test)]

@@ -201,6 +201,14 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         // deposit under: a frame can never slip between them.
         Ok(self.link(from, Target::NAME)?.lock().register(session, waker))
     }
+
+    fn close_session(&self, session: SessionId) {
+        for from in self.names.iter() {
+            if let Some(link) = self.channel.links.get(&(from, Target::NAME)) {
+                link.lock().close(session);
+            }
+        }
+    }
 }
 
 impl<L: LocationSet, Target: ChoreographyLocation> Transport<L, Target>

@@ -17,12 +17,33 @@
 //!   `fail` every parked one, once; the caller fires them after dropping
 //!   its lock, since a waker re-enqueues into a scheduler queue.
 //!
+//! Sessions end. [`close`](Mailboxes::close) drops a session's entry if
+//! its queue is drained (a frame already queued, say a reused id's
+//! restart, stays deliverable) and its parked waker, and raises the
+//! table's watermark past it: every id below `closed_below` has been
+//! closed at least once. A frame for a session with no entry then
+//! follows one of three rules:
+//!
+//! * `seq == 0` opens the session: its first frame, or a reuse.
+//! * `seq > 0` below the watermark is *late*: the tail of a run this
+//!   endpoint already closed. It is dropped and counted, never re-creates
+//!   a mailbox and never fails the link.
+//! * Anything else is the out-of-order error.
+//!
+//! A late frame cannot hide a loss. Every transport here delivers each
+//! link's frames exactly once and in order (TCP's link cursor dedups
+//! replays and fails on a gap; the sim retransmits its drops; local is
+//! an in-memory FIFO), so a session's first frame to reach the table is
+//! its seq 0. A `seq > 0` with no entry therefore follows a close, or
+//! comes from a sender breaking its own sequencing.
+//!
 //! The sim logs a frame between checking and queueing it, so it uses the
 //! two halves of `deposit`, [`admit`](Mailboxes::admit) and
 //! [`queue`](Mailboxes::queue).
 
 use chorus_core::{MailboxWaker, SessionId, TransportError};
 use chorus_wire::Envelope;
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
 
 /// One link's receive side; see the module docs for its rules.
@@ -34,6 +55,10 @@ pub(crate) struct Mailboxes {
     wakers: HashMap<SessionId, MailboxWaker>,
     /// The protocol-error text every session reads once drained.
     failure: Option<String>,
+    /// One past the highest session id closed so far.
+    closed_below: SessionId,
+    /// Late frames dropped: `seq > 0` for a closed session.
+    late: u64,
 }
 
 #[derive(Default)]
@@ -42,35 +67,47 @@ struct Stream {
     next_seq: u64,
 }
 
-/// Checks `seq` as the next of `session`'s stream and advances it.
-fn admit<'a>(
-    sessions: &'a mut HashMap<SessionId, Stream>,
-    sender: &'static str,
-    session: SessionId,
-    seq: u64,
-) -> Result<&'a mut Stream, TransportError> {
-    let stream = sessions.entry(session).or_default();
-    if seq == stream.next_seq || seq == 0 {
-        stream.next_seq = seq + 1;
-        Ok(stream)
-    } else {
-        Err(TransportError::Protocol(format!(
-            "frame from {sender} in session {session} arrived out of order: \
-             expected seq {}, got {seq}",
-            stream.next_seq
-        )))
-    }
-}
-
 impl Mailboxes {
     pub(crate) fn failed(&self) -> bool {
         self.failure.is_some()
     }
 
+    /// Checks `seq` as the next of `session`'s stream and advances it.
+    /// `None` is a late frame, counted and to be dropped.
+    fn check(
+        &mut self,
+        sender: &'static str,
+        session: SessionId,
+        seq: u64,
+    ) -> Result<Option<&mut Stream>, TransportError> {
+        let expected = match self.sessions.entry(session) {
+            Entry::Occupied(entry) => {
+                let stream = entry.into_mut();
+                if seq == stream.next_seq || seq == 0 {
+                    stream.next_seq = seq + 1;
+                    return Ok(Some(stream));
+                }
+                stream.next_seq
+            }
+            Entry::Vacant(entry) if seq == 0 => {
+                return Ok(Some(entry.insert(Stream { queue: VecDeque::new(), next_seq: 1 })));
+            }
+            Entry::Vacant(_) if session < self.closed_below => {
+                self.late += 1;
+                return Ok(None);
+            }
+            Entry::Vacant(_) => 0,
+        };
+        Err(TransportError::Protocol(format!(
+            "frame from {sender} in session {session} arrived out of order: \
+             expected seq {expected}, got {seq}"
+        )))
+    }
+
     /// Admits and queues `frame` from `sender`, returning its session's
-    /// parked waker. On a failed link the frame is withheld. A rejected
-    /// frame is dropped and its error returned; failing the link is the
-    /// caller's step.
+    /// parked waker. On a failed link the frame is withheld, and a late
+    /// frame is dropped. A rejected frame is dropped and its error
+    /// returned; failing the link is the caller's step.
     pub(crate) fn deposit(
         &mut self,
         sender: &'static str,
@@ -80,18 +117,22 @@ impl Mailboxes {
             return Ok(None);
         }
         let session = frame.session;
-        admit(&mut self.sessions, sender, session, frame.seq)?.queue.push_back(frame);
+        let Some(stream) = self.check(sender, session, frame.seq)? else {
+            return Ok(None);
+        };
+        stream.queue.push_back(frame);
         Ok(self.wakers.remove(&session))
     }
 
-    /// The check half of [`deposit`](Self::deposit).
+    /// The check half of [`deposit`](Self::deposit): whether to queue the
+    /// frame (`false` for a late one).
     pub(crate) fn admit(
         &mut self,
         sender: &'static str,
         session: SessionId,
         seq: u64,
-    ) -> Result<(), TransportError> {
-        admit(&mut self.sessions, sender, session, seq).map(|_| ())
+    ) -> Result<bool, TransportError> {
+        self.check(sender, session, seq).map(|stream| stream.is_some())
     }
 
     /// The queue half of [`deposit`](Self::deposit), for an admitted frame.
@@ -130,6 +171,16 @@ impl Mailboxes {
             self.wakers.insert(session, waker);
         }
         ready
+    }
+
+    /// Ends `session` on this link: drops its entry if drained and its
+    /// parked waker, and raises the watermark past it.
+    pub(crate) fn close(&mut self, session: SessionId) {
+        if self.sessions.get(&session).is_some_and(|stream| stream.queue.is_empty()) {
+            self.sessions.remove(&session);
+        }
+        self.wakers.remove(&session);
+        self.closed_below = self.closed_below.max(session.saturating_add(1));
     }
 }
 
@@ -270,5 +321,77 @@ mod tests {
         // A failed link is ready: registration never parks again.
         assert!(boxes.register(4, counting_waker(&count)));
         assert!(boxes.fail("later".to_string()).is_empty());
+    }
+
+    #[test]
+    fn a_late_frame_after_close_is_dropped_and_counted() {
+        let mut boxes = Mailboxes::default();
+        boxes.deposit("Alpha", frame(1, 0)).unwrap();
+        assert_eq!(boxes.pop(1).unwrap().unwrap().seq, 0);
+        boxes.close(1);
+        // The tail of the closed run is dropped, on both paths, and
+        // re-creates no mailbox.
+        assert!(boxes.deposit("Alpha", frame(1, 1)).unwrap().is_none());
+        assert!(!boxes.admit("Alpha", 1, 2).unwrap());
+        assert_eq!(boxes.late, 2);
+        assert!(boxes.sessions.is_empty());
+        assert!(boxes.pop(1).unwrap().is_none());
+        // The link did not fail: the next session delivers.
+        assert!(!boxes.failed());
+        boxes.deposit("Alpha", frame(2, 0)).unwrap();
+        assert_eq!(boxes.pop(2).unwrap().unwrap().seq, 0);
+        // Above the watermark a `seq > 0` first frame is still an error.
+        let Err(err) = boxes.deposit("Alpha", frame(3, 1)) else {
+            panic!("a session never opened must start at seq 0")
+        };
+        assert!(err.to_string().contains("expected seq 0, got 1"), "got: {err}");
+        assert_eq!(boxes.late, 2);
+    }
+
+    #[test]
+    fn a_closed_session_id_is_reusable() {
+        let mut boxes = Mailboxes::default();
+        boxes.deposit("Alpha", frame(4, 0)).unwrap();
+        boxes.deposit("Alpha", frame(4, 1)).unwrap();
+        boxes.pop(4).unwrap();
+        boxes.pop(4).unwrap();
+        boxes.close(4);
+        // A restart at zero opens the id again, and its stream runs on.
+        boxes.deposit("Alpha", frame(4, 0)).unwrap();
+        boxes.deposit("Alpha", frame(4, 1)).unwrap();
+        let drained: Vec<u64> =
+            std::iter::from_fn(|| boxes.pop(4).unwrap()).map(|f| f.seq).collect();
+        assert_eq!(drained, [0, 1]);
+        assert_eq!(boxes.late, 0);
+    }
+
+    #[test]
+    fn close_keeps_undrained_frames() {
+        let mut boxes = Mailboxes::default();
+        // A reused id's restart can land before the previous run's
+        // close: the queued frame stays deliverable.
+        boxes.deposit("Alpha", frame(5, 0)).unwrap();
+        boxes.close(5);
+        boxes.deposit("Alpha", frame(5, 1)).unwrap();
+        assert_eq!(boxes.pop(5).unwrap().unwrap().seq, 0);
+        assert_eq!(boxes.pop(5).unwrap().unwrap().seq, 1);
+        assert_eq!(boxes.late, 0);
+        // Drained, the next close reclaims the entry.
+        boxes.close(5);
+        assert!(boxes.sessions.is_empty());
+    }
+
+    #[test]
+    fn close_drops_a_parked_waker() {
+        let mut boxes = Mailboxes::default();
+        let count = Arc::new(AtomicUsize::new(0));
+        assert!(!boxes.register(6, counting_waker(&count)));
+        boxes.close(6);
+        assert!(boxes.wakers.is_empty());
+        // A later run of the id deposits with nobody to wake.
+        assert!(boxes.deposit("Alpha", frame(6, 0)).unwrap().is_none());
+        assert!(boxes.fail("down".to_string()).is_empty());
+        assert_eq!(count.load(Ordering::SeqCst), 0);
+        assert_eq!(Arc::strong_count(&count), 1, "the table holds no copy of the waker");
     }
 }

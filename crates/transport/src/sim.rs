@@ -743,11 +743,14 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
             link.sends.push(event(0, SimEventKind::Withheld));
             return Ok(());
         }
-        if let Err(e) = link.boxes.admit(from, session, seq) {
-            link.sends.push(event(0, SimEventKind::Withheld));
-            fail_link(wq, link, format!("link from {from} is down: {e}"));
-            return Ok(());
-        }
+        let admitted = match link.boxes.admit(from, session, seq) {
+            Ok(admitted) => admitted,
+            Err(e) => {
+                link.sends.push(event(0, SimEventKind::Withheld));
+                fail_link(wq, link, format!("link from {from} is down: {e}"));
+                return Ok(());
+            }
+        };
         if let Some(poison) = &plan.poison {
             if edge_matches(poison.from, poison.to, from, to) && k >= poison.after {
                 link.sends.push(event(0, SimEventKind::Withheld));
@@ -790,7 +793,9 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         // of its stream (or a restart at zero), so it joins its
         // session's mailbox in offer order whatever its arrival tick:
         // the schedule orders the *log*, never delivery. A duplicate is
-        // scheduled strictly after its original and discarded.
+        // scheduled strictly after its original and discarded. A late
+        // frame, for a session the receiver has closed, is logged the
+        // same way and then dropped by the table.
         link.deliveries.push(event(schedule.arrival, SimEventKind::Delivered));
         link.now = link.now.max(schedule.arrival);
         if let Some(duplicate) = schedule.duplicate {
@@ -799,7 +804,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         }
         // Only this session's mailbox gained a frame, so only its waker
         // fires — outside the lock, like every waker.
-        let fired = link.boxes.queue(frame);
+        let fired = if admitted { link.boxes.queue(frame) } else { None };
         drop(link);
         wq.notify_all();
         if let Some(waker) = fired {
@@ -857,6 +862,14 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         // Ready-check and registration under the one link lock senders
         // deposit under: a frame can never slip between them.
         Ok(wq.lock().boxes.register(session, waker))
+    }
+
+    fn close_session(&self, session: SessionId) {
+        for from in self.names.iter() {
+            if let Some(wq) = self.net.shared.links.get(&(from, Target::NAME)) {
+                wq.lock().boxes.close(session);
+            }
+        }
     }
 }
 

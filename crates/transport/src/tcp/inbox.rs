@@ -130,6 +130,13 @@ impl Inbox {
         }
     }
 
+    /// Ends `session` on every sender's table, under one inbox lock.
+    pub(super) fn close_session(&self, session: SessionId) {
+        for link in self.lock().values_mut() {
+            link.boxes.close(session);
+        }
+    }
+
     /// Pops the next frame of `session` from `sender` if one is already
     /// deliverable.
     pub(super) fn try_take(

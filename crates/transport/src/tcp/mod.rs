@@ -342,6 +342,10 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         }
         self.inbox.register(session, from, waker)
     }
+
+    fn close_session(&self, session: SessionId) {
+        self.inbox.close_session(session);
+    }
 }
 
 impl<L: LocationSet, Target: ChoreographyLocation> Transport<L, Target>

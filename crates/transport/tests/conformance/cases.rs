@@ -345,6 +345,57 @@ pub fn link_failure_is_final_and_shared(alice: impl AliceTransport, bob: impl Bo
     read_everywhere("after the valid frames");
 }
 
+/// A frame for a session the receiver has closed is late: dropped, never
+/// a new mailbox and never a link failure. Session 2's frame is sent
+/// after it on the same link, so once session 2 delivers the late frame
+/// has been dealt with.
+pub fn late_frame_after_close_is_dropped(alice: impl AliceTransport, bob: impl BobTransport) {
+    alice.send_frame("Bob", frame(1, 0, b"first")).unwrap();
+    assert_eq!(bob.receive_frame(1, "Alice").unwrap().payload, b"first");
+    bob.close_session(1);
+    alice.send_frame("Bob", frame(1, 1, b"late")).unwrap();
+    alice.send_frame("Bob", frame(2, 0, b"next-session")).unwrap();
+    assert_eq!(bob.receive_frame(2, "Alice").unwrap().payload, b"next-session");
+    assert!(
+        matches!(bob.try_receive_frame(1, "Alice"), Ok(None)),
+        "a late frame must not reopen its closed session"
+    );
+    assert!(
+        matches!(bob.try_receive_frame(3, "Alice"), Ok(None)),
+        "a late frame must not fail the link"
+    );
+}
+
+/// A closed session's id can run again: a seq-0 frame opens it afresh.
+pub fn closed_session_id_is_reusable(alice: impl AliceTransport, bob: impl BobTransport) {
+    alice.send_frame("Bob", frame(1, 0, b"run1")).unwrap();
+    assert_eq!(bob.receive_frame(1, "Alice").unwrap().payload, b"run1");
+    bob.close_session(1);
+    alice.send_frame("Bob", frame(1, 0, b"run2-0")).unwrap();
+    alice.send_frame("Bob", frame(1, 1, b"run2-1")).unwrap();
+    assert_eq!(bob.receive_frame(1, "Alice").unwrap().payload, b"run2-0");
+    assert_eq!(recv_eventually(&bob, 1, "Alice").unwrap().payload, b"run2-1");
+}
+
+/// Closing a session keeps what is already queued for it (a reused id's
+/// restart can land before the old run's close): the frame, and the rest
+/// of its stream, still deliver.
+pub fn close_keeps_undrained_frames(alice: impl AliceTransport, bob: impl BobTransport) {
+    let gate = Arc::new(WaitQueue::new(0));
+    assert!(!bob.register_waker(1, "Alice", gate_waker(&gate)).unwrap());
+    alice.send_frame("Bob", frame(1, 0, b"queued")).unwrap();
+    // The waker fires once the frame is queued, not popped.
+    wait_for_fires(&gate, 1);
+    bob.close_session(1);
+    alice.send_frame("Bob", frame(1, 1, b"after-close")).unwrap();
+    // Sent after it on the same link: once this delivers, so has that.
+    alice.send_frame("Bob", frame(2, 0, b"marker")).unwrap();
+    assert_eq!(bob.receive_frame(2, "Alice").unwrap().payload, b"marker");
+    let mut pop = || bob.try_receive_frame(1, "Alice").unwrap().map(|f| f.payload.to_vec());
+    assert_eq!(pop().as_deref(), Some(b"queued".as_slice()));
+    assert_eq!(pop().as_deref(), Some(b"after-close".as_slice()));
+}
+
 /// One sender's failure is its own link's: with Alice→Bob poisoned by a
 /// sequence gap, Carol→Bob keeps delivering in order, and a waker for a
 /// Carol session still parks (`Ok(false)`) and fires on Carol's next

@@ -2,7 +2,8 @@
 //! the [`chorus_core::SessionTransport`] contract — per-(session,
 //! sender) FIFO, independent cross-session interleaving, sequence-gap
 //! detection, poisoned-link withholding, one final failure every session
-//! reads alike, and multi-session metrics parity — instantiated against
+//! reads alike, closed sessions (late frames dropped, ids reusable,
+//! queued frames kept), and multi-session metrics parity — instantiated against
 //! every transport in the workspace:
 //!
 //! * [`LocalTransport`] — in-process queues;
@@ -127,6 +128,24 @@ macro_rules! conformance_suite {
             fn fifo_preserved_under_try_polling() {
                 let (alice, bob) = $make;
                 cases::fifo_preserved_under_try_polling(alice, bob);
+            }
+
+            #[test]
+            fn late_frame_after_close_is_dropped() {
+                let (alice, bob) = $make;
+                cases::late_frame_after_close_is_dropped(alice, bob);
+            }
+
+            #[test]
+            fn closed_session_id_is_reusable() {
+                let (alice, bob) = $make;
+                cases::closed_session_id_is_reusable(alice, bob);
+            }
+
+            #[test]
+            fn close_keeps_undrained_frames() {
+                let (alice, bob) = $make;
+                cases::close_keeps_undrained_frames(alice, bob);
             }
 
             #[test]

@@ -2,16 +2,20 @@
 //! thousand concurrent KVS sessions on a fixed worker pool, thread
 //! count bounded by the pool (never by the session count), stalls
 //! surfaced by the watchdog, panics contained, chaos schedules
-//! survived, and pooled/blocking interop.
+//! survived, pooled/blocking interop, and no waker left behind by a
+//! resolved session.
 
 use chorus_core::park::WaitQueue;
 use chorus_core::{
-    ChoreographyLocation, Endpoint, RoleProgram, SessionCx, SessionRuntime, Step, TransportError,
+    ChoreographyLocation, Endpoint, LocationSet, MailboxWaker, RoleProgram, SessionCx, SessionId,
+    SessionRuntime, SessionTransport, Step, TransportError,
 };
 use chorus_protocols::kvs_simple::{PooledKvsClient, PooledKvsServer, SimpleKvs, SimpleKvsCensus};
 use chorus_protocols::roles::{Client, Primary};
 use chorus_protocols::store::{Request, Response, SharedStore};
 use chorus_transport::{FaultPlan, LocalTransport, LocalTransportChannel, SimNet, SimTransport};
+use chorus_wire::Envelope;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -89,6 +93,72 @@ fn watchdog_surfaces_a_stalled_session() {
     let c = runtime.spawn(&client, 2, PooledKvsClient::new(Request::Get("k".into())));
     assert_eq!(c.join().unwrap(), Response::NotFound);
     s.join().unwrap();
+}
+
+/// Counts the fires of every waker parked through it; everything else
+/// goes straight to the wrapped transport.
+struct CountingWakes<T> {
+    inner: T,
+    fires: Arc<AtomicUsize>,
+}
+
+impl<L: LocationSet, R: ChoreographyLocation, T: SessionTransport<L, R>> SessionTransport<L, R>
+    for CountingWakes<T>
+{
+    fn send_frame(&self, to: &str, frame: Envelope) -> Result<(), TransportError> {
+        self.inner.send_frame(to, frame)
+    }
+
+    fn receive_frame(&self, session: SessionId, from: &str) -> Result<Envelope, TransportError> {
+        self.inner.receive_frame(session, from)
+    }
+
+    fn try_receive_frame(
+        &self,
+        session: SessionId,
+        from: &str,
+    ) -> Result<Option<Envelope>, TransportError> {
+        self.inner.try_receive_frame(session, from)
+    }
+
+    fn register_waker(
+        &self,
+        session: SessionId,
+        from: &str,
+        waker: MailboxWaker,
+    ) -> Result<bool, TransportError> {
+        let fires = Arc::clone(&self.fires);
+        let counted: MailboxWaker = Arc::new(move || {
+            fires.fetch_add(1, Ordering::SeqCst);
+            waker();
+        });
+        self.inner.register_waker(session, from, counted)
+    }
+
+    fn close_session(&self, session: SessionId) {
+        self.inner.close_session(session);
+    }
+}
+
+/// A session the watchdog resolves never got its frame, so its waker is
+/// still parked on the mailbox; resolving closes the session, which
+/// takes the waker with it. A frame deposited there later fires nothing.
+#[test]
+fn a_watchdog_resolved_session_leaves_no_waker_behind() {
+    let runtime = SessionRuntime::with_watchdog(2, Duration::from_millis(100));
+    let channel = LocalTransportChannel::<SimpleKvsCensus>::new();
+    let fires = Arc::new(AtomicUsize::new(0));
+    let client = Arc::new(Endpoint::new(CountingWakes {
+        inner: LocalTransport::new(Client, channel.clone()),
+        fires: Arc::clone(&fires),
+    }));
+    let server = LocalTransport::new(Primary, channel);
+    // No server role: the client parks on Primary until the watchdog.
+    let stalled = runtime.spawn(&client, 1, PooledKvsClient::new(Request::Get("k".into())));
+    let err = stalled.join().unwrap_err();
+    assert!(err.to_string().contains("watchdog"), "got: {err}");
+    server.send_frame("Client", Envelope::new(1, 0, b"too late".to_vec())).unwrap();
+    assert_eq!(fires.load(Ordering::SeqCst), 0, "the resolved session's waker fired");
 }
 
 struct PanicsOnResume;
