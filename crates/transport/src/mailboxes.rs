@@ -20,9 +20,9 @@
 //! Sessions end. [`close`](Mailboxes::close) drops a session's entry if
 //! its queue is drained (a frame already queued, say a reused id's
 //! restart, stays deliverable) and its parked waker, and raises the
-//! table's watermark past it: every id below `closed_below` has been
-//! closed at least once. A frame for a session with no entry then
-//! follows one of three rules:
+//! table's watermark, `closed_below`, to one past the highest id closed
+//! so far. A frame for a session with no entry then follows one of three
+//! rules:
 //!
 //! * `seq == 0` opens the session: its first frame, or a reuse.
 //! * `seq > 0` below the watermark is *late*: the tail of a run this
@@ -174,7 +174,8 @@ impl Mailboxes {
     }
 
     /// Ends `session` on this link: drops its entry if drained and its
-    /// parked waker, and raises the watermark past it.
+    /// parked waker, and raises the watermark to `session + 1` if that
+    /// is higher.
     pub(crate) fn close(&mut self, session: SessionId) {
         if self.sessions.get(&session).is_some_and(|stream| stream.queue.is_empty()) {
             self.sessions.remove(&session);

@@ -391,7 +391,7 @@ pub fn close_keeps_undrained_frames(alice: impl AliceTransport, bob: impl BobTra
     // Sent after it on the same link: once this delivers, so has that.
     alice.send_frame("Bob", frame(2, 0, b"marker")).unwrap();
     assert_eq!(bob.receive_frame(2, "Alice").unwrap().payload, b"marker");
-    let mut pop = || bob.try_receive_frame(1, "Alice").unwrap().map(|f| f.payload.to_vec());
+    let pop = || bob.try_receive_frame(1, "Alice").unwrap().map(|f| f.payload.to_vec());
     assert_eq!(pop().as_deref(), Some(b"queued".as_slice()));
     assert_eq!(pop().as_deref(), Some(b"after-close".as_slice()));
 }
