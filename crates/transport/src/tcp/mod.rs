@@ -139,9 +139,14 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
         let acceptor_inbox = Arc::clone(&inbox);
         let acceptor_stats = Arc::clone(&stats);
         let acceptor_stop = Arc::clone(&stop);
-        std::thread::spawn(move || {
-            accept_loop(listener, peers, acceptor_inbox, acceptor_stats, tuning, acceptor_stop);
-        });
+        std::thread::Builder::new()
+            .name("chorus-tcp-accept".into())
+            .spawn(move || {
+                accept_loop(listener, peers, acceptor_inbox, acceptor_stats, tuning, acceptor_stop);
+            })
+            .map_err(|e| {
+                TransportError::Io(std::io::Error::other(format!("spawning acceptor: {e}")))
+            })?;
 
         let send = Arc::new(SendShared {
             me: Target::NAME,

@@ -49,7 +49,11 @@ pub(super) fn accept_loop(
                 let stats = Arc::clone(&stats);
                 let stop = Arc::clone(&stop);
                 let peers = peers.clone();
-                std::thread::spawn(move || {
+                // A thread the OS refuses takes only this connection with
+                // it: the acceptor keeps accepting, and the connector's
+                // supervisor retries within its budget.
+                let reader = std::thread::Builder::new().name("chorus-tcp-read".into());
+                let _ = reader.spawn(move || {
                     stream.set_nonblocking(false).ok();
                     stream.set_nodelay(true).ok();
                     // A connector that never says hello must not pin

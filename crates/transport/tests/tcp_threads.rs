@@ -1,7 +1,8 @@
 //! A TCP endpoint runs a fixed set of threads whatever its traffic: an
 //! acceptor and a supervisor from `bind`, then one reader per inbound
 //! connection and one ack reader per outbound link. Sends write inline
-//! on the caller's thread, so more frames never add a thread. One test
+//! on the caller's thread, so more frames never add a thread. Each role
+//! is counted by its thread name as well as in the total. One test
 //! in a file of its own, so that no test running in parallel moves the
 //! process's thread count (like `role_threads.rs`).
 
@@ -19,19 +20,40 @@ fn threads() -> Option<usize> {
     status.lines().find_map(|line| line.strip_prefix("Threads:"))?.trim().parse().ok()
 }
 
-/// The thread count once it reaches `want`, or after a few seconds: a
-/// thread that has seen its endpoint stop can still be counted for a
-/// moment.
-fn settled_threads(want: usize) -> Option<usize> {
+/// An endpoint's thread roles, by the 15 bytes of a thread's name the
+/// kernel keeps: acceptor, supervisor, reader, ack reader.
+const ROLES: [&str; 4] =
+    ["chorus-tcp-acce", "chorus-tcp-supe", "chorus-tcp-read", "chorus-tcp-ack-"];
+
+/// How many of the process's threads run each of [`ROLES`], from
+/// `/proc/self/task/*/comm`.
+fn roles() -> [usize; 4] {
+    let mut counts = [0; 4];
+    let tasks = std::fs::read_dir("/proc/self/task").into_iter().flatten().flatten();
+    for comm in tasks.filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok()) {
+        if let Some(role) = ROLES.iter().position(|prefix| comm.starts_with(prefix)) {
+            counts[role] += 1;
+        }
+    }
+    counts
+}
+
+/// What `read` returns once it returns `want`, or after a few seconds:
+/// a new thread names itself only once it runs, and a thread that has
+/// seen its endpoint stop can still be counted for a moment.
+fn settled<T: PartialEq>(want: T, read: impl Fn() -> T) -> T {
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let count = threads();
-        if count == Some(want) || Instant::now() > deadline {
-            return count;
+        let got = read();
+        if got == want || Instant::now() > deadline {
+            return got;
         }
         std::thread::sleep(Duration::from_millis(1));
     }
 }
+
+/// Two endpoints with one link each way: every role on both.
+const LINKED: [usize; 4] = [2, 2, 2, 2];
 
 #[test]
 fn a_tcp_endpoint_runs_four_threads_whatever_its_traffic() {
@@ -47,6 +69,7 @@ fn a_tcp_endpoint_runs_four_threads_whatever_its_traffic() {
     let la = TcpTransport::bind(LA, config.clone()).expect("bind LA");
     let lb = TcpTransport::bind(LB, config).expect("bind LB");
     assert_eq!(threads(), Some(baseline + 4), "an acceptor and a supervisor per endpoint");
+    assert_eq!(settled([2, 2, 0, 0], roles), [2, 2, 0, 0], "acceptor, supervisor, reader, ack");
 
     la.send("LB", b"ping").expect("send LA->LB");
     assert_eq!(lb.receive("LA").expect("receive at LB"), b"ping");
@@ -54,6 +77,7 @@ fn a_tcp_endpoint_runs_four_threads_whatever_its_traffic() {
     assert_eq!(la.receive("LB").expect("receive at LA"), b"pong");
     let linked = baseline + 8;
     assert_eq!(threads(), Some(linked), "each endpoint adds a reader and an ack reader");
+    assert_eq!(settled(LINKED, roles), LINKED, "acceptor, supervisor, reader, ack reader");
 
     for seq in 0..200 {
         la.send_frame("LB", Envelope::new(1, seq, vec![0xC3; 32])).expect("session send");
@@ -62,8 +86,10 @@ fn a_tcp_endpoint_runs_four_threads_whatever_its_traffic() {
         assert_eq!(lb.receive_frame(1, "LA").expect("session receive").seq, seq);
     }
     assert_eq!(threads(), Some(linked), "more frames add no thread");
+    assert_eq!(roles(), LINKED, "acceptor, supervisor, reader, ack reader");
 
     drop(la);
     drop(lb);
-    assert_eq!(settled_threads(baseline), Some(baseline), "drop stops every link thread");
+    assert_eq!(settled(Some(baseline), threads), Some(baseline), "drop stops every link thread");
+    assert_eq!(roles(), [0; 4]);
 }
