@@ -25,7 +25,7 @@ pub(crate) const BACKOFF_CAP: Duration = Duration::from_millis(200);
 
 /// Link-layer policy for one TCP endpoint.
 ///
-/// These five values are everything about a link that can be set, and
+/// These four values are everything about a link that can be set, and
 /// [`TcpConfigBuilder`](crate::TcpConfigBuilder)'s setters of the same
 /// names are the only way to set them. [`LinkTuning::default`] is the
 /// `*_DEFAULT` constants below, where each default is stated once.
@@ -40,11 +40,6 @@ pub struct LinkTuning {
     /// Ping cadence on idle established links; a link silent for 3
     /// heartbeats is presumed half-dead and torn down for replay.
     pub heartbeat: Duration,
-    /// Coalescing flush window. Zero flushes inline on every send,
-    /// which still batches whatever queued behind a contended link lock
-    /// or a replay; a nonzero window parks sends for a flusher thread
-    /// that writes the accumulated batch after at most this long.
-    pub flush_delay: Duration,
     /// Retention watermark in bytes per link (zero: unbounded): a
     /// sender whose unacknowledged tail reaches it parks until acks
     /// prune it, and surfaces
@@ -61,8 +56,6 @@ impl LinkTuning {
     pub const RETRY_BASE_DEFAULT: Duration = Duration::from_millis(5);
     /// Default [`heartbeat`](Self::heartbeat).
     pub const HEARTBEAT_DEFAULT: Duration = Duration::from_secs(1);
-    /// Default [`flush_delay`](Self::flush_delay): flush inline.
-    pub const FLUSH_DELAY_DEFAULT: Duration = Duration::ZERO;
     /// Default [`retain_max`](Self::retain_max): 64 MiB.
     pub const RETAIN_MAX_DEFAULT: usize = 64 * 1024 * 1024;
 
@@ -95,7 +88,6 @@ impl Default for LinkTuning {
             retry_limit: Self::RETRY_LIMIT_DEFAULT,
             retry_base: Self::RETRY_BASE_DEFAULT,
             heartbeat: Self::HEARTBEAT_DEFAULT,
-            flush_delay: Self::FLUSH_DELAY_DEFAULT,
             retain_max: Self::RETAIN_MAX_DEFAULT,
         }
     }

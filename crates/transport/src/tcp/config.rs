@@ -19,7 +19,7 @@ pub struct TcpConfig<L: LocationSet> {
     pub(super) system: PhantomData<L>,
 }
 
-/// Builder for [`TcpConfig`]: the address book and the five
+/// Builder for [`TcpConfig`]: the address book and the four
 /// [`LinkTuning`] values, each at its default unless set here.
 #[derive(Debug, Default)]
 pub struct TcpConfigBuilder {
@@ -55,12 +55,6 @@ impl TcpConfigBuilder {
     /// Sets [`LinkTuning::heartbeat`].
     pub fn heartbeat(mut self, heartbeat: Duration) -> Self {
         self.tuning.heartbeat = heartbeat;
-        self
-    }
-
-    /// Sets [`LinkTuning::flush_delay`].
-    pub fn flush_delay(mut self, window: Duration) -> Self {
-        self.tuning.flush_delay = window;
         self
     }
 

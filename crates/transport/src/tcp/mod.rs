@@ -10,9 +10,11 @@
 //! either a data frame (per-link sequence number + session
 //! [`chorus_wire::Envelope`]) or an ack/heartbeat/resume control frame.
 //!
-//! There is one link protocol and one way to tune it: the five setters
+//! There is one link protocol and one way to tune it: the four setters
 //! of [`TcpConfigBuilder`], whose defaults are [`LinkTuning`]'s
-//! constants.
+//! constants. Whatever the tuning, an endpoint runs four thread roles:
+//! the acceptor, the link supervisor, one reader per inbound connection
+//! and one ack reader per outbound link.
 //!
 //! # The link layer
 //!
@@ -39,16 +41,13 @@
 //!
 //! # The batched data plane
 //!
-//! Sends are batched per link: every retained frame not yet on the
-//! current connection flushes in one vectored write — the fixed 33-byte
-//! headers assembled in a reused per-link buffer, the refcounted
-//! payloads handed to the kernel as their own slices, never copied.
-//! With a nonzero coalescing window
-//! ([`TcpConfigBuilder::flush_delay`]) sends enqueue and a flusher
-//! thread writes the accumulated batch once the window closes; the
-//! window starts at the first enqueued frame, so a lone frame is never
-//! stalled longer than the window, and a large backlog flushes inline
-//! without waiting.
+//! A send writes inline, on the sending thread under its link's lock:
+//! every retained frame not yet on the current connection flushes in
+//! one vectored write — the fixed 33-byte headers assembled in a reused
+//! per-link buffer, the refcounted payloads handed to the kernel as
+//! their own slices, never copied. That is the new frame alone, except
+//! after a reconnect, when the unacknowledged tail replays in batches
+//! of up to 256 frames.
 //!
 //! A reader thread per accepted connection drains the whole buffered
 //! burst per wakeup, deposits it into the per-(session, sender) FIFO
@@ -81,13 +80,12 @@ use self::inbox::Inbox;
 use self::recv::accept_loop;
 use self::send::{
     flush_pending, kill_stream, link_down_error, wait_for_retention_room, LinkCell, SendShared,
-    FLUSH_INLINE_BYTES,
 };
-use self::supervise::{flusher_loop, supervisor_loop};
+use self::supervise::supervisor_loop;
 use crate::link::LinkStats;
 use chorus_core::{
-    park, ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SessionId,
-    SessionTransport, Transport, TransportError, RAW_SESSION,
+    ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SessionId, SessionTransport,
+    Transport, TransportError, RAW_SESSION,
 };
 use chorus_wire::{data_frame_wire_len, Envelope};
 use parking_lot::Mutex;
@@ -113,8 +111,7 @@ pub struct TcpTransport<L: LocationSet, Target: ChoreographyLocation> {
 
 impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
     /// Binds `target`'s listener and starts its acceptor and link
-    /// supervisor threads (plus, with a nonzero `flush_delay`, the
-    /// coalescing flusher).
+    /// supervisor threads.
     ///
     /// # Errors
     ///
@@ -155,8 +152,6 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
             stats,
             stop: Arc::clone(&stop),
             links: Mutex::new(HashMap::new()),
-            flush_signal: park::WaitQueue::new(false),
-            dirty_hint: AtomicBool::new(false),
         });
         let supervisor_shared = Arc::clone(&send);
         std::thread::Builder::new()
@@ -165,17 +160,6 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
             .map_err(|e| {
                 TransportError::Io(std::io::Error::other(format!("spawning link supervisor: {e}")))
             })?;
-        if tuning.flush_delay > Duration::ZERO {
-            let flusher_shared = Arc::clone(&send);
-            std::thread::Builder::new()
-                .name("chorus-tcp-flusher".into())
-                .spawn(move || flusher_loop(flusher_shared))
-                .map_err(|e| {
-                    TransportError::Io(std::io::Error::other(format!(
-                        "spawning coalescing flusher: {e}"
-                    )))
-                })?;
-        }
 
         Ok(TcpTransport {
             names: InternedNames::of::<L>(),
@@ -256,7 +240,6 @@ impl<L: LocationSet, Target: ChoreographyLocation> Drop for TcpTransport<L, Targ
             std::thread::sleep(Duration::from_millis(2));
         }
         self.stop.store(true, Ordering::Relaxed);
-        self.send.flush_signal.notify_all();
         // Shut established streams down so reader/supervisor threads
         // notice promptly instead of waiting out their timeout ticks.
         let handles: Vec<Arc<LinkCell>> = self.send.links.lock().values().map(Arc::clone).collect();
@@ -293,20 +276,9 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         let seq = link.next_seq;
         link.next_seq += 1;
         link.retained_bytes += wire_len;
-        link.unflushed_bytes += wire_len;
         link.unacked.push_back((seq, frame));
         if link.stream.is_none() {
             return establish(&self.send, to_static, &handle, &mut link, None);
-        }
-        if self.send.tuning.flush_delay > Duration::ZERO
-            && link.unflushed_bytes < FLUSH_INLINE_BYTES
-        {
-            // Park the frame behind the coalescing window; the flusher
-            // writes the whole backlog as one batch.
-            link.dirty = true;
-            drop(link);
-            self.send.note_dirty();
-            return Ok(());
         }
         if flush_pending(&mut link, &self.send.stats).is_err() {
             kill_stream(&mut link);

@@ -47,12 +47,6 @@ pub(super) struct SendLink {
     /// Wire bytes `unacked` accounts for (headers + payloads), the
     /// quantity the `retain_max` watermark bounds.
     pub(super) retained_bytes: usize,
-    /// Wire bytes enqueued but not yet attempted on the current
-    /// connection — the inline-flush threshold for the coalescing path.
-    pub(super) unflushed_bytes: usize,
-    /// Frames are parked behind the coalescing window, waiting for the
-    /// flusher thread.
-    pub(super) dirty: bool,
     /// Frames below this are acknowledged (pruned from `unacked`).
     pub(super) acked: u64,
     /// Last time the peer proved liveness (ack or pong).
@@ -85,8 +79,6 @@ impl SendLink {
             wire_high: 0,
             unacked: VecDeque::new(),
             retained_bytes: 0,
-            unflushed_bytes: 0,
-            dirty: false,
             acked: 0,
             last_heard: now,
             last_ping: now,
@@ -184,30 +176,6 @@ pub(super) struct SendShared {
     /// writing happen under the per-peer lock, so one slow or dead peer
     /// never stalls sends to the others.
     pub(super) links: Mutex<HashMap<&'static str, Arc<LinkCell>>>,
-    /// Set when any link parked frames behind the coalescing window;
-    /// the flusher thread consumes it.
-    pub(super) flush_signal: park::WaitQueue<bool>,
-    /// Fast-path gate in front of `flush_signal`: the first deposit of
-    /// a flush round pays the lock + wake; the thousands that follow in
-    /// the same window see the hint already set and pay one relaxed
-    /// atomic swap. The flusher clears the hint *before* scanning for
-    /// dirty links, so a deposit that lands mid-scan re-arms the next
-    /// round instead of being lost.
-    pub(super) dirty_hint: AtomicBool,
-}
-
-impl SendShared {
-    /// Tells the coalescing flusher that a link has undispatched
-    /// frames (the start of its flush window).
-    pub(super) fn note_dirty(&self) {
-        if self.dirty_hint.swap(true, Ordering::Relaxed) {
-            return;
-        }
-        let mut signalled = self.flush_signal.lock();
-        *signalled = true;
-        drop(signalled);
-        self.flush_signal.notify_one();
-    }
 }
 
 pub(super) fn link_down_error(
@@ -261,10 +229,6 @@ pub(super) fn wait_for_retention_room<'a>(
 /// Frames per vectored batch: bounds the header buffer and keeps the
 /// iovec array comfortably under `IOV_MAX` (two slices per frame).
 const FLUSH_BATCH_MAX: usize = 256;
-
-/// A coalescing-mode backlog at or past this many wire bytes flushes
-/// inline on the sending thread instead of waiting out the window.
-pub(super) const FLUSH_INLINE_BYTES: usize = 256 * 1024;
 
 /// Writes every retained frame not yet on the current connection, as
 /// vectored batches: per batch, the fixed 33-byte headers are
@@ -340,7 +304,5 @@ pub(super) fn flush_pending(link: &mut SendLink, stats: &LinkStats) -> std::io::
         *wire_high = (*wire_high).max(*flushed);
         stats.record_batch(count);
     }
-    link.unflushed_bytes = 0;
-    link.dirty = false;
     Ok(())
 }

@@ -1,9 +1,9 @@
-//! The per-endpoint background threads of the send side: the link
+//! The send side's one background thread per endpoint: the link
 //! supervisor (heartbeats, teardown of half-dead links, background
-//! reconnects) and the coalescing flusher.
+//! reconnects).
 
 use super::connect::{establish, write_control};
-use super::send::{flush_pending, kill_stream, LinkCell, SendLink, SendShared};
+use super::send::{kill_stream, LinkCell, SendLink, SendShared};
 use chorus_wire::ControlFrame;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -61,52 +61,6 @@ pub(super) fn supervisor_loop(shared: Arc<SendShared>) {
                 // short bursts (the cumulative budget lives in the
                 // outage) without monopolizing the sweep.
                 let _ = establish(&shared, to, &handle, &mut link, Some(2));
-            }
-        }
-    }
-}
-
-/// The coalescing flusher: when sends park frames behind a nonzero
-/// `flush_delay` window, this thread wakes at the *first*
-/// enqueue, sleeps out the window (letting the batch accumulate), and
-/// writes every dirty link's backlog as one vectored flush. Because
-/// the signal fires on the first frame, a lone frame's latency is
-/// bounded by the window — it is never stalled waiting for company.
-pub(super) fn flusher_loop(shared: Arc<SendShared>) {
-    let window = shared.tuning.flush_delay;
-    // Bound idle parks so shutdown is prompt even with no traffic.
-    let tick = shared.tuning.supervisor_tick();
-    while !shared.stop.load(Ordering::Relaxed) {
-        let mut signalled = shared.flush_signal.lock();
-        while !*signalled {
-            let (guard, _timed_out) =
-                shared.flush_signal.wait_deadline(signalled, Instant::now() + tick);
-            signalled = guard;
-            if shared.stop.load(Ordering::Relaxed) {
-                return;
-            }
-        }
-        *signalled = false;
-        drop(signalled);
-        // Re-arm the fast-path gate before sleeping: deposits from here
-        // on signal the *next* round (and are usually also caught by
-        // this one, since the dirty links are scanned after the
-        // window).
-        shared.dirty_hint.store(false, Ordering::Relaxed);
-        // The coalescing window: frames sent while we sleep join the
-        // batch (and set the signal again, harmlessly).
-        std::thread::sleep(window);
-        let links: Vec<Arc<LinkCell>> = shared.links.lock().values().map(Arc::clone).collect();
-        for handle in links {
-            let mut link = handle.lock();
-            if !link.dirty {
-                continue;
-            }
-            link.dirty = false;
-            if link.stream.is_some() && flush_pending(&mut link, &shared.stats).is_err() {
-                // The retained tail is non-empty, so the supervisor
-                // re-establishes and replays in the background.
-                kill_stream(&mut link);
             }
         }
     }

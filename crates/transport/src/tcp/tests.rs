@@ -194,41 +194,6 @@ fn exhausted_retry_budget_surfaces_link_down() {
 }
 
 #[test]
-fn batches_coalesce_under_flush_delay() {
-    let addrs = free_local_addrs(2).unwrap();
-    let cfg = TcpConfigBuilder::new()
-        .location(Alice, addrs[0])
-        .location(Bob, addrs[1])
-        .flush_delay(Duration::from_millis(20))
-        .build::<System>()
-        .unwrap();
-    let a_cfg = cfg.clone();
-    let b_cfg = cfg;
-    let bob = std::thread::spawn(move || {
-        let t = TcpTransport::bind(Bob, b_cfg).unwrap();
-        let mut got = Vec::new();
-        for _ in 0..12 {
-            got.push(t.receive("Alice").unwrap());
-        }
-        t.send("Alice", b"done").unwrap();
-        got
-    });
-    let alice = TcpTransport::bind(Alice, a_cfg).unwrap();
-    for i in 0..12u8 {
-        alice.send("Bob", &[i]).unwrap();
-    }
-    assert_eq!(alice.receive("Bob").unwrap(), b"done");
-    let got = bob.join().unwrap();
-    assert_eq!(got, (0..12u8).map(|i| vec![i]).collect::<Vec<_>>());
-    let stats = alice.link_stats();
-    assert!(stats.batched_frames >= 12, "every frame flushes in a batch: {stats:?}");
-    assert!(
-        stats.batches < stats.batched_frames,
-        "the window must coalesce at least one multi-frame batch: {stats:?}"
-    );
-}
-
-#[test]
 fn single_frame_larger_than_watermark_still_sends() {
     // A watermark below one frame's wire footprint must admit the
     // frame when the queue is empty — otherwise it could never be

@@ -102,8 +102,7 @@ fn multicast_serializes_exactly_once_regardless_of_census_size() {
     );
 }
 
-/// A multicasts over the batched TCP data plane; the census returns
-/// what it observed.
+/// A multicasts over TCP; the census returns what it observed.
 #[derive(Clone)]
 struct TcpFanOut;
 
@@ -117,14 +116,12 @@ impl Choreography<u64> for TcpFanOut {
     }
 }
 
-/// The encode-once property must survive the batched TCP path: the
-/// coalescing window queues all three remote copies before one vectored
-/// flush, and every queued frame shares the single encoded payload
-/// buffer — so the probe still serializes exactly once.
+/// The encode-once property must survive the TCP path: each remote copy
+/// is one frame on its own link, and all three share the single encoded
+/// payload buffer — so the probe still serializes exactly once.
 #[test]
 fn tcp_batched_multicast_serializes_exactly_once() {
     use chorus_transport::{free_local_addrs, TcpConfigBuilder};
-    use std::time::Duration;
 
     let addrs = free_local_addrs(4).unwrap();
     let cfg = TcpConfigBuilder::new()
@@ -132,7 +129,6 @@ fn tcp_batched_multicast_serializes_exactly_once() {
         .location(B, addrs[1])
         .location(C, addrs[2])
         .location(D, addrs[3])
-        .flush_delay(Duration::from_micros(200))
         .build::<Census>()
         .unwrap();
     let results = run_everywhere(cfg, TcpFanOut);
