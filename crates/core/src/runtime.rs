@@ -170,22 +170,6 @@ impl SessionCx<'_> {
             }
         }
     }
-
-    /// Like [`try_receive_value`](Self::try_receive_value) but returns
-    /// the raw payload bytes.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `from` is unknown or the link has failed.
-    pub fn try_receive_payload(&mut self, from: &str) -> Result<Option<Bytes>, TransportError> {
-        match self.ops.try_receive_payload(from)? {
-            Some(payload) => Ok(Some(payload)),
-            None => {
-                self.waiting = Some(self.ops.intern(from)?);
-                Ok(None)
-            }
-        }
-    }
 }
 
 /// Object-safe bridge between the untyped scheduler and one session's
@@ -714,7 +698,7 @@ impl SessionRuntime {
                         parked_since = None;
                     }
                     parked_edge = Some(edge);
-                    match cxops_register(&mut ops, edge, &entry.waker) {
+                    match ops.register_waker(edge, &entry.waker) {
                         Ok(true) => {
                             parked_since = None;
                             PollOutcome::Ready
@@ -759,16 +743,6 @@ impl SessionRuntime {
         self.shared.queue.notify_one();
         SessionHandle { cell, id }
     }
-}
-
-/// Free-function shim so the poll closure can re-register through the
-/// `dyn CxOps` without naming the concrete type.
-fn cxops_register(
-    ops: &mut dyn CxOps,
-    edge: &'static str,
-    waker: &MailboxWaker,
-) -> Result<bool, TransportError> {
-    ops.register_waker(edge, waker)
 }
 
 impl Drop for SessionRuntime {

@@ -290,24 +290,6 @@ where
         Ok(self.endpoint.deliver(self.id, from, envelope))
     }
 
-    /// Non-blocking variant of
-    /// [`receive_payload`](Session::receive_payload): pops the next
-    /// payload from `from`'s mailbox if one is already deliverable,
-    /// passing it through the layer stack, and returns `Ok(None)` when
-    /// the mailbox is merely empty.
-    ///
-    /// This is the receive shape the pooled session runtime is built
-    /// on: a would-block receive yields the session instead of parking
-    /// an OS thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `from` is unknown or the link has failed.
-    pub fn try_receive_payload(&self, from: &str) -> Result<Option<Bytes>, TransportError> {
-        let envelope = self.endpoint.transport().try_receive_frame(self.id, from)?;
-        Ok(envelope.map(|envelope| self.endpoint.deliver(self.id, from, envelope)))
-    }
-
     /// Like [`receive_payload`](Session::receive_payload), but copies
     /// the payload into an owned `Vec<u8>`. Kept for callers that need
     /// ownership of plain bytes; hot paths should prefer the shared
@@ -546,106 +528,5 @@ where
 
     fn resident(&self, owners: &[&'static str]) -> bool {
         owners.contains(&Target::NAME)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::transport::MailboxWaker;
-    use std::collections::VecDeque;
-
-    crate::locations! { Alice, Bob }
-    type System = crate::LocationSet!(Alice, Bob);
-
-    /// A transport whose `try_receive_frame` answers are scripted, so
-    /// every branch of `Session::try_receive_payload` is reachable
-    /// without a real peer.
-    struct ScriptedTransport {
-        script: Mutex<VecDeque<Result<Option<Envelope>, TransportError>>>,
-    }
-
-    impl ScriptedTransport {
-        fn new(script: impl IntoIterator<Item = Result<Option<Envelope>, TransportError>>) -> Self {
-            ScriptedTransport { script: Mutex::new(script.into_iter().collect()) }
-        }
-    }
-
-    impl SessionTransport<System, Bob> for ScriptedTransport {
-        fn send_frame(&self, _to: &str, _frame: Envelope) -> Result<(), TransportError> {
-            Ok(())
-        }
-
-        fn receive_frame(
-            &self,
-            _session: SessionId,
-            _from: &str,
-        ) -> Result<Envelope, TransportError> {
-            unimplemented!("blocking receive is not under test")
-        }
-
-        fn try_receive_frame(
-            &self,
-            _session: SessionId,
-            _from: &str,
-        ) -> Result<Option<Envelope>, TransportError> {
-            self.script
-                .lock()
-                .expect("script poisoned")
-                .pop_front()
-                .expect("script exhausted: unexpected extra try_receive_frame call")
-        }
-
-        fn register_waker(
-            &self,
-            _session: SessionId,
-            _from: &str,
-            _waker: MailboxWaker,
-        ) -> Result<bool, TransportError> {
-            Ok(false)
-        }
-
-        fn close_session(&self, _session: SessionId) {}
-    }
-
-    fn session_over(
-        script: impl IntoIterator<Item = Result<Option<Envelope>, TransportError>>,
-    ) -> Endpoint<System, Bob, ScriptedTransport> {
-        Endpoint::new(ScriptedTransport::new(script))
-    }
-
-    #[test]
-    fn try_receive_payload_misses_on_empty_mailbox() {
-        let endpoint = session_over([Ok(None)]);
-        let session = endpoint.session_with_id(7);
-        assert!(session.try_receive_payload("Alice").unwrap().is_none());
-    }
-
-    #[test]
-    fn try_receive_payload_returns_a_ready_payload() {
-        let endpoint = session_over([Ok(Some(Envelope::new(7, 0, b"ready-frame".to_vec())))]);
-        let session = endpoint.session_with_id(7);
-        let payload = session.try_receive_payload("Alice").unwrap().expect("frame was ready");
-        assert_eq!(payload.as_ref(), b"ready-frame");
-    }
-
-    #[test]
-    fn try_receive_payload_surfaces_decode_failures() {
-        let endpoint = session_over([Err(TransportError::Codec(
-            chorus_wire::from_bytes::<String>(&[0xFF; 2]).unwrap_err(),
-        ))]);
-        let session = endpoint.session_with_id(7);
-        let err = session.try_receive_payload("Alice").unwrap_err();
-        assert!(matches!(err, TransportError::Codec(_)), "got: {err}");
-    }
-
-    #[test]
-    fn try_receive_payload_surfaces_poisoned_links() {
-        let endpoint = session_over([Err(TransportError::Protocol(
-            "link from Alice poisoned at frame 2: subsequent frames withheld".into(),
-        ))]);
-        let session = endpoint.session_with_id(7);
-        let err = session.try_receive_payload("Alice").unwrap_err();
-        assert!(err.to_string().contains("poisoned"), "got: {err}");
     }
 }
