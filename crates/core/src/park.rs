@@ -1,46 +1,121 @@
-//! The park/wake shim transports block on.
+//! How threads wait: the one blocking receive, its watchdog deadline,
+//! and the condvar shim the pooled runtime parks its workers on.
 //!
-//! Every blocking receive in the workspace reduces to the same shape:
-//! take a lock, check a predicate over the guarded state, and if it does
-//! not hold yet, park until a producer changes the state and wakes the
-//! sleepers. [`WaitQueue`] packages that shape — a mutex fused with its
-//! condvar — so transports cannot accidentally wait on a condvar that
-//! guards different state, and so the simulation transport can bound
-//! every park with a watchdog deadline instead of hanging a test run
-//! forever.
+//! Every transport's [`receive_frame`](crate::SessionTransport::receive_frame)
+//! is the one loop here, over the two non-blocking methods each transport
+//! implements. It polls `try_receive_frame`; a transport that sets
+//! [`SPIN_BEFORE_PARK`](crate::SessionTransport::SPIN_BEFORE_PARK)
+//! re-polls through a bounded spin and yield first. Then it registers
+//! this thread's waker (one `Arc` per thread, so a receive allocates
+//! nothing) and polls again at once if the mailbox is already ready, or
+//! parks until a deposit fires the waker. Registration checks readiness
+//! under the lock deposits take, so no wakeup is lost, and a spurious
+//! wake just polls again. Once [`default_watchdog`] has passed since the
+//! call, the receive fails with an error naming the session and the peer.
+//! The mailbox state decides what a receiver gets, never wake order, so
+//! `SimTransport`'s schedules stay reproducible.
 //!
-//! Determinism note: a `WaitQueue` adds no scheduling decisions of its
-//! own. Wakes are broadcast (`notify_all`) and every woken receiver
-//! re-checks its predicate under the single lock, so *which* receiver
-//! proceeds is decided by the guarded state, never by wake order. That
-//! is what lets `SimTransport` promise bit-for-bit reproducible delivery
-//! schedules while its receivers are ordinary blocked threads.
+//! [`WaitQueue`] remains for the pooled runtime and tests.
 
-use std::sync::{Condvar, Mutex, MutexGuard};
+use crate::location::{ChoreographyLocation, LocationSet};
+use crate::transport::{MailboxWaker, SessionId, SessionTransport, TransportError};
+use chorus_wire::Envelope;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
+
+/// Poll retries a spinning receiver burns before yielding (none on a
+/// single core, where spinning just steals the sender's CPU).
+const RECV_SPIN_LIMIT: u32 = 128;
+
+/// Then `yield_now` retries before parking: a yield hands the core to a
+/// runnable sender, a park/wake costs two futex transitions.
+const RECV_YIELD_LIMIT: u32 = 32;
 
 /// The workspace-wide default watchdog timeout for bounded parks.
 ///
-/// Every watchdog in the workspace — the sim transport's receive
-/// watchdog, the pooled session runtime's stall detector — derives its
-/// default deadline from this one place instead of hard-coding an ad
-/// hoc per-call-site constant. Override it with the `CHORUS_WATCHDOG_MS`
-/// environment variable (milliseconds, read once per process); the
-/// built-in default is 30 000 ms.
-///
-/// A CI job that wants hangs to surface fast sets `CHORUS_WATCHDOG_MS`
-/// low; a debugging session that wants to poke around under a debugger
-/// sets it high. Code that needs a *specific* deadline (e.g. a test
-/// pinning watchdog behavior) still passes one explicitly.
+/// Every watchdog in the workspace — the blocking receive's, the TCP
+/// retention wait's, the pooled session runtime's stall detector —
+/// derives its default deadline from this one place. Override it with
+/// the `CHORUS_WATCHDOG_MS` environment variable (milliseconds, read
+/// once per process); the built-in default is 30 000 ms. Code that needs
+/// a *specific* deadline (e.g. a test pinning watchdog behavior) still
+/// passes one explicitly.
 pub fn default_watchdog() -> Duration {
-    static MILLIS: std::sync::OnceLock<u64> = std::sync::OnceLock::new();
-    let millis = *MILLIS.get_or_init(|| {
-        std::env::var("CHORUS_WATCHDOG_MS")
-            .ok()
-            .and_then(|raw| raw.trim().parse::<u64>().ok())
-            .unwrap_or(30_000)
-    });
+    static MILLIS: OnceLock<u64> = OnceLock::new();
+    let millis = *MILLIS
+        .get_or_init(|| watchdog_millis(std::env::var("CHORUS_WATCHDOG_MS").ok().as_deref()));
     Duration::from_millis(millis)
+}
+
+/// Parses a `CHORUS_WATCHDOG_MS` value. Zero would fail every receive
+/// that has to wait, so it counts as unset, like a value that is not a
+/// number.
+fn watchdog_millis(raw: Option<&str>) -> u64 {
+    raw.and_then(|raw| raw.trim().parse::<u64>().ok())
+        .filter(|&millis| millis > 0)
+        .unwrap_or(30_000)
+}
+
+thread_local! {
+    /// This thread's receive waker: it unparks the thread.
+    static WAKER: MailboxWaker = {
+        let thread = std::thread::current();
+        Arc::new(move || thread.unpark())
+    };
+}
+
+/// The one blocking receive; see the module docs.
+pub(crate) fn blocking_receive<L, Target, T>(
+    transport: &T,
+    session: SessionId,
+    from: &str,
+) -> Result<Envelope, TransportError>
+where
+    L: LocationSet,
+    Target: ChoreographyLocation,
+    T: SessionTransport<L, Target> + ?Sized,
+{
+    if let Some(frame) = transport.try_receive_frame(session, from)? {
+        return Ok(frame);
+    }
+    let started = Instant::now();
+    if T::SPIN_BEFORE_PARK {
+        static MULTICORE: OnceLock<bool> = OnceLock::new();
+        let multicore = *MULTICORE
+            .get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1));
+        let spins = if multicore { RECV_SPIN_LIMIT } else { 0 };
+        for round in 0..spins + RECV_YIELD_LIMIT {
+            if round < spins {
+                std::hint::spin_loop();
+            } else {
+                std::thread::yield_now();
+            }
+            if let Some(frame) = transport.try_receive_frame(session, from)? {
+                return Ok(frame);
+            }
+        }
+    }
+    let watchdog = default_watchdog();
+    let deadline = started + watchdog;
+    loop {
+        let now = Instant::now();
+        if now >= deadline {
+            return Err(TransportError::Protocol(format!(
+                "receive watchdog: no frame of session {session} from {from} after {}ms \
+                 (configured deadline {}ms)",
+                started.elapsed().as_millis(),
+                watchdog.as_millis()
+            )));
+        }
+        let ready =
+            WAKER.with(|waker| transport.register_waker(session, from, Arc::clone(waker)))?;
+        if !ready {
+            std::thread::park_timeout(deadline - now);
+        }
+        if let Some(frame) = transport.try_receive_frame(session, from)? {
+            return Ok(frame);
+        }
+    }
 }
 
 /// A mutex fused with the condvar that announces changes to its state.
@@ -72,7 +147,7 @@ impl<T> WaitQueue<T> {
     /// # Panics
     ///
     /// Panics if a previous holder of the lock panicked (the state may
-    /// be torn; transports treat this as unrecoverable).
+    /// be torn).
     pub fn lock(&self) -> MutexGuard<'_, T> {
         self.state.lock().expect("wait queue poisoned")
     }
@@ -175,6 +250,14 @@ mod tests {
         let first = default_watchdog();
         assert!(first > Duration::ZERO);
         assert_eq!(first, default_watchdog());
+    }
+
+    #[test]
+    fn watchdog_override_parses_positive_millis_only() {
+        assert_eq!(watchdog_millis(Some(" 250 ")), 250);
+        assert_eq!(watchdog_millis(Some("0")), 30_000);
+        assert_eq!(watchdog_millis(Some("abc")), 30_000);
+        assert_eq!(watchdog_millis(None), 30_000);
     }
 
     #[test]

@@ -2,12 +2,11 @@
 //! driven by a fixed worker pool.
 //!
 //! The blocking execution model ([`Session::epp_and_run`]) parks one OS
-//! thread per role per session on a
-//! [`WaitQueue`](crate::park::WaitQueue) whenever a receive would
-//! block. That is the right shape for a handful of long-lived runs and
-//! the wrong shape for ten thousand concurrent ones: tens of thousands
-//! of parked threads exhaust memory and scheduler capacity long before
-//! the network does. This module keeps the thread count **O(pool
+//! thread per role per session in the one blocking receive
+//! ([`park`](crate::park)) whenever a receive would block. That is the
+//! right shape for a handful of long-lived runs and the wrong shape for
+//! ten thousand concurrent ones: tens of thousands of parked threads
+//! exhaust memory and scheduler capacity long before the network does. This module keeps the thread count **O(pool
 //! size)** instead of O(sessions): each role runs as a *resumable*
 //! [`RoleProgram`] that yields on a would-block receive, and a
 //! [`SessionRuntime`] — a FIFO run queue drained by a fixed pool of
@@ -44,13 +43,13 @@
 //! sessions and resolves any that has waited longer than the runtime's
 //! deadline (default [`park::default_watchdog`], env-overridable via
 //! `CHORUS_WATCHDOG_MS`) with a [`TransportError::Protocol`] — the
-//! same surface-the-stall-instead-of-hanging contract the sim
-//! transport's receive watchdog established.
+//! same surface-the-stall-instead-of-hanging contract every blocking
+//! receive's watchdog keeps.
 //!
 //! ```ignore
 //! let runtime = SessionRuntime::new(4);
 //! let server = runtime.spawn(&server_endpoint, 7, PooledKvsServer::new(store));
-//! let client = runtime.spawn(&client_endpoint, 7, PooledKvsClient::get("k"));
+//! let client = runtime.spawn(&client_endpoint, 7, PooledKvsClient::new(Request::Get("k".into())));
 //! assert_eq!(client.join()?, Response::Found("v".into()));
 //! server.join()?;
 //! ```

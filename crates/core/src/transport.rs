@@ -178,6 +178,12 @@ pub const RAW_SESSION: SessionId = SessionId::MAX;
 /// built on; the raw [`Transport`] trait remains for single-stream,
 /// unframed byte links.
 pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
+    /// Whether a blocking [`receive_frame`](Self::receive_frame) re-polls
+    /// through a bounded spin and yield before it parks: worth it where
+    /// a peer's reply usually lands within a microsecond (in-process
+    /// links), wasted CPU where it takes a socket or a simulated network.
+    const SPIN_BEFORE_PARK: bool = false;
+
     /// The names of every location this transport can reach (including
     /// `Target` itself).
     fn locations(&self) -> Vec<&'static str> {
@@ -195,17 +201,23 @@ pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
     /// arrives, and returns it.
     ///
     /// Frames of other sessions arriving meanwhile are queued into their
-    /// own mailboxes, never dropped.
+    /// own mailboxes, never dropped. Every transport shares this one
+    /// loop over [`try_receive_frame`](Self::try_receive_frame) and
+    /// [`register_waker`](Self::register_waker), described in
+    /// [`park`](crate::park).
     ///
     /// # Errors
     ///
-    /// Returns an error if `from` is unknown, the link fails, or the
-    /// peer violates per-session frame ordering.
+    /// Returns an error if `from` is unknown, the link fails, the peer
+    /// violates per-session frame ordering, or no frame arrives before
+    /// the watchdog deadline ([`park::default_watchdog`](crate::park::default_watchdog)).
     fn receive_frame(
         &self,
         session: SessionId,
         from: &str,
-    ) -> Result<chorus_wire::Envelope, TransportError>;
+    ) -> Result<chorus_wire::Envelope, TransportError> {
+        crate::park::blocking_receive(self, session, from)
+    }
 
     /// Pops the next frame of `session` from the location named `from`
     /// if one is already deliverable, **without blocking**.
@@ -218,8 +230,7 @@ pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
     /// # Errors
     ///
     /// Returns an error if `from` is unknown or the link has failed —
-    /// exactly the cases in which [`receive_frame`](Self::receive_frame)
-    /// would return the same error instead of blocking.
+    /// the errors [`receive_frame`](Self::receive_frame) passes on.
     fn try_receive_frame(
         &self,
         session: SessionId,

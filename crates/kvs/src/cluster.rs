@@ -764,9 +764,7 @@ mod tests {
 
     #[test]
     fn a_role_panic_surfaces_with_its_own_message_and_the_cluster_serves_on() {
-        let plan = FaultPlan::ideal()
-            .with_silence(chorus_transport::Silence::link("N1", "N2"))
-            .with_watchdog(std::time::Duration::from_secs(2));
+        let plan = FaultPlan::ideal().with_silence(chorus_transport::Silence::link("N1", "N2"));
         let mut cluster = SimCluster::new(plan, &["N1", "N2", "N3"], 4);
         let config = cluster.config().clone();
         let shard = config.shards[0].id;

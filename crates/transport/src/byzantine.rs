@@ -72,6 +72,8 @@ where
     Target: ChoreographyLocation,
     T: SessionTransport<L, Target>,
 {
+    const SPIN_BEFORE_PARK: bool = T::SPIN_BEFORE_PARK;
+
     fn locations(&self) -> Vec<&'static str> {
         self.inner.locations()
     }
@@ -87,10 +89,6 @@ where
             frame.payload = Bytes::from(tampered);
         }
         self.inner.send_frame(to, frame)
-    }
-
-    fn receive_frame(&self, session: SessionId, from: &str) -> Result<Envelope, TransportError> {
-        self.inner.receive_frame(session, from)
     }
 
     fn try_receive_frame(

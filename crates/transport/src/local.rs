@@ -8,33 +8,19 @@
 //! very buffer the sender serialized (shared, not copied).
 
 use crate::mailboxes::Mailboxes;
-use chorus_core::park::WaitQueue;
 use chorus_core::{
     ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SessionId, SessionTransport,
     Transport, TransportError, RAW_SESSION,
 };
 use chorus_wire::Envelope;
+use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::marker::PhantomData;
-use std::sync::{Arc, Mutex};
-
-/// How many lock-and-look retries a receiver burns before escalating.
-/// In-process peers usually answer within a microsecond; polling
-/// briefly skips the cross-thread park/wake round trip that otherwise
-/// dominates the latency of small messages. Only used when more than
-/// one core is available — on a single core, spinning just steals the
-/// sender's CPU.
-const RECV_SPIN_LIMIT: u32 = 128;
-
-/// After spinning, how many `yield_now` retries before parking on the
-/// condvar. A yield immediately hands the core to a runnable sender —
-/// the cheap path on oversubscribed or single-core machines — while a
-/// park/wake costs two futex transitions.
-const RECV_YIELD_LIMIT: u32 = 32;
+use std::sync::Arc;
 
 /// One directed link's state: its receive side, which senders deposit
-/// into directly and receivers park on via the core park/wake shim.
-type LinkState = WaitQueue<Mailboxes>;
+/// into directly.
+type LinkState = Mutex<Mailboxes>;
 
 /// The shared fabric connecting every pair of locations in `L`.
 ///
@@ -95,9 +81,6 @@ pub struct LocalTransport<L: LocationSet, Target: ChoreographyLocation> {
     /// The census, resolved once so per-message destination/sender
     /// validation works over interned names without allocating.
     names: InternedNames,
-    /// Spin budget for receives, resolved once from the machine's
-    /// parallelism: zero on a single core, [`RECV_SPIN_LIMIT`] otherwise.
-    spin_limit: u32,
     /// Sequence counters for the raw (sessionless) compatibility path.
     raw_seqs: Mutex<HashMap<&'static str, u64>>,
     target: PhantomData<Target>,
@@ -107,13 +90,9 @@ impl<L: LocationSet, Target: ChoreographyLocation> LocalTransport<L, Target> {
     /// Creates `target`'s endpoint over the shared fabric.
     pub fn new(target: Target, channel: LocalTransportChannel<L>) -> Self {
         let _ = target;
-        static PARALLELISM: std::sync::OnceLock<usize> = std::sync::OnceLock::new();
-        let parallel = *PARALLELISM
-            .get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()));
         LocalTransport {
             channel,
             names: InternedNames::of::<L>(),
-            spin_limit: if parallel > 1 { RECV_SPIN_LIMIT } else { 0 },
             raw_seqs: Mutex::new(HashMap::new()),
             target: PhantomData,
         }
@@ -133,6 +112,9 @@ impl<L: LocationSet, Target: ChoreographyLocation> LocalTransport<L, Target> {
 impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     for LocalTransport<L, Target>
 {
+    /// In-process peers usually answer within a microsecond.
+    const SPIN_BEFORE_PARK: bool = true;
+
     fn send_frame(&self, to: &str, frame: Envelope) -> Result<(), TransportError> {
         let to = self.names.resolve(to)?;
         let link = self.link(Target::NAME, to)?;
@@ -147,38 +129,8 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
             Err(e) => (None, boxes.fail(format!("link from {} is down: {e}", Target::NAME))),
         };
         drop(boxes);
-        link.notify_all();
         fired.into_iter().chain(all_fired).for_each(|waker| waker());
         Ok(())
-    }
-
-    fn receive_frame(&self, session: SessionId, from: &str) -> Result<Envelope, TransportError> {
-        let from = self.names.resolve(from)?;
-        let link = self.link(from, Target::NAME)?;
-        let mut spins = 0u32;
-        let mut boxes = link.lock();
-        loop {
-            if let Some(envelope) = boxes.pop(session)? {
-                return Ok(envelope);
-            }
-            if spins < self.spin_limit {
-                // Briefly poll before escalating: drop the lock so the
-                // sender can deposit, give the core a breather, retry.
-                spins += 1;
-                drop(boxes);
-                std::hint::spin_loop();
-                boxes = link.lock();
-            } else if spins < self.spin_limit + RECV_YIELD_LIMIT {
-                // Hand the core to a runnable sender; far cheaper than a
-                // park/wake when the reply is about to arrive.
-                spins += 1;
-                drop(boxes);
-                std::thread::yield_now();
-                boxes = link.lock();
-            } else {
-                boxes = link.wait(boxes);
-            }
-        }
     }
 
     fn try_receive_frame(
@@ -217,7 +169,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> Transport<L, Target>
     fn send(&self, to: &str, data: &[u8]) -> Result<(), TransportError> {
         let seq = {
             let to_static = self.names.resolve(to)?;
-            let mut seqs = self.raw_seqs.lock().expect("raw sequence counters poisoned");
+            let mut seqs = self.raw_seqs.lock();
             let counter = seqs.entry(to_static).or_insert(0);
             let seq = *counter;
             *counter += 1;

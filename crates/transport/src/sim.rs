@@ -24,11 +24,11 @@
 //! arrival ticks*, never delivery: a mailbox holds the FIFO order the
 //! [`SessionTransport`] contract promises (what TCP re-establishes over
 //! a lossy, reordering packet layer) because frames enter it in offer
-//! order. Receivers only pop — ordinary blocked threads parked on a
-//! [`chorus_core::park::WaitQueue`] until a sender deposits, so delivery
-//! never waits on a wall clock. A watchdog deadline bounds every park,
-//! so a genuinely stuck schedule surfaces as an error instead of
-//! hanging CI.
+//! order. Receivers only pop, through the workspace's one blocking
+//! receive ([`chorus_core::park`]): a blocked receiver parks until a
+//! sender's deposit fires its waker, so delivery never waits on a wall
+//! clock, and the one receive watchdog turns a genuinely stuck schedule
+//! into an error instead of a hung CI run.
 //!
 //! Failure modes are injected, never emergent: a sender-side sequence
 //! violation kills the link for every session behind it (mirroring
@@ -54,18 +54,17 @@
 //! failing seed replays locally with nothing but the seed.
 
 use crate::mailboxes::Mailboxes;
-use chorus_core::park::{self, WaitQueue};
 use chorus_core::{
     ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SessionId, SessionTransport,
     Transport, TransportError, RAW_SESSION,
 };
 use chorus_wire::Envelope;
+use parking_lot::{Mutex, MutexGuard};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::Arc;
 
 /// A frame is retransmitted at most this many times; past that the
 /// "network" relents and delivers. Keeps arrival ticks finite even with
@@ -209,10 +208,6 @@ pub struct FaultPlan {
     pub corruption: Vec<Corruption>,
     /// Links silenced forever.
     pub silence: Vec<Silence>,
-    /// Real-time bound on any single blocked receive; a stalled
-    /// schedule surfaces as [`TransportError::Protocol`] instead of a
-    /// hang.
-    pub watchdog: Duration,
 }
 
 impl FaultPlan {
@@ -229,7 +224,6 @@ impl FaultPlan {
             poison: None,
             corruption: Vec::new(),
             silence: Vec::new(),
-            watchdog: park::default_watchdog(),
         }
     }
 
@@ -263,7 +257,6 @@ impl FaultPlan {
             // existing seed's schedule bit-for-bit.
             corruption: Vec::new(),
             silence: Vec::new(),
-            watchdog: park::default_watchdog(),
         }
     }
 
@@ -312,12 +305,6 @@ impl FaultPlan {
     /// Silences a link forever.
     pub fn with_silence(mut self, silence: Silence) -> Self {
         self.silence.push(silence);
-        self
-    }
-
-    /// Sets the receive watchdog.
-    pub fn with_watchdog(mut self, watchdog: Duration) -> Self {
-        self.watchdog = watchdog;
         self
     }
 
@@ -490,13 +477,12 @@ struct SimLink {
     deliveries: Vec<SimEvent>,
 }
 
-/// Fails the link with `message`, then releases the lock, wakes every
-/// blocked receiver and fires every parked waker (outside the lock — a
-/// waker re-enqueues into a scheduler queue).
-fn fail_link(wq: &WaitQueue<SimLink>, mut link: MutexGuard<'_, SimLink>, message: String) {
+/// Fails the link with `message`, then releases the lock and fires
+/// every parked waker (outside the lock — a waker re-enqueues into a
+/// scheduler queue).
+fn fail_link(mut link: MutexGuard<'_, SimLink>, message: String) {
     let fired = link.boxes.fail(message);
     drop(link);
-    wq.notify_all();
     for waker in fired {
         waker();
     }
@@ -504,7 +490,7 @@ fn fail_link(wq: &WaitQueue<SimLink>, mut link: MutexGuard<'_, SimLink>, message
 
 struct SimShared {
     plan: FaultPlan,
-    links: HashMap<(&'static str, &'static str), WaitQueue<SimLink>>,
+    links: HashMap<(&'static str, &'static str), Mutex<SimLink>>,
     /// Frames handed to receivers, across all links. Relaxed: a reader
     /// that must see a session's frames has already synchronized with
     /// its receivers (joined them, or heard back from them).
@@ -534,7 +520,7 @@ impl<L: LocationSet> SimNet<L> {
         for from in &names {
             for to in &names {
                 if from != to {
-                    links.insert((*from, *to), WaitQueue::new(SimLink::default()));
+                    links.insert((*from, *to), Mutex::new(SimLink::default()));
                 }
             }
         }
@@ -552,7 +538,7 @@ impl<L: LocationSet> SimNet<L> {
     /// The current virtual time: the largest arrival tick any link has
     /// logged.
     pub fn virtual_now(&self) -> u64 {
-        self.sorted_links().map(|(_, wq)| wq.lock().now).max().unwrap_or(0)
+        self.sorted_links().map(|(_, link)| link.lock().now).max().unwrap_or(0)
     }
 
     /// Frames handed to receivers so far, across all links.
@@ -568,8 +554,8 @@ impl<L: LocationSet> SimNet<L> {
     /// order, wherever receivers happened to stop.
     pub fn events(&self) -> Vec<SimEvent> {
         let mut out = Vec::new();
-        for (_, wq) in self.sorted_links() {
-            let link = wq.lock();
+        for (_, link) in self.sorted_links() {
+            let link = link.lock();
             out.extend(link.sends.iter().cloned());
             let mut deliveries = link.deliveries.clone();
             // A frame's Delivered always precedes its DuplicateDropped
@@ -647,7 +633,7 @@ impl<L: LocationSet> SimNet<L> {
 
     fn sorted_links(
         &self,
-    ) -> impl Iterator<Item = (&(&'static str, &'static str), &WaitQueue<SimLink>)> + '_ {
+    ) -> impl Iterator<Item = (&(&'static str, &'static str), &Mutex<SimLink>)> + '_ {
         let mut keys: Vec<_> = self.shared.links.iter().collect();
         keys.sort_by_key(|(k, _)| **k);
         keys.into_iter()
@@ -686,7 +672,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SimTransport<L, Target> {
         &self,
         from: &'static str,
         to: &'static str,
-    ) -> Result<&WaitQueue<SimLink>, TransportError> {
+    ) -> Result<&Mutex<SimLink>, TransportError> {
         self.net.shared.links.get(&(from, to)).ok_or_else(|| {
             TransportError::UnknownLocation(if from == Target::NAME {
                 to.to_string()
@@ -694,31 +680,6 @@ impl<L: LocationSet, Target: ChoreographyLocation> SimTransport<L, Target> {
                 from.to_string()
             })
         })
-    }
-
-    /// One non-blocking look at `session`'s mailbox on `from → Target`:
-    /// the next queued frame, else the link's failure if it has one
-    /// (frames queued before a failure drain first; a failure outranks
-    /// silence), else `None`.
-    fn poll_mailbox(
-        &self,
-        link: &mut SimLink,
-        session: SessionId,
-        from: &'static str,
-    ) -> Result<Option<Envelope>, TransportError> {
-        if let Some(env) = link.boxes.pop(session)? {
-            self.net.shared.received.fetch_add(1, Ordering::Relaxed);
-            return Ok(Some(env));
-        }
-        let to = Target::NAME;
-        if self.net.shared.plan.silenced(from, to) {
-            // The silence is a plan-level fact: no frame will ever
-            // arrive, so fail now instead of burning the watchdog.
-            return Err(TransportError::Protocol(format!(
-                "link {from} -> {to} silenced: every frame dropped (selective silence)"
-            )));
-        }
-        Ok(None)
     }
 }
 
@@ -728,9 +689,8 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     fn send_frame(&self, to: &str, mut frame: Envelope) -> Result<(), TransportError> {
         let to = self.names.resolve(to)?;
         let from = Target::NAME;
-        let wq = self.link(from, to)?;
         let plan = &self.net.shared.plan;
-        let mut link = wq.lock();
+        let mut link = self.link(from, to)?.lock();
         let k = link.sent;
         link.sent += 1;
         let (session, seq) = (frame.session, frame.seq);
@@ -747,7 +707,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
             Ok(admitted) => admitted,
             Err(e) => {
                 link.sends.push(event(0, SimEventKind::Withheld));
-                fail_link(wq, link, format!("link from {from} is down: {e}"));
+                fail_link(link, format!("link from {from} is down: {e}"));
                 return Ok(());
             }
         };
@@ -758,7 +718,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
                 let message = format!(
                     "link from {from} poisoned at frame {step}: subsequent frames withheld"
                 );
-                fail_link(wq, link, message);
+                fail_link(link, message);
                 return Ok(());
             }
         }
@@ -806,34 +766,10 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         // fires — outside the lock, like every waker.
         let fired = if admitted { link.boxes.queue(frame) } else { None };
         drop(link);
-        wq.notify_all();
         if let Some(waker) = fired {
             waker();
         }
         Ok(())
-    }
-
-    fn receive_frame(&self, session: SessionId, from: &str) -> Result<Envelope, TransportError> {
-        let from = self.names.resolve(from)?;
-        let wq = self.link(from, Target::NAME)?;
-        let started = Instant::now();
-        let deadline = started + self.net.shared.plan.watchdog;
-        let mut link = wq.lock();
-        let mut timed_out = false;
-        loop {
-            if let Some(env) = self.poll_mailbox(&mut link, session, from)? {
-                return Ok(env);
-            }
-            if timed_out {
-                return Err(TransportError::Protocol(format!(
-                    "sim watchdog: no frame of session {session} from {from} after {}ms \
-                     (configured deadline {}ms; schedule stalled or sender never sent)",
-                    started.elapsed().as_millis(),
-                    self.net.shared.plan.watchdog.as_millis()
-                )));
-            }
-            (link, timed_out) = wq.wait_deadline(link, deadline);
-        }
     }
 
     fn try_receive_frame(
@@ -842,9 +778,22 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         from: &str,
     ) -> Result<Option<Envelope>, TransportError> {
         let from = self.names.resolve(from)?;
-        let wq = self.link(from, Target::NAME)?;
-        let mut link = wq.lock();
-        self.poll_mailbox(&mut link, session, from)
+        let to = Target::NAME;
+        // The next queued frame, else the link's failure if it has one
+        // (frames queued before a failure drain first; a failure
+        // outranks silence), else `None`.
+        if let Some(env) = self.link(from, to)?.lock().boxes.pop(session)? {
+            self.net.shared.received.fetch_add(1, Ordering::Relaxed);
+            return Ok(Some(env));
+        }
+        if self.net.shared.plan.silenced(from, to) {
+            // The silence is a plan-level fact: no frame will ever
+            // arrive, so fail now instead of burning the watchdog.
+            return Err(TransportError::Protocol(format!(
+                "link {from} -> {to} silenced: every frame dropped (selective silence)"
+            )));
+        }
+        Ok(None)
     }
 
     fn register_waker(
@@ -854,20 +803,20 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         waker: MailboxWaker,
     ) -> Result<bool, TransportError> {
         let from = self.names.resolve(from)?;
-        let wq = self.link(from, Target::NAME)?;
+        let link = self.link(from, Target::NAME)?;
         // A silenced link is ready: its error is there to observe.
         if self.net.shared.plan.silenced(from, Target::NAME) {
             return Ok(true);
         }
         // Ready-check and registration under the one link lock senders
         // deposit under: a frame can never slip between them.
-        Ok(wq.lock().boxes.register(session, waker))
+        Ok(link.lock().boxes.register(session, waker))
     }
 
     fn close_session(&self, session: SessionId) {
         for from in self.names.iter() {
-            if let Some(wq) = self.net.shared.links.get(&(from, Target::NAME)) {
-                wq.lock().boxes.close(session);
+            if let Some(link) = self.net.shared.links.get(&(from, Target::NAME)) {
+                link.lock().boxes.close(session);
             }
         }
     }
@@ -879,7 +828,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> Transport<L, Target>
     fn send(&self, to: &str, data: &[u8]) -> Result<(), TransportError> {
         let seq = {
             let to_static = self.names.resolve(to)?;
-            let mut seqs = self.raw_seqs.lock().expect("raw sequence counters poisoned");
+            let mut seqs = self.raw_seqs.lock();
             let counter = seqs.entry(to_static).or_insert(0);
             let seq = *counter;
             *counter += 1;
@@ -896,6 +845,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> Transport<L, Target>
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::{Duration, Instant};
 
     chorus_core::locations! { Alice, Bob }
     type System = chorus_core::LocationSet!(Alice, Bob);
@@ -1041,14 +991,6 @@ mod tests {
         alice.send_frame("Bob", Envelope::new(2, 0, b"other-session".to_vec())).unwrap();
         assert_eq!(bob.receive_frame(1, "Alice").unwrap().payload, b"ok");
         assert!(matches!(bob.receive_frame(2, "Alice"), Err(TransportError::Protocol(_))));
-    }
-
-    #[test]
-    fn watchdog_fires_instead_of_hanging() {
-        let plan = FaultPlan::ideal().with_watchdog(Duration::from_millis(50));
-        let (_alice, bob, _) = pair(plan);
-        let err = bob.receive("Alice").unwrap_err();
-        assert!(err.to_string().contains("watchdog"), "got: {err}");
     }
 
     #[test]

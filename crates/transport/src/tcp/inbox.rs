@@ -3,11 +3,10 @@
 //! gaps.
 
 use crate::mailboxes::Mailboxes;
-use chorus_core::{park, MailboxWaker, SessionId, TransportError};
+use chorus_core::{MailboxWaker, SessionId, TransportError};
 use chorus_wire::Envelope;
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex as StdMutex, MutexGuard};
-use std::time::Instant;
+use std::sync::{Mutex as StdMutex, MutexGuard};
 
 /// What the link layer made of one deposited batch of data frames.
 #[derive(Default)]
@@ -28,7 +27,6 @@ pub(super) struct Inbox {
     /// Per-sender state, keyed by interned sender names so per-frame
     /// routing allocates nothing.
     links: StdMutex<HashMap<&'static str, InboundLink>>,
-    cv: Condvar,
 }
 
 #[derive(Default)]
@@ -99,9 +97,6 @@ impl Inbox {
                 Err(e) => fired.extend(link.boxes.fail(e.to_string())),
             }
         }
-        if outcome.accepted > 0 || outcome.gap {
-            self.cv.notify_all();
-        }
         // Wakers re-enqueue sessions into a scheduler queue; invoke them
         // outside the inbox lock to avoid ordering deadlocks.
         drop(links);
@@ -123,7 +118,6 @@ impl Inbox {
         // A closed link is an observable (error) state for every session
         // parked on it: fire them all.
         let fired = links.entry(sender).or_default().boxes.fail(error);
-        self.cv.notify_all();
         drop(links);
         for waker in fired {
             waker();
@@ -158,36 +152,5 @@ impl Inbox {
         waker: MailboxWaker,
     ) -> Result<bool, TransportError> {
         Ok(self.lock().entry(sender).or_default().boxes.register(session, waker))
-    }
-
-    /// Blocks until a frame of `session` from `sender` arrives, bounded
-    /// by the workspace watchdog ([`park::default_watchdog`]) so a dead
-    /// edge resolves with a protocol error naming the wait instead of
-    /// parking the thread forever.
-    pub(super) fn take(
-        &self,
-        session: SessionId,
-        sender: &'static str,
-    ) -> Result<Envelope, TransportError> {
-        let watchdog = park::default_watchdog();
-        let started = Instant::now();
-        let mut links = self.lock();
-        loop {
-            if let Some(envelope) = links.entry(sender).or_default().boxes.pop(session)? {
-                return Ok(envelope);
-            }
-            let waited = started.elapsed();
-            let Some(remaining) = watchdog.checked_sub(waited) else {
-                return Err(TransportError::Protocol(format!(
-                    "tcp receive watchdog: no frame of session {session} from {sender} after \
-                     {}ms (configured deadline {}ms)",
-                    waited.as_millis(),
-                    watchdog.as_millis()
-                )));
-            };
-            let (guard, _timed_out) =
-                self.cv.wait_timeout(links, remaining).expect("tcp inbox poisoned");
-            links = guard;
-        }
     }
 }

@@ -287,14 +287,6 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         Ok(())
     }
 
-    fn receive_frame(&self, session: SessionId, from: &str) -> Result<Envelope, TransportError> {
-        let from = self.names.resolve(from)?;
-        if from == Target::NAME {
-            return Err(TransportError::UnknownLocation(from.to_string()));
-        }
-        self.inbox.take(session, from)
-    }
-
     fn try_receive_frame(
         &self,
         session: SessionId,

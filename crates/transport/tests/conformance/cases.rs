@@ -101,6 +101,31 @@ pub fn per_sender_fifo(alice: impl AliceTransport, bob: impl BobTransport) {
     }
 }
 
+/// Two threads bounce frames on one session through the blocking
+/// receive, so a receive that finds its mailbox empty parks and is woken
+/// by the other thread's deposit: FIFO and payloads hold across 500
+/// round trips of the park-and-wake path.
+pub fn ping_pong_blocking(alice: impl AliceTransport, bob: impl BobTransport) {
+    const SESSION: u64 = 4;
+    const ROUNDS: u64 = 500;
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            for seq in 0..ROUNDS {
+                let ping = bob.receive_frame(SESSION, "Alice").unwrap();
+                assert_eq!(ping.seq, seq, "Bob's pings out of order");
+                assert_eq!(ping.payload, seq.to_le_bytes().as_slice());
+                bob.send_frame("Alice", frame(SESSION, seq, &(!seq).to_le_bytes())).unwrap();
+            }
+        });
+        for seq in 0..ROUNDS {
+            alice.send_frame("Bob", frame(SESSION, seq, &seq.to_le_bytes())).unwrap();
+            let pong = alice.receive_frame(SESSION, "Bob").unwrap();
+            assert_eq!(pong.seq, seq, "Alice's pongs out of order");
+            assert_eq!(pong.payload, (!seq).to_le_bytes().as_slice());
+        }
+    });
+}
+
 /// Sessions multiplexed on one link deliver independently: draining one
 /// session's mailbox out of arrival order never disturbs another's
 /// FIFO.

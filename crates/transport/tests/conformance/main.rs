@@ -54,6 +54,12 @@ macro_rules! conformance_suite {
             }
 
             #[test]
+            fn ping_pong_blocking() {
+                let (alice, bob) = $make;
+                cases::ping_pong_blocking(alice, bob);
+            }
+
+            #[test]
             fn cross_session_interleaving() {
                 let (alice, bob) = $make;
                 cases::cross_session_interleaving(alice, bob);

@@ -109,10 +109,6 @@ impl<L: LocationSet, R: ChoreographyLocation, T: SessionTransport<L, R>> Session
         self.inner.send_frame(to, frame)
     }
 
-    fn receive_frame(&self, session: SessionId, from: &str) -> Result<Envelope, TransportError> {
-        self.inner.receive_frame(session, from)
-    }
-
     fn try_receive_frame(
         &self,
         session: SessionId,

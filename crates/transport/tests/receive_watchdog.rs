@@ -52,7 +52,6 @@ fn check(
 }
 
 #[test]
-#[ignore = "local receives have no watchdog yet"]
 fn every_transport_has_the_one_receive_watchdog() {
     std::env::set_var("CHORUS_WATCHDOG_MS", DEADLINE.as_millis().to_string());
 
