@@ -6,8 +6,9 @@
 //! ([`park`](crate::park)) whenever a receive would block. That is the
 //! right shape for a handful of long-lived runs and the wrong shape for
 //! ten thousand concurrent ones: tens of thousands of parked threads
-//! exhaust memory and scheduler capacity long before the network does. This module keeps the thread count **O(pool
-//! size)** instead of O(sessions): each role runs as a *resumable*
+//! exhaust memory and scheduler capacity long before the network does.
+//! This module keeps the thread count **O(pool size)** instead of
+//! O(sessions): each role runs as a *resumable*
 //! [`RoleProgram`] that yields on a would-block receive, and a
 //! [`SessionRuntime`] — a FIFO run queue drained by a fixed pool of
 //! workers — re-enqueues exactly the sessions whose mailboxes became
