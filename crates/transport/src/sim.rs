@@ -850,6 +850,9 @@ mod tests {
     chorus_core::locations! { Alice, Bob }
     type System = chorus_core::LocationSet!(Alice, Bob);
 
+    /// The log bound the long-link test expects.
+    const LOG_CAP: usize = 1024;
+
     fn pair(
         plan: FaultPlan,
     ) -> (SimTransport<System, Alice>, SimTransport<System, Bob>, SimNet<System>) {
@@ -883,24 +886,27 @@ mod tests {
         assert_eq!(net.messages_received(), 50);
     }
 
+    /// 32 frames each way under a seed-7 chaos plan: the run behind
+    /// `tests/golden/sim_seed7_chaos.txt`.
+    fn seed7_chaos_dump() -> String {
+        let plan =
+            FaultPlan::ideal().with_seed(7).with_jitter(9).with_drop(0.25).with_duplicate(0.25);
+        let (alice, bob, net) = pair(plan);
+        for i in 0..32u32 {
+            alice.send("Bob", &i.to_le_bytes()).unwrap();
+            bob.send("Alice", &i.to_le_bytes()).unwrap();
+        }
+        for i in 0..32u32 {
+            assert_eq!(bob.receive("Alice").unwrap(), i.to_le_bytes());
+            assert_eq!(alice.receive("Bob").unwrap(), i.to_le_bytes());
+        }
+        net.schedule_dump()
+    }
+
     #[test]
     fn same_seed_same_schedule() {
-        let run = || {
-            let plan =
-                FaultPlan::ideal().with_seed(7).with_jitter(9).with_drop(0.25).with_duplicate(0.25);
-            let (alice, bob, net) = pair(plan);
-            for i in 0..32u32 {
-                alice.send("Bob", &i.to_le_bytes()).unwrap();
-                bob.send("Alice", &i.to_le_bytes()).unwrap();
-            }
-            for i in 0..32u32 {
-                assert_eq!(bob.receive("Alice").unwrap(), i.to_le_bytes());
-                assert_eq!(alice.receive("Bob").unwrap(), i.to_le_bytes());
-            }
-            net.schedule_dump()
-        };
-        let first = run();
-        let second = run();
+        let first = seed7_chaos_dump();
+        let second = seed7_chaos_dump();
         assert_eq!(first, second, "one seed, one schedule — bit for bit");
         assert!(first.contains("== Alice -> Bob"));
         // Not only against a second run of this code: the golden file
@@ -911,6 +917,16 @@ mod tests {
 
     #[test]
     fn partition_poison_and_session_reuse_match_the_golden_schedule() {
+        assert_eq!(
+            partition_poison_reuse_dump(),
+            include_str!("../tests/golden/sim_partition_poison_reuse.txt")
+        );
+    }
+
+    /// A partition window over one session run twice, then a poisoned
+    /// reverse link: the run behind
+    /// `tests/golden/sim_partition_poison_reuse.txt`.
+    fn partition_poison_reuse_dump() -> String {
         let plan = FaultPlan::ideal()
             .with_seed(19)
             .with_jitter(5)
@@ -938,8 +954,47 @@ mod tests {
         }
         let err = alice.receive_frame(6, "Bob").unwrap_err();
         assert!(err.to_string().contains("poisoned at frame 10"), "got: {err}");
+        net.schedule_dump()
+    }
+
+    #[test]
+    fn a_long_link_keeps_its_last_frames_and_a_digest_of_the_rest() {
+        // 10 × LOG_CAP frames on one link: frame 0 alone in session
+        // `first`, then sessions of 256 frames each.
+        let run = |first: SessionId| {
+            let plan =
+                FaultPlan::ideal().with_seed(31).with_jitter(7).with_drop(0.2).with_duplicate(0.2);
+            let (alice, _bob, net) = pair(plan);
+            alice.send_frame("Bob", Envelope::new(first, 0, b"first".to_vec())).unwrap();
+            for k in 0..10 * LOG_CAP as u64 - 1 {
+                let frame = Envelope::new(1 + k / 256, k % 256, k.to_le_bytes().to_vec());
+                alice.send_frame("Bob", frame).unwrap();
+            }
+            net
+        };
+        let net = run(1_000);
+        let retained =
+            net.events().iter().filter(|e| matches!(e.kind, SimEventKind::Sent { .. })).count();
+        assert!(retained <= LOG_CAP, "{retained} sends retained");
+        let dump = net.schedule_dump();
+        assert_eq!(dump, run(1_000).schedule_dump(), "one seed, one dump");
+        // A different session id in frame 0, long evicted: the retained
+        // frames agree line for line, and the digest tells the runs
+        // apart.
+        let other = run(2_000).schedule_dump();
+        let frames = |d: &str| {
+            d.lines().filter(|l| l.starts_with("frame=")).map(String::from).collect::<Vec<_>>()
+        };
+        assert_eq!(frames(&dump), frames(&other), "the retained tails agree");
+        assert_ne!(dump, other, "the digest covers the evicted frames");
+        let digest =
+            |d: &str| d.lines().find(|l| l.contains("earlier frames elided")).map(String::from);
+        assert!(digest(&dump).is_some(), "{}", &dump[..200]);
+        assert_ne!(digest(&dump), digest(&other));
+        // Short runs never reach the bound, so their dumps are unchanged.
+        assert_eq!(seed7_chaos_dump(), include_str!("../tests/golden/sim_seed7_chaos.txt"));
         assert_eq!(
-            net.schedule_dump(),
+            partition_poison_reuse_dump(),
             include_str!("../tests/golden/sim_partition_poison_reuse.txt")
         );
     }
