@@ -8,9 +8,10 @@
 //! wrong read — and the whole run is deterministic per seed.
 //!
 //! Seeds come from `CHORUS_SIM_SEED_BASE` (decimal, default `49374`),
-//! matching `sim_chaos`. On failure the full per-link schedule is
-//! dumped to `target/sim-traces/kvs-<op>-seed-<seed>.log` and the panic
-//! names the replaying env value.
+//! matching `sim_chaos`. On failure each link's recent schedule (its
+//! last 1024 frames, plus a digest line for any earlier ones) is dumped
+//! to `target/sim-traces/kvs-<op>-seed-<seed>.log` and the panic names
+//! the env value whose sweep replays the failing seed.
 
 use chorus_repro::core::panic_message;
 use chorus_repro::kvs::cluster::{SimCluster, Universe};
@@ -29,10 +30,21 @@ fn seed_base() -> u64 {
     std::env::var("CHORUS_SIM_SEED_BASE").ok().and_then(|s| s.parse().ok()).unwrap_or(49374)
 }
 
-/// Runs `body` and, if it panics, dumps the cluster net's schedule to
-/// `target/sim-traces/` and re-panics naming the seed — same contract
-/// as `sim_chaos::with_schedule_dump`.
-fn with_cluster_dump(op: &str, seed: u64, net: &SimNet<Universe>, body: impl FnOnce()) {
+/// The seeds lane `lane` of the matrix sweeps from seed base `base`.
+fn lane_seeds(base: u64, lane: u64) -> std::ops::Range<u64> {
+    let first = base + SEED_OFFSET + lane * 100;
+    first..first + PER_OP
+}
+
+/// The seed base whose sweep of `lane` starts at `seed`.
+fn replay_base(seed: u64, lane: u64) -> u64 {
+    seed - lane_seeds(0, lane).start
+}
+
+/// Runs `body` and, if it panics, dumps each link's recent schedule to
+/// `target/sim-traces/` and re-panics naming the seed and the seed base
+/// that replays it — same contract as `sim_chaos::with_schedule_dump`.
+fn with_cluster_dump(op: &str, lane: u64, seed: u64, net: &SimNet<Universe>, body: impl FnOnce()) {
     if let Err(payload) = std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)) {
         let message = panic_message(&*payload);
         let dir = std::path::Path::new("target").join("sim-traces");
@@ -44,7 +56,7 @@ fn with_cluster_dump(op: &str, seed: u64, net: &SimNet<Universe>, body: impl FnO
              schedule dumped to {} — replay with \
              CHORUS_SIM_SEED_BASE={} cargo test --test kvs_reconfig",
             path.display(),
-            seed - SEED_OFFSET,
+            replay_base(seed, lane),
         );
     }
 }
@@ -74,9 +86,9 @@ fn workload(cluster: &mut SimCluster, round: u64, keys: u64) {
     }
 }
 
-/// Drives one full scenario for a reconfiguration kind under one seed.
-/// Returns the model's checked-op count (for the determinism pin).
-fn run_scenario(op: &str, seed: u64) -> u64 {
+/// Drives one full scenario for a reconfiguration kind, the matrix's
+/// lane `lane`, under one seed. Returns the model's checked-op count.
+fn run_scenario(op: &str, lane: u64, seed: u64) -> u64 {
     let census: &[&str] =
         if op == "join" { &["N1", "N2", "N3"] } else { &["N1", "N2", "N3", "N4"] };
     let mut cluster = SimCluster::new(hostile_plan(seed), census, 4);
@@ -115,14 +127,25 @@ fn run_scenario(op: &str, seed: u64) -> u64 {
             let _ = cluster.get(&format!("key-{i}"));
         }
     };
-    with_cluster_dump(op, seed, &net, body);
+    with_cluster_dump(op, lane, seed, &net, body);
     cluster.model.checked()
 }
 
 fn sweep(op: &str, lane: u64) {
-    let base = seed_base() + SEED_OFFSET + lane * 100;
-    for i in 0..PER_OP {
-        run_scenario(op, base + i);
+    for seed in lane_seeds(seed_base(), lane) {
+        run_scenario(op, lane, seed);
+    }
+}
+
+/// A failing seed's hint must replay that seed: every seed of every
+/// lane lies in the sweep its replay base runs.
+#[test]
+fn replay_hints_replay_the_failing_seed() {
+    for lane in 0..5 {
+        for seed in lane_seeds(seed_base(), lane) {
+            let replayed = lane_seeds(replay_base(seed, lane), lane);
+            assert!(replayed.contains(&seed), "lane {lane}: {seed} not in {replayed:?}");
+        }
     }
 }
 
