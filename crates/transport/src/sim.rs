@@ -17,18 +17,18 @@
 //! arrival tick is `k + latency + drops·rto`, pushed past any partition
 //! window that covers tick `k`. The whole schedule is computed and
 //! logged at the send site: the sender validates the frame against its
-//! per-(session, sender) stream, logs its arrival (and the arrival of a
-//! duplicate, which is discarded), advances the link's virtual time to
-//! the largest arrival tick logged, and queues the frame on its
-//! session's mailbox. Jitter and drops therefore reorder the *logged
-//! arrival ticks*, never delivery: a mailbox holds the FIFO order the
-//! [`SessionTransport`] contract promises (what TCP re-establishes over
-//! a lossy, reordering packet layer) because frames enter it in offer
-//! order. Receivers only pop, through the workspace's one blocking
-//! receive ([`chorus_core::park`]): a blocked receiver parks until a
-//! sender's deposit fires its waker, so delivery never waits on a wall
-//! clock, and the one receive watchdog turns a genuinely stuck schedule
-//! into an error instead of a hung CI run.
+//! per-(session, sender) stream, logs one send record (its arrival, and
+//! whether a duplicate, which is discarded, arrives later), advances the
+//! link's virtual time to the largest arrival tick scheduled, and queues
+//! the frame on its session's mailbox. Jitter and drops therefore
+//! reorder the *logged arrival ticks*, never delivery: a mailbox holds
+//! the FIFO order the [`SessionTransport`] contract promises (what TCP
+//! re-establishes over a lossy, reordering packet layer) because frames
+//! enter it in offer order. Receivers only pop, through the
+//! workspace's one blocking receive ([`chorus_core::park`]): a blocked
+//! receiver parks until a sender's deposit fires its waker, so delivery
+//! never waits on a wall clock, and the one receive watchdog turns a
+//! genuinely stuck schedule into an error instead of a hung CI run.
 //!
 //! Failure modes are injected, never emergent: a sender-side sequence
 //! violation kills the link for every session behind it (mirroring
@@ -48,10 +48,16 @@
 //! is a *sender* behavior, so it lives in the
 //! [`Equivocator`](crate::Equivocator) adapter, not the plan.
 //!
-//! On failure, [`SimNet::schedule_dump`] renders the full per-link
-//! schedule — sends with their computed arrivals, then deliveries in
-//! virtual-time order — as text; CI jobs attach it as an artifact so a
-//! failing seed replays locally with nothing but the seed.
+//! The log is bounded: each link keeps its last `LOG_CAP` (1024) send
+//! records (one per frame, two for a corrupted one), plus a running
+//! digest of every record it ever logged. On failure,
+//! [`SimNet::schedule_dump`] renders each link's recent history — sends
+//! with their computed arrivals, then the deliveries they imply in
+//! virtual-time order — under one digest line for the frames it no
+//! longer holds, as text; CI jobs attach it as an artifact so a failing
+//! seed replays locally with nothing but the seed. Equal dumps still
+//! mean equal whole schedules, because the digest covers the evicted
+//! frames.
 
 use crate::mailboxes::Mailboxes;
 use chorus_core::{
@@ -61,7 +67,7 @@ use chorus_core::{
 use chorus_wire::Envelope;
 use parking_lot::{Mutex, MutexGuard};
 use rand::{rngs::StdRng, Rng, SeedableRng};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -70,6 +76,10 @@ use std::sync::Arc;
 /// "network" relents and delivers. Keeps arrival ticks finite even with
 /// extreme drop probabilities.
 const MAX_RETRANSMITS: u64 = 12;
+
+/// Send records a link keeps: its log holds its last frames' records,
+/// and its digest stands in for the ones it evicted.
+const LOG_CAP: usize = 1024;
 
 /// Whether a fault rule's optional endpoints select the directed link
 /// `from → to`; `None` matches every location on that side.
@@ -424,9 +434,11 @@ pub enum SimEventKind {
     /// The frame was withheld (dead or poisoned link) and will never
     /// arrive.
     Withheld,
-    /// The frame was released to its session mailbox, in FIFO order.
+    /// The frame was released to its session mailbox, in FIFO order
+    /// (derived from its `Sent` record, never logged).
     Delivered,
-    /// A duplicate arrival was discarded.
+    /// A duplicate arrival was discarded (derived from its `Sent`
+    /// record, never logged).
     DuplicateDropped,
     /// An adversarial [`Corruption`] rule flipped one payload bit
     /// before the frame was scheduled (logged in addition to `Sent`).
@@ -439,6 +451,23 @@ pub enum SimEventKind {
     /// A [`Silence`] rule dropped the frame forever; it was never
     /// scheduled.
     Silenced,
+}
+
+impl SimEventKind {
+    /// The kind as two words of a link's digest: a tag with the small
+    /// fields, then the wide one.
+    fn words(self) -> [u64; 2] {
+        match self {
+            SimEventKind::Sent { drops, held, duplicated } => {
+                [1 | (held as u64) << 8 | (duplicated as u64) << 9, drops]
+            }
+            SimEventKind::Withheld => [2, 0],
+            SimEventKind::Delivered => [3, 0],
+            SimEventKind::DuplicateDropped => [4, 0],
+            SimEventKind::Corrupted { byte, bit } => [5 | (bit as u64) << 8, byte],
+            SimEventKind::Silenced => [6, 0],
+        }
+    }
 }
 
 /// One entry of a link's schedule log.
@@ -456,8 +485,29 @@ pub struct SimEvent {
     pub seq: u64,
     /// Scheduled arrival tick (0 for withheld frames).
     pub arrival: u64,
+    /// Payload length in bytes, as offered.
+    pub bytes: usize,
     /// What happened.
     pub kind: SimEventKind,
+}
+
+/// One send-side record of a link's log: a `Sent`, `Withheld`,
+/// `Silenced` or `Corrupted` event without its link, which the link's
+/// key already names.
+#[derive(Clone, Copy)]
+struct SendRecord {
+    frame: u64,
+    session: SessionId,
+    seq: u64,
+    arrival: u64,
+    bytes: usize,
+    kind: SimEventKind,
+}
+
+/// One step of a link's running digest, a word at a time (FxHash's
+/// rotate-xor-multiply): O(1) state, no allocation.
+fn mix(digest: u64, word: u64) -> u64 {
+    (digest.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95)
 }
 
 /// One directed link's whole state.
@@ -465,16 +515,41 @@ pub struct SimEvent {
 struct SimLink {
     /// Frames offered so far; the next frame's index and send tick.
     sent: u64,
-    /// Link-local virtual time: the latest arrival tick logged.
+    /// Link-local virtual time: the latest arrival tick scheduled.
     now: u64,
     /// The receive side, filled in offer order at the send site. A
     /// sequence violation or the poison plan fails it.
     boxes: Mailboxes,
-    /// Send-side schedule log, in frame order.
-    sends: Vec<SimEvent>,
-    /// Delivery log, in frame order; [`SimNet::events`] sorts it into
-    /// virtual-time order `(arrival, frame)`.
-    deliveries: Vec<SimEvent>,
+    /// The send records of the link's last frames, in frame order, at
+    /// most [`LOG_CAP`] of them. A frame's records leave together.
+    log: VecDeque<SendRecord>,
+    /// Running digest of every record ever logged, evicted ones
+    /// included.
+    digest: u64,
+}
+
+impl SimLink {
+    /// Appends `record` to the log and the digest, first evicting the
+    /// oldest frame's records if the log is full.
+    fn log(&mut self, record: SendRecord) {
+        let [tag, field] = record.kind.words();
+        self.digest = [record.frame, record.session, record.seq, record.arrival, tag, field]
+            .into_iter()
+            .fold(self.digest, mix);
+        if self.log.len() == LOG_CAP {
+            let oldest = self.log.pop_front().map(|r| r.frame);
+            while self.log.front().map(|r| r.frame) == oldest {
+                self.log.pop_front();
+            }
+        }
+        self.log.push_back(record);
+    }
+
+    /// Frames the log no longer holds. Every frame logs at least one
+    /// record, so they are the frames before the oldest one retained.
+    fn elided(&self) -> u64 {
+        self.log.front().map_or(0, |r| r.frame)
+    }
 }
 
 /// Fails the link with `message`, then releases the lock and fires
@@ -546,67 +621,107 @@ impl<L: LocationSet> SimNet<L> {
         self.shared.received.load(Ordering::Relaxed)
     }
 
-    /// The full schedule log, link by link in name order: each link's
-    /// sends in frame order, then its deliveries in **virtual-time
-    /// order** `(arrival, frame)`. Both halves are written at the send
-    /// site from the (deterministic) per-frame schedule, so every entry
-    /// is bit-for-bit reproducible for a fixed seed and per-link send
-    /// order, wherever receivers happened to stop.
+    /// The retained schedule log, link by link in name order: each
+    /// link's last `LOG_CAP` (1024) send records in frame order, then
+    /// the deliveries they imply in **virtual-time order** `(arrival,
+    /// frame)`. Records are written at the send site from the
+    /// (deterministic) per-frame schedule, so every entry is bit-for-bit
+    /// reproducible for a fixed seed and per-link send order, wherever
+    /// receivers happened to stop.
     pub fn events(&self) -> Vec<SimEvent> {
         let mut out = Vec::new();
-        for (_, link) in self.sorted_links() {
-            let link = link.lock();
-            out.extend(link.sends.iter().cloned());
-            let mut deliveries = link.deliveries.clone();
-            // A frame's Delivered always precedes its DuplicateDropped
-            // (the duplicate is scheduled strictly later), so
-            // (arrival, frame) is a total order over a link's
-            // deliveries.
-            deliveries.sort_by_key(|e| (e.arrival, e.frame));
-            out.extend(deliveries);
+        for (&(from, to), link) in self.sorted_links() {
+            out.extend(self.link_events(from, to, &link.lock()));
         }
+        out
+    }
+
+    /// One link's retained log as events: its send records, then a
+    /// `Delivered` for each `Sent` record and a `DuplicateDropped` for
+    /// each duplicated one. The schedule is a pure function of the
+    /// plan, the link and the frame index, so the duplicate's tick is
+    /// recomputed rather than stored.
+    fn link_events(&self, from: &'static str, to: &'static str, link: &SimLink) -> Vec<SimEvent> {
+        let event = |r: &SendRecord, arrival, kind| SimEvent {
+            from,
+            to,
+            frame: r.frame,
+            session: r.session,
+            seq: r.seq,
+            arrival,
+            bytes: r.bytes,
+            kind,
+        };
+        let mut deliveries = Vec::new();
+        for r in &link.log {
+            if let SimEventKind::Sent { duplicated, .. } = r.kind {
+                deliveries.push(event(r, r.arrival, SimEventKind::Delivered));
+                if duplicated {
+                    let schedule = self.shared.plan.schedule(from, to, r.frame);
+                    let tick = schedule.duplicate.expect("a duplicated frame's schedule has one");
+                    deliveries.push(event(r, tick, SimEventKind::DuplicateDropped));
+                }
+            }
+        }
+        // A frame's Delivered always precedes its DuplicateDropped (the
+        // duplicate is scheduled strictly later), so (arrival, frame)
+        // is a total order over a link's deliveries.
+        deliveries.sort_by_key(|e| (e.arrival, e.frame));
+        let mut out: Vec<_> = link.log.iter().map(|r| event(r, r.arrival, r.kind)).collect();
+        out.extend(deliveries);
         out
     }
 
     /// Renders [`events`](Self::events) as replayable text — the
-    /// artifact a failing CI seed dumps so the schedule can be eyeballed
-    /// and diffed locally.
+    /// artifact a failing CI seed dumps so each link's recent history
+    /// can be eyeballed and diffed locally. A link that has evicted
+    /// frames gets one `# N earlier frames elided, digest 0x…` line
+    /// under its header; the digest covers every record the link ever
+    /// logged, so equal dumps mean equal whole schedules.
     pub fn schedule_dump(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
         let _ = writeln!(out, "# sim schedule (seed {})", self.shared.plan.seed);
-        let mut link = None;
-        for e in self.events() {
-            if link != Some((e.from, e.to)) {
-                link = Some((e.from, e.to));
-                let _ = writeln!(out, "== {} -> {}", e.from, e.to);
+        for (&(from, to), link) in self.sorted_links() {
+            let link = link.lock();
+            if link.log.is_empty() {
+                continue;
             }
-            let kind = match e.kind {
-                SimEventKind::Sent { drops, held, duplicated } => format!(
-                    "sent     arrival={} drops={drops} held={held} dup={duplicated}",
-                    e.arrival
-                ),
-                SimEventKind::Withheld => "withheld".to_string(),
-                SimEventKind::Delivered => format!("deliver  arrival={}", e.arrival),
-                SimEventKind::DuplicateDropped => format!("dupdrop  arrival={}", e.arrival),
-                SimEventKind::Corrupted { byte, bit } => {
-                    format!("corrupt  byte={byte} bit={bit}")
-                }
-                SimEventKind::Silenced => "silenced".to_string(),
-            };
-            let _ = writeln!(
-                out,
-                "frame={:<5} session={:<4} seq={:<5} {kind}",
-                e.frame, e.session, e.seq
-            );
+            let _ = writeln!(out, "== {from} -> {to}");
+            let elided = link.elided();
+            if elided > 0 {
+                let _ =
+                    writeln!(out, "# {elided} earlier frames elided, digest {:#018x}", link.digest);
+            }
+            for e in self.link_events(from, to, &link) {
+                let kind = match e.kind {
+                    SimEventKind::Sent { drops, held, duplicated } => format!(
+                        "sent     arrival={} drops={drops} held={held} dup={duplicated}",
+                        e.arrival
+                    ),
+                    SimEventKind::Withheld => "withheld".to_string(),
+                    SimEventKind::Delivered => format!("deliver  arrival={}", e.arrival),
+                    SimEventKind::DuplicateDropped => format!("dupdrop  arrival={}", e.arrival),
+                    SimEventKind::Corrupted { byte, bit } => {
+                        format!("corrupt  byte={byte} bit={bit}")
+                    }
+                    SimEventKind::Silenced => "silenced".to_string(),
+                };
+                let _ = writeln!(
+                    out,
+                    "frame={:<5} session={:<4} seq={:<5} {kind}",
+                    e.frame, e.session, e.seq
+                );
+            }
         }
         out
     }
 
-    /// The delivery half of the log as [`TraceEvent`](crate::TraceEvent)s
-    /// (sends as `Direction::Send`, deliveries as `Direction::Receive`),
-    /// so the sim's schedule plugs into the same assertions the
-    /// [`Trace`](crate::Trace) layer supports.
+    /// The retained log's sends and deliveries as
+    /// [`TraceEvent`](crate::TraceEvent)s (sends as `Direction::Send`,
+    /// deliveries as `Direction::Receive`, each with its payload
+    /// length), so the sim's recent schedule plugs into the same
+    /// assertions the [`Trace`](crate::Trace) layer supports.
     pub fn trace_events(&self) -> Vec<crate::TraceEvent> {
         self.events()
             .into_iter()
@@ -625,7 +740,7 @@ impl<L: LocationSet> SimNet<L> {
                     seq: e.seq,
                     from: e.from.to_string(),
                     to: e.to.to_string(),
-                    bytes: 0,
+                    bytes: e.bytes,
                 })
             })
             .collect()
@@ -693,27 +808,27 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         let mut link = self.link(from, to)?.lock();
         let k = link.sent;
         link.sent += 1;
-        let (session, seq) = (frame.session, frame.seq);
-        let event = |arrival, kind| SimEvent { from, to, frame: k, session, seq, arrival, kind };
+        let (session, seq, bytes) = (frame.session, frame.seq, frame.payload.len());
+        let record = |arrival, kind| SendRecord { frame: k, session, seq, arrival, bytes, kind };
 
         // A link that already failed (sequence violation or poison)
         // withholds everything; as with `LocalTransport`, the send
         // itself reports `Ok` and the error surfaces at the receivers.
         if link.boxes.failed() {
-            link.sends.push(event(0, SimEventKind::Withheld));
+            link.log(record(0, SimEventKind::Withheld));
             return Ok(());
         }
         let admitted = match link.boxes.admit(from, session, seq) {
             Ok(admitted) => admitted,
             Err(e) => {
-                link.sends.push(event(0, SimEventKind::Withheld));
+                link.log(record(0, SimEventKind::Withheld));
                 fail_link(link, format!("link from {from} is down: {e}"));
                 return Ok(());
             }
         };
         if let Some(poison) = &plan.poison {
             if edge_matches(poison.from, poison.to, from, to) && k >= poison.after {
-                link.sends.push(event(0, SimEventKind::Withheld));
+                link.log(record(0, SimEventKind::Withheld));
                 let step = poison.after;
                 let message = format!(
                     "link from {from} poisoned at frame {step}: subsequent frames withheld"
@@ -727,7 +842,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         // receive on this link ever blocks or parks a waker, and there
         // is nobody to wake.
         if plan.silenced(from, to) {
-            link.sends.push(event(0, SimEventKind::Silenced));
+            link.log(record(0, SimEventKind::Silenced));
             return Ok(());
         }
         // Adversarial corruption: flip one payload bit, in a fresh
@@ -737,11 +852,11 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
             let mut tampered = frame.payload.to_vec();
             tampered[byte] ^= 1 << bit;
             frame.payload = chorus_wire::Bytes::from(tampered);
-            link.sends.push(event(0, SimEventKind::Corrupted { byte: byte as u64, bit }));
+            link.log(record(0, SimEventKind::Corrupted { byte: byte as u64, bit }));
         }
 
         let schedule = plan.schedule(from, to, k);
-        link.sends.push(event(
+        link.log(record(
             schedule.arrival,
             SimEventKind::Sent {
                 drops: schedule.drops,
@@ -755,13 +870,9 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         // the schedule orders the *log*, never delivery. A duplicate is
         // scheduled strictly after its original and discarded. A late
         // frame, for a session the receiver has closed, is logged the
-        // same way and then dropped by the table.
-        link.deliveries.push(event(schedule.arrival, SimEventKind::Delivered));
-        link.now = link.now.max(schedule.arrival);
-        if let Some(duplicate) = schedule.duplicate {
-            link.deliveries.push(event(duplicate, SimEventKind::DuplicateDropped));
-            link.now = link.now.max(duplicate);
-        }
+        // same way and then dropped by the table. Virtual time reaches
+        // the frame's last arrival, its duplicate's if it has one.
+        link.now = link.now.max(schedule.duplicate.unwrap_or(schedule.arrival));
         // Only this session's mailbox gained a frame, so only its waker
         // fires — outside the lock, like every waker.
         let fired = if admitted { link.boxes.queue(frame) } else { None };
@@ -849,9 +960,6 @@ mod tests {
 
     chorus_core::locations! { Alice, Bob }
     type System = chorus_core::LocationSet!(Alice, Bob);
-
-    /// The log bound the long-link test expects.
-    const LOG_CAP: usize = 1024;
 
     fn pair(
         plan: FaultPlan,

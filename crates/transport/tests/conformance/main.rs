@@ -294,6 +294,12 @@ mod sim_determinism {
     /// One fixed driver script over endpoints with a shared `Trace`
     /// layer: two sessions per direction, interleaved.
     fn run(seed: u64) -> (String, Vec<chorus_transport::TraceEvent>) {
+        let (net, trace) = drive(seed);
+        (net.schedule_dump(), trace.events())
+    }
+
+    /// [`run`]'s script, returning the net and the shared layer.
+    fn drive(seed: u64) -> (SimNet<System>, Arc<Trace>) {
         let plan =
             FaultPlan::ideal().with_seed(seed).with_jitter(9).with_drop(0.25).with_duplicate(0.2);
         let net = SimNet::<System>::new(plan);
@@ -322,7 +328,7 @@ mod sim_determinism {
                 assert_eq!(sa.receive_bytes("Bob").unwrap(), i.to_le_bytes());
             }
         }
-        (net.schedule_dump(), trace.events())
+        (net, trace)
     }
 
     #[test]
@@ -356,5 +362,21 @@ mod sim_determinism {
         let receives =
             events.iter().filter(|e| e.direction == chorus_transport::Direction::Receive).count();
         assert_eq!((sends, receives), (1, 1));
+
+        // Over endpoints, the sim's sends are the layer's sends, payload
+        // lengths included.
+        let (net, trace) = drive(5);
+        let sends = |events: Vec<chorus_transport::TraceEvent>| {
+            let mut sends: Vec<_> = events
+                .into_iter()
+                .filter(|e| e.direction == chorus_transport::Direction::Send)
+                .map(|e| (e.session, e.seq, e.from, e.to, e.bytes))
+                .collect();
+            sends.sort();
+            sends
+        };
+        let layer = sends(trace.events());
+        assert_eq!(layer.len(), 64);
+        assert_eq!(sends(net.trace_events()), layer);
     }
 }

@@ -17,9 +17,10 @@
 //!
 //! Seeds are taken from `CHORUS_SIM_SEED_BASE` (decimal, default
 //! `49374`), so the nightly CI job can sweep fresh schedules while PR
-//! runs stay reproducible. When a seed fails, the full per-link
-//! delivery schedule is written to `target/sim-traces/` and the panic
-//! names the seed: re-run locally with
+//! runs stay reproducible. When a seed fails, each link's recent
+//! delivery schedule (its last 1024 frames, plus a digest line for any
+//! earlier ones) is written to `target/sim-traces/` and the panic names
+//! the seed: re-run locally with
 //! `CHORUS_SIM_SEED_BASE=<base> cargo test --test sim_chaos` to replay
 //! bit-for-bit.
 
@@ -51,7 +52,8 @@ fn seed_base() -> u64 {
     std::env::var("CHORUS_SIM_SEED_BASE").ok().and_then(|s| s.parse().ok()).unwrap_or(49374)
 }
 
-/// Runs `body` and, if it panics, writes the net's full schedule to
+/// Runs `body` and, if it panics, writes each link's recent schedule
+/// (its last 1024 frames and a digest of the rest) to
 /// `target/sim-traces/<protocol>-seed-<seed>.log` before re-panicking
 /// with the seed in the message — everything CI needs for a local
 /// replay.
