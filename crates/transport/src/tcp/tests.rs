@@ -226,6 +226,7 @@ fn a_links_first_failure_stays_its_failure() {
     assert_eq!(inbox.try_take(1, "Alice").unwrap().unwrap().payload, b"ok");
     let first = inbox.try_take(1, "Alice").unwrap_err().to_string();
     assert!(first.contains("frame from Alice in session 1 arrived out of order"), "got: {first}");
+    assert_eq!(first.matches("session protocol violation").count(), 1, "got: {first}");
     // A later batch skips link frames 2..9: a second failure, which must
     // not replace the first.
     let mut later = vec![(9, Envelope::new(2, 0, b"late".to_vec()))];

@@ -196,7 +196,9 @@ pub fn fifo_across_batch_boundaries(alice: impl AliceTransport, bob: impl BobTra
 }
 
 /// A sequence gap within a session is a protocol violation the receiver
-/// must detect and report, not silently reorder around.
+/// must detect and report, not silently reorder around. Every transport
+/// reports it in the same words, and says "session protocol violation"
+/// once.
 pub fn sequence_gap_detected(alice: impl AliceTransport, bob: impl BobTransport) {
     alice.send_frame("Bob", frame(1, 0, b"ok")).unwrap();
     alice.send_frame("Bob", frame(1, 2, b"gap")).unwrap();
@@ -205,6 +207,11 @@ pub fn sequence_gap_detected(alice: impl AliceTransport, bob: impl BobTransport)
     assert!(
         matches!(err, TransportError::Protocol(_)),
         "a sequence gap must surface as a protocol error, got {err:?}"
+    );
+    assert_eq!(
+        err.to_string(),
+        "session protocol violation: frame from Alice in session 1 arrived out of order: \
+         expected seq 1, got 2"
     );
 }
 
