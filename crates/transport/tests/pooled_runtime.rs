@@ -359,6 +359,88 @@ fn single_worker_pool_still_drives_many_sessions() {
     assert_eq!(runtime.thread_count(), 2, "one worker + one watchdog");
 }
 
+/// One role's resume counts, shared with the test that spawned it.
+#[derive(Default)]
+struct ResumeCounts {
+    resumes: AtomicUsize,
+    /// Resumes that followed a `Pending` and ended in `Pending` again:
+    /// the role was woken for its edge and found nothing there.
+    missed_again: AtomicUsize,
+}
+
+/// Runs `program`, counting its resumes into `counts`.
+struct CountedResumes<P> {
+    program: P,
+    counts: Arc<ResumeCounts>,
+    parked: bool,
+}
+
+impl<P> CountedResumes<P> {
+    fn new(program: P, counts: &Arc<ResumeCounts>) -> Self {
+        CountedResumes { program, counts: Arc::clone(counts), parked: false }
+    }
+}
+
+impl<P: RoleProgram> RoleProgram for CountedResumes<P> {
+    type Output = P::Output;
+
+    fn resume(&mut self, cx: &mut SessionCx<'_>) -> Result<Step<P::Output>, TransportError> {
+        let step = self.program.resume(cx)?;
+        self.counts.resumes.fetch_add(1, Ordering::SeqCst);
+        let pending = matches!(step, Step::Pending);
+        if pending && self.parked {
+            self.counts.missed_again.fetch_add(1, Ordering::SeqCst);
+        }
+        self.parked = pending;
+        Ok(step)
+    }
+}
+
+/// With one worker the resume order is fixed, so a KVS pair's resumes
+/// can be counted exactly. Server spawned first: it parks on the
+/// request, the client's send wakes it, the client parks on the
+/// response, the server's reply wakes it: two resumes a role. Client
+/// first: the request is queued before the server's first resume, so
+/// the server needs one. No role is ever woken for an edge that still
+/// has nothing for it.
+#[test]
+fn one_worker_resumes_a_kvs_pair_a_pinned_number_of_times() {
+    const OPS: u64 = 50;
+    let runtime = SessionRuntime::new(1);
+    let (client, server) = local_pair();
+    let store = SharedStore::new();
+    for server_first in [true, false] {
+        let (client_counts, server_counts) = (Arc::default(), Arc::default());
+        for op in 0..OPS {
+            let id = op + if server_first { 0 } else { OPS };
+            let serve = || {
+                let program = PooledKvsServer::new(store.clone());
+                runtime.spawn(&server, id, CountedResumes::new(program, &server_counts))
+            };
+            let request = Request::Put(format!("k{id}"), "v".into());
+            let ask = || {
+                let program = PooledKvsClient::new(request.clone());
+                runtime.spawn(&client, id, CountedResumes::new(program, &client_counts))
+            };
+            let (s, c) = if server_first {
+                let s = serve();
+                (s, ask())
+            } else {
+                let c = ask();
+                (serve(), c)
+            };
+            assert_eq!(c.join().unwrap(), Response::NotFound);
+            s.join().unwrap();
+        }
+        let count = |counts: &ResumeCounts| {
+            (counts.resumes.load(Ordering::SeqCst), counts.missed_again.load(Ordering::SeqCst))
+        };
+        let server_resumes = if server_first { 2 } else { 1 } * OPS as usize;
+        assert_eq!(count(&client_counts), (2 * OPS as usize, 0), "server first: {server_first}");
+        assert_eq!(count(&server_counts), (server_resumes, 0), "server first: {server_first}");
+    }
+}
+
 /// The handle works from any thread — a spawner can hand it off and the
 /// completion propagates through the cell's own park/wake.
 #[test]
