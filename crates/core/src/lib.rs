@@ -87,8 +87,7 @@ pub use runner::Runner;
 pub use runtime::{RoleProgram, SessionCx, SessionHandle, SessionRuntime, Step};
 pub use session::Session;
 pub use transport::{
-    InternedNames, MailboxWaker, SessionId, SessionTransport, Transport, TransportError,
-    RAW_SESSION,
+    InternedNames, SessionId, SessionTransport, Transport, TransportError, RAW_SESSION,
 };
 
 /// The text of a caught panic's payload: the `&str` or `String` that

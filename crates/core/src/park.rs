@@ -2,25 +2,30 @@
 //! and the condvar shim the pooled runtime parks its workers on.
 //!
 //! Every transport's [`receive_frame`](crate::SessionTransport::receive_frame)
-//! is the one loop here, over the two non-blocking methods each transport
-//! implements. It polls `try_receive_frame`; a transport that sets
-//! [`SPIN_BEFORE_PARK`](crate::SessionTransport::SPIN_BEFORE_PARK)
-//! re-polls through a bounded spin and yield first. Then it registers
-//! this thread's waker (one `Arc` per thread, so a receive allocates
-//! nothing) and polls again at once if the mailbox is already ready, or
-//! parks until a deposit fires the waker. Registration checks readiness
-//! under the lock deposits take, so no wakeup is lost, and a spurious
-//! wake just polls again. Once [`default_watchdog`] has passed since the
-//! call, the receive fails with an error naming the session and the peer.
-//! The mailbox state decides what a receiver gets, never wake order, so
-//! `SimTransport`'s schedules stay reproducible.
+//! is the one loop here over
+//! [`poll_receive_frame`](crate::SessionTransport::poll_receive_frame),
+//! the one receive method each transport implements. A transport that
+//! sets [`SPIN_BEFORE_PARK`](crate::SessionTransport::SPIN_BEFORE_PARK)
+//! first re-polls through a bounded spin and yield with
+//! [`Waker::noop`]: a miss stores it once, and every later miss finds
+//! it already stored, so spinning allocates and wakes nothing. Then the
+//! loop polls with this thread's waker (one `Arc` per thread, so a
+//! receive allocates nothing) and parks until a deposit wakes it. A
+//! poll stores its waker under the lock deposits take, so no wakeup is
+//! lost, and a spurious wake just polls again. Once [`default_watchdog`]
+//! has passed since the call, the receive fails with an error naming
+//! the session and the peer. The mailbox state decides what a receiver
+//! gets, never wake order, so `SimTransport`'s schedules stay
+//! reproducible.
 //!
 //! [`WaitQueue`] remains for the pooled runtime and tests.
 
 use crate::location::{ChoreographyLocation, LocationSet};
-use crate::transport::{MailboxWaker, SessionId, SessionTransport, TransportError};
+use crate::transport::{SessionId, SessionTransport, TransportError};
 use chorus_wire::Envelope;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::task::{Context, Poll, Wake, Waker};
+use std::thread::Thread;
 use std::time::{Duration, Instant};
 
 /// Poll retries a spinning receiver burns before yielding (none on a
@@ -56,12 +61,22 @@ fn watchdog_millis(raw: Option<&str>) -> u64 {
         .unwrap_or(30_000)
 }
 
+/// Wakes a thread parked in [`blocking_receive`].
+struct Unpark(Thread);
+
+impl Wake for Unpark {
+    fn wake(self: Arc<Self>) {
+        self.0.unpark();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        self.0.unpark();
+    }
+}
+
 thread_local! {
-    /// This thread's receive waker: it unparks the thread.
-    static WAKER: MailboxWaker = {
-        let thread = std::thread::current();
-        Arc::new(move || thread.unpark())
-    };
+    /// This thread's receive waker.
+    static WAKER: Waker = Waker::from(Arc::new(Unpark(std::thread::current())));
 }
 
 /// The one blocking receive; see the module docs.
@@ -75,29 +90,32 @@ where
     Target: ChoreographyLocation,
     T: SessionTransport<L, Target> + ?Sized,
 {
-    if let Some(frame) = transport.try_receive_frame(session, from)? {
-        return Ok(frame);
-    }
+    let poll = |waker: &Waker| {
+        transport.poll_receive_frame(session, from, &mut Context::from_waker(waker))
+    };
     let started = Instant::now();
     if T::SPIN_BEFORE_PARK {
         static MULTICORE: OnceLock<bool> = OnceLock::new();
         let multicore = *MULTICORE
             .get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1));
         let spins = if multicore { RECV_SPIN_LIMIT } else { 0 };
-        for round in 0..spins + RECV_YIELD_LIMIT {
+        for round in 0..=spins + RECV_YIELD_LIMIT {
+            if let Poll::Ready(frame) = poll(Waker::noop()) {
+                return frame;
+            }
             if round < spins {
                 std::hint::spin_loop();
             } else {
                 std::thread::yield_now();
             }
-            if let Some(frame) = transport.try_receive_frame(session, from)? {
-                return Ok(frame);
-            }
         }
     }
     let watchdog = default_watchdog();
     let deadline = started + watchdog;
-    loop {
+    WAKER.with(|waker| loop {
+        if let Poll::Ready(frame) = poll(waker) {
+            return frame;
+        }
         let now = Instant::now();
         if now >= deadline {
             return Err(TransportError::Protocol(format!(
@@ -107,15 +125,8 @@ where
                 watchdog.as_millis()
             )));
         }
-        let ready =
-            WAKER.with(|waker| transport.register_waker(session, from, Arc::clone(waker)))?;
-        if !ready {
-            std::thread::park_timeout(deadline - now);
-        }
-        if let Some(frame) = transport.try_receive_frame(session, from)? {
-            return Ok(frame);
-        }
-    }
+        std::thread::park_timeout(deadline - now);
+    })
 }
 
 /// A mutex fused with the condvar that announces changes to its state.

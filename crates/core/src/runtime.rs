@@ -12,8 +12,9 @@
 //! [`RoleProgram`] that yields on a would-block receive, and a
 //! [`SessionRuntime`] — a FIFO run queue drained by a fixed pool of
 //! workers — re-enqueues exactly the sessions whose mailboxes became
-//! ready, via the [`MailboxWaker`] hook every session-native transport
-//! implements.
+//! ready, through the [`Waker`] every session-native transport's
+//! [`poll_receive_frame`](crate::SessionTransport::poll_receive_frame)
+//! stores on a miss.
 //!
 //! # The yield point
 //!
@@ -23,19 +24,18 @@
 //! would emit). Its [`resume`](RoleProgram::resume) method drives the
 //! role as far as it can: sends always complete (transports buffer),
 //! and a receive is attempted with
-//! [`SessionCx::try_receive_value`], which either delivers or records
-//! the awaited edge and makes the program return [`Step::Pending`].
-//! The runtime then registers a one-shot waker on the awaited
-//! per-(session, sender) mailbox and the pool thread moves on to the
-//! next runnable session — **runnable work never waits behind a parked
-//! pool thread**.
+//! [`SessionCx::try_receive_value`], which polls the awaited
+//! per-(session, sender) mailbox with the task's waker. A miss leaves
+//! the waker stored there and makes the program return
+//! [`Step::Pending`], and the pool thread moves on to the next runnable
+//! session — **runnable work never waits behind a parked pool thread**.
 //!
-//! The registration protocol has no lost-wakeup window: a transport's
-//! [`register_waker`](crate::SessionTransport::register_waker) checks
-//! readiness and parks the waker under the same mailbox lock a sender
-//! deposits under, and reports `true` ("already ready — do not park")
-//! if a frame slipped in between the failed receive and the
-//! registration.
+//! There is no lost-wakeup window: the poll pops or stores the waker
+//! under the lock a sender deposits under, so the deposit that follows
+//! a miss wakes the task even if it lands before the task is parked (a
+//! wake mid-poll re-enqueues the task as soon as it yields). Each task
+//! has one waker, an `Arc` allocated at spawn, and a mailbox that
+//! already holds it keeps it, so re-parking allocates nothing.
 //!
 //! # Fairness and the watchdog
 //!
@@ -59,12 +59,13 @@ use crate::choreography::Portable;
 use crate::endpoint::Endpoint;
 use crate::location::{ChoreographyLocation, LocationSet};
 use crate::park::{self, WaitQueue};
-use crate::transport::{InternedNames, MailboxWaker, SessionId, SessionTransport, TransportError};
+use crate::transport::{InternedNames, SessionId, SessionTransport, TransportError};
 use chorus_wire::Bytes;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::task::{Context, Poll, Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -111,11 +112,13 @@ pub trait RoleProgram: Send + 'static {
 /// and pass the layer stack exactly like [`Session::send_value`]
 /// (one serialization into a reusable per-session scratch buffer, one
 /// shared payload allocation), and receives are **non-blocking** — a
-/// miss records the awaited edge so the runtime knows which mailbox to
-/// park the session on.
+/// miss stores the task's waker on the awaited mailbox and records the
+/// edge for the stall watchdog.
 pub struct SessionCx<'a> {
     ops: &'a mut dyn CxOps,
     scratch: &'a mut Vec<u8>,
+    /// The task's waker, stored on every mailbox a receive misses.
+    waker: &'a Waker,
     /// The edge the program is blocked on, set by a failed receive.
     waiting: Option<&'static str>,
 }
@@ -147,12 +150,13 @@ impl SessionCx<'_> {
     /// Attempts to receive and decode a value from the location named
     /// `from`, without blocking.
     ///
-    /// On `Ok(None)` the awaited edge is recorded: the program should
-    /// return [`Step::Pending`] (after finishing any other progress it
-    /// can make) and will be resumed when the mailbox becomes ready.
-    /// Only the *most recent* miss is parked on, so a program that
-    /// polls several edges in one resume should yield on the first
-    /// miss.
+    /// On `Ok(None)` the task's waker is stored on the mailbox: the
+    /// program should return [`Step::Pending`] (after finishing any
+    /// other progress it can make) and will be resumed when that
+    /// mailbox gains a frame or its link fails. A program that polls
+    /// several edges in one resume leaves the waker on each mailbox it
+    /// missed, so a frame on any of them resumes it; a resume that
+    /// finds nothing new is harmless and just returns `Pending` again.
     ///
     /// # Errors
     ///
@@ -162,7 +166,7 @@ impl SessionCx<'_> {
         &mut self,
         from: &str,
     ) -> Result<Option<V>, TransportError> {
-        match self.ops.try_receive_payload(from)? {
+        match self.ops.try_receive_payload(from, self.waker)? {
             Some(payload) => Ok(Some(chorus_wire::from_bytes(&payload)?)),
             None => {
                 self.waiting = Some(self.ops.intern(from)?);
@@ -181,12 +185,11 @@ trait CxOps: Send {
     fn target_name(&self) -> &'static str;
     fn intern(&self, name: &str) -> Result<&'static str, TransportError>;
     fn send_scratch(&mut self, to: &str, payload: &[u8]) -> Result<(), TransportError>;
-    fn try_receive_payload(&mut self, from: &str) -> Result<Option<Bytes>, TransportError>;
-    fn register_waker(
+    fn try_receive_payload(
         &mut self,
-        from: &'static str,
-        waker: &MailboxWaker,
-    ) -> Result<bool, TransportError>;
+        from: &str,
+        waker: &Waker,
+    ) -> Result<Option<Bytes>, TransportError>;
     fn close(&self);
 }
 
@@ -226,17 +229,16 @@ where
         self.endpoint.stamp_and_send(self.id, &mut self.seqs, to, payload)
     }
 
-    fn try_receive_payload(&mut self, from: &str) -> Result<Option<Bytes>, TransportError> {
-        let envelope = self.endpoint.transport().try_receive_frame(self.id, from)?;
-        Ok(envelope.map(|envelope| self.endpoint.deliver(self.id, from, envelope)))
-    }
-
-    fn register_waker(
+    fn try_receive_payload(
         &mut self,
-        from: &'static str,
-        waker: &MailboxWaker,
-    ) -> Result<bool, TransportError> {
-        self.endpoint.transport().register_waker(self.id, from, Arc::clone(waker))
+        from: &str,
+        waker: &Waker,
+    ) -> Result<Option<Bytes>, TransportError> {
+        let mut cx = Context::from_waker(waker);
+        match self.endpoint.transport().poll_receive_frame(self.id, from, &mut cx) {
+            Poll::Ready(envelope) => Ok(Some(self.endpoint.deliver(self.id, from, envelope?))),
+            Poll::Pending => Ok(None),
+        }
     }
 
     fn close(&self) {
@@ -305,11 +307,8 @@ enum PollOutcome {
     /// completion thunk, so by the time `SessionHandle::join` returns
     /// the session no longer counts as live.
     Done(Option<Box<dyn FnOnce() + Send>>),
-    /// The task yielded but its mailbox was already ready at
-    /// registration time: re-enqueue immediately (to the back — FIFO
-    /// fairness).
-    Ready,
-    /// The task parked on `edge`; a transport waker will re-enqueue it.
+    /// The task parked on `edge`; its waker, stored on the mailbox by
+    /// the receive that missed, will re-enqueue it.
     Parked(&'static str),
 }
 
@@ -322,9 +321,10 @@ struct TaskEntry {
     /// state machine admits one poller), it only makes the entry `Sync`.
     poll: Mutex<PollFn>,
     /// The one waker this task ever allocates, created at spawn and
-    /// re-registered (by cheap `Arc` clone) on every park — steady-state
-    /// scheduling never boxes anything per wakeup.
-    waker: MailboxWaker,
+    /// stored (by cheap `Arc` clone, or not at all where the mailbox
+    /// already holds it) on every miss — steady-state scheduling never
+    /// boxes anything per wakeup.
+    waker: Waker,
     /// Set by the watchdog sweep; the next poll resolves the session
     /// with a stall error instead of resuming the program (unless the
     /// program can in fact complete on that final resume).
@@ -415,6 +415,25 @@ fn wake_task(shared: &RuntimeShared, entry: &Arc<TaskEntry>) {
     }
 }
 
+/// A task's waker. Both references are weak, so a waker left on a
+/// mailbox keeps neither the task nor the runtime alive.
+struct TaskWaker {
+    shared: Weak<RuntimeShared>,
+    entry: Weak<TaskEntry>,
+}
+
+impl Wake for TaskWaker {
+    fn wake(self: Arc<Self>) {
+        self.wake_by_ref();
+    }
+
+    fn wake_by_ref(self: &Arc<Self>) {
+        if let (Some(shared), Some(entry)) = (self.shared.upgrade(), self.entry.upgrade()) {
+            wake_task(&shared, &entry);
+        }
+    }
+}
+
 fn worker_loop(shared: Arc<RuntimeShared>) {
     loop {
         let entry = {
@@ -444,13 +463,6 @@ fn worker_loop(shared: Arc<RuntimeShared>) {
                 if let Some(finish) = finish {
                     finish();
                 }
-            }
-            PollOutcome::Ready => {
-                entry.state.store(QUEUED, Ordering::Release);
-                let mut queue = shared.queue.lock();
-                queue.ready.push_back(Arc::clone(&entry));
-                drop(queue);
-                shared.queue.notify_one();
             }
             PollOutcome::Parked(edge) => {
                 *entry.parked.lock().expect("task park info poisoned") =
@@ -648,7 +660,12 @@ impl SessionRuntime {
         }
 
         let poll: PollFn = Box::new(move |entry: &TaskEntry| {
-            let mut cx = SessionCx { ops: &mut ops, scratch: &mut scratch, waiting: None };
+            let mut cx = SessionCx {
+                ops: &mut ops,
+                scratch: &mut scratch,
+                waker: &entry.waker,
+                waiting: None,
+            };
             let resumed = catch_unwind(AssertUnwindSafe(|| program.resume(&mut cx)));
             let waiting = cx.waiting;
             match resumed {
@@ -698,17 +715,8 @@ impl SessionRuntime {
                         parked_since = None;
                     }
                     parked_edge = Some(edge);
-                    match ops.register_waker(edge, &entry.waker) {
-                        Ok(true) => {
-                            parked_since = None;
-                            PollOutcome::Ready
-                        }
-                        Ok(false) => {
-                            parked_since.get_or_insert_with(Instant::now);
-                            PollOutcome::Parked(edge)
-                        }
-                        Err(e) => resolve(&ops, &mut complete, Err(e)),
-                    }
+                    parked_since.get_or_insert_with(Instant::now);
+                    PollOutcome::Parked(edge)
                 }
             }
         });
@@ -717,23 +725,13 @@ impl SessionRuntime {
             let mut slab = self.shared.tasks.lock().expect("task slab poisoned");
             let shared = Arc::downgrade(&self.shared);
             slab.insert(|index| {
-                Arc::new_cyclic(|weak_entry: &Weak<TaskEntry>| {
-                    let weak_entry = weak_entry.clone();
-                    let shared = shared.clone();
-                    TaskEntry {
-                        state: AtomicU8::new(QUEUED),
-                        poll: Mutex::new(poll),
-                        waker: Arc::new(move || {
-                            if let (Some(shared), Some(entry)) =
-                                (shared.upgrade(), weak_entry.upgrade())
-                            {
-                                wake_task(&shared, &entry);
-                            }
-                        }),
-                        timed_out: AtomicBool::new(false),
-                        parked: Mutex::new(None),
-                        index,
-                    }
+                Arc::new_cyclic(|entry: &Weak<TaskEntry>| TaskEntry {
+                    state: AtomicU8::new(QUEUED),
+                    poll: Mutex::new(poll),
+                    waker: Waker::from(Arc::new(TaskWaker { shared, entry: entry.clone() })),
+                    timed_out: AtomicBool::new(false),
+                    parked: Mutex::new(None),
+                    index,
                 })
             })
         };

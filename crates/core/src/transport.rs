@@ -6,9 +6,17 @@
 //! using sockets". A [`Transport`] is one endpoint's connection to the rest
 //! of the system; concrete implementations (in-process channels, TCP,
 //! instrumented wrappers) live in the `chorus-transport` crate.
+//!
+//! A [`SessionTransport`] implements three methods: `send_frame`,
+//! `poll_receive_frame` and `close_session`. The receive is a poll over
+//! [`std::task::Waker`], the one thing endpoint projection needs from a
+//! transport: a receive that can suspend. The blocking `receive_frame`
+//! is derived from it once, in [`park`](crate::park), and the pooled
+//! runtime polls it with each task's waker.
 
 use crate::location::{ChoreographyLocation, LocationSet};
 use std::fmt;
+use std::task::{Context, Poll};
 
 /// Errors a transport can report.
 #[derive(Debug)]
@@ -141,26 +149,6 @@ pub trait Transport<L: LocationSet, Target: ChoreographyLocation> {
 /// Identifies one choreography run multiplexed over a shared transport.
 pub type SessionId = u64;
 
-/// A readiness callback registered on a per-(session, sender) mailbox.
-///
-/// The pooled session runtime parks *sessions*, not threads: when a
-/// receive would block, the runtime registers one of these on the
-/// mailbox and moves on to other runnable sessions. The transport fires
-/// the waker — at most once per registration — when the mailbox gains a
-/// frame or the link enters an error state (dead, poisoned, peer hung
-/// up), re-enqueueing exactly the session that became runnable.
-///
-/// Wakers must be cheap and non-blocking: transports may invoke them
-/// from a sender's thread with no locks held, and a *spurious* wake
-/// (the frame was consumed by the time the session runs) must be
-/// harmless to the registrant.
-///
-/// Transports that deliver frames in batches fire each waker once per
-/// *drain*, not once per frame: a burst of frames for one mailbox costs
-/// one wake, and only mailboxes that actually received a frame (or hit
-/// an error) are woken.
-pub type MailboxWaker = std::sync::Arc<dyn Fn() + Send + Sync>;
-
 /// The session id the raw [`Transport`] compatibility path uses on
 /// session-native transports.
 pub const RAW_SESSION: SessionId = SessionId::MAX;
@@ -202,9 +190,8 @@ pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
     ///
     /// Frames of other sessions arriving meanwhile are queued into their
     /// own mailboxes, never dropped. Every transport shares this one
-    /// loop over [`try_receive_frame`](Self::try_receive_frame) and
-    /// [`register_waker`](Self::register_waker), described in
-    /// [`park`](crate::park).
+    /// loop over [`poll_receive_frame`](Self::poll_receive_frame),
+    /// described in [`park`](crate::park).
     ///
     /// # Errors
     ///
@@ -219,54 +206,38 @@ pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
         crate::park::blocking_receive(self, session, from)
     }
 
-    /// Pops the next frame of `session` from the location named `from`
-    /// if one is already deliverable, **without blocking**.
+    /// Pops the next frame of `session` from the location named `from`,
+    /// or, if its mailbox is empty, stores `cx`'s waker on it and
+    /// returns [`Poll::Pending`]. Never blocks.
     ///
-    /// Returns `Ok(None)` when the mailbox is merely empty. This is the
-    /// receive path the pooled session runtime drives: a session that
-    /// sees `None` yields its pool thread (after registering a
-    /// [`MailboxWaker`]) instead of parking it.
+    /// The pop and the store happen under the lock deposits take, so a
+    /// frame can never slip in between them unnoticed: the deposit that
+    /// follows a miss wakes the stored waker, once, outside the lock.
+    /// A mailbox holds one waker. A miss whose waker
+    /// [`will_wake`](std::task::Waker::will_wake) the stored one leaves it in place
+    /// (re-polling allocates nothing); any other replaces it. A link
+    /// failure wakes every waker stored on the link, and a spurious wake
+    /// costs the waker's owner one more poll.
     ///
-    /// # Errors
-    ///
-    /// Returns an error if `from` is unknown or the link has failed —
-    /// the errors [`receive_frame`](Self::receive_frame) passes on.
-    fn try_receive_frame(
-        &self,
-        session: SessionId,
-        from: &str,
-    ) -> Result<Option<chorus_wire::Envelope>, TransportError>;
-
-    /// Registers `waker` to fire when a frame of `session` from `from`
-    /// becomes deliverable (or the link fails).
-    ///
-    /// Returns `Ok(true)` if the mailbox is *already* ready — a frame is
-    /// queued, or the link is in an error state — in which case the
-    /// waker is **not** stored and the caller should immediately retry
-    /// [`try_receive_frame`](Self::try_receive_frame). Returns
-    /// `Ok(false)` if the waker was parked on the mailbox. The
-    /// ready-check and the registration happen under the mailbox lock,
-    /// so a deposit can never slip between them (no lost wakeups).
-    ///
-    /// At most one waker is held per (session, sender) mailbox; a new
-    /// registration replaces the previous one. Registered wakers fire at
-    /// most once and are dropped after firing — re-register on every
-    /// would-block receive.
+    /// Both execution models receive through this method: the blocking
+    /// receive with its thread's waker, the pooled runtime with its
+    /// task's.
     ///
     /// # Errors
     ///
-    /// Returns an error if `from` is unknown or the transport cannot
-    /// provide readiness notifications.
-    fn register_waker(
+    /// `Ready(Err(..))` if `from` is unknown or the link has failed and
+    /// the session's queued frames are drained — the errors
+    /// [`receive_frame`](Self::receive_frame) passes on.
+    fn poll_receive_frame(
         &self,
         session: SessionId,
         from: &str,
-        waker: MailboxWaker,
-    ) -> Result<bool, TransportError>;
+        cx: &mut Context<'_>,
+    ) -> Poll<Result<chorus_wire::Envelope, TransportError>>;
 
     /// Tells the transport this endpoint is done with `session`: every
     /// inbound link drops the session's mailbox, if it is drained, and
-    /// its parked waker.
+    /// its stored waker.
     ///
     /// [`Session`](crate::Session) calls this when it is dropped, and the
     /// pooled runtime when a task resolves. A frame that arrives later

@@ -16,10 +16,9 @@
 //! participant, and the same seed replays the same equivocation
 //! bit-for-bit.
 
-use chorus_core::{
-    ChoreographyLocation, LocationSet, MailboxWaker, SessionId, SessionTransport, TransportError,
-};
+use chorus_core::{ChoreographyLocation, LocationSet, SessionId, SessionTransport, TransportError};
 use chorus_wire::{Bytes, Envelope};
+use std::task::{Context, Poll};
 
 /// A transport adapter that makes its owner equivocate: frames sent to
 /// a *victim* receiver have one payload bit flipped (chosen
@@ -91,21 +90,13 @@ where
         self.inner.send_frame(to, frame)
     }
 
-    fn try_receive_frame(
+    fn poll_receive_frame(
         &self,
         session: SessionId,
         from: &str,
-    ) -> Result<Option<Envelope>, TransportError> {
-        self.inner.try_receive_frame(session, from)
-    }
-
-    fn register_waker(
-        &self,
-        session: SessionId,
-        from: &str,
-        waker: MailboxWaker,
-    ) -> Result<bool, TransportError> {
-        self.inner.register_waker(session, from, waker)
+        cx: &mut Context<'_>,
+    ) -> Poll<Result<Envelope, TransportError>> {
+        self.inner.poll_receive_frame(session, from, cx)
     }
 
     fn close_session(&self, session: SessionId) {

@@ -9,14 +9,15 @@
 
 use crate::mailboxes::Mailboxes;
 use chorus_core::{
-    ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SessionId, SessionTransport,
-    Transport, TransportError, RAW_SESSION,
+    ChoreographyLocation, InternedNames, LocationSet, SessionId, SessionTransport, Transport,
+    TransportError, RAW_SESSION,
 };
 use chorus_wire::Envelope;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 /// One directed link's state: its receive side, which senders deposit
 /// into directly.
@@ -126,32 +127,21 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         // the error surfaces at the receivers.)
         let (fired, all_fired) = match boxes.deposit(Target::NAME, frame) {
             Ok(waker) => (waker, Vec::new()),
-            Err(e) => (None, boxes.fail(format!("link from {} is down: {e}", Target::NAME))),
+            Err(reason) => (None, boxes.fail(reason)),
         };
         drop(boxes);
-        fired.into_iter().chain(all_fired).for_each(|waker| waker());
+        fired.into_iter().chain(all_fired).for_each(Waker::wake);
         Ok(())
     }
 
-    fn try_receive_frame(
+    fn poll_receive_frame(
         &self,
         session: SessionId,
         from: &str,
-    ) -> Result<Option<Envelope>, TransportError> {
+        cx: &mut Context<'_>,
+    ) -> Poll<Result<Envelope, TransportError>> {
         let from = self.names.resolve(from)?;
-        self.link(from, Target::NAME)?.lock().pop(session)
-    }
-
-    fn register_waker(
-        &self,
-        session: SessionId,
-        from: &str,
-        waker: MailboxWaker,
-    ) -> Result<bool, TransportError> {
-        let from = self.names.resolve(from)?;
-        // Ready-check and registration under the one link lock senders
-        // deposit under: a frame can never slip between them.
-        Ok(self.link(from, Target::NAME)?.lock().register(session, waker))
+        self.link(from, Target::NAME)?.lock().poll(session, cx.waker())
     }
 
     fn close_session(&self, session: SessionId) {

@@ -1,25 +1,28 @@
 //! One directed link's receive side, the table every transport in this
 //! crate keeps per link: per session a FIFO mailbox and the next
-//! expected `seq`, plus the wakers parked on empty mailboxes and the
+//! expected `seq`, plus the wakers stored on empty mailboxes and the
 //! link's one failure. Its rules are the receive contract:
 //!
 //! * [`deposit`](Mailboxes::deposit) admits a frame only if its `seq` is
 //!   the next of its session's stream or a restart at zero (a fresh run
-//!   reusing the session id). Anything else is an error the caller turns
-//!   into the link's failure. A failed link withholds later deposits.
+//!   reusing the session id). Anything else is rejected with the reason,
+//!   which the caller makes the link's failure. A failed link withholds
+//!   later deposits.
 //! * [`fail`](Mailboxes::fail) keeps the first failure.
-//! * [`pop`](Mailboxes::pop) drains queued frames before it reports the
-//!   failure, which then reads the same for every session, every time.
-//! * [`register`](Mailboxes::register) does the ready-check and parks
-//!   the waker in one step, under the lock deposits take: no lost
-//!   wakeups. A failed link is always ready.
-//! * Nothing here calls a waker. A deposit returns its own session's and
-//!   `fail` every parked one, once; the caller fires them after dropping
+//! * [`poll`](Mailboxes::poll) is a transport's whole receive: it pops
+//!   the next frame, or reports the failure once queued frames are
+//!   drained (the same for every session, every time), or stores the
+//!   caller's waker — all in one step, under the lock deposits take, so
+//!   no wakeup is lost. A waker that
+//!   [`will_wake`](std::task::Waker::will_wake) the stored one is not
+//!   stored again; any other replaces it.
+//! * Nothing here wakes a waker. A deposit returns its own session's and
+//!   `fail` every stored one, once; the caller wakes them after dropping
 //!   its lock, since a waker re-enqueues into a scheduler queue.
 //!
 //! Sessions end. [`close`](Mailboxes::close) drops a session's entry if
 //! its queue is drained (a frame already queued, say a reused id's
-//! restart, stays deliverable) and its parked waker, and raises the
+//! restart, stays deliverable) and its stored waker, and raises the
 //! table's watermark, `closed_below`, to one past the highest id closed
 //! so far. A frame for a session with no entry then follows one of three
 //! rules:
@@ -41,18 +44,19 @@
 //! two halves of `deposit`, [`admit`](Mailboxes::admit) and
 //! [`queue`](Mailboxes::queue).
 
-use chorus_core::{MailboxWaker, SessionId, TransportError};
+use chorus_core::{SessionId, TransportError};
 use chorus_wire::Envelope;
 use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
+use std::task::{Poll, Waker};
 
 /// One link's receive side; see the module docs for its rules.
 #[derive(Default)]
 pub(crate) struct Mailboxes {
     /// One lookup serves a session's sequence check and its queue.
     sessions: HashMap<SessionId, Stream>,
-    /// At most one waker per session, parked on an empty mailbox.
-    wakers: HashMap<SessionId, MailboxWaker>,
+    /// At most one waker per session, stored on an empty mailbox.
+    wakers: HashMap<SessionId, Waker>,
     /// The protocol-error text every session reads once drained.
     failure: Option<String>,
     /// One past the highest session id closed so far.
@@ -73,13 +77,14 @@ impl Mailboxes {
     }
 
     /// Checks `seq` as the next of `session`'s stream and advances it.
-    /// `None` is a late frame, counted and to be dropped.
+    /// `None` is a late frame, counted and to be dropped; an error is
+    /// the reason the frame was rejected.
     fn check(
         &mut self,
         sender: &'static str,
         session: SessionId,
         seq: u64,
-    ) -> Result<Option<&mut Stream>, TransportError> {
+    ) -> Result<Option<&mut Stream>, String> {
         let expected = match self.sessions.entry(session) {
             Entry::Occupied(entry) => {
                 let stream = entry.into_mut();
@@ -98,21 +103,21 @@ impl Mailboxes {
             }
             Entry::Vacant(_) => 0,
         };
-        Err(TransportError::Protocol(format!(
+        Err(format!(
             "frame from {sender} in session {session} arrived out of order: \
              expected seq {expected}, got {seq}"
-        )))
+        ))
     }
 
     /// Admits and queues `frame` from `sender`, returning its session's
-    /// parked waker. On a failed link the frame is withheld, and a late
-    /// frame is dropped. A rejected frame is dropped and its error
-    /// returned; failing the link is the caller's step.
+    /// stored waker. On a failed link the frame is withheld, and a late
+    /// frame is dropped. A rejected frame is dropped and the reason
+    /// returned; failing the link with it is the caller's step.
     pub(crate) fn deposit(
         &mut self,
         sender: &'static str,
         frame: Envelope,
-    ) -> Result<Option<MailboxWaker>, TransportError> {
+    ) -> Result<Option<Waker>, String> {
         if self.failed() {
             return Ok(None);
         }
@@ -131,50 +136,53 @@ impl Mailboxes {
         sender: &'static str,
         session: SessionId,
         seq: u64,
-    ) -> Result<bool, TransportError> {
+    ) -> Result<bool, String> {
         self.check(sender, session, seq).map(|stream| stream.is_some())
     }
 
     /// The queue half of [`deposit`](Self::deposit), for an admitted frame.
-    pub(crate) fn queue(&mut self, frame: Envelope) -> Option<MailboxWaker> {
+    pub(crate) fn queue(&mut self, frame: Envelope) -> Option<Waker> {
         let session = frame.session;
         self.sessions.entry(session).or_default().queue.push_back(frame);
         self.wakers.remove(&session)
     }
 
     /// Fails the link unless it already failed, and hands back every
-    /// parked waker.
-    pub(crate) fn fail(&mut self, message: String) -> Vec<MailboxWaker> {
+    /// stored waker.
+    pub(crate) fn fail(&mut self, message: String) -> Vec<Waker> {
         self.failure.get_or_insert(message);
         self.wakers.drain().map(|(_, waker)| waker).collect()
     }
 
-    /// The next frame of `session`, `Ok(None)` if its mailbox is merely
-    /// empty, or, once it is drained, the link's failure.
-    pub(crate) fn pop(&mut self, session: SessionId) -> Result<Option<Envelope>, TransportError> {
+    /// The next frame of `session`, or, once its mailbox is drained, the
+    /// link's failure; failing both, stores `waker` for the deposit that
+    /// follows and returns `Pending`.
+    pub(crate) fn poll(
+        &mut self,
+        session: SessionId,
+        waker: &Waker,
+    ) -> Poll<Result<Envelope, TransportError>> {
         if let Some(frame) = self.sessions.get_mut(&session).and_then(|s| s.queue.pop_front()) {
-            return Ok(Some(frame));
+            return Poll::Ready(Ok(frame));
         }
-        match &self.failure {
-            Some(message) => Err(TransportError::Protocol(message.clone())),
-            None => Ok(None),
+        if let Some(message) = &self.failure {
+            return Poll::Ready(Err(TransportError::Protocol(message.clone())));
         }
-    }
-
-    /// Returns `true` if `session`'s mailbox is ready (a frame is queued
-    /// or the link failed); otherwise parks `waker`, replacing the
-    /// session's previous one, and returns `false`.
-    pub(crate) fn register(&mut self, session: SessionId, waker: MailboxWaker) -> bool {
-        let ready = self.failed()
-            || self.sessions.get(&session).is_some_and(|stream| !stream.queue.is_empty());
-        if !ready {
-            self.wakers.insert(session, waker);
+        match self.wakers.entry(session) {
+            Entry::Occupied(mut stored) => {
+                if !stored.get().will_wake(waker) {
+                    stored.insert(waker.clone());
+                }
+            }
+            Entry::Vacant(slot) => {
+                slot.insert(waker.clone());
+            }
         }
-        ready
+        Poll::Pending
     }
 
     /// Ends `session` on this link: drops its entry if drained and its
-    /// parked waker, and raises the watermark to `session + 1` if that
+    /// stored waker, and raises the watermark to `session + 1` if that
     /// is higher.
     pub(crate) fn close(&mut self, session: SessionId) {
         if self.sessions.get(&session).is_some_and(|stream| stream.queue.is_empty()) {
@@ -188,18 +196,61 @@ impl Mailboxes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Arc;
+    use std::task::{RawWaker, RawWakerVTable, Wake};
 
     fn frame(session: SessionId, seq: u64) -> Envelope {
         Envelope::new(session, seq, vec![seq as u8])
     }
 
-    fn counting_waker(count: &Arc<AtomicUsize>) -> MailboxWaker {
-        let count = Arc::clone(count);
-        Arc::new(move || {
-            count.fetch_add(1, Ordering::SeqCst);
-        })
+    /// Polls with a waker that does nothing: `Ok(None)` is a miss.
+    fn pop(boxes: &mut Mailboxes, session: SessionId) -> Result<Option<Envelope>, TransportError> {
+        match boxes.poll(session, Waker::noop()) {
+            Poll::Ready(frame) => frame.map(Some),
+            Poll::Pending => Ok(None),
+        }
+    }
+
+    /// Counts its wakes.
+    #[derive(Default)]
+    struct Count(AtomicUsize);
+
+    impl Count {
+        fn get(&self) -> usize {
+            self.0.load(Ordering::SeqCst)
+        }
+    }
+
+    impl Wake for Count {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    fn counting_waker(count: &Arc<Count>) -> Waker {
+        Waker::from(Arc::clone(count))
+    }
+
+    thread_local! {
+        /// Clones of [`clone_counting_waker`] made on this thread.
+        static CLONES: Cell<usize> = const { Cell::new(0) };
+    }
+
+    /// A waker that does nothing but count, per thread, how often it is
+    /// cloned: the one way to tell a stored waker kept from one
+    /// replaced by an equal clone.
+    fn clone_counting_waker() -> Waker {
+        fn clone(data: *const ()) -> RawWaker {
+            CLONES.with(|clones| clones.set(clones.get() + 1));
+            RawWaker::new(data, &VTABLE)
+        }
+        fn ignore(_: *const ()) {}
+        static VTABLE: RawWakerVTable = RawWakerVTable::new(clone, ignore, ignore, ignore);
+        // SAFETY: every vtable function ignores the (null) data pointer
+        // and is thread-safe, so the `RawWaker` contract holds.
+        unsafe { Waker::from_raw(RawWaker::new(std::ptr::null(), &VTABLE)) }
     }
 
     #[test]
@@ -209,9 +260,9 @@ mod tests {
             boxes.deposit("Alpha", frame(1, seq)).expect("in-order frames are fine");
         }
         for seq in 0..5 {
-            assert_eq!(boxes.pop(1).unwrap().unwrap().seq, seq);
+            assert_eq!(pop(&mut boxes, 1).unwrap().unwrap().seq, seq);
         }
-        assert!(boxes.pop(1).unwrap().is_none());
+        assert!(pop(&mut boxes, 1).unwrap().is_none());
     }
 
     #[test]
@@ -220,26 +271,33 @@ mod tests {
         boxes.deposit("Alpha", frame(1, 0)).unwrap();
         boxes.deposit("Alpha", frame(1, 1)).unwrap();
         // Replaying seq 1 is neither the expected 2 nor a restart at 0.
-        let Err(err) = boxes.deposit("Alpha", frame(1, 1)) else {
+        let Err(reason) = boxes.deposit("Alpha", frame(1, 1)) else {
             panic!("a duplicate must be rejected")
         };
-        assert!(matches!(err, TransportError::Protocol(_)));
-        assert!(err.to_string().contains("expected seq 2, got 1"), "got: {err}");
+        assert!(reason.contains("expected seq 2, got 1"), "got: {reason}");
     }
 
     #[test]
     fn rejects_a_gap() {
         let mut boxes = Mailboxes::default();
         boxes.deposit("Beta", frame(7, 0)).unwrap();
-        let Err(err) = boxes.deposit("Beta", frame(7, 2)) else { panic!("a gap must be rejected") };
+        let Err(reason) = boxes.deposit("Beta", frame(7, 2)) else {
+            panic!("a gap must be rejected")
+        };
         assert_eq!(
-            err.to_string(),
+            reason,
+            "frame from Beta in session 7 arrived out of order: expected seq 1, got 2"
+        );
+        // The rejected frame was not queued.
+        assert_eq!(pop(&mut boxes, 7).unwrap().unwrap().seq, 0);
+        assert!(pop(&mut boxes, 7).unwrap().is_none());
+        // Failing the link with the reason reads as one protocol error.
+        boxes.fail(reason);
+        assert_eq!(
+            pop(&mut boxes, 7).unwrap_err().to_string(),
             "session protocol violation: frame from Beta in session 7 arrived out of order: \
              expected seq 1, got 2"
         );
-        // The rejected frame was not queued.
-        assert_eq!(boxes.pop(7).unwrap().unwrap().seq, 0);
-        assert!(boxes.pop(7).unwrap().is_none());
     }
 
     #[test]
@@ -255,7 +313,7 @@ mod tests {
         assert!(boxes.deposit("Alpha", frame(2, 5)).is_err());
         boxes.deposit("Alpha", frame(1, 2)).unwrap();
         let drained: Vec<u64> =
-            std::iter::from_fn(|| boxes.pop(1).unwrap()).map(|f| f.seq).collect();
+            std::iter::from_fn(|| pop(&mut boxes, 1).unwrap()).map(|f| f.seq).collect();
         assert_eq!(drained, [0, 1, 2]);
     }
 
@@ -281,11 +339,11 @@ mod tests {
         boxes.fail("second".to_string());
         // A failed link withholds even a valid frame.
         assert!(boxes.deposit("Alpha", frame(2, 0)).unwrap().is_none());
-        assert_eq!(boxes.pop(1).unwrap().unwrap().seq, 0);
-        assert_eq!(boxes.pop(1).unwrap().unwrap().seq, 1);
+        assert_eq!(pop(&mut boxes, 1).unwrap().unwrap().seq, 0);
+        assert_eq!(pop(&mut boxes, 1).unwrap().unwrap().seq, 1);
         for session in [1, 2, 3] {
             for _ in 0..2 {
-                let err = boxes.pop(session).unwrap_err();
+                let err = pop(&mut boxes, session).unwrap_err();
                 assert_eq!(err.to_string(), "session protocol violation: first");
             }
         }
@@ -294,41 +352,66 @@ mod tests {
     #[test]
     fn a_deposit_returns_only_its_own_sessions_waker() {
         let mut boxes = Mailboxes::default();
-        let (one, two) = (Arc::new(AtomicUsize::new(0)), Arc::new(AtomicUsize::new(0)));
-        assert!(!boxes.register(1, counting_waker(&one)));
-        assert!(!boxes.register(2, counting_waker(&two)));
+        let (one, two) = (Arc::new(Count::default()), Arc::new(Count::default()));
+        assert!(boxes.poll(1, &counting_waker(&one)).is_pending());
+        assert!(boxes.poll(2, &counting_waker(&two)).is_pending());
         let woken = boxes.deposit("Alpha", frame(1, 0)).unwrap().expect("session 1 was parked");
-        woken();
-        assert_eq!((one.load(Ordering::SeqCst), two.load(Ordering::SeqCst)), (1, 0));
+        woken.wake();
+        assert_eq!((one.get(), two.get()), (1, 0));
         // Spent: the next deposit for session 1 has no waker to return.
         assert!(boxes.deposit("Alpha", frame(1, 1)).unwrap().is_none());
-        // A queued frame makes the mailbox ready, so nothing parks.
-        assert!(boxes.register(1, counting_waker(&one)));
+        // A queued frame is popped, so nothing is stored.
+        assert_eq!(boxes.poll(1, &counting_waker(&one)).map(|f| f.unwrap().seq), Poll::Ready(0));
+        assert!(boxes.deposit("Alpha", frame(1, 2)).unwrap().is_none());
         assert!(boxes.queue(frame(2, 0)).is_some());
     }
 
     #[test]
     fn fail_hands_back_every_parked_waker_once() {
         let mut boxes = Mailboxes::default();
-        let count = Arc::new(AtomicUsize::new(0));
+        let count = Arc::new(Count::default());
         for session in 1..=3 {
-            assert!(!boxes.register(session, counting_waker(&count)));
+            assert!(boxes.poll(session, &counting_waker(&count)).is_pending());
         }
         let woken = boxes.fail("down".to_string());
         assert_eq!(woken.len(), 3);
-        woken.iter().for_each(|waker| waker());
-        assert_eq!(count.load(Ordering::SeqCst), 3);
+        woken.into_iter().for_each(Waker::wake);
+        assert_eq!(count.get(), 3);
         assert!(boxes.fail("again".to_string()).is_empty(), "each waker is handed back once");
-        // A failed link is ready: registration never parks again.
-        assert!(boxes.register(4, counting_waker(&count)));
+        // A failed link is ready: a poll reads the failure and stores
+        // nothing.
+        assert!(matches!(boxes.poll(4, &counting_waker(&count)), Poll::Ready(Err(_))));
         assert!(boxes.fail("later".to_string()).is_empty());
+    }
+
+    #[test]
+    fn a_miss_keeps_a_stored_waker_that_will_wake_the_same() {
+        let mut boxes = Mailboxes::default();
+        let waker = clone_counting_waker();
+        for _ in 0..5 {
+            assert!(boxes.poll(1, &waker).is_pending());
+        }
+        assert_eq!(CLONES.get(), 1, "only the first miss stores a clone");
+        let stored = boxes.deposit("Alpha", frame(1, 0)).unwrap().expect("a waker was stored");
+        assert!(stored.will_wake(&waker));
+    }
+
+    #[test]
+    fn a_miss_with_another_waker_replaces_the_stored_one() {
+        let mut boxes = Mailboxes::default();
+        let (first, second) = (Arc::new(Count::default()), Arc::new(Count::default()));
+        assert!(boxes.poll(1, &counting_waker(&first)).is_pending());
+        assert!(boxes.poll(1, &counting_waker(&second)).is_pending());
+        assert_eq!(Arc::strong_count(&first), 1, "the replaced waker was dropped");
+        boxes.deposit("Alpha", frame(1, 0)).unwrap().expect("a waker was stored").wake();
+        assert_eq!((first.get(), second.get()), (0, 1));
     }
 
     #[test]
     fn a_late_frame_after_close_is_dropped_and_counted() {
         let mut boxes = Mailboxes::default();
         boxes.deposit("Alpha", frame(1, 0)).unwrap();
-        assert_eq!(boxes.pop(1).unwrap().unwrap().seq, 0);
+        assert_eq!(pop(&mut boxes, 1).unwrap().unwrap().seq, 0);
         boxes.close(1);
         // The tail of the closed run is dropped, on both paths, and
         // re-creates no mailbox.
@@ -336,16 +419,16 @@ mod tests {
         assert!(!boxes.admit("Alpha", 1, 2).unwrap());
         assert_eq!(boxes.late, 2);
         assert!(boxes.sessions.is_empty());
-        assert!(boxes.pop(1).unwrap().is_none());
+        assert!(pop(&mut boxes, 1).unwrap().is_none());
         // The link did not fail: the next session delivers.
         assert!(!boxes.failed());
         boxes.deposit("Alpha", frame(2, 0)).unwrap();
-        assert_eq!(boxes.pop(2).unwrap().unwrap().seq, 0);
+        assert_eq!(pop(&mut boxes, 2).unwrap().unwrap().seq, 0);
         // Above the watermark a `seq > 0` first frame is still an error.
-        let Err(err) = boxes.deposit("Alpha", frame(3, 1)) else {
+        let Err(reason) = boxes.deposit("Alpha", frame(3, 1)) else {
             panic!("a session never opened must start at seq 0")
         };
-        assert!(err.to_string().contains("expected seq 0, got 1"), "got: {err}");
+        assert!(reason.contains("expected seq 0, got 1"), "got: {reason}");
         assert_eq!(boxes.late, 2);
     }
 
@@ -354,14 +437,14 @@ mod tests {
         let mut boxes = Mailboxes::default();
         boxes.deposit("Alpha", frame(4, 0)).unwrap();
         boxes.deposit("Alpha", frame(4, 1)).unwrap();
-        boxes.pop(4).unwrap();
-        boxes.pop(4).unwrap();
+        pop(&mut boxes, 4).unwrap();
+        pop(&mut boxes, 4).unwrap();
         boxes.close(4);
         // A restart at zero opens the id again, and its stream runs on.
         boxes.deposit("Alpha", frame(4, 0)).unwrap();
         boxes.deposit("Alpha", frame(4, 1)).unwrap();
         let drained: Vec<u64> =
-            std::iter::from_fn(|| boxes.pop(4).unwrap()).map(|f| f.seq).collect();
+            std::iter::from_fn(|| pop(&mut boxes, 4).unwrap()).map(|f| f.seq).collect();
         assert_eq!(drained, [0, 1]);
         assert_eq!(boxes.late, 0);
     }
@@ -374,8 +457,8 @@ mod tests {
         boxes.deposit("Alpha", frame(5, 0)).unwrap();
         boxes.close(5);
         boxes.deposit("Alpha", frame(5, 1)).unwrap();
-        assert_eq!(boxes.pop(5).unwrap().unwrap().seq, 0);
-        assert_eq!(boxes.pop(5).unwrap().unwrap().seq, 1);
+        assert_eq!(pop(&mut boxes, 5).unwrap().unwrap().seq, 0);
+        assert_eq!(pop(&mut boxes, 5).unwrap().unwrap().seq, 1);
         assert_eq!(boxes.late, 0);
         // Drained, the next close reclaims the entry.
         boxes.close(5);
@@ -385,14 +468,14 @@ mod tests {
     #[test]
     fn close_drops_a_parked_waker() {
         let mut boxes = Mailboxes::default();
-        let count = Arc::new(AtomicUsize::new(0));
-        assert!(!boxes.register(6, counting_waker(&count)));
+        let count = Arc::new(Count::default());
+        assert!(boxes.poll(6, &counting_waker(&count)).is_pending());
         boxes.close(6);
         assert!(boxes.wakers.is_empty());
         // A later run of the id deposits with nobody to wake.
         assert!(boxes.deposit("Alpha", frame(6, 0)).unwrap().is_none());
         assert!(boxes.fail("down".to_string()).is_empty());
-        assert_eq!(count.load(Ordering::SeqCst), 0);
+        assert_eq!(count.get(), 0);
         assert_eq!(Arc::strong_count(&count), 1, "the table holds no copy of the waker");
     }
 }

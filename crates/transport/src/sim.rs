@@ -61,8 +61,8 @@
 
 use crate::mailboxes::Mailboxes;
 use chorus_core::{
-    ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SessionId, SessionTransport,
-    Transport, TransportError, RAW_SESSION,
+    ChoreographyLocation, InternedNames, LocationSet, SessionId, SessionTransport, Transport,
+    TransportError, RAW_SESSION,
 };
 use chorus_wire::Envelope;
 use parking_lot::{Mutex, MutexGuard};
@@ -71,6 +71,7 @@ use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
 
 /// A frame is retransmitted at most this many times; past that the
 /// "network" relents and delivers. Keeps arrival ticks finite even with
@@ -552,15 +553,13 @@ impl SimLink {
     }
 }
 
-/// Fails the link with `message`, then releases the lock and fires
-/// every parked waker (outside the lock — a waker re-enqueues into a
+/// Fails the link with `message`, then releases the lock and wakes
+/// every stored waker (outside the lock — a waker re-enqueues into a
 /// scheduler queue).
 fn fail_link(mut link: MutexGuard<'_, SimLink>, message: String) {
     let fired = link.boxes.fail(message);
     drop(link);
-    for waker in fired {
-        waker();
-    }
+    fired.into_iter().for_each(Waker::wake);
 }
 
 struct SimShared {
@@ -820,9 +819,9 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         }
         let admitted = match link.boxes.admit(from, session, seq) {
             Ok(admitted) => admitted,
-            Err(e) => {
+            Err(reason) => {
                 link.log(record(0, SimEventKind::Withheld));
-                fail_link(link, format!("link from {from} is down: {e}"));
+                fail_link(link, reason);
                 return Ok(());
             }
         };
@@ -839,7 +838,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         }
         // Selective silence: the frame is logged and dropped forever.
         // Receivers learn of the silence from the plan itself, so no
-        // receive on this link ever blocks or parks a waker, and there
+        // receive on this link ever blocks or stores a waker, and there
         // is nobody to wake.
         if plan.silenced(from, to) {
             link.log(record(0, SimEventKind::Silenced));
@@ -877,51 +876,34 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         // fires — outside the lock, like every waker.
         let fired = if admitted { link.boxes.queue(frame) } else { None };
         drop(link);
-        if let Some(waker) = fired {
-            waker();
-        }
+        fired.into_iter().for_each(Waker::wake);
         Ok(())
     }
 
-    fn try_receive_frame(
+    fn poll_receive_frame(
         &self,
         session: SessionId,
         from: &str,
-    ) -> Result<Option<Envelope>, TransportError> {
+        cx: &mut Context<'_>,
+    ) -> Poll<Result<Envelope, TransportError>> {
         let from = self.names.resolve(from)?;
         let to = Target::NAME;
-        // The next queued frame, else the link's failure if it has one
-        // (frames queued before a failure drain first; a failure
-        // outranks silence), else `None`.
-        if let Some(env) = self.link(from, to)?.lock().boxes.pop(session)? {
-            self.net.shared.received.fetch_add(1, Ordering::Relaxed);
-            return Ok(Some(env));
-        }
-        if self.net.shared.plan.silenced(from, to) {
-            // The silence is a plan-level fact: no frame will ever
-            // arrive, so fail now instead of burning the watchdog.
-            return Err(TransportError::Protocol(format!(
+        let mut link = self.link(from, to)?.lock();
+        // A silenced link never queues a frame. Its receivers read the
+        // link's failure if it has one (a failure outranks silence),
+        // else the silence, a plan-level fact: no frame will ever
+        // arrive, so fail now instead of storing a waker and burning
+        // the watchdog.
+        if self.net.shared.plan.silenced(from, to) && !link.boxes.failed() {
+            return Poll::Ready(Err(TransportError::Protocol(format!(
                 "link {from} -> {to} silenced: every frame dropped (selective silence)"
-            )));
+            ))));
         }
-        Ok(None)
-    }
-
-    fn register_waker(
-        &self,
-        session: SessionId,
-        from: &str,
-        waker: MailboxWaker,
-    ) -> Result<bool, TransportError> {
-        let from = self.names.resolve(from)?;
-        let link = self.link(from, Target::NAME)?;
-        // A silenced link is ready: its error is there to observe.
-        if self.net.shared.plan.silenced(from, Target::NAME) {
-            return Ok(true);
+        let polled = link.boxes.poll(session, cx.waker());
+        if let Poll::Ready(Ok(_)) = polled {
+            self.net.shared.received.fetch_add(1, Ordering::Relaxed);
         }
-        // Ready-check and registration under the one link lock senders
-        // deposit under: a frame can never slip between them.
-        Ok(link.lock().boxes.register(session, waker))
+        polled
     }
 
     fn close_session(&self, session: SessionId) {
@@ -1244,44 +1226,63 @@ mod tests {
         assert!(matches!(err, TransportError::Protocol(_)));
         let msg = err.to_string();
         assert!(msg.contains("Alice") && msg.contains("Bob") && msg.contains("silenced"), "{msg}");
-        // try_receive surfaces the same verdict, and the reverse link
-        // still works.
-        assert!(bob.try_receive_frame(RAW_SESSION, "Alice").is_err());
+        // A poll surfaces the same verdict, and the reverse link still
+        // works.
+        assert!(matches!(poll(&bob, RAW_SESSION, Waker::noop()), Poll::Ready(Err(_))));
         bob.send("Alice", b"reverse-ok").unwrap();
         assert_eq!(alice.receive("Bob").unwrap(), b"reverse-ok");
         assert!(net.schedule_dump().contains("silenced"));
+    }
+
+    /// Polls `bob`'s mailbox of `session` from Alice once.
+    fn poll(
+        bob: &SimTransport<System, Bob>,
+        session: SessionId,
+        waker: &Waker,
+    ) -> Poll<Result<Envelope, TransportError>> {
+        bob.poll_receive_frame(session, "Alice", &mut Context::from_waker(waker))
+    }
+
+    /// Counts its wakes.
+    #[derive(Default)]
+    struct Count(std::sync::atomic::AtomicUsize);
+
+    impl Count {
+        fn get(&self) -> usize {
+            self.0.load(Ordering::SeqCst)
+        }
+    }
+
+    impl std::task::Wake for Count {
+        fn wake(self: Arc<Self>) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
     }
 
     #[test]
     fn silenced_link_reports_ready_to_wakers() {
         let plan = FaultPlan::ideal().with_silence(Silence::link("Alice", "Bob"));
         let (_alice, bob, _) = pair(plan);
-        let ready = bob.register_waker(RAW_SESSION, "Alice", Arc::new(|| {})).unwrap();
-        assert!(ready, "a silenced link must not park a session forever");
+        let count = Arc::new(Count::default());
+        let polled = poll(&bob, RAW_SESSION, &Waker::from(Arc::clone(&count)));
+        assert!(polled.is_ready(), "a silenced link must not park a session forever");
+        assert_eq!(Arc::strong_count(&count), 1, "and must store no waker");
     }
 
     #[test]
     fn deposits_wake_only_the_mailboxes_that_gained_frames() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
         let (alice, bob, _) = pair(FaultPlan::ideal());
-        let fired_one = Arc::new(AtomicUsize::new(0));
-        let fired_two = Arc::new(AtomicUsize::new(0));
-        let waker = |counter: &Arc<AtomicUsize>| -> MailboxWaker {
-            let counter = Arc::clone(counter);
-            Arc::new(move || {
-                counter.fetch_add(1, Ordering::SeqCst);
-            })
-        };
-        assert!(!bob.register_waker(1, "Alice", waker(&fired_one)).unwrap());
-        assert!(!bob.register_waker(2, "Alice", waker(&fired_two)).unwrap());
+        let (one, two) = (Arc::new(Count::default()), Arc::new(Count::default()));
+        assert!(poll(&bob, 1, &Waker::from(Arc::clone(&one))).is_pending());
+        assert!(poll(&bob, 2, &Waker::from(Arc::clone(&two))).is_pending());
         // A frame for session 1 must not cost session 2 a spurious wake.
         alice.send_frame("Bob", Envelope::new(1, 0, b"for-one".to_vec())).unwrap();
-        assert_eq!(fired_one.load(Ordering::SeqCst), 1);
-        assert_eq!(fired_two.load(Ordering::SeqCst), 0, "session 2 gained no frame");
-        // Session 2's waker is still armed and fires on its own deposit.
+        assert_eq!(one.get(), 1);
+        assert_eq!(two.get(), 0, "session 2 gained no frame");
+        // Session 2's waker is still stored and fires on its own deposit.
         alice.send_frame("Bob", Envelope::new(2, 0, b"for-two".to_vec())).unwrap();
-        assert_eq!(fired_two.load(Ordering::SeqCst), 1);
-        assert_eq!(fired_one.load(Ordering::SeqCst), 1, "consumed on its first fire");
+        assert_eq!(two.get(), 1);
+        assert_eq!(one.get(), 1, "consumed on its first fire");
         assert_eq!(bob.receive_frame(1, "Alice").unwrap().payload, b"for-one");
         assert_eq!(bob.receive_frame(2, "Alice").unwrap().payload, b"for-two");
     }

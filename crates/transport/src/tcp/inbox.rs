@@ -3,10 +3,11 @@
 //! gaps.
 
 use crate::mailboxes::Mailboxes;
-use chorus_core::{MailboxWaker, SessionId, TransportError};
+use chorus_core::{SessionId, TransportError};
 use chorus_wire::Envelope;
 use std::collections::HashMap;
 use std::sync::{Mutex as StdMutex, MutexGuard};
+use std::task::{Poll, Waker};
 
 /// What the link layer made of one deposited batch of data frames.
 #[derive(Default)]
@@ -61,7 +62,7 @@ impl Inbox {
         batch: &mut Vec<(u64, Envelope)>,
     ) -> BatchOutcome {
         let mut outcome = BatchOutcome::default();
-        let mut fired: Vec<MailboxWaker> = Vec::new();
+        let mut fired: Vec<Waker> = Vec::new();
         let mut links = self.lock();
         let link = links.entry(sender).or_default();
         for (link_seq, envelope) in batch.drain(..) {
@@ -94,15 +95,13 @@ impl Inbox {
             // of a silently resumed stream.
             match link.boxes.deposit(sender, envelope) {
                 Ok(waker) => fired.extend(waker),
-                Err(e) => fired.extend(link.boxes.fail(e.to_string())),
+                Err(reason) => fired.extend(link.boxes.fail(reason)),
             }
         }
         // Wakers re-enqueue sessions into a scheduler queue; invoke them
         // outside the inbox lock to avoid ordering deadlocks.
         drop(links);
-        for waker in fired {
-            waker();
-        }
+        fired.into_iter().for_each(Waker::wake);
         outcome
     }
 
@@ -119,9 +118,7 @@ impl Inbox {
         // parked on it: fire them all.
         let fired = links.entry(sender).or_default().boxes.fail(error);
         drop(links);
-        for waker in fired {
-            waker();
-        }
+        fired.into_iter().for_each(Waker::wake);
     }
 
     /// Ends `session` on every sender's table, under one inbox lock.
@@ -131,26 +128,15 @@ impl Inbox {
         }
     }
 
-    /// Pops the next frame of `session` from `sender` if one is already
-    /// deliverable.
-    pub(super) fn try_take(
-        &self,
-        session: SessionId,
-        sender: &'static str,
-    ) -> Result<Option<Envelope>, TransportError> {
-        self.lock().entry(sender).or_default().boxes.pop(session)
-    }
-
-    /// Parks `waker` on the (sender, session) mailbox, or reports the
-    /// mailbox already ready. Ready-check and registration happen under
-    /// the inbox lock the reader threads deposit under — no lost
+    /// Pops the next frame of `session` from `sender`, or stores `waker`
+    /// under the inbox lock the reader threads deposit under: no lost
     /// wakeups.
-    pub(super) fn register(
+    pub(super) fn poll(
         &self,
         session: SessionId,
         sender: &'static str,
-        waker: MailboxWaker,
-    ) -> Result<bool, TransportError> {
-        Ok(self.lock().entry(sender).or_default().boxes.register(session, waker))
+        waker: &Waker,
+    ) -> Poll<Result<Envelope, TransportError>> {
+        self.lock().entry(sender).or_default().boxes.poll(session, waker)
     }
 }

@@ -51,7 +51,7 @@
 //!
 //! A reader thread per accepted connection drains the whole buffered
 //! burst per wakeup, deposits it into the per-(session, sender) FIFO
-//! mailboxes under one inbox lock, and fires each parked waker once per
+//! mailboxes under one inbox lock, and wakes each stored waker once per
 //! drain instead of once per frame — preserving the per-sender ordering
 //! guarantee the λN model assumes *within* each session while letting
 //! sessions interleave freely on the socket.
@@ -84,8 +84,8 @@ use self::send::{
 use self::supervise::supervisor_loop;
 use crate::link::LinkStats;
 use chorus_core::{
-    ChoreographyLocation, InternedNames, LocationSet, MailboxWaker, SessionId, SessionTransport,
-    Transport, TransportError, RAW_SESSION,
+    ChoreographyLocation, InternedNames, LocationSet, SessionId, SessionTransport, Transport,
+    TransportError, RAW_SESSION,
 };
 use chorus_wire::{data_frame_wire_len, Envelope};
 use parking_lot::Mutex;
@@ -94,6 +94,7 @@ use std::marker::PhantomData;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
 /// One endpoint of a TCP-connected choreography.
@@ -287,29 +288,17 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         Ok(())
     }
 
-    fn try_receive_frame(
+    fn poll_receive_frame(
         &self,
         session: SessionId,
         from: &str,
-    ) -> Result<Option<Envelope>, TransportError> {
+        cx: &mut Context<'_>,
+    ) -> Poll<Result<Envelope, TransportError>> {
         let from = self.names.resolve(from)?;
         if from == Target::NAME {
-            return Err(TransportError::UnknownLocation(from.to_string()));
+            return Poll::Ready(Err(TransportError::UnknownLocation(from.to_string())));
         }
-        self.inbox.try_take(session, from)
-    }
-
-    fn register_waker(
-        &self,
-        session: SessionId,
-        from: &str,
-        waker: MailboxWaker,
-    ) -> Result<bool, TransportError> {
-        let from = self.names.resolve(from)?;
-        if from == Target::NAME {
-            return Err(TransportError::UnknownLocation(from.to_string()));
-        }
-        self.inbox.register(session, from, waker)
+        self.inbox.poll(session, from, cx.waker())
     }
 
     fn close_session(&self, session: SessionId) {

@@ -1,5 +1,6 @@
 use super::*;
 use std::sync::atomic::AtomicU64;
+use std::task::Waker;
 
 /// Counts connect attempts that failed and went into the retry
 /// loop, so `connect_retries_until_peer_binds` can *force* the
@@ -220,19 +221,23 @@ fn single_frame_larger_than_watermark_still_sends() {
 #[test]
 fn a_links_first_failure_stays_its_failure() {
     let inbox = Inbox::default();
+    let take = |session| match inbox.poll(session, "Alice", Waker::noop()) {
+        Poll::Ready(frame) => frame,
+        Poll::Pending => panic!("session {session}'s mailbox is empty"),
+    };
     let mut batch =
         vec![(0, Envelope::new(1, 0, b"ok".to_vec())), (1, Envelope::new(1, 2, b"gap".to_vec()))];
     inbox.deposit_batch("Alice", &mut batch);
-    assert_eq!(inbox.try_take(1, "Alice").unwrap().unwrap().payload, b"ok");
-    let first = inbox.try_take(1, "Alice").unwrap_err().to_string();
+    assert_eq!(take(1).unwrap().payload, b"ok");
+    let first = take(1).unwrap_err().to_string();
     assert!(first.contains("frame from Alice in session 1 arrived out of order"), "got: {first}");
     assert_eq!(first.matches("session protocol violation").count(), 1, "got: {first}");
     // A later batch skips link frames 2..9: a second failure, which must
     // not replace the first.
     let mut later = vec![(9, Envelope::new(2, 0, b"late".to_vec()))];
     assert!(inbox.deposit_batch("Alice", &mut later).gap);
-    assert_eq!(inbox.try_take(1, "Alice").unwrap_err().to_string(), first);
-    assert_eq!(inbox.try_take(2, "Alice").unwrap_err().to_string(), first);
+    assert_eq!(take(1).unwrap_err().to_string(), first);
+    assert_eq!(take(2).unwrap_err().to_string(), first);
 }
 
 #[test]

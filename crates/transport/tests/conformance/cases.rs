@@ -8,10 +8,11 @@
 //! until the transport delivers or reports an error.
 
 use chorus_core::park::WaitQueue;
-use chorus_core::{Endpoint, MailboxWaker, SessionTransport, TransportError};
+use chorus_core::{Endpoint, SessionTransport, TransportError};
 use chorus_transport::TransportMetrics;
 use chorus_wire::Envelope;
 use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
 
 chorus_core::locations! { Alice, Bob, Carol }
 
@@ -32,48 +33,68 @@ fn frame(session: u64, seq: u64, payload: &[u8]) -> Envelope {
     Envelope::new(session, seq, payload.to_vec())
 }
 
-/// A waker that counts its fires on a shared gate and wakes whoever
-/// parked on it — the same shape the pooled runtime's re-enqueue waker
-/// has, counting so a case can tell "fired once" from "fired again".
-fn gate_waker(gate: &Arc<WaitQueue<usize>>) -> MailboxWaker {
-    let gate = Arc::clone(gate);
-    Arc::new(move || {
-        *gate.lock() += 1;
-        gate.notify_all();
-    })
-}
+/// A waker's target that counts its fires and wakes whoever waits on
+/// it — the same shape the pooled runtime's re-enqueue waker has,
+/// counting so a case can tell "fired once" from "fired again".
+#[derive(Default)]
+struct Gate(WaitQueue<usize>);
 
-/// Parks until a [`gate_waker`] has fired at least `count` times: waits
-/// for the waker, never for wall-clock time.
-fn wait_for_fires(gate: &WaitQueue<usize>, count: usize) {
-    let mut fired = gate.lock();
-    while *fired < count {
-        fired = gate.wait(fired);
+impl Gate {
+    fn fires(&self) -> usize {
+        *self.0.lock()
+    }
+
+    /// Parks until the gate has fired at least `count` times: waits for
+    /// the waker, never for wall-clock time.
+    fn wait_for(&self, count: usize) {
+        let mut fired = self.0.lock();
+        while *fired < count {
+            fired = self.0.wait(fired);
+        }
     }
 }
 
-/// Receives one frame through the *non-blocking* path only:
-/// `try_receive_frame` plus waker registration, parking this thread on a
-/// local gate between attempts. Event-driven — no sleeps, no spinning —
-/// so it works identically whether the transport delivers synchronously
-/// (local, sim) or after real socket latency (TCP). This is exactly the
-/// poll/register/park protocol the pooled session runtime drives.
+impl Wake for Gate {
+    fn wake(self: Arc<Self>) {
+        *self.0.lock() += 1;
+        self.0.notify_all();
+    }
+}
+
+/// A fresh gate and a waker that fires it.
+fn gate() -> (Arc<Gate>, Waker) {
+    let gate = Arc::new(Gate::default());
+    (Arc::clone(&gate), Waker::from(gate))
+}
+
+/// Polls `bob`'s mailbox of `session` from `from` once, with `waker`.
+fn poll<T: SessionTransport<L, Bob> + ?Sized, L: chorus_core::LocationSet>(
+    bob: &T,
+    session: u64,
+    from: &str,
+    waker: &Waker,
+) -> Poll<Result<Envelope, TransportError>> {
+    bob.poll_receive_frame(session, from, &mut Context::from_waker(waker))
+}
+
+/// Receives one frame through the *non-blocking* path only: polls, and
+/// on a miss parks this thread on the gate the poll stored. Event-driven
+/// — no sleeps, no spinning — so it works identically whether the
+/// transport delivers synchronously (local, sim) or after real socket
+/// latency (TCP). This is exactly the poll/park protocol the pooled
+/// session runtime drives.
 fn recv_eventually(
     bob: &impl BobTransport,
     session: u64,
     from: &str,
 ) -> Result<Envelope, TransportError> {
+    let (gate, waker) = gate();
     loop {
-        if let Some(envelope) = bob.try_receive_frame(session, from)? {
-            return Ok(envelope);
+        let fires = gate.fires();
+        if let Poll::Ready(frame) = poll(bob, session, from, &waker) {
+            return frame;
         }
-        let gate = Arc::new(WaitQueue::new(0));
-        if bob.register_waker(session, from, gate_waker(&gate))? {
-            // Already ready: a frame (or an error) slipped in between
-            // the failed try and the registration — re-poll.
-            continue;
-        }
-        wait_for_fires(&gate, 1);
+        gate.wait_for(fires + 1);
     }
 }
 
@@ -232,30 +253,29 @@ pub fn poisoned_link_withholds(alice: impl AliceTransport, bob: impl BobTranspor
     );
 }
 
-/// An empty mailbox reports `Ok(None)` — merely-empty is not an error —
-/// and traffic in *other* sessions leaves it empty.
+/// A poll of an empty mailbox is `Pending` — merely-empty is not an
+/// error — and traffic in *other* sessions leaves it empty.
 pub fn try_receive_on_empty_mailbox_is_none(alice: impl AliceTransport, bob: impl BobTransport) {
     assert!(
-        matches!(bob.try_receive_frame(1, "Alice"), Ok(None)),
+        poll(&bob, 1, "Alice", Waker::noop()).is_pending(),
         "nothing was sent; the mailbox is merely empty"
     );
     // A frame in a *different* session must not surface in this one.
     alice.send_frame("Bob", frame(2, 0, b"other-session")).unwrap();
-    assert!(matches!(bob.try_receive_frame(1, "Alice"), Ok(None)));
+    assert!(poll(&bob, 1, "Alice", Waker::noop()).is_pending());
     assert_eq!(recv_eventually(&bob, 2, "Alice").unwrap().payload, b"other-session");
 }
 
-/// A waker registered on an empty mailbox fires when a frame is
-/// deposited, and the frame is then deliverable through the
-/// non-blocking path.
+/// A poll that misses stores its waker, which fires when a frame is
+/// deposited; the frame is then deliverable through the non-blocking
+/// path.
 pub fn waker_fires_on_deposit(alice: impl AliceTransport, bob: impl BobTransport) {
-    let gate = Arc::new(WaitQueue::new(0));
-    let parked = !bob.register_waker(7, "Alice", gate_waker(&gate)).unwrap();
-    assert!(parked, "nothing was sent; the waker must park");
+    let (gate, waker) = gate();
+    assert!(poll(&bob, 7, "Alice", &waker).is_pending(), "nothing was sent; the poll must miss");
     alice.send_frame("Bob", frame(7, 0, b"wake")).unwrap();
-    wait_for_fires(&gate, 1);
+    gate.wait_for(1);
     // A fired waker is a readiness *hint* (spurious wakes are legal), so
-    // drain through the full poll/register protocol.
+    // drain through the full poll/park protocol.
     assert_eq!(recv_eventually(&bob, 7, "Alice").unwrap().payload, b"wake");
 }
 
@@ -264,21 +284,21 @@ pub fn waker_fires_on_deposit(alice: impl AliceTransport, bob: impl BobTransport
 /// the pooled runtime a scheduler requeue each), and a waker, once
 /// fired, is spent.
 pub fn deposit_wakes_only_its_own_session(alice: impl AliceTransport, bob: impl BobTransport) {
-    let (one, two) = (Arc::new(WaitQueue::new(0)), Arc::new(WaitQueue::new(0)));
-    assert!(!bob.register_waker(1, "Alice", gate_waker(&one)).unwrap());
-    assert!(!bob.register_waker(2, "Alice", gate_waker(&two)).unwrap());
+    let ((one, one_waker), (two, two_waker)) = (gate(), gate());
+    assert!(poll(&bob, 1, "Alice", &one_waker).is_pending());
+    assert!(poll(&bob, 2, "Alice", &two_waker).is_pending());
     alice.send_frame("Bob", frame(1, 0, b"for-one")).unwrap();
-    wait_for_fires(&one, 1);
-    assert_eq!(*two.lock(), 0, "session 2 gained no frame");
-    // Session 1's waker is spent and session 2's still armed: of the
+    one.wait_for(1);
+    assert_eq!(two.fires(), 0, "session 2 gained no frame");
+    // Session 1's waker is spent and session 2's still stored: of the
     // next two deposits only the second may fire anything. Deposits on
     // one link happen in send order, so once it has, both counts are
     // final.
     alice.send_frame("Bob", frame(1, 1, b"for-one-again")).unwrap();
     alice.send_frame("Bob", frame(2, 0, b"for-two")).unwrap();
-    wait_for_fires(&two, 1);
-    assert_eq!(*one.lock(), 1, "a fired waker must not fire again without re-registering");
-    assert_eq!(*two.lock(), 1);
+    two.wait_for(1);
+    assert_eq!(one.fires(), 1, "a fired waker must not fire again until a poll stores it");
+    assert_eq!(two.fires(), 1);
     assert_eq!(recv_eventually(&bob, 1, "Alice").unwrap().payload, b"for-one");
     assert_eq!(recv_eventually(&bob, 1, "Alice").unwrap().payload, b"for-one-again");
     assert_eq!(recv_eventually(&bob, 2, "Alice").unwrap().payload, b"for-two");
@@ -286,53 +306,82 @@ pub fn deposit_wakes_only_its_own_session(alice: impl AliceTransport, bob: impl 
 
 /// A link failure is a state every session behind the link can
 /// observe, so it wakes every parked session — not just the one whose
-/// frame was bad — and each then sees the protocol error.
+/// frame was bad — and each then reads the protocol error.
 pub fn link_failure_wakes_every_parked_session(alice: impl AliceTransport, bob: impl BobTransport) {
-    let gates: Vec<_> = (1..=3u64).map(|_| Arc::new(WaitQueue::new(0))).collect();
-    for (session, gate) in (1..=3u64).zip(&gates) {
-        assert!(!bob.register_waker(session, "Alice", gate_waker(gate)).unwrap());
+    let gates: Vec<_> = (1..=3u64).map(|_| gate()).collect();
+    for (session, (_, waker)) in (1..=3u64).zip(&gates) {
+        assert!(poll(&bob, session, "Alice", waker).is_pending());
     }
     // A sequence gap in a session nobody is parked on.
     alice.send_frame("Bob", frame(9, 4, b"gap")).unwrap();
-    for (session, gate) in (1..=3u64).zip(&gates) {
-        wait_for_fires(gate, 1);
-        let err = bob.try_receive_frame(session, "Alice").unwrap_err();
-        assert!(
-            matches!(err, TransportError::Protocol(_)),
-            "session {session} must observe the failure, got {err:?}"
-        );
-        assert!(
-            bob.register_waker(session, "Alice", gate_waker(gate)).unwrap(),
-            "a failed link is ready, never parked on"
-        );
-        assert_eq!(*gate.lock(), 1, "session {session}'s waker fires once");
+    for (session, (gate, waker)) in (1..=3u64).zip(&gates) {
+        gate.wait_for(1);
+        for _ in 0..2 {
+            let polled = poll(&bob, session, "Alice", waker);
+            assert!(
+                matches!(polled, Poll::Ready(Err(TransportError::Protocol(_)))),
+                "session {session} must read the failure, never park, got {polled:?}"
+            );
+        }
+        assert_eq!(gate.fires(), 1, "session {session}'s waker fires once");
     }
 }
 
-/// Registration on a mailbox that is (or becomes) ready refuses the
-/// waker — `Ok(true)` — instead of parking it, so the no-lost-wakeup
-/// handshake closes; after the mailbox is drained, registration parks
-/// again.
+/// A poll of a mailbox that is (or becomes) ready returns the frame
+/// instead of storing the waker, so no wakeup is lost; once the mailbox
+/// is drained, a poll misses and stores it again.
 pub fn registration_reports_ready_mailbox(alice: impl AliceTransport, bob: impl BobTransport) {
     alice.send_frame("Bob", frame(3, 0, b"a")).unwrap();
     alice.send_frame("Bob", frame(3, 1, b"b")).unwrap();
     assert_eq!(recv_eventually(&bob, 3, "Alice").unwrap().payload, b"a");
-    // With "b" still undelivered, registration must eventually report
-    // ready rather than leave the caller parked forever.
-    loop {
-        let gate = Arc::new(WaitQueue::new(0));
-        if bob.register_waker(3, "Alice", gate_waker(&gate)).unwrap() {
-            break;
-        }
-        wait_for_fires(&gate, 1);
-    }
-    assert_eq!(bob.try_receive_frame(3, "Alice").unwrap().unwrap().payload, b"b");
-    // Drained: a fresh registration parks.
-    let gate = Arc::new(WaitQueue::new(0));
+    // With "b" still undelivered, a poll must eventually return it
+    // rather than leave the caller parked forever.
+    assert_eq!(recv_eventually(&bob, 3, "Alice").unwrap().payload, b"b");
+    // Drained: the next poll misses and stores its waker, which the
+    // next deposit fires.
+    let (gate, waker) = gate();
     assert!(
-        !bob.register_waker(3, "Alice", gate_waker(&gate)).unwrap(),
-        "the mailbox was drained; the waker must park"
+        poll(&bob, 3, "Alice", &waker).is_pending(),
+        "the mailbox was drained; the poll must miss"
     );
+    alice.send_frame("Bob", frame(3, 2, b"c")).unwrap();
+    gate.wait_for(1);
+    assert_eq!(recv_eventually(&bob, 3, "Alice").unwrap().payload, b"c");
+}
+
+/// Many misses polled with one waker store it once: the deposit that
+/// follows wakes it exactly once.
+pub fn repeated_misses_with_one_waker_wake_once(
+    alice: impl AliceTransport,
+    bob: impl BobTransport,
+) {
+    let (gate, waker) = gate();
+    for _ in 0..8 {
+        assert!(poll(&bob, 1, "Alice", &waker).is_pending());
+    }
+    alice.send_frame("Bob", frame(1, 0, b"one")).unwrap();
+    gate.wait_for(1);
+    assert_eq!(recv_eventually(&bob, 1, "Alice").unwrap().payload, b"one");
+    // A later frame on the link, sent after it: once it delivers, the
+    // first deposit has woken all it ever will.
+    alice.send_frame("Bob", frame(2, 0, b"marker")).unwrap();
+    assert_eq!(bob.receive_frame(2, "Alice").unwrap().payload, b"marker");
+    assert_eq!(gate.fires(), 1, "eight misses with one waker must cost one wake");
+}
+
+/// A mailbox holds one waker: a miss with a second waker replaces the
+/// first, and the deposit that follows wakes only the second.
+pub fn a_later_waker_replaces_the_earlier(alice: impl AliceTransport, bob: impl BobTransport) {
+    let ((first, first_waker), (second, second_waker)) = (gate(), gate());
+    assert!(poll(&bob, 1, "Alice", &first_waker).is_pending());
+    assert!(poll(&bob, 1, "Alice", &second_waker).is_pending());
+    alice.send_frame("Bob", frame(1, 0, b"one")).unwrap();
+    second.wait_for(1);
+    alice.send_frame("Bob", frame(2, 0, b"marker")).unwrap();
+    assert_eq!(bob.receive_frame(2, "Alice").unwrap().payload, b"marker");
+    assert_eq!(first.fires(), 0, "the replaced waker must not fire");
+    assert_eq!(second.fires(), 1);
+    assert_eq!(recv_eventually(&bob, 1, "Alice").unwrap().payload, b"one");
 }
 
 /// A failed link surfaces through the non-blocking path exactly as it
@@ -389,11 +438,11 @@ pub fn late_frame_after_close_is_dropped(alice: impl AliceTransport, bob: impl B
     alice.send_frame("Bob", frame(2, 0, b"next-session")).unwrap();
     assert_eq!(bob.receive_frame(2, "Alice").unwrap().payload, b"next-session");
     assert!(
-        matches!(bob.try_receive_frame(1, "Alice"), Ok(None)),
+        poll(&bob, 1, "Alice", Waker::noop()).is_pending(),
         "a late frame must not reopen its closed session"
     );
     assert!(
-        matches!(bob.try_receive_frame(3, "Alice"), Ok(None)),
+        poll(&bob, 3, "Alice", Waker::noop()).is_pending(),
         "a late frame must not fail the link"
     );
 }
@@ -413,25 +462,25 @@ pub fn closed_session_id_is_reusable(alice: impl AliceTransport, bob: impl BobTr
 /// restart can land before the old run's close): the frame, and the rest
 /// of its stream, still deliver.
 pub fn close_keeps_undrained_frames(alice: impl AliceTransport, bob: impl BobTransport) {
-    let gate = Arc::new(WaitQueue::new(0));
-    assert!(!bob.register_waker(1, "Alice", gate_waker(&gate)).unwrap());
+    let (gate, waker) = gate();
+    assert!(poll(&bob, 1, "Alice", &waker).is_pending());
     alice.send_frame("Bob", frame(1, 0, b"queued")).unwrap();
     // The waker fires once the frame is queued, not popped.
-    wait_for_fires(&gate, 1);
+    gate.wait_for(1);
     bob.close_session(1);
     alice.send_frame("Bob", frame(1, 1, b"after-close")).unwrap();
     // Sent after it on the same link: once this delivers, so has that.
     alice.send_frame("Bob", frame(2, 0, b"marker")).unwrap();
     assert_eq!(bob.receive_frame(2, "Alice").unwrap().payload, b"marker");
-    let pop = || bob.try_receive_frame(1, "Alice").unwrap().map(|f| f.payload.to_vec());
-    assert_eq!(pop().as_deref(), Some(b"queued".as_slice()));
-    assert_eq!(pop().as_deref(), Some(b"after-close".as_slice()));
+    let pop = || poll(&bob, 1, "Alice", Waker::noop()).map(|f| f.unwrap().payload.to_vec());
+    assert_eq!(pop(), Poll::Ready(b"queued".to_vec()));
+    assert_eq!(pop(), Poll::Ready(b"after-close".to_vec()));
 }
 
 /// One sender's failure is its own link's: with Alice→Bob poisoned by a
-/// sequence gap, Carol→Bob keeps delivering in order, and a waker for a
-/// Carol session still parks (`Ok(false)`) and fires on Carol's next
-/// deposit.
+/// sequence gap, Carol→Bob keeps delivering in order, and a poll of a
+/// Carol session still misses (`Pending`) and its waker fires on
+/// Carol's next deposit.
 pub fn failure_leaves_other_links_alone(
     alice: impl SessionTransport<Trio, Alice>,
     bob: impl SessionTransport<Trio, Bob>,
@@ -445,19 +494,21 @@ pub fn failure_leaves_other_links_alone(
     carol.send_frame("Bob", frame(1, 1, b"carol-1")).unwrap();
     assert_eq!(bob.receive_frame(1, "Carol").unwrap().payload, b"carol-0");
     assert_eq!(bob.receive_frame(1, "Carol").unwrap().payload, b"carol-1");
-    let gate = Arc::new(WaitQueue::new(0));
+    let (gate, waker) = gate();
     assert!(
-        !bob.register_waker(2, "Carol", gate_waker(&gate)).unwrap(),
-        "Carol's link is healthy and session 2 is empty: the waker must park"
+        poll(&bob, 2, "Carol", &waker).is_pending(),
+        "Carol's link is healthy and session 2 is empty: the poll must miss"
     );
     carol.send_frame("Bob", frame(2, 0, b"carol-s2")).unwrap();
-    wait_for_fires(&gate, 1);
-    assert_eq!(bob.try_receive_frame(2, "Carol").unwrap().unwrap().payload, b"carol-s2");
-    assert!(matches!(bob.try_receive_frame(2, "Alice"), Err(TransportError::Protocol(_))));
+    gate.wait_for(1);
+    let carol_s2 = poll(&bob, 2, "Carol", Waker::noop());
+    assert_eq!(carol_s2.map(|f| f.unwrap().payload.to_vec()), Poll::Ready(b"carol-s2".to_vec()));
+    let alice_s2 = poll(&bob, 2, "Alice", Waker::noop());
+    assert!(matches!(alice_s2, Poll::Ready(Err(TransportError::Protocol(_)))));
 }
 
 /// Per-(session, sender) FIFO holds when every receive goes through the
-/// poll/register/park protocol instead of blocking receives.
+/// poll/park protocol instead of blocking receives.
 pub fn fifo_preserved_under_try_polling(alice: impl AliceTransport, bob: impl BobTransport) {
     for i in 0..16u64 {
         alice.send_frame("Bob", frame(5, i, &i.to_le_bytes())).unwrap();

@@ -119,6 +119,18 @@ macro_rules! conformance_suite {
             }
 
             #[test]
+            fn repeated_misses_with_one_waker_wake_once() {
+                let (alice, bob) = $make;
+                cases::repeated_misses_with_one_waker_wake_once(alice, bob);
+            }
+
+            #[test]
+            fn a_later_waker_replaces_the_earlier() {
+                let (alice, bob) = $make;
+                cases::a_later_waker_replaces_the_earlier(alice, bob);
+            }
+
+            #[test]
             fn link_failure_is_final_and_shared() {
                 let (alice, bob) = $make;
                 cases::link_failure_is_final_and_shared(alice, bob);

@@ -7,8 +7,8 @@
 
 use chorus_core::park::WaitQueue;
 use chorus_core::{
-    ChoreographyLocation, Endpoint, LocationSet, MailboxWaker, RoleProgram, SessionCx, SessionId,
-    SessionRuntime, SessionTransport, Step, TransportError,
+    ChoreographyLocation, Endpoint, LocationSet, RoleProgram, SessionCx, SessionId, SessionRuntime,
+    SessionTransport, Step, TransportError,
 };
 use chorus_protocols::kvs_simple::{PooledKvsClient, PooledKvsServer, SimpleKvs, SimpleKvsCensus};
 use chorus_protocols::roles::{Client, Primary};
@@ -17,6 +17,7 @@ use chorus_transport::{FaultPlan, LocalTransport, LocalTransportChannel, SimNet,
 use chorus_wire::Envelope;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
 type ClientEndpoint = Endpoint<SimpleKvsCensus, Client, LocalTransport<SimpleKvsCensus, Client>>;
@@ -95,11 +96,24 @@ fn watchdog_surfaces_a_stalled_session() {
     s.join().unwrap();
 }
 
-/// Counts the fires of every waker parked through it; everything else
+/// Counts the fires of every waker stored through it; everything else
 /// goes straight to the wrapped transport.
 struct CountingWakes<T> {
     inner: T,
     fires: Arc<AtomicUsize>,
+}
+
+/// A polled waker, wrapped to count its fires.
+struct Counted {
+    fires: Arc<AtomicUsize>,
+    waker: Waker,
+}
+
+impl Wake for Counted {
+    fn wake(self: Arc<Self>) {
+        self.fires.fetch_add(1, Ordering::SeqCst);
+        self.waker.wake_by_ref();
+    }
 }
 
 impl<L: LocationSet, R: ChoreographyLocation, T: SessionTransport<L, R>> SessionTransport<L, R>
@@ -109,26 +123,15 @@ impl<L: LocationSet, R: ChoreographyLocation, T: SessionTransport<L, R>> Session
         self.inner.send_frame(to, frame)
     }
 
-    fn try_receive_frame(
+    fn poll_receive_frame(
         &self,
         session: SessionId,
         from: &str,
-    ) -> Result<Option<Envelope>, TransportError> {
-        self.inner.try_receive_frame(session, from)
-    }
-
-    fn register_waker(
-        &self,
-        session: SessionId,
-        from: &str,
-        waker: MailboxWaker,
-    ) -> Result<bool, TransportError> {
+        cx: &mut Context<'_>,
+    ) -> Poll<Result<Envelope, TransportError>> {
         let fires = Arc::clone(&self.fires);
-        let counted: MailboxWaker = Arc::new(move || {
-            fires.fetch_add(1, Ordering::SeqCst);
-            waker();
-        });
-        self.inner.register_waker(session, from, counted)
+        let counted = Waker::from(Arc::new(Counted { fires, waker: cx.waker().clone() }));
+        self.inner.poll_receive_frame(session, from, &mut Context::from_waker(&counted))
     }
 
     fn close_session(&self, session: SessionId) {
@@ -187,7 +190,7 @@ fn panic_is_contained_to_its_session() {
 
 /// Pooled sessions run over the deterministic sim under a hostile
 /// schedule (jitter, drops, duplicates): every session still completes
-/// with the right answer, because the try-receive path pops the same
+/// with the right answer, because the polled receive pops the same
 /// mailboxes blocking receivers do, filled in offer order at the send
 /// site whatever the schedule.
 #[test]
@@ -255,9 +258,9 @@ fn endpoint_spawn_session_uses_the_global_runtime() {
     assert!(SessionRuntime::global().thread_count() <= 2 * parallelism);
 }
 
-/// A program with several receives re-parks on each edge in turn; the
-/// runtime follows the *most recent* miss. This pins the multi-yield
-/// resume contract with a two-round ping/pong.
+/// A program with several receives re-parks on each edge in turn: each
+/// miss stores the task's waker on the mailbox it missed. This pins the
+/// multi-yield resume contract with a two-round ping/pong.
 struct TwoRoundClient {
     sent_first: bool,
     got_first: bool,

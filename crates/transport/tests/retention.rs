@@ -19,6 +19,7 @@ use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::task::{Context, Wake, Waker};
 use std::time::{Duration, Instant};
 
 chorus_core::locations! { Alice, Bob }
@@ -247,6 +248,19 @@ fn retention_drains_after_a_final_partial_batch() {
     }
 }
 
+/// A waker that holds the reader thread that wakes it until released.
+struct HoldReader {
+    deposited: mpsc::Sender<()>,
+    released: Mutex<mpsc::Receiver<()>>,
+}
+
+impl Wake for HoldReader {
+    fn wake(self: Arc<Self>) {
+        self.deposited.send(()).unwrap();
+        self.released.lock().unwrap().recv().unwrap();
+    }
+}
+
 /// Regression for the stranded drop: an endpoint's drop lingers (up to
 /// 3 s) until its retained frames are acknowledged, and the acks are
 /// owed by the peer's reader threads — so a reader that sees its own
@@ -272,18 +286,12 @@ fn a_dropped_endpoint_still_acks_what_it_accepted() {
 
         let (deposited_tx, deposited) = mpsc::channel::<()>();
         let (release, released) = mpsc::channel::<()>();
-        let released = Mutex::new(released);
-        let ready = bob
-            .register_waker(
-                RAW_SESSION,
-                "Alice",
-                Arc::new(move || {
-                    deposited_tx.send(()).unwrap();
-                    released.lock().unwrap().recv().unwrap();
-                }),
-            )
-            .unwrap();
-        assert!(!ready, "nothing has been sent yet");
+        let waker = Waker::from(Arc::new(HoldReader {
+            deposited: deposited_tx,
+            released: Mutex::new(released),
+        }));
+        let polled = bob.poll_receive_frame(RAW_SESSION, "Alice", &mut Context::from_waker(&waker));
+        assert!(polled.is_pending(), "nothing has been sent yet");
         alice.send("Bob", b"owed an ack").unwrap();
         deposited.recv().unwrap();
 
