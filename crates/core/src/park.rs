@@ -68,10 +68,6 @@ impl Wake for Unpark {
     fn wake(self: Arc<Self>) {
         self.0.unpark();
     }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        self.0.unpark();
-    }
 }
 
 thread_local! {

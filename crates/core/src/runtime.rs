@@ -424,10 +424,6 @@ struct TaskWaker {
 
 impl Wake for TaskWaker {
     fn wake(self: Arc<Self>) {
-        self.wake_by_ref();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
         if let (Some(shared), Some(entry)) = (self.shared.upgrade(), self.entry.upgrade()) {
             wake_task(&shared, &entry);
         }

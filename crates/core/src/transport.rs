@@ -214,10 +214,10 @@ pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
     /// frame can never slip in between them unnoticed: the deposit that
     /// follows a miss wakes the stored waker, once, outside the lock.
     /// A mailbox holds one waker. A miss whose waker
-    /// [`will_wake`](std::task::Waker::will_wake) the stored one leaves it in place
-    /// (re-polling allocates nothing); any other replaces it. A link
-    /// failure wakes every waker stored on the link, and a spurious wake
-    /// costs the waker's owner one more poll.
+    /// [`will_wake`](std::task::Waker::will_wake) the stored one leaves
+    /// it in place (re-polling allocates nothing); any other replaces
+    /// it. A link failure wakes every waker stored on the link, and a
+    /// spurious wake costs the waker's owner one more poll.
     ///
     /// Both execution models receive through this method: the blocking
     /// receive with its thread's waker, the pooled runtime with its
