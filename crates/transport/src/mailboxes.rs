@@ -1,7 +1,7 @@
 //! One directed link's receive side, the table every transport in this
-//! crate keeps per link: per session a FIFO mailbox and the next
-//! expected `seq`, plus the wakers stored on empty mailboxes and the
-//! link's one failure. Its rules are the receive contract:
+//! crate keeps per link: per session a FIFO mailbox, the next expected
+//! `seq` and the waker stored on it while it is empty, plus the link's
+//! one failure. Its rules are the receive contract:
 //!
 //! * [`deposit`](Mailboxes::deposit) admits a frame only if its `seq` is
 //!   the next of its session's stream or a restart at zero (a fresh run
@@ -24,8 +24,9 @@
 //! its queue is drained (a frame already queued, say a reused id's
 //! restart, stays deliverable) and its stored waker, and raises the
 //! table's watermark, `closed_below`, to one past the highest id closed
-//! so far. A frame for a session with no entry then follows one of three
-//! rules:
+//! so far. A frame for a session that is not open — no entry, or only a
+//! waker stored by a poll before its first frame — then follows one of
+//! three rules:
 //!
 //! * `seq == 0` opens the session: its first frame, or a reuse.
 //! * `seq > 0` below the watermark is *late*: the tail of a run this
@@ -53,10 +54,9 @@ use std::task::{Poll, Waker};
 /// One link's receive side; see the module docs for its rules.
 #[derive(Default)]
 pub(crate) struct Mailboxes {
-    /// One lookup serves a session's sequence check and its queue.
+    /// One lookup serves a session's sequence check, its queue and its
+    /// waker.
     sessions: HashMap<SessionId, Stream>,
-    /// At most one waker per session, stored on an empty mailbox.
-    wakers: HashMap<SessionId, Waker>,
     /// The protocol-error text every session reads once drained.
     failure: Option<String>,
     /// One past the highest session id closed so far.
@@ -68,7 +68,12 @@ pub(crate) struct Mailboxes {
 #[derive(Default)]
 struct Stream {
     queue: VecDeque<Envelope>,
+    /// The next expected `seq`; 0 until the session's first frame opens
+    /// it.
     next_seq: u64,
+    /// Stored by the last poll that found the queue empty, taken by the
+    /// next frame queued.
+    waker: Option<Waker>,
 }
 
 impl Mailboxes {
@@ -86,22 +91,21 @@ impl Mailboxes {
         seq: u64,
     ) -> Result<Option<&mut Stream>, String> {
         let expected = match self.sessions.entry(session) {
-            Entry::Occupied(entry) => {
+            Entry::Occupied(entry) if seq == entry.get().next_seq || seq == 0 => {
                 let stream = entry.into_mut();
-                if seq == stream.next_seq || seq == 0 {
-                    stream.next_seq = seq + 1;
-                    return Ok(Some(stream));
-                }
-                stream.next_seq
+                stream.next_seq = seq + 1;
+                return Ok(Some(stream));
             }
             Entry::Vacant(entry) if seq == 0 => {
-                return Ok(Some(entry.insert(Stream { queue: VecDeque::new(), next_seq: 1 })));
+                return Ok(Some(entry.insert(Stream { next_seq: 1, ..Stream::default() })));
             }
-            Entry::Vacant(_) if session < self.closed_below => {
+            Entry::Occupied(entry) if entry.get().next_seq > 0 => entry.get().next_seq,
+            // Not open: no entry, or only a stored waker.
+            _ if session < self.closed_below => {
                 self.late += 1;
                 return Ok(None);
             }
-            Entry::Vacant(_) => 0,
+            _ => 0,
         };
         Err(format!(
             "frame from {sender} in session {session} arrived out of order: \
@@ -121,12 +125,11 @@ impl Mailboxes {
         if self.failed() {
             return Ok(None);
         }
-        let session = frame.session;
-        let Some(stream) = self.check(sender, session, frame.seq)? else {
+        let Some(stream) = self.check(sender, frame.session, frame.seq)? else {
             return Ok(None);
         };
         stream.queue.push_back(frame);
-        Ok(self.wakers.remove(&session))
+        Ok(stream.waker.take())
     }
 
     /// The check half of [`deposit`](Self::deposit): whether to queue the
@@ -142,16 +145,16 @@ impl Mailboxes {
 
     /// The queue half of [`deposit`](Self::deposit), for an admitted frame.
     pub(crate) fn queue(&mut self, frame: Envelope) -> Option<Waker> {
-        let session = frame.session;
-        self.sessions.entry(session).or_default().queue.push_back(frame);
-        self.wakers.remove(&session)
+        let stream = self.sessions.entry(frame.session).or_default();
+        stream.queue.push_back(frame);
+        stream.waker.take()
     }
 
     /// Fails the link unless it already failed, and hands back every
     /// stored waker.
     pub(crate) fn fail(&mut self, message: String) -> Vec<Waker> {
         self.failure.get_or_insert(message);
-        self.wakers.drain().map(|(_, waker)| waker).collect()
+        self.sessions.values_mut().filter_map(|stream| stream.waker.take()).collect()
     }
 
     /// The next frame of `session`, or, once its mailbox is drained, the
@@ -162,21 +165,16 @@ impl Mailboxes {
         session: SessionId,
         waker: &Waker,
     ) -> Poll<Result<Envelope, TransportError>> {
-        if let Some(frame) = self.sessions.get_mut(&session).and_then(|s| s.queue.pop_front()) {
+        let stream = self.sessions.entry(session).or_default();
+        if let Some(frame) = stream.queue.pop_front() {
             return Poll::Ready(Ok(frame));
         }
         if let Some(message) = &self.failure {
             return Poll::Ready(Err(TransportError::Protocol(message.clone())));
         }
-        match self.wakers.entry(session) {
-            Entry::Occupied(mut stored) => {
-                if !stored.get().will_wake(waker) {
-                    stored.insert(waker.clone());
-                }
-            }
-            Entry::Vacant(slot) => {
-                slot.insert(waker.clone());
-            }
+        match &mut stream.waker {
+            Some(stored) if stored.will_wake(waker) => {}
+            slot => *slot = Some(waker.clone()),
         }
         Poll::Pending
     }
@@ -185,10 +183,13 @@ impl Mailboxes {
     /// stored waker, and raises the watermark to `session + 1` if that
     /// is higher.
     pub(crate) fn close(&mut self, session: SessionId) {
-        if self.sessions.get(&session).is_some_and(|stream| stream.queue.is_empty()) {
-            self.sessions.remove(&session);
+        if let Some(stream) = self.sessions.get_mut(&session) {
+            if stream.queue.is_empty() {
+                self.sessions.remove(&session);
+            } else {
+                stream.waker = None;
+            }
         }
-        self.wakers.remove(&session);
         self.closed_below = self.closed_below.max(session.saturating_add(1));
     }
 }
@@ -420,6 +421,10 @@ mod tests {
         assert_eq!(boxes.late, 2);
         assert!(boxes.sessions.is_empty());
         assert!(pop(&mut boxes, 1).unwrap().is_none());
+        // The poll stored a waker on session 1, which opens nothing: the
+        // tail is still late.
+        assert!(boxes.deposit("Alpha", frame(1, 3)).unwrap().is_none());
+        assert_eq!(boxes.late, 3);
         // The link did not fail: the next session delivers.
         assert!(!boxes.failed());
         boxes.deposit("Alpha", frame(2, 0)).unwrap();
@@ -429,7 +434,7 @@ mod tests {
             panic!("a session never opened must start at seq 0")
         };
         assert!(reason.contains("expected seq 0, got 1"), "got: {reason}");
-        assert_eq!(boxes.late, 2);
+        assert_eq!(boxes.late, 3);
     }
 
     #[test]
@@ -471,7 +476,7 @@ mod tests {
         let count = Arc::new(Count::default());
         assert!(boxes.poll(6, &counting_waker(&count)).is_pending());
         boxes.close(6);
-        assert!(boxes.wakers.is_empty());
+        assert!(boxes.sessions.is_empty());
         // A later run of the id deposits with nobody to wake.
         assert!(boxes.deposit("Alpha", frame(6, 0)).unwrap().is_none());
         assert!(boxes.fail("down".to_string()).is_empty());
