@@ -266,3 +266,49 @@ fn retention_reports_and_drains() {
         std::thread::sleep(Duration::from_millis(5));
     }
 }
+
+#[test]
+fn a_heartbeat_never_splits_a_batch() {
+    // A 1 ms heartbeat against 256 KiB frames from four threads: each
+    // batch spans several kernel writes, and the supervisor sweeps
+    // every few milliseconds throughout. A ping landing between two
+    // writes of one batch would reach the reader as a corrupt frame.
+    const SENDERS: u64 = 4;
+    const FRAMES: u64 = 64;
+    let addrs = free_local_addrs(2).unwrap();
+    let cfg = TcpConfigBuilder::new()
+        .location(Alice, addrs[0])
+        .location(Bob, addrs[1])
+        .heartbeat(Duration::from_millis(1))
+        .build::<System>()
+        .unwrap();
+    let bob = TcpTransport::<System, _>::bind(Bob, cfg.clone()).unwrap();
+    let alice = TcpTransport::<System, _>::bind(Alice, cfg).unwrap();
+    // One shared payload: retention and the batches hold handles to it.
+    let template = Envelope::new(0, 0, vec![0x5a; 256 * 1024]);
+    std::thread::scope(|scope| {
+        for session in 1..=SENDERS {
+            let (alice, bob, template) = (&alice, &bob, &template);
+            scope.spawn(move || {
+                for seq in 0..FRAMES {
+                    let frame = Envelope { session, seq, ..template.clone() };
+                    alice.send_frame("Bob", frame).unwrap();
+                }
+            });
+            scope.spawn(move || {
+                for seq in 0..FRAMES {
+                    let frame = bob.receive_frame(session, "Alice").unwrap_or_else(|e| {
+                        panic!("session {session} frame {seq}: {e}");
+                    });
+                    assert_eq!(frame.seq, seq);
+                    assert_eq!(frame.payload.len(), 256 * 1024);
+                }
+            });
+        }
+    });
+    let deadline = Instant::now() + Duration::from_secs(5);
+    while alice.link_stats().heartbeats == 0 {
+        assert!(Instant::now() < deadline, "the supervisor never pinged the link");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
