@@ -3,7 +3,7 @@
 //! prunes retention for as long as the connection lives.
 
 use super::send::{
-    flush_pending, kill_stream, link_down_error, prune_acked, LinkCell, Outage, SendLink,
+    kill_stream, link_down_error, next_batch, prune_acked, write_batch, LinkCell, Outage, SendLink,
     SendShared,
 };
 #[cfg(test)]
@@ -21,17 +21,22 @@ use std::time::{Duration, Instant};
 /// acceptor closes a connection whose hello starts with anything else.
 pub(super) const LINK_VERSION: u8 = 1;
 
-fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(payload.len())
+/// Writes `body` as one length-prefixed wire frame, in one write: on a
+/// `TCP_NODELAY` socket a separate length would leave as a segment of
+/// its own and could wake the peer's reader twice.
+fn write_frame(mut out: impl Write, body: &[u8]) -> std::io::Result<()> {
+    let len = u32::try_from(body.len())
         .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(payload)?;
-    stream.flush()
+    let mut wire = Vec::with_capacity(4 + body.len());
+    wire.extend_from_slice(&len.to_le_bytes());
+    wire.extend_from_slice(body);
+    out.write_all(&wire)?;
+    out.flush()
 }
 
 /// Writes one control frame as its own length-prefixed wire frame.
-pub(super) fn write_control(stream: &mut TcpStream, frame: &ControlFrame) -> std::io::Result<()> {
-    write_frame(stream, &frame.encode())
+pub(super) fn write_control(out: impl Write, frame: &ControlFrame) -> std::io::Result<()> {
+    write_frame(out, &frame.encode())
 }
 
 /// FNV-1a of a peer name, as the per-link backoff jitter salt.
@@ -60,7 +65,7 @@ fn try_connect_once(
     let mut hello = Vec::with_capacity(1 + shared.me.len());
     hello.push(LINK_VERSION);
     hello.extend_from_slice(shared.me.as_bytes());
-    write_frame(&mut stream, &hello)?;
+    write_frame(&stream, &hello)?;
 
     // Wait for the receiver's resume cursor (bounded: a half-dead peer,
     // or one that refused the hello, must not hang the connect path).
@@ -117,12 +122,19 @@ fn try_connect_once(
     // The clone shares the socket (and its read timeout) with the
     // writer half; it becomes the ack reader's handle.
     let reader_stream = stream.try_clone()?;
-    link.stream = Some(stream);
+    let stream = Arc::new(stream);
+    link.stream = Some(Arc::clone(&stream));
+    link.writing = false;
     link.last_heard = Instant::now();
     link.last_ping = Instant::now();
     link.pings_unanswered = 0;
-    // Replay the unacked tail before anything else touches the link.
-    flush_pending(link, &shared.stats)?;
+    // Replay the unacked tail before anything else touches the link,
+    // under its lock: no other writer exists on a fresh connection.
+    while let Some(batch) = next_batch(link, &shared.stats)? {
+        let written = write_batch(&stream, &batch, &shared.stats);
+        link.reuse(batch);
+        written?;
+    }
     let reader_handle = Arc::clone(handle);
     let reader_stop = Arc::clone(&shared.stop);
     std::thread::Builder::new()

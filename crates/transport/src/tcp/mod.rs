@@ -281,11 +281,12 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         if link.stream.is_none() {
             return establish(&self.send, to_static, &handle, &mut link, None);
         }
-        if flush_pending(&mut link, &self.send.stats).is_err() {
-            kill_stream(&mut link);
-            return establish(&self.send, to_static, &handle, &mut link, None);
+        if link.writing {
+            // Another sender is mid-write on this connection and flushes
+            // this frame before it gives the writer role up.
+            return Ok(());
         }
-        Ok(())
+        flush_pending(&self.send, to_static, &handle, link)
     }
 
     fn poll_receive_frame(

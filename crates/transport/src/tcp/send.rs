@@ -1,10 +1,19 @@
 //! The send side of one link: the retention queue of unacknowledged
-//! frames, the watermark that bounds it, and the vectored batch flush.
+//! frames, the watermark that bounds it, and the self-clocked batch
+//! writer.
+//!
+//! A sender holds its link's lock only to queue its frame. Whoever
+//! finds no write in progress becomes the link's writer: it assembles
+//! the next batch under the lock, releases the lock for the vectored
+//! write, and comes back for whatever queued meanwhile until nothing
+//! is left. A sender that finds a write in progress returns at once;
+//! its frame is retained, and the writer takes it on its next batch.
 
+use super::connect::establish;
 use crate::link::{LinkStats, LinkTuning};
 use chorus_core::{park, TransportError};
 use chorus_wire::{
-    data_frame_wire_len, data_header, Envelope, DATA_FRAME_OVERHEAD, DATA_HEADER_LEN,
+    data_frame_wire_len, data_header, Bytes, Envelope, DATA_FRAME_OVERHEAD, DATA_HEADER_LEN,
 };
 use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
@@ -24,16 +33,21 @@ pub(super) struct Outage {
 /// One outgoing link: the lazily-opened stream, the retention queue of
 /// unacknowledged frames, and the reconnect bookkeeping.
 pub(super) struct SendLink {
-    pub(super) stream: Option<TcpStream>,
+    /// Shared with the writer, which writes through it outside the lock.
+    pub(super) stream: Option<Arc<TcpStream>>,
     /// Bumped per connection attempt that reached streaming, so the ack
-    /// reader of a dead connection can tell it has been superseded and
-    /// must not touch the link's fresh state.
+    /// reader and the writer of a dead connection can tell it has been
+    /// superseded and must not touch the link's fresh state.
     pub(super) generation: u64,
     /// Successfully established connections (for reconnect stats).
     pub(super) established: u64,
-    /// Reused frame assembly buffer, so steady-state sends allocate
-    /// nothing.
-    pub(super) buf: Vec<u8>,
+    /// A thread holds the writer role on the current connection: it is
+    /// writing a batch outside the lock and will come back for anything
+    /// queued meanwhile. Cleared with the connection.
+    pub(super) writing: bool,
+    /// The reused batch buffers, here between writes, so steady-state
+    /// sends allocate nothing.
+    batch: Batch,
     /// Next link sequence to assign.
     pub(super) next_seq: u64,
     /// Frames below this are on the wire of the *current* connection.
@@ -73,7 +87,8 @@ impl SendLink {
             stream: None,
             generation: 0,
             established: 0,
-            buf: Vec::new(),
+            writing: false,
+            batch: Batch::default(),
             next_seq: 0,
             flushed: 0,
             wire_high: 0,
@@ -87,6 +102,11 @@ impl SendLink {
             outage: None,
             down: None,
         }
+    }
+
+    /// Takes back a written batch's buffers for the next one.
+    pub(super) fn reuse(&mut self, batch: Batch) {
+        self.batch = batch;
     }
 }
 
@@ -152,12 +172,15 @@ pub(super) fn prune_acked(link: &mut SendLink, below: u64) -> usize {
     pruned
 }
 
-/// Tears down the link's current connection (if any) and starts the
-/// outage clock if one is not already running.
+/// Tears down the link's current connection (if any), with its writer
+/// role, and starts the outage clock if one is not already running. A
+/// writer still inside a write on the old connection fails or finishes
+/// it there; the next connection's replay covers its batch.
 pub(super) fn kill_stream(link: &mut SendLink) {
     if let Some(stream) = link.stream.take() {
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
+    link.writing = false;
     if link.outage.is_none() {
         link.outage = Some(Outage { since: Instant::now(), attempts: 0 });
     }
@@ -172,9 +195,10 @@ pub(super) struct SendShared {
     pub(super) stats: Arc<LinkStats>,
     pub(super) stop: Arc<AtomicBool>,
     /// Per-peer outgoing links. The outer lock is held only to look up
-    /// or create an entry; connecting (which retries with backoff) and
-    /// writing happen under the per-peer lock, so one slow or dead peer
-    /// never stalls sends to the others.
+    /// or create an entry; connecting (which retries with backoff)
+    /// happens under the per-peer lock, and writing in that peer's
+    /// writer role, so one slow or dead peer never stalls sends to the
+    /// others.
     pub(super) links: Mutex<HashMap<&'static str, Arc<LinkCell>>>,
 }
 
@@ -230,79 +254,144 @@ pub(super) fn wait_for_retention_room<'a>(
 /// iovec array comfortably under `IOV_MAX` (two slices per frame).
 const FLUSH_BATCH_MAX: usize = 256;
 
-/// Writes every retained frame not yet on the current connection, as
-/// vectored batches: per batch, the fixed 33-byte headers are
-/// assembled back-to-back in the reused link buffer and handed to
-/// `write_vectored` interleaved with the refcounted payload slices —
-/// one syscall per batch, the payloads never copied.
+/// One vectored write's worth of frames: their fixed 33-byte headers
+/// back to back, and a refcounted handle on each payload.
+#[derive(Default)]
+pub(super) struct Batch {
+    headers: Vec<u8>,
+    payloads: Vec<Bytes>,
+}
+
+/// Assembles the next batch of retained frames not yet on the current
+/// connection (at most [`FLUSH_BATCH_MAX`]) and advances `flushed` past
+/// it, or returns `None` when everything retained is on the wire. The
+/// batch leaves the link, so it can be written outside the lock; hand
+/// it back with [`SendLink::reuse`].
 ///
 /// # Errors
 ///
-/// An I/O error leaves the stream in place (a batch may be partially
-/// written; the resume cursor re-syncs `flushed` on reconnect); the
-/// caller tears it down with `kill_stream` and re-establishes.
-pub(super) fn flush_pending(link: &mut SendLink, stats: &LinkStats) -> std::io::Result<()> {
-    let SendLink { stream, buf, unacked, flushed, wire_high, .. } = &mut *link;
-    let Some(stream) = stream.as_mut() else {
-        return Err(std::io::Error::new(std::io::ErrorKind::NotConnected, "link not connected"));
-    };
-    loop {
-        // `unacked` holds contiguous sequences, so the first unflushed
-        // frame is at a computable offset — no scan over the
-        // acked-but-unpruned prefix.
-        let skip = unacked
-            .front()
-            .map_or(0, |(first, _)| usize::try_from(flushed.saturating_sub(*first)).unwrap_or(0));
-        if skip >= unacked.len() {
-            break;
-        }
-        let count = (unacked.len() - skip).min(FLUSH_BATCH_MAX);
-        buf.clear();
-        let mut last_seq = *flushed;
-        for (seq, envelope) in unacked.iter().skip(skip).take(count) {
-            if *seq < *wire_high {
-                stats.replayed.fetch_add(1, Ordering::Relaxed);
-            }
-            let inner_len = DATA_HEADER_LEN + envelope.encoded_len();
-            let outer_len = u32::try_from(inner_len).map_err(|_| {
-                std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large")
-            })?;
-            buf.extend_from_slice(&outer_len.to_le_bytes());
-            buf.extend_from_slice(&data_header(*seq));
-            buf.extend_from_slice(&envelope.header());
-            last_seq = *seq;
-        }
-        // Headers have a fixed stride, so header `i` sits at
-        // `buf[i * DATA_FRAME_OVERHEAD ..]`. The iovec array lives on
-        // the stack: the steady-state flush allocates nothing.
-        let mut iov = [IoSlice::new(&[]); 2 * FLUSH_BATCH_MAX];
-        let mut iov_len = 0;
-        for (i, (_, envelope)) in unacked.iter().skip(skip).take(count).enumerate() {
-            iov[iov_len] =
-                IoSlice::new(&buf[i * DATA_FRAME_OVERHEAD..(i + 1) * DATA_FRAME_OVERHEAD]);
-            iov_len += 1;
-            if !envelope.payload.is_empty() {
-                iov[iov_len] = IoSlice::new(&envelope.payload);
-                iov_len += 1;
-            }
-        }
-        let mut slices = &mut iov[..iov_len];
-        while !slices.is_empty() {
-            match stream.write_vectored(slices) {
-                Ok(0) => {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::WriteZero,
-                        "connection closed mid-batch",
-                    ))
-                }
-                Ok(n) => IoSlice::advance_slices(&mut slices, n),
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
-        *flushed = last_seq + 1;
-        *wire_high = (*wire_high).max(*flushed);
-        stats.record_batch(count);
+/// A frame whose length does not fit the `u32` prefix; nothing is
+/// advanced.
+pub(super) fn next_batch(link: &mut SendLink, stats: &LinkStats) -> std::io::Result<Option<Batch>> {
+    let SendLink { unacked, flushed, wire_high, batch, .. } = link;
+    // `unacked` holds contiguous sequences, so the first unflushed
+    // frame is at a computable offset — no scan over the
+    // acked-but-unpruned prefix.
+    let skip = unacked
+        .front()
+        .map_or(0, |(first, _)| usize::try_from(flushed.saturating_sub(*first)).unwrap_or(0));
+    if skip >= unacked.len() {
+        return Ok(None);
     }
+    batch.headers.clear();
+    batch.payloads.clear();
+    let (mut next, mut replayed) = (*flushed, 0);
+    for (seq, envelope) in unacked.iter().skip(skip).take(FLUSH_BATCH_MAX) {
+        let outer_len = u32::try_from(DATA_HEADER_LEN + envelope.encoded_len()).map_err(|_| {
+            std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large")
+        })?;
+        batch.headers.extend_from_slice(&outer_len.to_le_bytes());
+        batch.headers.extend_from_slice(&data_header(*seq));
+        batch.headers.extend_from_slice(&envelope.header());
+        batch.payloads.push(envelope.payload.clone());
+        replayed += u64::from(*seq < *wire_high);
+        next = *seq + 1;
+    }
+    if replayed > 0 {
+        stats.replayed.fetch_add(replayed, Ordering::Relaxed);
+    }
+    *flushed = next;
+    *wire_high = (*wire_high).max(next);
+    Ok(Some(std::mem::take(batch)))
+}
+
+/// Writes one batch: the headers interleaved with the payload slices,
+/// one system call unless the kernel takes the batch in parts, the
+/// payloads never copied.
+///
+/// # Errors
+///
+/// An I/O error may leave the batch partly written; the caller tears
+/// the connection down and the resume cursor re-syncs the replay.
+pub(super) fn write_batch(
+    mut stream: &TcpStream,
+    batch: &Batch,
+    stats: &LinkStats,
+) -> std::io::Result<()> {
+    // The iovec array lives on the stack: the steady-state write
+    // allocates nothing.
+    let mut iov = [IoSlice::new(&[]); 2 * FLUSH_BATCH_MAX];
+    let mut iov_len = 0;
+    for (header, payload) in batch.headers.chunks_exact(DATA_FRAME_OVERHEAD).zip(&batch.payloads) {
+        iov[iov_len] = IoSlice::new(header);
+        iov_len += 1;
+        if !payload.is_empty() {
+            iov[iov_len] = IoSlice::new(payload);
+            iov_len += 1;
+        }
+    }
+    let mut slices = &mut iov[..iov_len];
+    while !slices.is_empty() {
+        match stream.write_vectored(slices) {
+            Ok(0) => {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::WriteZero,
+                    "connection closed mid-batch",
+                ))
+            }
+            Ok(n) => IoSlice::advance_slices(&mut slices, n),
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    stats.record_batch(batch.payloads.len());
     Ok(())
+}
+
+/// Takes the writer role on `link`'s current connection and writes
+/// every retained frame not yet on it: assemble a batch under the
+/// lock, write it with the lock released, re-lock, and repeat until
+/// nothing unflushed is left. Senders that queue a frame meanwhile find
+/// the role taken and leave the frame to this loop.
+///
+/// A writer that comes back to a newer connection leaves it alone: the
+/// new connection cleared the role, and its resume replay covers the
+/// batch. A write error, or a connection killed without a successor
+/// yet, is handled as on the send path: tear down and re-establish.
+///
+/// # Errors
+///
+/// Whatever re-establishing the link surfaces.
+pub(super) fn flush_pending<'a>(
+    shared: &Arc<SendShared>,
+    to: &'static str,
+    handle: &'a Arc<LinkCell>,
+    mut link: MutexGuard<'a, SendLink>,
+) -> Result<(), TransportError> {
+    let generation = link.generation;
+    let stream = Arc::clone(link.stream.as_ref().expect("the caller checked the connection"));
+    link.writing = true;
+    loop {
+        let written = match next_batch(&mut link, &shared.stats) {
+            Ok(None) => {
+                link.writing = false;
+                return Ok(());
+            }
+            Ok(Some(batch)) => {
+                drop(link);
+                let written = write_batch(&stream, &batch, &shared.stats);
+                link = handle.lock();
+                link.reuse(batch);
+                written
+            }
+            Err(e) => Err(e),
+        };
+        if link.generation != generation {
+            return Ok(());
+        }
+        if written.is_err() || link.stream.is_none() {
+            kill_stream(&mut link);
+            return establish(shared, to, handle, &mut link, None);
+        }
+    }
 }

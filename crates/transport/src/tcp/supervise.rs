@@ -3,7 +3,7 @@
 //! reconnects).
 
 use super::connect::{establish, write_control};
-use super::send::{kill_stream, LinkCell, SendLink, SendShared};
+use super::send::{kill_stream, LinkCell, SendShared};
 use chorus_wire::ControlFrame;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -44,11 +44,14 @@ pub(super) fn supervisor_loop(shared: Arc<SendShared>) {
                     // down; replay brings the retained tail back on the
                     // next connection.
                     kill_stream(&mut link);
-                } else if link.last_ping.elapsed() >= shared.tuning.heartbeat {
+                } else if !link.writing && link.last_ping.elapsed() >= shared.tuning.heartbeat {
+                    // While a writer is mid-batch outside the lock, a
+                    // ping written now would land inside its batch; the
+                    // link is busy anyway, so the probe waits.
                     link.nonce += 1;
                     let ping = ControlFrame::Ping { nonce: link.nonce };
-                    let SendLink { stream, .. } = &mut *link;
-                    if write_control(stream.as_mut().expect("checked above"), &ping).is_ok() {
+                    let stream = link.stream.as_deref().expect("checked above");
+                    if write_control(stream, &ping).is_ok() {
                         link.last_ping = Instant::now();
                         link.pings_unanswered += 1;
                         shared.stats.heartbeats.fetch_add(1, Ordering::Relaxed);

@@ -312,3 +312,103 @@ fn a_heartbeat_never_splits_a_batch() {
         std::thread::sleep(Duration::from_millis(1));
     }
 }
+
+/// Eight threads, each on its own session, send 500 frames of 8 KiB
+/// apiece over Alice's one link to Bob, starting together; with
+/// `break_mid_stream`, the first thread kills the connection halfway,
+/// while other threads' batches may be mid-write. Returns Alice's link
+/// stats once every frame arrived.
+fn concurrent_senders(break_mid_stream: bool) -> TcpLinkStats {
+    const SENDERS: u64 = 8;
+    const FRAMES: u32 = 500;
+    let start = std::sync::Barrier::new(SENDERS as usize);
+    let addrs = free_local_addrs(2).unwrap();
+    let cfg = TcpConfigBuilder::new()
+        .location(Alice, addrs[0])
+        .location(Bob, addrs[1])
+        .retry_base(Duration::from_millis(2))
+        .build::<System>()
+        .unwrap();
+    let bob = TcpTransport::<System, _>::bind(Bob, cfg.clone()).unwrap();
+    let alice = TcpTransport::<System, _>::bind(Alice, cfg).unwrap();
+    std::thread::scope(|scope| {
+        for session in 1..=SENDERS {
+            let (alice, bob, start) = (&alice, &bob, &start);
+            scope.spawn(move || {
+                start.wait();
+                for i in 0..FRAMES {
+                    if break_mid_stream && session == 1 && i == FRAMES / 2 {
+                        alice.break_established_links();
+                    }
+                    let mut payload = vec![0; 8 * 1024];
+                    payload[..4].copy_from_slice(&i.to_le_bytes());
+                    alice.send_frame("Bob", Envelope::new(session, u64::from(i), payload)).unwrap();
+                }
+            });
+            scope.spawn(move || {
+                // The mailbox rejects a frame out of session order, and
+                // the payload names the frame: a gap, a duplicate or a
+                // reordering fails here.
+                for i in 0..FRAMES {
+                    let frame = bob.receive_frame(session, "Alice").unwrap();
+                    assert_eq!(frame.payload[..4], i.to_le_bytes(), "session {session} frame {i}");
+                }
+            });
+        }
+    });
+    alice.link_stats()
+}
+
+#[test]
+fn concurrent_senders_keep_order_and_share_batches() {
+    let stats = concurrent_senders(false);
+    assert!(
+        stats.batch_histogram[1..].iter().sum::<u64>() > 0,
+        "no write carried a frame another sender queued: {stats:?}"
+    );
+}
+
+#[test]
+fn concurrent_senders_survive_a_connection_replaced_mid_write() {
+    let stats = concurrent_senders(true);
+    assert!(stats.reconnects >= 1, "the kill must force a reconnect: {stats:?}");
+}
+
+/// A `Write` that records every call it receives.
+#[derive(Default)]
+struct CountingWrite {
+    calls: usize,
+    bytes: Vec<u8>,
+}
+
+impl std::io::Write for CountingWrite {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.calls += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
+#[test]
+fn a_control_frame_is_one_write() {
+    use chorus_wire::ControlFrame;
+    let frames = [
+        ControlFrame::Ack { next: 7 },
+        ControlFrame::Ping { nonce: 3 },
+        ControlFrame::Pong { nonce: 3, next: 9 },
+        ControlFrame::Resume { next: 1 << 40 },
+    ];
+    for frame in frames {
+        let mut out = CountingWrite::default();
+        connect::write_control(&mut out, &frame).unwrap();
+        let body = frame.encode();
+        let mut expected = u32::try_from(body.len()).unwrap().to_le_bytes().to_vec();
+        expected.extend_from_slice(&body);
+        assert_eq!(out.calls, 1, "{frame:?} took {} writes", out.calls);
+        assert_eq!(out.bytes, expected, "{frame:?}");
+    }
+}
