@@ -132,7 +132,7 @@ fn try_connect_once(
     // under its lock: no other writer exists on a fresh connection.
     while let Some(batch) = next_batch(link, &shared.stats)? {
         let written = write_batch(&stream, &batch, &shared.stats);
-        link.reuse(batch);
+        link.batch = batch;
         written?;
     }
     let reader_handle = Arc::clone(handle);

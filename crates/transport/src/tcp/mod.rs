@@ -41,13 +41,19 @@
 //!
 //! # The batched data plane
 //!
-//! A send writes inline, on the sending thread under its link's lock:
-//! every retained frame not yet on the current connection flushes in
-//! one vectored write — the fixed 33-byte headers assembled in a reused
-//! per-link buffer, the refcounted payloads handed to the kernel as
-//! their own slices, never copied. That is the new frame alone, except
-//! after a reconnect, when the unacknowledged tail replays in batches
-//! of up to 256 frames.
+//! Sends are self-clocked. A sender holds its link's lock only to
+//! retain its frame. If no write is in progress it becomes the link's
+//! writer: it assembles every retained frame not yet on the current
+//! connection into one batch (the fixed 33-byte headers in a reused
+//! per-link buffer, the refcounted payloads as their own slices, never
+//! copied), writes it with the lock released, and repeats for whatever
+//! queued meanwhile. A sender that finds a write in progress returns at
+//! once, and its frame leaves on the writer's thread. A batch is thus
+//! the new frame alone on an idle link, what queued during the last
+//! write on a busy one, and the unacknowledged tail (up to 256 frames
+//! per write) after a reconnect. The supervisor skips its heartbeat
+//! while a write is in flight, so no control frame lands inside a
+//! batch.
 //!
 //! A reader thread per accepted connection drains the whole buffered
 //! burst per wakeup, deposits it into the per-(session, sender) FIFO

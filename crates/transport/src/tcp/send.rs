@@ -45,9 +45,10 @@ pub(super) struct SendLink {
     /// writing a batch outside the lock and will come back for anything
     /// queued meanwhile. Cleared with the connection.
     pub(super) writing: bool,
-    /// The reused batch buffers, here between writes, so steady-state
-    /// sends allocate nothing.
-    batch: Batch,
+    /// The reused batch buffers, here between writes (a writer takes
+    /// them out and puts them back), so steady-state sends allocate
+    /// nothing.
+    pub(super) batch: Batch,
     /// Next link sequence to assign.
     pub(super) next_seq: u64,
     /// Frames below this are on the wire of the *current* connection.
@@ -102,11 +103,6 @@ impl SendLink {
             outage: None,
             down: None,
         }
-    }
-
-    /// Takes back a written batch's buffers for the next one.
-    pub(super) fn reuse(&mut self, batch: Batch) {
-        self.batch = batch;
     }
 }
 
@@ -265,8 +261,8 @@ pub(super) struct Batch {
 /// Assembles the next batch of retained frames not yet on the current
 /// connection (at most [`FLUSH_BATCH_MAX`]) and advances `flushed` past
 /// it, or returns `None` when everything retained is on the wire. The
-/// batch leaves the link, so it can be written outside the lock; hand
-/// it back with [`SendLink::reuse`].
+/// batch leaves the link, so it can be written outside the lock; put it
+/// back in `link.batch` after the write.
 ///
 /// # Errors
 ///
@@ -381,7 +377,7 @@ pub(super) fn flush_pending<'a>(
                 drop(link);
                 let written = write_batch(&stream, &batch, &shared.stats);
                 link = handle.lock();
-                link.reuse(batch);
+                link.batch = batch;
                 written
             }
             Err(e) => Err(e),
