@@ -97,7 +97,7 @@ use chorus_wire::{data_frame_wire_len, Envelope};
 use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::marker::PhantomData;
-use std::net::TcpListener;
+use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll};
@@ -113,6 +113,9 @@ pub struct TcpTransport<L: LocationSet, Target: ChoreographyLocation> {
     /// Sequence counters for the raw (sessionless) compatibility path.
     raw_seqs: Mutex<HashMap<&'static str, u64>>,
     stop: Arc<AtomicBool>,
+    /// This endpoint's own listener, connected to once on drop so the
+    /// acceptor's blocking `accept` returns and sees `stop`.
+    wake_addr: SocketAddr,
     system: PhantomData<(L, Target)>,
 }
 
@@ -131,7 +134,11 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
             .get(Target::NAME)
             .ok_or_else(|| TransportError::UnknownLocation(Target::NAME.to_string()))?;
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
+        // Where the endpoint's drop connects to wake its acceptor.
+        let mut wake_addr = listener.local_addr()?;
+        if wake_addr.ip().is_unspecified() {
+            wake_addr.set_ip(Ipv4Addr::LOCALHOST.into());
+        }
 
         let peers: HashSet<&'static str> =
             L::names().into_iter().filter(|n| *n != Target::NAME).collect();
@@ -174,6 +181,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
             inbox,
             raw_seqs: Mutex::new(HashMap::new()),
             stop,
+            wake_addr,
             system: PhantomData,
         })
     }
@@ -247,6 +255,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> Drop for TcpTransport<L, Targ
             std::thread::sleep(Duration::from_millis(2));
         }
         self.stop.store(true, Ordering::Relaxed);
+        let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
         // Shut established streams down so reader/supervisor threads
         // notice promptly instead of waiting out their timeout ticks.
         let handles: Vec<Arc<LinkCell>> = self.send.links.lock().values().map(Arc::clone).collect();

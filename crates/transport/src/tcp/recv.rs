@@ -31,6 +31,9 @@ fn read_hello(stream: &mut TcpStream, max_len: usize) -> std::io::Result<Vec<u8>
     Ok(hello)
 }
 
+/// Accepts connectors until `stop`, one reader thread each. `accept`
+/// blocks, so an idle acceptor sleeps; the endpoint's drop sets `stop`
+/// and then connects once to wake it.
 pub(super) fn accept_loop(
     listener: TcpListener,
     peers: HashSet<&'static str>,
@@ -42,47 +45,43 @@ pub(super) fn accept_loop(
     // A hello is the version byte and a census name; nothing longer is
     // read from a connector that has not yet named itself.
     let hello_max = 1 + peers.iter().map(|name| name.len()).max().unwrap_or(0);
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((mut stream, _)) => {
-                let inbox = Arc::clone(&inbox);
-                let stats = Arc::clone(&stats);
-                let stop = Arc::clone(&stop);
-                let peers = peers.clone();
-                // A thread the OS refuses takes only this connection with
-                // it: the acceptor keeps accepting, and the connector's
-                // supervisor retries within its budget.
-                let reader = std::thread::Builder::new().name("chorus-tcp-read".into());
-                let _ = reader.spawn(move || {
-                    stream.set_nonblocking(false).ok();
-                    stream.set_nodelay(true).ok();
-                    // A connector that never says hello must not pin
-                    // this thread past `stop`.
-                    stream.set_read_timeout(Some(tuning.handshake_timeout())).ok();
-                    // Hello frame: the link-protocol version, then the
-                    // peer's location name; resolve it to the interned
-                    // census name once, so every subsequent frame
-                    // routes without allocating. Anything else closes
-                    // the connection.
-                    let Ok(hello) = read_hello(&mut stream, hello_max) else { return };
-                    let Some((&LINK_VERSION, name_bytes)) = hello.split_first() else { return };
-                    let Ok(name) = std::str::from_utf8(name_bytes) else { return };
-                    let Some(name) = peers.get(name).copied() else {
-                        return;
-                    };
-                    reader_loop(stream, name, inbox, stats, tuning, stop);
-                });
-            }
-            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
-            Err(_) => {
-                // Transient accept failures (e.g. ECONNABORTED when a
-                // queued peer resets before we accept) must not kill
-                // the listener for everyone else.
-                std::thread::sleep(Duration::from_millis(1));
-            }
+    loop {
+        let accepted = listener.accept();
+        if stop.load(Ordering::Relaxed) {
+            return;
         }
+        let Ok((mut stream, _)) = accepted else {
+            // Transient accept failures (e.g. ECONNABORTED when a
+            // queued peer resets before we accept) must not kill the
+            // listener for everyone else.
+            std::thread::sleep(Duration::from_millis(1));
+            continue;
+        };
+        let inbox = Arc::clone(&inbox);
+        let stats = Arc::clone(&stats);
+        let stop = Arc::clone(&stop);
+        let peers = peers.clone();
+        // A thread the OS refuses takes only this connection with it:
+        // the acceptor keeps accepting, and the connector's supervisor
+        // retries within its budget.
+        let reader = std::thread::Builder::new().name("chorus-tcp-read".into());
+        let _ = reader.spawn(move || {
+            stream.set_nodelay(true).ok();
+            // A connector that never says hello must not pin this
+            // thread past `stop`.
+            stream.set_read_timeout(Some(tuning.handshake_timeout())).ok();
+            // Hello frame: the link-protocol version, then the peer's
+            // location name; resolve it to the interned census name
+            // once, so every subsequent frame routes without
+            // allocating. Anything else closes the connection.
+            let Ok(hello) = read_hello(&mut stream, hello_max) else { return };
+            let Some((&LINK_VERSION, name_bytes)) = hello.split_first() else { return };
+            let Ok(name) = std::str::from_utf8(name_bytes) else { return };
+            let Some(name) = peers.get(name).copied() else {
+                return;
+            };
+            reader_loop(stream, name, inbox, stats, tuning, stop);
+        });
     }
 }
 
