@@ -1,5 +1,6 @@
 //! How threads wait: the one blocking receive, its watchdog deadline,
-//! and the condvar shim the pooled runtime parks its workers on.
+//! the thread park the pooled runtime's idle workers and joiners use,
+//! and a pool worker's pass of deferred link writes.
 //!
 //! Every transport's [`receive_frame`](crate::SessionTransport::receive_frame)
 //! is the one loop here over
@@ -18,11 +19,19 @@
 //! gets, never wake order, so `SimTransport`'s schedules stay
 //! reproducible.
 //!
-//! [`WaitQueue`] remains for the pooled runtime and tests.
+//! A pool worker keeps a *pass*: the links whose writes its sends left
+//! for later. A transport whose send would write to a socket asks
+//! [`defer_write`] first; on a worker that records the link, once per
+//! link, and the frame leaves when the worker ends its pass with
+//! [`flush_pass`], after polling a queue's worth of tasks or before it
+//! parks. Any other thread has no pass, and its sends write inline.
+//!
+//! [`WaitQueue`] remains for the runtime's watchdog and tests.
 
 use crate::location::{ChoreographyLocation, LocationSet};
 use crate::transport::{SessionId, SessionTransport, TransportError};
 use chorus_wire::Envelope;
+use std::cell::RefCell;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
@@ -61,7 +70,8 @@ fn watchdog_millis(raw: Option<&str>) -> u64 {
         .unwrap_or(30_000)
 }
 
-/// Wakes a thread parked in [`blocking_receive`].
+/// Wakes a thread parked in [`blocking_receive`], or a pool worker or
+/// joiner parked in the runtime.
 struct Unpark(Thread);
 
 impl Wake for Unpark {
@@ -71,8 +81,64 @@ impl Wake for Unpark {
 }
 
 thread_local! {
-    /// This thread's receive waker.
+    /// This thread's waker: it unparks the thread.
     static WAKER: Waker = Waker::from(Arc::new(Unpark(std::thread::current())));
+
+    /// This thread's pass: `None` unless the thread is a pool worker.
+    /// The list keeps its capacity from pass to pass.
+    static PASS: RefCell<Option<Vec<Arc<dyn DeferredWrite>>>> = const { RefCell::new(None) };
+}
+
+/// This thread's waker, which unparks it (a clone of one `Arc` per
+/// thread, so taking it allocates nothing).
+pub(crate) fn thread_waker() -> Waker {
+    WAKER.with(Waker::clone)
+}
+
+/// A link whose writes a pool worker defers to the end of its pass.
+pub trait DeferredWrite: Send + Sync {
+    /// Writes whatever the link holds that is not yet on its
+    /// connection. A failure is the link's own to handle: the frames
+    /// stay retained, and the next send on the link reports a link that
+    /// went down.
+    fn write_deferred(self: Arc<Self>);
+}
+
+/// Opens a pass on this thread: from now on [`defer_write`] records
+/// links instead of letting the caller write. Only the pool's worker
+/// loop opens a pass.
+pub(crate) fn open_pass() {
+    PASS.with(|pass| *pass.borrow_mut() = Some(Vec::new()));
+}
+
+/// Leaves `link`'s write to the end of this thread's pass, recording
+/// the link once per pass, and returns `true`; returns `false` on a
+/// thread with no open pass, where the caller writes now. Recording
+/// clones the caller's `Arc`, into a list that keeps its capacity, so
+/// it allocates nothing at steady state.
+pub fn defer_write<W: DeferredWrite + 'static>(link: &Arc<W>) -> bool {
+    PASS.with(|pass| {
+        let mut pass = pass.borrow_mut();
+        let Some(links) = pass.as_mut() else {
+            return false;
+        };
+        if !links.iter().any(|held| std::ptr::addr_eq(Arc::as_ptr(held), Arc::as_ptr(link))) {
+            links.push(Arc::clone(link) as Arc<dyn DeferredWrite>);
+        }
+        true
+    })
+}
+
+/// Ends this thread's pass: writes every link it recorded. A thread
+/// about to wait on a link (a sender parked at the retention watermark,
+/// an endpoint lingering for acks) calls it first, since the frames it
+/// would wait behind may be its own. Does nothing on a thread with no
+/// open pass.
+pub fn flush_pass() {
+    // One link at a time, with the list released while it writes.
+    while let Some(link) = PASS.with(|pass| pass.borrow_mut().as_mut().and_then(Vec::pop)) {
+        link.write_deferred();
+    }
 }
 
 /// The one blocking receive; see the module docs.
@@ -199,18 +265,6 @@ impl<T> WaitQueue<T> {
     /// lock.
     pub fn notify_all(&self) {
         self.cv.notify_all();
-    }
-
-    /// Wakes at most one parked thread.
-    ///
-    /// Only correct when every parked thread waits on the *same*
-    /// predicate and any one of them can consume the state change — the
-    /// work-queue shape, where one pushed item needs one worker. A
-    /// queue whose sleepers wait on different predicates must use
-    /// [`notify_all`](Self::notify_all), or a wake can land on a thread
-    /// whose predicate still fails while the right one stays parked.
-    pub fn notify_one(&self) {
-        self.cv.notify_one();
     }
 }
 

@@ -22,8 +22,9 @@
 //! role's projected choreography (the resumable form rumpsteak-style
 //! FSM projection produces, and the form a future projection macro
 //! would emit). Its [`resume`](RoleProgram::resume) method drives the
-//! role as far as it can: sends always complete (transports buffer),
-//! and a receive is attempted with
+//! role as far as it can: sends never block (transports buffer, and a
+//! TCP frame leaves at the end of the worker's pass, below), and a
+//! receive is attempted with
 //! [`SessionCx::try_receive_value`], which polls the awaited
 //! per-(session, sender) mailbox with the task's waker. A miss leaves
 //! the waker stored there and makes the program return
@@ -36,6 +37,23 @@
 //! wake mid-poll re-enqueues the task as soon as it yields). Each task
 //! has one waker, an `Arc` allocated at spawn, and a mailbox that
 //! already holds it keeps it, so re-parking allocates nothing.
+//!
+//! # Passes and wakes
+//!
+//! A worker polls in *passes*. A pass ends when the run queue is empty
+//! or the worker has polled as many tasks as the queue held when its
+//! previous pass ended. Sends on a link whose frames would be written
+//! now ([`park::defer_write`]) are left to the end of the pass, where
+//! the worker writes each recorded link once: the requests of a
+//! queue's worth of sessions leave in one batch, not one write each.
+//!
+//! A worker that ends a pass with nothing to run pushes its thread's
+//! waker onto the queue's stack of idle workers and parks. Making a
+//! task runnable (a spawn, a wake, a wake that landed mid-poll) pushes
+//! it and pops at most one idle waker under the queue lock, then wakes
+//! that worker outside it, so a wake costs a system call only when a
+//! worker sleeps. [`SessionHandle::join`] parks the same way on a
+//! one-shot cell that holds the result and the joiner's waker.
 //!
 //! # Fairness and the watchdog
 //!
@@ -64,7 +82,7 @@ use chorus_wire::Bytes;
 use std::collections::{HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, Weak};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -246,10 +264,42 @@ where
     }
 }
 
+/// What a [`JoinCell`] holds: the session's result once it resolves,
+/// and the waker of a thread parked in [`SessionHandle::join`].
+struct Joined<V> {
+    result: Option<Result<V, TransportError>>,
+    joiner: Option<Waker>,
+}
+
+/// A session's one-shot result cell.
+struct JoinCell<V>(Mutex<Joined<V>>);
+
+impl<V> JoinCell<V> {
+    fn new() -> Self {
+        JoinCell(Mutex::new(Joined { result: None, joiner: None }))
+    }
+
+    fn lock(&self) -> MutexGuard<'_, Joined<V>> {
+        self.0.lock().expect("join cell poisoned")
+    }
+
+    /// Stores the result and wakes the joiner, if one is parked.
+    fn resolve(&self, result: Result<V, TransportError>) {
+        let joiner = {
+            let mut joined = self.lock();
+            joined.result = Some(result);
+            joined.joiner.take()
+        };
+        if let Some(joiner) = joiner {
+            joiner.wake();
+        }
+    }
+}
+
 /// Handle to one spawned session role; resolves when the role
 /// completes, fails, panics, or trips the stall watchdog.
 pub struct SessionHandle<V> {
-    cell: Arc<WaitQueue<Option<Result<V, TransportError>>>>,
+    cell: Arc<JoinCell<V>>,
     id: SessionId,
 }
 
@@ -262,7 +312,7 @@ impl<V> SessionHandle<V> {
     /// Whether the session has already resolved (without consuming the
     /// result).
     pub fn is_finished(&self) -> bool {
-        self.cell.lock().is_some()
+        self.cell.lock().result.is_some()
     }
 
     /// Blocks the *calling* thread until the session resolves.
@@ -277,12 +327,14 @@ impl<V> SessionHandle<V> {
     /// `Protocol` error naming the awaited edge if the stall watchdog
     /// fired, or a `Protocol` error if the program panicked.
     pub fn join(self) -> Result<V, TransportError> {
-        let mut guard = self.cell.lock();
         loop {
-            if let Some(result) = guard.take() {
+            let mut joined = self.cell.lock();
+            if let Some(result) = joined.result.take() {
                 return result;
             }
-            guard = self.cell.wait(guard);
+            joined.joiner.get_or_insert_with(park::thread_waker);
+            drop(joined);
+            std::thread::park();
         }
     }
 }
@@ -339,6 +391,10 @@ struct TaskEntry {
 #[derive(Default)]
 struct RunQueue {
     ready: VecDeque<Arc<TaskEntry>>,
+    /// The wakers of workers parked with nothing to run: a stack, so
+    /// the worker that parked last, the one most likely still warm,
+    /// wakes first.
+    idle: Vec<Waker>,
     shutdown: bool,
 }
 
@@ -371,12 +427,32 @@ impl TaskSlab {
 }
 
 struct RuntimeShared {
-    queue: WaitQueue<RunQueue>,
+    queue: Mutex<RunQueue>,
     tasks: Mutex<TaskSlab>,
     /// Stall deadline for parked sessions.
     watchdog: Duration,
     /// Park/wake for the watchdog thread's sweep cadence.
     watchdog_gate: WaitQueue<bool>,
+}
+
+impl RuntimeShared {
+    fn lock_queue(&self) -> MutexGuard<'_, RunQueue> {
+        self.queue.lock().expect("run queue poisoned")
+    }
+
+    /// Queues a runnable task and wakes one idle worker, if one sleeps.
+    /// A task needs one worker, and a worker that is not parked finds
+    /// the task when its pass ends.
+    fn enqueue(&self, entry: Arc<TaskEntry>) {
+        let sleeper = {
+            let mut queue = self.lock_queue();
+            queue.ready.push_back(entry);
+            queue.idle.pop()
+        };
+        if let Some(sleeper) = sleeper {
+            sleeper.wake();
+        }
+    }
 }
 
 /// Re-enqueues a task if (and only if) it is idle; coalesces duplicate
@@ -390,13 +466,7 @@ fn wake_task(shared: &RuntimeShared, entry: &Arc<TaskEntry>) {
                     .compare_exchange(IDLE, QUEUED, Ordering::AcqRel, Ordering::Acquire)
                     .is_ok()
                 {
-                    let mut queue = shared.queue.lock();
-                    queue.ready.push_back(Arc::clone(entry));
-                    drop(queue);
-                    // One task became runnable; wake one worker, not the
-                    // whole pool (they all wait on the same pop-or-stop
-                    // predicate, so any worker can take it).
-                    shared.queue.notify_one();
+                    shared.enqueue(Arc::clone(entry));
                     return;
                 }
             }
@@ -431,19 +501,32 @@ impl Wake for TaskWaker {
 }
 
 fn worker_loop(shared: Arc<RuntimeShared>) {
+    park::open_pass();
+    let waker = park::thread_waker();
+    // Polls left in this pass.
+    let mut left = 0;
     loop {
-        let entry = {
-            let mut queue = shared.queue.lock();
-            loop {
-                if let Some(entry) = queue.ready.pop_front() {
-                    break entry;
-                }
+        let entry = if left > 0 { shared.lock_queue().ready.pop_front() } else { None };
+        let Some(entry) = entry else {
+            // The pass ends: write what its sends left, then size the
+            // next pass by the queue, or park if it is empty.
+            park::flush_pass();
+            let mut queue = shared.lock_queue();
+            // A wake pops this worker's waker; drop one that a spurious
+            // return from `park` left behind, so wakes go to sleepers.
+            queue.idle.retain(|idle| !idle.will_wake(&waker));
+            left = queue.ready.len();
+            if left == 0 {
                 if queue.shutdown {
                     return;
                 }
-                queue = shared.queue.wait(queue);
+                queue.idle.push(waker.clone());
+                drop(queue);
+                std::thread::park();
             }
+            continue;
         };
+        left -= 1;
         entry.state.store(RUNNING, Ordering::Release);
         *entry.parked.lock().expect("task park info poisoned") = None;
         let outcome = {
@@ -471,10 +554,7 @@ fn worker_loop(shared: Arc<RuntimeShared>) {
                     // A waker fired mid-poll (state became NOTIFIED):
                     // the deposit already happened, so re-enqueue now.
                     entry.state.store(QUEUED, Ordering::Release);
-                    let mut queue = shared.queue.lock();
-                    queue.ready.push_back(Arc::clone(&entry));
-                    drop(queue);
-                    shared.queue.notify_one();
+                    shared.enqueue(Arc::clone(&entry));
                 }
             }
         }
@@ -543,7 +623,7 @@ impl SessionRuntime {
     pub fn with_watchdog(pool_size: usize, watchdog: Duration) -> Self {
         let pool_size = pool_size.max(1);
         let shared = Arc::new(RuntimeShared {
-            queue: WaitQueue::new(RunQueue::default()),
+            queue: Mutex::new(RunQueue::default()),
             tasks: Mutex::new(TaskSlab::default()),
             watchdog,
             watchdog_gate: WaitQueue::new(false),
@@ -613,8 +693,7 @@ impl SessionRuntime {
         T: SessionTransport<TL, Target> + Send + Sync + 'static,
         P: RoleProgram,
     {
-        let cell: Arc<WaitQueue<Option<Result<P::Output, TransportError>>>> =
-            Arc::new(WaitQueue::new(None));
+        let cell = Arc::new(JoinCell::new());
         let mut ops = TypedOps {
             endpoint: Arc::clone(endpoint),
             id,
@@ -624,10 +703,7 @@ impl SessionRuntime {
         let mut program = program;
         let mut scratch: Vec<u8> = Vec::new();
         let result_cell = Arc::clone(&cell);
-        let complete = move |result: Result<P::Output, TransportError>| {
-            *result_cell.lock() = Some(result);
-            result_cell.notify_all();
-        };
+        let complete = move |result| result_cell.resolve(result);
         let mut complete = Some(complete);
         let mut parked_edge: Option<&'static str> = None;
         // When this program first parked on the edge it is still waiting
@@ -731,21 +807,21 @@ impl SessionRuntime {
                 })
             })
         };
-        let mut queue = self.shared.queue.lock();
-        queue.ready.push_back(entry);
-        drop(queue);
-        self.shared.queue.notify_one();
+        self.shared.enqueue(entry);
         SessionHandle { cell, id }
     }
 }
 
 impl Drop for SessionRuntime {
     fn drop(&mut self) {
-        {
-            let mut queue = self.shared.queue.lock();
+        let sleepers = {
+            let mut queue = self.shared.lock_queue();
             queue.shutdown = true;
+            std::mem::take(&mut queue.idle)
+        };
+        for sleeper in sleepers {
+            sleeper.wake();
         }
-        self.shared.queue.notify_all();
         {
             let mut gate = self.shared.watchdog_gate.lock();
             *gate = true;

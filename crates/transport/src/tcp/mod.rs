@@ -81,16 +81,15 @@ mod tests;
 pub use self::config::{free_local_addrs, TcpConfig, TcpConfigBuilder};
 pub use crate::link::TcpLinkStats;
 
-use self::connect::establish;
 use self::inbox::Inbox;
 use self::recv::accept_loop;
 use self::send::{
-    flush_pending, kill_stream, link_down_error, wait_for_retention_room, LinkCell, SendShared,
+    kill_stream, link_down_error, wait_for_retention_room, write_or_leave, LinkCell, SendShared,
 };
 use self::supervise::supervisor_loop;
 use crate::link::LinkStats;
 use chorus_core::{
-    ChoreographyLocation, InternedNames, LocationSet, SessionId, SessionTransport, Transport,
+    park, ChoreographyLocation, InternedNames, LocationSet, SessionId, SessionTransport, Transport,
     TransportError, RAW_SESSION,
 };
 use chorus_wire::{data_frame_wire_len, Envelope};
@@ -226,12 +225,16 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
 
     fn link_handle(&self, to: &'static str) -> Arc<LinkCell> {
         let mut links = self.send.links.lock();
-        Arc::clone(links.entry(to).or_insert_with(|| Arc::new(LinkCell::new())))
+        let shared = Arc::downgrade(&self.send);
+        Arc::clone(links.entry(to).or_insert_with(|| Arc::new(LinkCell::new(to, shared))))
     }
 }
 
 impl<L: LocationSet, Target: ChoreographyLocation> Drop for TcpTransport<L, Target> {
     fn drop(&mut self) {
+        // Frames this thread's pass still holds are among those the
+        // linger below waits for.
+        park::flush_pass();
         // A participant can finish its role (and drop its endpoint)
         // while a slower peer is still owed retained frames — perhaps
         // on a connection that just died. Linger briefly so the
@@ -282,6 +285,12 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         let wire_len = data_frame_wire_len(&frame);
         let limit = self.send.tuning.retain_max;
         if limit > 0 && !link.unacked.is_empty() && link.retained_bytes + wire_len > limit {
+            // The frames this park would wait behind may be this
+            // thread's own, left to the end of its pass: write them
+            // first, or no ack ever frees room.
+            drop(link);
+            park::flush_pass();
+            link = handle.lock();
             link =
                 wait_for_retention_room(self.send.me, to_static, &handle, link, wire_len, limit)?;
         }
@@ -293,15 +302,13 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         link.next_seq += 1;
         link.retained_bytes += wire_len;
         link.unacked.push_back((seq, frame));
-        if link.stream.is_none() {
-            return establish(&self.send, to_static, &handle, &mut link, None);
-        }
-        if link.writing {
-            // Another sender is mid-write on this connection and flushes
-            // this frame before it gives the writer role up.
+        if link.stream.is_some() && !link.writing && park::defer_write(&handle) {
+            // A pool worker: the frame leaves when the worker's pass
+            // ends, in one batch with the rest of the pass's frames on
+            // this link.
             return Ok(());
         }
-        flush_pending(&self.send, to_static, &handle, link)
+        write_or_leave(&self.send, to_static, &handle, link)
     }
 
     fn poll_receive_frame(

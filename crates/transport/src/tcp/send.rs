@@ -8,10 +8,14 @@
 //! write, and comes back for whatever queued meanwhile until nothing
 //! is left. A sender that finds a write in progress returns at once;
 //! its frame is retained, and the writer takes it on its next batch.
+//! A sender on a pool worker does not take the role: it records the
+//! link in the worker's pass, and the worker takes the role for it when
+//! the pass ends ([`LinkCell`]'s [`DeferredWrite`]).
 
 use super::connect::establish;
 use crate::link::{LinkStats, LinkTuning};
-use chorus_core::{park, TransportError};
+use chorus_core::park::{self, DeferredWrite};
+use chorus_core::TransportError;
 use chorus_wire::{
     data_frame_wire_len, data_header, Bytes, Envelope, DATA_FRAME_OVERHEAD, DATA_HEADER_LEN,
 };
@@ -20,7 +24,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError, TryLockError};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError, TryLockError, Weak};
 use std::time::{Duration, Instant};
 
 /// An ongoing connection outage on one link: when it began and how many
@@ -112,11 +116,15 @@ impl SendLink {
 pub(super) struct LinkCell {
     state: StdMutex<SendLink>,
     pruned: Condvar,
+    /// The peer, and the endpoint's send side (weak: the endpoint owns
+    /// its links), for a write deferred to the end of a worker's pass.
+    to: &'static str,
+    shared: Weak<SendShared>,
 }
 
 impl LinkCell {
-    pub(super) fn new() -> Self {
-        LinkCell { state: StdMutex::new(SendLink::new()), pruned: Condvar::new() }
+    pub(super) fn new(to: &'static str, shared: Weak<SendShared>) -> Self {
+        LinkCell { state: StdMutex::new(SendLink::new()), pruned: Condvar::new(), to, shared }
     }
 
     /// Locks the link. Poisoning is deliberately absorbed: the state a
@@ -152,6 +160,18 @@ impl LinkCell {
     /// senders.
     pub(super) fn notify_pruned(&self) {
         self.pruned.notify_all();
+    }
+}
+
+impl DeferredWrite for LinkCell {
+    /// Takes the writer role for the frames pool-worker sends left on
+    /// this link, exactly as a sender that found no write in progress
+    /// would. An error tears the connection down and re-establishes it
+    /// as on the send path; the frames stay retained either way.
+    fn write_deferred(self: Arc<Self>) {
+        let Some(shared) = self.shared.upgrade() else { return };
+        let link = self.lock();
+        let _ = write_or_leave(&shared, self.to, &self, link);
     }
 }
 
@@ -344,6 +364,31 @@ pub(super) fn write_batch(
     Ok(())
 }
 
+/// Writes what `link` retains beyond its connection, unless another
+/// thread is at it: re-establishes a link that has no connection, leaves
+/// the frames to a writer already mid-write, and otherwise takes the
+/// writer role ([`flush_pending`]).
+///
+/// # Errors
+///
+/// Whatever (re-)establishing the link surfaces.
+pub(super) fn write_or_leave(
+    shared: &Arc<SendShared>,
+    to: &'static str,
+    handle: &Arc<LinkCell>,
+    mut link: MutexGuard<'_, SendLink>,
+) -> Result<(), TransportError> {
+    if link.stream.is_none() {
+        return establish(shared, to, handle, &mut link, None);
+    }
+    if link.writing {
+        // Another thread is mid-write on this connection and flushes
+        // these frames before it gives the writer role up.
+        return Ok(());
+    }
+    flush_pending(shared, to, handle, link)
+}
+
 /// Takes the writer role on `link`'s current connection and writes
 /// every retained frame not yet on it: assemble a batch under the
 /// lock, write it with the lock released, re-lock, and repeat until
@@ -358,7 +403,7 @@ pub(super) fn write_batch(
 /// # Errors
 ///
 /// Whatever re-establishing the link surfaces.
-pub(super) fn flush_pending<'a>(
+fn flush_pending<'a>(
     shared: &Arc<SendShared>,
     to: &'static str,
     handle: &'a Arc<LinkCell>,

@@ -13,10 +13,13 @@ use chorus_core::{
 use chorus_protocols::kvs_simple::{PooledKvsClient, PooledKvsServer, SimpleKvs, SimpleKvsCensus};
 use chorus_protocols::roles::{Client, Primary};
 use chorus_protocols::store::{Request, Response, SharedStore};
-use chorus_transport::{FaultPlan, LocalTransport, LocalTransportChannel, SimNet, SimTransport};
+use chorus_transport::{
+    free_local_addrs, FaultPlan, LocalTransport, LocalTransportChannel, SimNet, SimTransport,
+    TcpConfigBuilder, TcpTransport,
+};
 use chorus_wire::Envelope;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::task::{Context, Poll, Wake, Waker};
 use std::time::Duration;
 
@@ -473,4 +476,80 @@ fn handles_join_across_threads() {
     drop(guard);
     publisher.join().unwrap();
     s.join().unwrap();
+}
+
+/// Holds its worker inside `resume` until the test opens the gate, so
+/// the tasks spawned meanwhile queue up behind it.
+struct Gate {
+    entered: mpsc::Sender<()>,
+    open: mpsc::Receiver<()>,
+}
+
+impl RoleProgram for Gate {
+    type Output = ();
+
+    fn resume(&mut self, _cx: &mut SessionCx<'_>) -> Result<Step<()>, TransportError> {
+        self.entered.send(()).unwrap();
+        self.open.recv().unwrap();
+        Ok(Step::Done(()))
+    }
+}
+
+/// A pool worker's sends leave at the end of its pass, one batch per
+/// 256 frames on each link; a send on any other thread still writes
+/// before it returns. One worker is held by a gate while `CLIENTS`
+/// client roles queue behind it; its next pass polls all of them, and
+/// their requests leave in ⌈CLIENTS/256⌉ batches.
+#[test]
+fn a_workers_pass_batches_its_sends_and_only_its_pass() {
+    const CLIENTS: u64 = 300;
+    let addrs = free_local_addrs(2).unwrap();
+    let config = TcpConfigBuilder::new()
+        .location(Client, addrs[0])
+        .location(Primary, addrs[1])
+        .build::<SimpleKvsCensus>()
+        .unwrap();
+    let client = Arc::new(Endpoint::new(TcpTransport::bind(Client, config.clone()).unwrap()));
+    let server = Arc::new(Endpoint::new(TcpTransport::bind(Primary, config).unwrap()));
+    let runtime = SessionRuntime::new(1);
+    let servers = SessionRuntime::new(1);
+    let store = SharedStore::new();
+
+    // One op opens the link both ways.
+    let s = servers.spawn(&server, 0, PooledKvsServer::new(store.clone()));
+    let c = runtime.spawn(&client, 0, PooledKvsClient::new(Request::Get("k".into())));
+    assert_eq!(c.join().unwrap(), Response::NotFound);
+    s.join().unwrap();
+
+    let before = client.transport().link_stats();
+    let (entered, entered_rx) = mpsc::channel();
+    let (open, open_rx) = mpsc::channel();
+    let gate = runtime.spawn(&client, CLIENTS + 1, Gate { entered, open: open_rx });
+    entered_rx.recv().unwrap();
+    let handles: Vec<_> = (1..=CLIENTS)
+        .map(|id| {
+            let s = servers.spawn(&server, id, PooledKvsServer::new(store.clone()));
+            let request = Request::Put(format!("k{id}"), "v".into());
+            (s, runtime.spawn(&client, id, PooledKvsClient::new(request)))
+        })
+        .collect();
+    open.send(()).unwrap();
+    gate.join().unwrap();
+    for (s, c) in handles {
+        assert_eq!(c.join().unwrap(), Response::NotFound);
+        s.join().unwrap();
+    }
+    let after = client.transport().link_stats();
+    assert_eq!(after.batched_frames - before.batched_frames, CLIENTS);
+    assert_eq!(after.batches - before.batches, CLIENTS.div_ceil(256), "one batch per 256 frames");
+    let histogram: Vec<u64> =
+        after.batch_histogram.iter().zip(&before.batch_histogram).map(|(a, b)| a - b).collect();
+    assert_eq!(histogram, [0, 0, 0, 0, 0, 1, 1], "a batch of 256 and one of 44");
+
+    // The test's own thread has no pass: its send is written before it
+    // returns.
+    let tcp = client.transport();
+    let before = tcp.link_stats().batches;
+    tcp.send_frame("Primary", Envelope::new(CLIENTS + 2, 0, b"inline")).unwrap();
+    assert_eq!(tcp.link_stats().batches, before + 1, "a blocking send writes inline");
 }
