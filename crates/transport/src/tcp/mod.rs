@@ -48,10 +48,13 @@
 //! per-link buffer, the refcounted payloads as their own slices, never
 //! copied), writes it with the lock released, and repeats for whatever
 //! queued meanwhile. A sender that finds a write in progress returns at
-//! once, and its frame leaves on the writer's thread. A batch is thus
-//! the new frame alone on an idle link, what queued during the last
-//! write on a busy one, and the unacknowledged tail (up to 256 frames
-//! per write) after a reconnect. The supervisor skips its heartbeat
+//! once, and its frame leaves on the writer's thread. A sender on a
+//! pool worker of the session runtime records the link in the worker's
+//! pass ([`chorus_core::park::defer_write`]) instead, and the worker
+//! takes the writer role for it when the pass ends. A batch is thus the
+//! new frame alone on an idle link, what queued during the last write
+//! on a busy one, a worker pass's frames on the link, and the
+//! unacknowledged tail (up to 256 frames per write) after a reconnect. The supervisor skips its heartbeat
 //! while a write is in flight, so no control frame lands inside a
 //! batch.
 //!
@@ -64,7 +67,8 @@
 //!
 //! Retention is bounded: a link whose unacknowledged tail reaches the
 //! [`TcpConfigBuilder::retain_max`] watermark parks further senders
-//! until acks prune it, and surfaces
+//! until acks prune it (a worker writes its own pass first, as the
+//! frames it would wait behind may be its own), and surfaces
 //! [`TransportError::RetentionExceeded`] if the link resolves down
 //! while they wait — a peer that stays dead cannot grow a sender's
 //! retention queue without bound.

@@ -1,9 +1,9 @@
 //! A TCP endpoint runs a fixed set of threads whatever its traffic: an
 //! acceptor and a supervisor from `bind`, then one reader per inbound
-//! connection and one ack reader per outbound link. Sends write inline
-//! on the caller's thread, so more frames never add a thread; a frame
-//! queued while another sender is mid-write leaves on that sender's
-//! thread. Each role is counted by its thread name as well as in the
+//! connection and one ack reader per outbound link. Sends write on the
+//! sending threads, so more frames never add a thread: inline on the
+//! caller's, on another sender's if that one is mid-write, or on a pool
+//! worker's at the end of its pass. Each role is counted by its thread name as well as in the
 //! total. One test in a file of its own, so that no test running in
 //! parallel moves the process's thread count (like `role_threads.rs`).
 
