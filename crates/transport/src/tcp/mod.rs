@@ -54,9 +54,9 @@
 //! takes the writer role for it when the pass ends. A batch is thus the
 //! new frame alone on an idle link, what queued during the last write
 //! on a busy one, a worker pass's frames on the link, and the
-//! unacknowledged tail (up to 256 frames per write) after a reconnect. The supervisor skips its heartbeat
-//! while a write is in flight, so no control frame lands inside a
-//! batch.
+//! unacknowledged tail (up to 256 frames per write) after a reconnect.
+//! The supervisor skips its heartbeat while a write is in flight, so no
+//! control frame lands inside a batch.
 //!
 //! A reader thread per accepted connection drains the whole buffered
 //! burst per wakeup, deposits it into the per-(session, sender) FIFO
