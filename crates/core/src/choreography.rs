@@ -268,12 +268,12 @@ pub trait ChoreoOp<ChoreoLS: LocationSet> {
     where
         S: Subset<ChoreoLS, Index>;
 
-    /// Reports whether this endpoint is one of `owners`.
+    /// Reports whether this endpoint is one of `Owners`.
     ///
     /// This is an implementation hook used by the derived operators; user
     /// code has no reason to call it.
     #[doc(hidden)]
-    fn resident(&self, owners: &[&'static str]) -> bool;
+    fn resident<Owners: LocationSet>(&self) -> bool;
 
     /// Point-to-point communication: the `~>` operator of Fig. 1.
     ///
@@ -344,7 +344,7 @@ pub trait ChoreoOp<ChoreoLS: LocationSet> {
         let folder: FanInFolder<'_, Self, FIC, V, ChoreoLS, QS, RS, QSSubsetL, RSSubsetL> =
             FanInFolder { op: self, choreo: &c, phantom: PhantomData };
         let entries = QS::foldr(&folder, BTreeMap::new());
-        if self.resident(&RS::names()) {
+        if self.resident::<RS>() {
             let quire = Quire::from_map(entries)
                 .unwrap_or_else(|_| panic!("fanin: missing iteration results at a recipient"));
             MultiplyLocated::local(quire)

@@ -86,9 +86,7 @@ pub use quire::Quire;
 pub use runner::Runner;
 pub use runtime::{RoleProgram, SessionCx, SessionHandle, SessionRuntime, Step};
 pub use session::Session;
-pub use transport::{
-    InternedNames, SessionId, SessionTransport, Transport, TransportError, RAW_SESSION,
-};
+pub use transport::{locate, SessionId, SessionTransport, Transport, TransportError, RAW_SESSION};
 
 /// The text of a caught panic's payload: the `&str` or `String` that
 /// `panic!` carries, or a placeholder for any other payload. Pass the

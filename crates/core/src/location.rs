@@ -122,8 +122,26 @@ pub trait LocationSet: Copy + Default + Send + Sync + sealed::Sealed + 'static {
         Self::default()
     }
 
+    /// The name of the location at `index`, in declaration order, or
+    /// `None` past the end. Allocates nothing.
+    fn name_at(index: usize) -> Option<&'static str>;
+
+    /// The index of the location named `name`, or `None` if the set has
+    /// no such location. Allocates nothing.
+    fn position(name: &str) -> Option<usize>;
+
+    /// Whether the set has a location named `name`.
+    fn contains(name: &str) -> bool {
+        Self::position(name).is_some()
+    }
+
     /// Returns the names of the locations, in declaration order.
-    fn names() -> Vec<&'static str>;
+    ///
+    /// Allocates: a per-session or per-message path walks the set with
+    /// [`name_at`](Self::name_at) instead.
+    fn names() -> Vec<&'static str> {
+        (0..Self::LENGTH).filter_map(Self::name_at).collect()
+    }
 }
 
 mod sealed {
@@ -135,18 +153,31 @@ mod sealed {
 impl LocationSet for HNil {
     const LENGTH: usize = 0;
 
-    fn names() -> Vec<&'static str> {
-        Vec::new()
+    fn name_at(_index: usize) -> Option<&'static str> {
+        None
+    }
+
+    fn position(_name: &str) -> Option<usize> {
+        None
     }
 }
 
 impl<Head: ChoreographyLocation, Tail: LocationSet> LocationSet for HCons<Head, Tail> {
     const LENGTH: usize = 1 + Tail::LENGTH;
 
-    fn names() -> Vec<&'static str> {
-        let mut names = vec![Head::NAME];
-        names.extend(Tail::names());
-        names
+    fn name_at(index: usize) -> Option<&'static str> {
+        match index {
+            0 => Some(Head::NAME),
+            _ => Tail::name_at(index - 1),
+        }
+    }
+
+    fn position(name: &str) -> Option<usize> {
+        if name == Head::NAME {
+            Some(0)
+        } else {
+            Tail::position(name).map(|index| index + 1)
+        }
     }
 }
 
@@ -241,6 +272,32 @@ mod tests {
         let b = a;
         assert_eq!(a, b);
         assert!(!format!("{a:?}").is_empty());
+    }
+
+    #[test]
+    fn the_empty_set_has_no_positions() {
+        assert_eq!(<HNil as LocationSet>::name_at(0), None);
+        assert_eq!(<HNil as LocationSet>::position("Alice"), None);
+        assert!(!<HNil as LocationSet>::contains("Alice"));
+    }
+
+    #[test]
+    fn name_at_and_position_walk_a_five_name_set() {
+        crate::locations! { Dave, Erin }
+        type Five = crate::LocationSet!(Alice, Bob, Carol, Dave, Erin);
+        let names = ["Alice", "Bob", "Carol", "Dave", "Erin"];
+        for (index, name) in names.into_iter().enumerate() {
+            assert_eq!(<Five as LocationSet>::name_at(index), Some(name));
+            assert_eq!(<Five as LocationSet>::position(name), Some(index));
+            assert!(<Five as LocationSet>::contains(name));
+        }
+        assert_eq!(<Five as LocationSet>::name_at(5), None);
+        assert_eq!(<Five as LocationSet>::name_at(usize::MAX), None);
+        for stranger in ["Mallory", "", "alice", "Alice "] {
+            assert_eq!(<Five as LocationSet>::position(stranger), None);
+            assert!(!<Five as LocationSet>::contains(stranger));
+        }
+        assert_eq!(<Five as LocationSet>::names(), names);
     }
 
     #[test]

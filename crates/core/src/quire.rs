@@ -52,8 +52,8 @@ impl<V, S: LocationSet> Quire<V, S> {
     /// Returns the map unchanged if its key set is not exactly the names of
     /// `S`.
     pub fn from_map(map: BTreeMap<String, V>) -> Result<Self, BTreeMap<String, V>> {
-        let expected: Vec<&str> = S::names();
-        if map.len() == expected.len() && expected.iter().all(|name| map.contains_key(*name)) {
+        // Keys are distinct, so `LENGTH` of them, all in `S`, are `S`.
+        if map.len() == S::LENGTH && map.keys().all(|name| S::contains(name)) {
             Ok(Quire { entries: map, index: PhantomData })
         } else {
             Err(map)

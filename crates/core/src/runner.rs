@@ -184,7 +184,7 @@ impl<ChoreoLS: LocationSet> ChoreoOp<ChoreoLS> for RunOp<ChoreoLS> {
         MultiplyLocated::local(choreo.run(&sub_op))
     }
 
-    fn resident(&self, _owners: &[&'static str]) -> bool {
+    fn resident<Owners: LocationSet>(&self) -> bool {
         true
     }
 }

@@ -77,9 +77,10 @@ use crate::choreography::Portable;
 use crate::endpoint::Endpoint;
 use crate::location::{ChoreographyLocation, LocationSet};
 use crate::park::{self, WaitQueue};
-use crate::transport::{InternedNames, SessionId, SessionTransport, TransportError};
+use crate::session::{encode_payload, SeqCounters};
+use crate::transport::{locate, SessionId, SessionTransport, TransportError};
 use chorus_wire::Bytes;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
@@ -128,13 +129,12 @@ pub trait RoleProgram: Send + 'static {
 /// A `SessionCx` is the pooled counterpart of a blocking
 /// [`Session`](crate::Session): sends stamp per-edge sequence numbers
 /// and pass the layer stack exactly like [`Session::send_value`]
-/// (one serialization into a reusable per-session scratch buffer, one
-/// shared payload allocation), and receives are **non-blocking** — a
+/// (one serialization into the worker thread's reusable scratch buffer,
+/// one shared payload allocation), and receives are **non-blocking** — a
 /// miss stores the task's waker on the awaited mailbox and records the
 /// edge for the stall watchdog.
 pub struct SessionCx<'a> {
     ops: &'a mut dyn CxOps,
-    scratch: &'a mut Vec<u8>,
     /// The task's waker, stored on every mailbox a receive misses.
     waker: &'a Waker,
     /// The edge the program is blocked on, set by a failed receive.
@@ -160,9 +160,8 @@ impl SessionCx<'_> {
     /// Returns an error if `to` is unknown, the value fails to encode,
     /// or the link fails.
     pub fn send_value<V: Portable>(&mut self, to: &str, value: &V) -> Result<(), TransportError> {
-        self.scratch.clear();
-        chorus_wire::to_bytes_into(value, self.scratch)?;
-        self.ops.send_scratch(to, self.scratch)
+        let payload = encode_payload(value)?;
+        self.ops.send_payload(to, payload)
     }
 
     /// Attempts to receive and decode a value from the location named
@@ -202,7 +201,7 @@ trait CxOps: Send {
     fn session_id(&self) -> SessionId;
     fn target_name(&self) -> &'static str;
     fn intern(&self, name: &str) -> Result<&'static str, TransportError>;
-    fn send_scratch(&mut self, to: &str, payload: &[u8]) -> Result<(), TransportError>;
+    fn send_payload(&mut self, to: &str, payload: Bytes) -> Result<(), TransportError>;
     fn try_receive_payload(
         &mut self,
         from: &str,
@@ -219,8 +218,7 @@ where
 {
     endpoint: Arc<Endpoint<TL, Target, T>>,
     id: SessionId,
-    names: InternedNames,
-    seqs: HashMap<&'static str, u64>,
+    seqs: SeqCounters,
 }
 
 impl<TL, Target, T> CxOps for TypedOps<TL, Target, T>
@@ -238,12 +236,11 @@ where
     }
 
     fn intern(&self, name: &str) -> Result<&'static str, TransportError> {
-        self.names.resolve(name)
+        locate::<TL>(name).map(|(_, name)| name)
     }
 
-    fn send_scratch(&mut self, to: &str, payload: &[u8]) -> Result<(), TransportError> {
-        let to = self.names.resolve(to)?;
-        let payload = Bytes::copy_from_slice(payload);
+    fn send_payload(&mut self, to: &str, payload: Bytes) -> Result<(), TransportError> {
+        let to = locate::<TL>(to)?;
         self.endpoint.stamp_and_send(self.id, &mut self.seqs, to, payload)
     }
 
@@ -694,14 +691,8 @@ impl SessionRuntime {
         P: RoleProgram,
     {
         let cell = Arc::new(JoinCell::new());
-        let mut ops = TypedOps {
-            endpoint: Arc::clone(endpoint),
-            id,
-            names: InternedNames::of::<TL>(),
-            seqs: HashMap::new(),
-        };
+        let mut ops = TypedOps { endpoint: Arc::clone(endpoint), id, seqs: SeqCounters::new() };
         let mut program = program;
-        let mut scratch: Vec<u8> = Vec::new();
         let result_cell = Arc::clone(&cell);
         let complete = move |result| result_cell.resolve(result);
         let mut complete = Some(complete);
@@ -732,12 +723,7 @@ impl SessionRuntime {
         }
 
         let poll: PollFn = Box::new(move |entry: &TaskEntry| {
-            let mut cx = SessionCx {
-                ops: &mut ops,
-                scratch: &mut scratch,
-                waker: &entry.waker,
-                waiting: None,
-            };
+            let mut cx = SessionCx { ops: &mut ops, waker: &entry.waker, waiting: None };
             let resumed = catch_unwind(AssertUnwindSafe(|| program.resume(&mut cx)));
             let waiting = cx.waiting;
             match resumed {

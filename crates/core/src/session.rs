@@ -5,6 +5,13 @@
 //! projection as dependency injection (§5.2), and every message travels
 //! in a [`chorus_wire::Envelope`] tagged with the session id, so any
 //! number of sessions can run concurrently over one transport.
+//!
+//! A fresh session pays for its payloads and nothing else. Opening one
+//! allocates nothing: its counters are an inline array indexed by
+//! census position ([`SeqCounters`]), names resolve by a walk over the
+//! census type ([`locate`]), and values serialize into the running
+//! thread's scratch buffer ([`encode_payload`]), which both execution
+//! models share. A send allocates the shared payload buffer only.
 
 use crate::choreography::{ChoreoOp, Choreography, CommFailure, CommFailureKind, Portable};
 use crate::endpoint::{Endpoint, MessageCtx};
@@ -12,11 +19,72 @@ use crate::faceted::Faceted;
 use crate::located::{Located, MultiplyLocated, Unwrapper};
 use crate::location::{ChoreographyLocation, LocationSet};
 use crate::member::{Member, Subset};
-use crate::transport::{InternedNames, SessionId, SessionTransport, TransportError};
+use crate::transport::{locate, SessionId, SessionTransport, TransportError};
 use chorus_wire::{Bytes, Envelope};
-use std::collections::HashMap;
+use std::cell::RefCell;
 use std::marker::PhantomData;
 use std::sync::Mutex;
+
+/// One session's per-destination sequence counters, indexed by the
+/// destination's census position.
+///
+/// A census of up to [`INLINE`](Self::INLINE) names (every census in
+/// this workspace) fits in the inline array, so a session's counters
+/// allocate nothing; positions past it spill into a vector grown on
+/// first use.
+pub(crate) struct SeqCounters {
+    inline: [u64; Self::INLINE],
+    spill: Vec<u64>,
+}
+
+impl SeqCounters {
+    const INLINE: usize = 16;
+
+    pub(crate) const fn new() -> Self {
+        SeqCounters { inline: [0; Self::INLINE], spill: Vec::new() }
+    }
+
+    /// Hands out the next sequence number of the edge to the
+    /// destination at census `position`.
+    fn next(&mut self, position: usize) -> u64 {
+        let counter = match position.checked_sub(Self::INLINE) {
+            None => &mut self.inline[position],
+            Some(spilled) => {
+                if self.spill.len() <= spilled {
+                    self.spill.resize(spilled + 1, 0);
+                }
+                &mut self.spill[spilled]
+            }
+        };
+        let seq = *counter;
+        *counter += 1;
+        seq
+    }
+}
+
+/// Serializes `value` into the running thread's scratch buffer and
+/// copies the bytes once into the shared payload buffer that travels in
+/// the frame: the payload is the send's one allocation.
+///
+/// The scratch buffer belongs to the thread, not to a session, so a
+/// fresh session starts with a warm one; its capacity is the largest
+/// value the thread has serialized.
+pub(crate) fn encode_payload<V: Portable>(value: &V) -> Result<Bytes, chorus_wire::WireError> {
+    thread_local! {
+        static SCRATCH: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
+    }
+    SCRATCH.with_borrow_mut(|scratch| {
+        scratch.clear();
+        chorus_wire::to_bytes_into(value, scratch)?;
+        Ok(Bytes::copy_from_slice(scratch))
+    })
+}
+
+/// The names of the census `S` in declaration order, walked without
+/// allocating.
+fn census<S: LocationSet>() -> impl Iterator<Item = &'static str> {
+    (0..S::LENGTH).filter_map(S::name_at)
+}
 
 /// The two steps every message takes between a session (blocking or
 /// pooled) and its endpoint's transport.
@@ -27,18 +95,17 @@ where
     T: SessionTransport<TL, Target>,
 {
     /// Stamps `payload` with the next sequence number of the edge to
-    /// `to` (`seqs` holds one counter per destination of `session`),
-    /// shows it to the layer stack and puts the frame on the wire.
+    /// `to`, a census entry from [`locate`] (`seqs` holds one counter
+    /// per destination of `session`), shows it to the layer stack and
+    /// puts the frame on the wire.
     pub(crate) fn stamp_and_send(
         &self,
         session: SessionId,
-        seqs: &mut HashMap<&'static str, u64>,
-        to: &'static str,
+        seqs: &mut SeqCounters,
+        (position, to): (usize, &'static str),
         payload: Bytes,
     ) -> Result<(), TransportError> {
-        let counter = seqs.entry(to).or_insert(0);
-        let seq = *counter;
-        *counter += 1;
+        let seq = seqs.next(position);
         self.notify_send(&MessageCtx { session, seq, from: Target::NAME, to }, &payload);
         self.transport().send_frame(to, Envelope::new(session, seq, payload))
     }
@@ -68,14 +135,7 @@ where
 {
     endpoint: &'e Endpoint<TL, Target, T>,
     id: SessionId,
-    seqs: Mutex<HashMap<&'static str, u64>>,
-    /// The census names, resolved once at session creation so the send
-    /// path validates destinations without allocating per message.
-    names: InternedNames,
-    /// Reusable per-session encode buffer: values serialize into this
-    /// scratch space, then the bytes are copied once into the shared
-    /// payload buffer that travels in the frame.
-    scratch: Mutex<Vec<u8>>,
+    seqs: Mutex<SeqCounters>,
 }
 
 impl<'e, TL, Target, T> Session<'e, TL, Target, T>
@@ -85,26 +145,16 @@ where
     T: SessionTransport<TL, Target>,
 {
     pub(crate) fn new(endpoint: &'e Endpoint<TL, Target, T>, id: SessionId) -> Self {
-        Session {
-            endpoint,
-            id,
-            seqs: Mutex::new(HashMap::new()),
-            names: InternedNames::of::<TL>(),
-            scratch: Mutex::new(Vec::new()),
-        }
+        Session { endpoint, id, seqs: Mutex::new(SeqCounters::new()) }
     }
 
-    /// Serializes `value` once into the reusable scratch buffer and
-    /// returns it as a shared, cheaply-cloneable payload.
-    fn encode_payload<V: Portable>(&self, value: &V) -> Result<Bytes, TransportError> {
-        let mut scratch = self.scratch.lock().expect("session scratch buffer poisoned");
-        scratch.clear();
-        chorus_wire::to_bytes_into(value, &mut scratch)?;
-        Ok(Bytes::copy_from_slice(&scratch))
-    }
-
-    /// Puts `payload` on the wire as this session's next frame to `to`.
-    fn send_payload(&self, to: &'static str, payload: Bytes) -> Result<(), TransportError> {
+    /// Puts `payload` on the wire as this session's next frame to `to`,
+    /// a census entry from [`locate`].
+    fn send_payload(
+        &self,
+        to: (usize, &'static str),
+        payload: Bytes,
+    ) -> Result<(), TransportError> {
         // Hold the counter lock across the transport send: a session is
         // one sequential run, but `Session` is `Sync`, and a session
         // shared across threads must still put frames on the wire in
@@ -224,14 +274,14 @@ where
     ///
     /// Returns an error if `to` is unknown or the link fails.
     pub fn send_bytes(&self, to: &str, payload: &[u8]) -> Result<(), TransportError> {
-        let to = self.names.resolve(to)?;
+        let to = locate::<TL>(to)?;
         self.send_payload(to, Bytes::copy_from_slice(payload))
     }
 
     /// Serializes `value` and sends it to the location named `to`
     /// within this session — the allocation-lean path `epp_and_run`'s
     /// communication operators use: one serialization into the
-    /// session's reusable scratch buffer, one shared payload buffer,
+    /// thread's reusable scratch buffer, one shared payload buffer,
     /// no further copies on in-process transports.
     ///
     /// # Errors
@@ -239,8 +289,8 @@ where
     /// Returns an error if `to` is unknown, the value fails to encode,
     /// or the link fails.
     pub fn send_value<V: Portable>(&self, to: &str, value: &V) -> Result<(), TransportError> {
-        let to = self.names.resolve(to)?;
-        let payload = self.encode_payload(value)?;
+        let to = locate::<TL>(to)?;
+        let payload = encode_payload(value)?;
         self.send_payload(to, payload)
     }
 
@@ -265,10 +315,9 @@ where
         dests: impl IntoIterator<Item = &'n str>,
         value: &V,
     ) -> Result<Bytes, TransportError> {
-        let payload = self.encode_payload(value)?;
+        let payload = encode_payload(value)?;
         for dest in dests {
-            let to = self.names.resolve(dest)?;
-            self.send_payload(to, payload.clone())?;
+            self.send_payload(locate::<TL>(dest)?, payload.clone())?;
         }
         Ok(payload)
     }
@@ -346,18 +395,30 @@ where
     }
 
     fn try_receive_from<V: Portable>(&self, from: &str) -> Result<V, CommFailure> {
-        let bytes = self.session.receive_payload(from).map_err(|e| CommFailure {
-            peer: from.to_string(),
-            kind: match &e {
-                TransportError::Codec(_) => CommFailureKind::Decode(e.to_string()),
-                _ => CommFailureKind::Transport(e.to_string()),
-            },
-        })?;
-        chorus_wire::from_bytes(&bytes).map_err(|e| CommFailure {
-            peer: from.to_string(),
-            kind: CommFailureKind::Decode(e.to_string()),
-        })
+        let bytes = self.session.receive_payload(from).map_err(|e| comm_failure(from, e))?;
+        decode_from(from, &bytes)
     }
+}
+
+/// A transport failure on the edge to or from `peer`, as the robust
+/// operators report it.
+fn comm_failure(peer: &str, e: TransportError) -> CommFailure {
+    CommFailure {
+        peer: peer.to_string(),
+        kind: match &e {
+            TransportError::Codec(_) => CommFailureKind::Decode(e.to_string()),
+            _ => CommFailureKind::Transport(e.to_string()),
+        },
+    }
+}
+
+/// Decodes a payload `peer` sent, reporting trouble as a failure of
+/// that peer.
+fn decode_from<V: Portable>(peer: &str, bytes: &[u8]) -> Result<V, CommFailure> {
+    chorus_wire::from_bytes(bytes).map_err(|e| CommFailure {
+        peer: peer.to_string(),
+        kind: CommFailureKind::Decode(e.to_string()),
+    })
 }
 
 impl<ChoreoLS, TL, Target, T> ChoreoOp<ChoreoLS> for SessionEppOp<'_, '_, ChoreoLS, TL, Target, T>
@@ -392,7 +453,6 @@ where
         Sender: Member<ChoreoLS, Index1>,
         D: Subset<ChoreoLS, Index2>,
     {
-        let destinations = D::names();
         if Sender::NAME == Target::NAME {
             let value =
                 data.as_inner_option().expect("multicast: sender must hold the value it sends");
@@ -400,12 +460,9 @@ where
             // recipient gets a cheap clone of the same payload buffer.
             let payload = self
                 .session
-                .multicast_value(
-                    destinations.iter().copied().filter(|dest| *dest != Sender::NAME),
-                    value,
-                )
+                .multicast_value(census::<D>().filter(|dest| *dest != Sender::NAME), value)
                 .unwrap_or_else(|e| panic!("failed to multicast: {e}"));
-            if destinations.contains(&Sender::NAME) {
+            if D::contains(Sender::NAME) {
                 // The sender keeps its copy via an in-memory round trip
                 // over the *same* encoded bytes the recipients got, so
                 // that `V` needs no `Clone` bound and serialization bugs
@@ -418,7 +475,7 @@ where
             } else {
                 MultiplyLocated::remote()
             }
-        } else if destinations.contains(&Target::NAME) {
+        } else if D::contains(Target::NAME) {
             MultiplyLocated::local(self.receive_from(Sender::NAME))
         } else {
             MultiplyLocated::remote()
@@ -435,39 +492,36 @@ where
         Sender: Member<ChoreoLS, Index1>,
         D: Subset<ChoreoLS, Index2>,
     {
-        let destinations = D::names();
         if Sender::NAME == Target::NAME {
             let value =
                 data.as_inner_option().expect("try_multicast: sender must hold the value it sends");
-            // Destinations are sent to one by one (not through the
-            // encode-once `multicast_value` fast path) so a failing
-            // link attributes the failure to the exact peer involved —
-            // the robust path trades a little copying for attribution.
-            for dest in destinations.iter().copied().filter(|dest| *dest != Sender::NAME) {
-                self.session.send_value(dest, value).map_err(|e| CommFailure {
-                    peer: dest.to_string(),
-                    kind: match &e {
-                        TransportError::Codec(_) => CommFailureKind::Decode(e.to_string()),
-                        _ => CommFailureKind::Transport(e.to_string()),
-                    },
-                })?;
+            let mut remote = census::<D>().filter(|dest| *dest != Sender::NAME).peekable();
+            // Encode once, as `multicast` does. A value that fails to
+            // encode is reported against the first destination, or
+            // against the sender if it only keeps a copy.
+            let payload = encode_payload(value).map_err(|e| match remote.peek() {
+                Some(dest) => comm_failure(dest, e.into()),
+                None => CommFailure {
+                    peer: Sender::NAME.to_string(),
+                    kind: CommFailureKind::Decode(e.to_string()),
+                },
+            })?;
+            // Each destination is its own send, so a failing link is
+            // attributed to the exact peer involved.
+            for dest in remote {
+                locate::<TL>(dest)
+                    .and_then(|to| self.session.send_payload(to, payload.clone()))
+                    .map_err(|e| comm_failure(dest, e))?;
             }
-            if destinations.contains(&Sender::NAME) {
-                // Same in-memory round trip as `multicast`, with decode
-                // trouble surfaced instead of panicking.
-                let bytes = chorus_wire::to_bytes(value).map_err(|e| CommFailure {
-                    peer: Sender::NAME.to_string(),
-                    kind: CommFailureKind::Decode(e.to_string()),
-                })?;
-                let back = chorus_wire::from_bytes(&bytes).map_err(|e| CommFailure {
-                    peer: Sender::NAME.to_string(),
-                    kind: CommFailureKind::Decode(e.to_string()),
-                })?;
-                Ok(MultiplyLocated::local(back))
+            if D::contains(Sender::NAME) {
+                // Same in-memory round trip as `multicast`, over the same
+                // bytes, with decode trouble surfaced instead of
+                // panicking.
+                decode_from(Sender::NAME, &payload).map(MultiplyLocated::local)
             } else {
                 Ok(MultiplyLocated::remote())
             }
-        } else if destinations.contains(&Target::NAME) {
+        } else if D::contains(Target::NAME) {
             self.try_receive_from(Sender::NAME).map(MultiplyLocated::local)
         } else {
             Ok(MultiplyLocated::remote())
@@ -488,10 +542,7 @@ where
             // Encode once; every other location receives a clone of the
             // same payload buffer.
             self.session
-                .multicast_value(
-                    ChoreoLS::names().into_iter().filter(|dest| *dest != Sender::NAME),
-                    &value,
-                )
+                .multicast_value(census::<ChoreoLS>().filter(|dest| *dest != Sender::NAME), &value)
                 .unwrap_or_else(|e| panic!("failed to broadcast: {e}"));
             value
         } else {
@@ -517,7 +568,7 @@ where
     where
         S: Subset<ChoreoLS, Index>,
     {
-        if S::names().contains(&Target::NAME) {
+        if S::contains(Target::NAME) {
             let sub_op: SessionEppOp<'_, '_, S, TL, Target, T> =
                 SessionEppOp { session: self.session, phantom: PhantomData };
             MultiplyLocated::local(choreo.run(&sub_op))
@@ -526,7 +577,27 @@ where
         }
     }
 
-    fn resident(&self, owners: &[&'static str]) -> bool {
-        owners.contains(&Target::NAME)
+    fn resident<Owners: LocationSet>(&self) -> bool {
+        Owners::contains(Target::NAME)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::SeqCounters;
+
+    #[test]
+    fn counters_number_each_position_from_zero_inline_and_spilled() {
+        let mut seqs = SeqCounters::new();
+        let positions = [0, SeqCounters::INLINE - 1, SeqCounters::INLINE, SeqCounters::INLINE + 3];
+        for round in 0..3 {
+            for position in positions {
+                assert_eq!(seqs.next(position), round, "position {position}");
+            }
+        }
+        // Only the positions past the inline array spilled, and only as
+        // far as the highest one used.
+        assert_eq!(seqs.spill, [3, 0, 0, 3]);
+        assert_eq!(seqs.next(SeqCounters::INLINE + 1), 0);
     }
 }

@@ -246,40 +246,21 @@ pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
     fn close_session(&self, session: SessionId);
 }
 
-/// A census's names, resolved once so hot paths can validate and
-/// intern location names without allocating or re-materializing
-/// `L::names()` (a fresh `Vec`) per message.
+/// Resolves `name` against the census `L`: its position, which
+/// indexes per-destination state, and the census's own `&'static str`
+/// for it, which transports key links and mailboxes by.
 ///
-/// Sessions and every transport in the workspace keep one of these;
-/// the `&'static str` it hands back is the key used for sequence
-/// tracking and mailbox routing.
-#[derive(Debug, Clone)]
-pub struct InternedNames(Vec<&'static str>);
-
-impl InternedNames {
-    /// Resolves the census `L` once.
-    pub fn of<L: LocationSet>() -> Self {
-        InternedNames(L::names())
-    }
-
-    /// Resolves `name` to its interned census entry.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError::UnknownLocation`] if `name` is not in
-    /// the census.
-    pub fn resolve(&self, name: &str) -> Result<&'static str, TransportError> {
-        self.0
-            .iter()
-            .copied()
-            .find(|n| *n == name)
-            .ok_or_else(|| TransportError::UnknownLocation(name.to_string()))
-    }
-
-    /// The census names, in order, without allocating.
-    pub fn iter(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.0.iter().copied()
-    }
+/// One walk over the census for each of the two, and no allocation
+/// unless `name` is unknown.
+///
+/// # Errors
+///
+/// Returns [`TransportError::UnknownLocation`] if `name` is not in
+/// the census.
+pub fn locate<L: LocationSet>(name: &str) -> Result<(usize, &'static str), TransportError> {
+    L::position(name)
+        .and_then(|index| Some((index, L::name_at(index)?)))
+        .ok_or_else(|| TransportError::UnknownLocation(name.to_string()))
 }
 
 #[cfg(test)]
@@ -316,17 +297,14 @@ mod tests {
     }
 
     #[test]
-    fn interned_names_resolve_census_members() {
-        let names = InternedNames::of::<Census>();
-        assert_eq!(names.resolve("Alpha").unwrap(), "Alpha");
-        assert_eq!(names.resolve("Beta").unwrap(), "Beta");
-        assert_eq!(names.iter().collect::<Vec<_>>(), ["Alpha", "Beta"]);
+    fn locate_resolves_census_members() {
+        assert_eq!(locate::<Census>("Alpha").unwrap(), (0, "Alpha"));
+        assert_eq!(locate::<Census>("Beta").unwrap(), (1, "Beta"));
     }
 
     #[test]
-    fn interned_names_reject_unknown_names_usefully() {
-        let names = InternedNames::of::<Census>();
-        let err = names.resolve("Mallory").unwrap_err();
+    fn locate_rejects_unknown_names_usefully() {
+        let err = locate::<Census>("Mallory").unwrap_err();
         match &err {
             TransportError::UnknownLocation(name) => assert_eq!(name, "Mallory"),
             other => panic!("expected UnknownLocation, got {other:?}"),

@@ -230,11 +230,14 @@ impl NodeCtx {
     /// epoch fencing, replica-set membership, freeze windows, versioned
     /// merge, and dirty tracking — in that order.
     pub fn apply(&self, request: &StampedRequest) -> NodeReply {
-        let mut inner = self.inner.lock();
+        let mut guard = self.inner.lock();
+        // Reborrowed so the installed config and the data it guards are
+        // borrowed as disjoint fields, not cloned.
+        let inner = &mut *guard;
         if inner.mode == NodeMode::Down {
             return NodeReply::Down;
         }
-        let Some(config) = inner.config.clone() else {
+        let Some(config) = &inner.config else {
             return NodeReply::StaleEpoch { current: 0 };
         };
         if config.epoch != request.epoch {

@@ -253,9 +253,8 @@ where
     // accusation naming someone outside the census can only be a
     // tampered frame, and rejecting it attributes the tampering to the
     // frame's sender instead of adopting a fabricated culprit.
-    let names = P::names();
-    let accept = move |_: &'static str, v: &Verdict| match v {
-        Verdict::Fault(m) if !names.contains(&m.culprit.as_str()) => {
+    let accept = |_: &'static str, v: &Verdict| match v {
+        Verdict::Fault(m) if !P::contains(&m.culprit) => {
             Err(format!("accuses {:?}, which is not in the census", m.culprit))
         }
         _ => Ok(()),

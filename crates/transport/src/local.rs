@@ -9,7 +9,7 @@
 
 use crate::mailboxes::Mailboxes;
 use chorus_core::{
-    ChoreographyLocation, InternedNames, LocationSet, SessionId, SessionTransport, Transport,
+    locate, ChoreographyLocation, LocationSet, SessionId, SessionTransport, Transport,
     TransportError, RAW_SESSION,
 };
 use chorus_wire::Envelope;
@@ -43,7 +43,10 @@ type LinkState = Mutex<Mailboxes>;
 /// # let _ = (for_alice, for_bob);
 /// ```
 pub struct LocalTransportChannel<L: LocationSet> {
-    links: Arc<HashMap<(&'static str, &'static str), LinkState>>,
+    /// The link from the location at census position `from` to the one
+    /// at `to` is entry `from * L::LENGTH + to`; entries with
+    /// `from == to` are never used.
+    links: Arc<[LinkState]>,
     system: PhantomData<L>,
 }
 
@@ -57,16 +60,13 @@ impl<L: LocationSet> LocalTransportChannel<L> {
     /// Creates a fabric with an unbounded FIFO link for every ordered pair
     /// of distinct locations in `L`.
     pub fn new() -> Self {
-        let names = L::names();
-        let mut links = HashMap::new();
-        for from in &names {
-            for to in &names {
-                if from != to {
-                    links.insert((*from, *to), LinkState::default());
-                }
-            }
-        }
-        LocalTransportChannel { links: Arc::new(links), system: PhantomData }
+        let links = (0..L::LENGTH * L::LENGTH).map(|_| LinkState::default()).collect();
+        LocalTransportChannel { links, system: PhantomData }
+    }
+
+    /// The link from census position `from` to `to`, if they differ.
+    fn link(&self, from: usize, to: usize) -> Option<&LinkState> {
+        (from != to).then(|| &self.links[from * L::LENGTH + to])
     }
 }
 
@@ -79,9 +79,6 @@ impl<L: LocationSet> Default for LocalTransportChannel<L> {
 /// One participant's endpoint of a [`LocalTransportChannel`].
 pub struct LocalTransport<L: LocationSet, Target: ChoreographyLocation> {
     channel: LocalTransportChannel<L>,
-    /// The census, resolved once so per-message destination/sender
-    /// validation works over interned names without allocating.
-    names: InternedNames,
     /// Sequence counters for the raw (sessionless) compatibility path.
     raw_seqs: Mutex<HashMap<&'static str, u64>>,
     target: PhantomData<Target>,
@@ -91,22 +88,17 @@ impl<L: LocationSet, Target: ChoreographyLocation> LocalTransport<L, Target> {
     /// Creates `target`'s endpoint over the shared fabric.
     pub fn new(target: Target, channel: LocalTransportChannel<L>) -> Self {
         let _ = target;
-        LocalTransport {
-            channel,
-            names: InternedNames::of::<L>(),
-            raw_seqs: Mutex::new(HashMap::new()),
-            target: PhantomData,
-        }
+        LocalTransport { channel, raw_seqs: Mutex::new(HashMap::new()), target: PhantomData }
     }
 
-    fn link(&self, from: &'static str, to: &'static str) -> Result<&LinkState, TransportError> {
-        self.channel.links.get(&(from, to)).ok_or_else(|| {
-            TransportError::UnknownLocation(if from == Target::NAME {
-                to.to_string()
-            } else {
-                from.to_string()
-            })
-        })
+    /// The link between this endpoint and `peer`, outbound or inbound:
+    /// unknown unless `peer` is in the census and is not `Target`.
+    fn link(&self, peer: &str, outbound: bool) -> Result<&LinkState, TransportError> {
+        let unknown = || TransportError::UnknownLocation(peer.to_string());
+        let (peer, _) = locate::<L>(peer)?;
+        let me = L::position(Target::NAME).ok_or_else(unknown)?;
+        let (from, to) = if outbound { (me, peer) } else { (peer, me) };
+        self.channel.link(from, to).ok_or_else(unknown)
     }
 }
 
@@ -117,9 +109,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     const SPIN_BEFORE_PARK: bool = true;
 
     fn send_frame(&self, to: &str, frame: Envelope) -> Result<(), TransportError> {
-        let to = self.names.resolve(to)?;
-        let link = self.link(Target::NAME, to)?;
-        let mut boxes = link.lock();
+        let mut boxes = self.link(to, true)?.lock();
         // Sequence-check and demultiplex at the sender, under the link
         // lock: frames land in their session mailbox fully structured,
         // sharing the sender's payload buffer. A violation fails the
@@ -140,13 +130,13 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         from: &str,
         cx: &mut Context<'_>,
     ) -> Poll<Result<Envelope, TransportError>> {
-        let from = self.names.resolve(from)?;
-        self.link(from, Target::NAME)?.lock().poll(session, cx.waker())
+        self.link(from, false)?.lock().poll(session, cx.waker())
     }
 
     fn close_session(&self, session: SessionId) {
-        for from in self.names.iter() {
-            if let Some(link) = self.channel.links.get(&(from, Target::NAME)) {
+        let Some(me) = L::position(Target::NAME) else { return };
+        for from in 0..L::LENGTH {
+            if let Some(link) = self.channel.link(from, me) {
                 link.lock().close(session);
             }
         }
@@ -158,7 +148,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> Transport<L, Target>
 {
     fn send(&self, to: &str, data: &[u8]) -> Result<(), TransportError> {
         let seq = {
-            let to_static = self.names.resolve(to)?;
+            let (_, to_static) = locate::<L>(to)?;
             let mut seqs = self.raw_seqs.lock();
             let counter = seqs.entry(to_static).or_insert(0);
             let seq = *counter;

@@ -24,7 +24,10 @@
 //! its queue is drained (a frame already queued, say a reused id's
 //! restart, stays deliverable) and its stored waker, and raises the
 //! table's watermark, `closed_below`, to one past the highest id closed
-//! so far. A frame for a session that is not open — no entry, or only a
+//! so far. The drained queue is kept and handed to the next session the
+//! table opens, so a fresh session's first frame allocates nothing. A
+//! session's entry takes a kept queue if there is one, so the table
+//! never keeps more queues than it has had sessions open at once. A frame for a session that is not open — no entry, or only a
 //! waker stored by a poll before its first frame — then follows one of
 //! three rules:
 //!
@@ -57,6 +60,8 @@ pub(crate) struct Mailboxes {
     /// One lookup serves a session's sequence check, its queue and its
     /// waker.
     sessions: HashMap<SessionId, Stream>,
+    /// Drained queues of closed sessions, for the next sessions opened.
+    spare: Vec<VecDeque<Envelope>>,
     /// The protocol-error text every session reads once drained.
     failure: Option<String>,
     /// One past the highest session id closed so far.
@@ -65,7 +70,6 @@ pub(crate) struct Mailboxes {
     late: u64,
 }
 
-#[derive(Default)]
 struct Stream {
     queue: VecDeque<Envelope>,
     /// The next expected `seq`; 0 until the session's first frame opens
@@ -74,6 +78,14 @@ struct Stream {
     /// Stored by the last poll that found the queue empty, taken by the
     /// next frame queued.
     waker: Option<Waker>,
+}
+
+impl Stream {
+    /// A session's entry before its first frame, on a kept queue if
+    /// there is one.
+    fn open(spare: &mut Vec<VecDeque<Envelope>>) -> Stream {
+        Stream { queue: spare.pop().unwrap_or_default(), next_seq: 0, waker: None }
+    }
 }
 
 impl Mailboxes {
@@ -97,7 +109,9 @@ impl Mailboxes {
                 return Ok(Some(stream));
             }
             Entry::Vacant(entry) if seq == 0 => {
-                return Ok(Some(entry.insert(Stream { next_seq: 1, ..Stream::default() })));
+                let stream = entry.insert(Stream::open(&mut self.spare));
+                stream.next_seq = 1;
+                return Ok(Some(stream));
             }
             Entry::Occupied(entry) if entry.get().next_seq > 0 => entry.get().next_seq,
             // Not open: no entry, or only a stored waker.
@@ -145,7 +159,8 @@ impl Mailboxes {
 
     /// The queue half of [`deposit`](Self::deposit), for an admitted frame.
     pub(crate) fn queue(&mut self, frame: Envelope) -> Option<Waker> {
-        let stream = self.sessions.entry(frame.session).or_default();
+        let stream =
+            self.sessions.entry(frame.session).or_insert_with(|| Stream::open(&mut self.spare));
         stream.queue.push_back(frame);
         stream.waker.take()
     }
@@ -165,7 +180,7 @@ impl Mailboxes {
         session: SessionId,
         waker: &Waker,
     ) -> Poll<Result<Envelope, TransportError>> {
-        let stream = self.sessions.entry(session).or_default();
+        let stream = self.sessions.entry(session).or_insert_with(|| Stream::open(&mut self.spare));
         if let Some(frame) = stream.queue.pop_front() {
             return Poll::Ready(Ok(frame));
         }
@@ -179,15 +194,18 @@ impl Mailboxes {
         Poll::Pending
     }
 
-    /// Ends `session` on this link: drops its entry if drained and its
-    /// stored waker, and raises the watermark to `session + 1` if that
-    /// is higher.
+    /// Ends `session` on this link: drops its entry if drained, keeping
+    /// its queue for the next session opened, and its stored waker, and
+    /// raises the watermark to `session + 1` if that is higher.
     pub(crate) fn close(&mut self, session: SessionId) {
-        if let Some(stream) = self.sessions.get_mut(&session) {
-            if stream.queue.is_empty() {
-                self.sessions.remove(&session);
+        if let Entry::Occupied(mut entry) = self.sessions.entry(session) {
+            if entry.get().queue.is_empty() {
+                let queue = entry.remove().queue;
+                if queue.capacity() > 0 {
+                    self.spare.push(queue);
+                }
             } else {
-                stream.waker = None;
+                entry.get_mut().waker = None;
             }
         }
         self.closed_below = self.closed_below.max(session.saturating_add(1));
@@ -468,6 +486,47 @@ mod tests {
         // Drained, the next close reclaims the entry.
         boxes.close(5);
         assert!(boxes.sessions.is_empty());
+    }
+
+    #[test]
+    fn a_closed_sessions_queue_serves_the_next_session() {
+        let mut boxes = Mailboxes::default();
+        // Two sessions open at once, each with a queue that held a frame.
+        for session in [1, 2] {
+            boxes.deposit("Alpha", frame(session, 0)).unwrap();
+        }
+        for session in [1, 2] {
+            pop(&mut boxes, session).unwrap();
+            boxes.close(session);
+        }
+        assert_eq!(boxes.spare.len(), 2);
+        // Sessions opened one at a time, by a frame or by a poll, reuse
+        // the kept queues, and the spare list does not grow.
+        for session in 3..100 {
+            if session % 2 == 0 {
+                assert!(pop(&mut boxes, session).unwrap().is_none());
+            }
+            assert!(boxes.sessions.get(&session).is_none_or(|s| s.queue.capacity() > 0));
+            boxes.deposit("Alpha", frame(session, 0)).unwrap();
+            assert_eq!(boxes.spare.len(), 1);
+            assert_eq!(pop(&mut boxes, session).unwrap().unwrap().session, session);
+            boxes.close(session);
+            assert_eq!(boxes.spare.len(), 2);
+        }
+        // A queue that never held a frame has nothing to keep.
+        assert!(pop(&mut boxes, 100).unwrap().is_none());
+        assert!(pop(&mut boxes, 101).unwrap().is_none());
+        assert!(pop(&mut boxes, 102).unwrap().is_none());
+        assert!(boxes.spare.is_empty());
+        assert_eq!(boxes.sessions[&102].queue.capacity(), 0);
+        for session in [100, 101, 102] {
+            boxes.close(session);
+        }
+        assert_eq!(boxes.spare.len(), 2);
+        // An undrained session keeps its queue, so nothing is kept.
+        boxes.deposit("Alpha", frame(103, 0)).unwrap();
+        boxes.close(103);
+        assert_eq!(boxes.spare.len(), 1);
     }
 
     #[test]

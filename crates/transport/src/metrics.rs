@@ -36,7 +36,9 @@ pub struct EdgeMetrics {
 /// ```
 #[derive(Debug, Default)]
 pub struct TransportMetrics {
-    edges: Mutex<BTreeMap<(String, String), EdgeMetrics>>,
+    /// Counters by sender, then by receiver: both levels are found by
+    /// `&str`, so a send allocates only the first time its edge is seen.
+    edges: Mutex<BTreeMap<String, BTreeMap<String, EdgeMetrics>>>,
 }
 
 /// A point-in-time copy of the counters.
@@ -50,44 +52,56 @@ impl TransportMetrics {
 
     fn record_send(&self, from: &str, to: &str, bytes: usize) {
         let mut edges = self.edges.lock();
-        let entry = edges.entry((from.to_string(), to.to_string())).or_default();
+        let receivers = match edges.get_mut(from) {
+            Some(receivers) => receivers,
+            None => edges.entry(from.to_string()).or_default(),
+        };
+        let entry = match receivers.get_mut(to) {
+            Some(entry) => entry,
+            None => receivers.entry(to.to_string()).or_default(),
+        };
         entry.messages += 1;
         entry.bytes += bytes as u64;
     }
 
+    /// Every edge's counters, in `(from, to)` order, under the lock.
+    fn fold<A>(&self, init: A, mut f: impl FnMut(A, (&str, &str), &EdgeMetrics) -> A) -> A {
+        let edges = self.edges.lock();
+        let mut acc = init;
+        for (from, receivers) in edges.iter() {
+            for (to, edge) in receivers {
+                acc = f(acc, (from, to), edge);
+            }
+        }
+        acc
+    }
+
     /// Returns a copy of the per-edge counters.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.edges.lock().clone()
+        self.fold(MetricsSnapshot::new(), |mut snapshot, (from, to), edge| {
+            snapshot.insert((from.to_string(), to.to_string()), *edge);
+            snapshot
+        })
     }
 
     /// Total messages sent across all edges.
     pub fn total_messages(&self) -> u64 {
-        self.edges.lock().values().map(|e| e.messages).sum()
+        self.fold(0, |sum, _, edge| sum + edge.messages)
     }
 
     /// Total payload bytes sent across all edges.
     pub fn total_bytes(&self) -> u64 {
-        self.edges.lock().values().map(|e| e.bytes).sum()
+        self.fold(0, |sum, _, edge| sum + edge.bytes)
     }
 
     /// Messages received by (i.e. addressed to) `location`.
     pub fn messages_to(&self, location: &str) -> u64 {
-        self.edges
-            .lock()
-            .iter()
-            .filter(|((_, to), _)| to == location)
-            .map(|(_, e)| e.messages)
-            .sum()
+        self.fold(0, |sum, (_, to), edge| sum + if to == location { edge.messages } else { 0 })
     }
 
     /// Messages sent by `location`.
     pub fn messages_from(&self, location: &str) -> u64 {
-        self.edges
-            .lock()
-            .iter()
-            .filter(|((from, _), _)| from == location)
-            .map(|(_, e)| e.messages)
-            .sum()
+        self.fold(0, |sum, (from, _), edge| sum + if from == location { edge.messages } else { 0 })
     }
 
     /// Resets every counter to zero.

@@ -61,7 +61,7 @@
 
 use crate::mailboxes::Mailboxes;
 use chorus_core::{
-    ChoreographyLocation, InternedNames, LocationSet, SessionId, SessionTransport, Transport,
+    locate, ChoreographyLocation, LocationSet, SessionId, SessionTransport, Transport,
     TransportError, RAW_SESSION,
 };
 use chorus_wire::Envelope;
@@ -757,9 +757,6 @@ impl<L: LocationSet> SimNet<L> {
 /// One participant's endpoint of a [`SimNet`].
 pub struct SimTransport<L: LocationSet, Target: ChoreographyLocation> {
     net: SimNet<L>,
-    /// The census, resolved once so per-message validation works over
-    /// interned names without allocating.
-    names: InternedNames,
     /// Sequence counters for the raw (sessionless) compatibility path.
     raw_seqs: Mutex<HashMap<&'static str, u64>>,
     target: PhantomData<Target>,
@@ -769,12 +766,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SimTransport<L, Target> {
     /// Creates `target`'s endpoint over the simulated fabric.
     pub fn new(target: Target, net: SimNet<L>) -> Self {
         let _ = target;
-        SimTransport {
-            net,
-            names: InternedNames::of::<L>(),
-            raw_seqs: Mutex::new(HashMap::new()),
-            target: PhantomData,
-        }
+        SimTransport { net, raw_seqs: Mutex::new(HashMap::new()), target: PhantomData }
     }
 
     /// The shared net, for schedule inspection.
@@ -801,7 +793,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     for SimTransport<L, Target>
 {
     fn send_frame(&self, to: &str, mut frame: Envelope) -> Result<(), TransportError> {
-        let to = self.names.resolve(to)?;
+        let (_, to) = locate::<L>(to)?;
         let from = Target::NAME;
         let plan = &self.net.shared.plan;
         let mut link = self.link(from, to)?.lock();
@@ -886,7 +878,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         from: &str,
         cx: &mut Context<'_>,
     ) -> Poll<Result<Envelope, TransportError>> {
-        let from = self.names.resolve(from)?;
+        let (_, from) = locate::<L>(from)?;
         let to = Target::NAME;
         let mut link = self.link(from, to)?.lock();
         // A silenced link never queues a frame. Its receivers read the
@@ -907,7 +899,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     }
 
     fn close_session(&self, session: SessionId) {
-        for from in self.names.iter() {
+        for from in (0..L::LENGTH).filter_map(L::name_at) {
             if let Some(link) = self.net.shared.links.get(&(from, Target::NAME)) {
                 link.lock().boxes.close(session);
             }
@@ -920,7 +912,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> Transport<L, Target>
 {
     fn send(&self, to: &str, data: &[u8]) -> Result<(), TransportError> {
         let seq = {
-            let to_static = self.names.resolve(to)?;
+            let (_, to_static) = locate::<L>(to)?;
             let mut seqs = self.raw_seqs.lock();
             let counter = seqs.entry(to_static).or_insert(0);
             let seq = *counter;

@@ -93,7 +93,7 @@ use self::send::{
 use self::supervise::supervisor_loop;
 use crate::link::LinkStats;
 use chorus_core::{
-    park, ChoreographyLocation, InternedNames, LocationSet, SessionId, SessionTransport, Transport,
+    locate, park, ChoreographyLocation, LocationSet, SessionId, SessionTransport, Transport,
     TransportError, RAW_SESSION,
 };
 use chorus_wire::{data_frame_wire_len, Envelope};
@@ -108,9 +108,6 @@ use std::time::{Duration, Instant};
 
 /// One endpoint of a TCP-connected choreography.
 pub struct TcpTransport<L: LocationSet, Target: ChoreographyLocation> {
-    /// The census, resolved once so per-message destination/sender
-    /// validation works over interned names.
-    names: InternedNames,
     send: Arc<SendShared>,
     inbox: Arc<Inbox>,
     /// Sequence counters for the raw (sessionless) compatibility path.
@@ -179,7 +176,6 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
             })?;
 
         Ok(TcpTransport {
-            names: InternedNames::of::<L>(),
             send,
             inbox,
             raw_seqs: Mutex::new(HashMap::new()),
@@ -217,7 +213,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> TcpTransport<L, Target> {
     /// watermark bounds. Test/introspection hook; `(0, 0)` for unknown
     /// peers or links never used.
     pub fn retention(&self, to: &str) -> (usize, usize) {
-        let Ok(to) = self.names.resolve(to) else {
+        let Ok((_, to)) = locate::<L>(to) else {
             return (0, 0);
         };
         let handle = self.send.links.lock().get(to).map(Arc::clone);
@@ -280,7 +276,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     for TcpTransport<L, Target>
 {
     fn send_frame(&self, to: &str, frame: Envelope) -> Result<(), TransportError> {
-        let to_static = self.names.resolve(to)?;
+        let (_, to_static) = locate::<L>(to)?;
         let handle = self.link_handle(to_static);
         let mut link = handle.lock();
         if let Some((elapsed, attempts)) = link.down {
@@ -321,7 +317,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         from: &str,
         cx: &mut Context<'_>,
     ) -> Poll<Result<Envelope, TransportError>> {
-        let from = self.names.resolve(from)?;
+        let (_, from) = locate::<L>(from)?;
         if from == Target::NAME {
             return Poll::Ready(Err(TransportError::UnknownLocation(from.to_string())));
         }
@@ -338,7 +334,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> Transport<L, Target>
 {
     fn send(&self, to: &str, data: &[u8]) -> Result<(), TransportError> {
         let seq = {
-            let to_static = self.names.resolve(to)?;
+            let (_, to_static) = locate::<L>(to)?;
             let mut seqs = self.raw_seqs.lock();
             let counter = seqs.entry(to_static).or_insert(0);
             let seq = *counter;

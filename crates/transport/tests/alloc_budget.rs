@@ -70,7 +70,7 @@ fn local_hot_path_stays_within_one_allocation_per_message() {
     const MESSAGES: usize = 100;
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for i in 0..MESSAGES as u64 {
-        // Typed send: serialize into the session scratch (no
+        // Typed send: serialize into the thread scratch (no
         // allocation at steady state), copy once into the shared
         // payload buffer (THE allocation), deposit the structured
         // frame, pop it at the receiver — nothing else.

@@ -12,7 +12,7 @@
 //!   taken out of the map by key (0), run-queue push of a cloned
 //!   pre-allocated `Arc` (0);
 //! * pooled resume: pop frame (0), decode (0), reply through the
-//!   session scratch into one shared payload buffer (1);
+//!   worker thread's scratch into one shared payload buffer (1);
 //! * re-park: waker re-registered into a map slot already at capacity
 //!   (0), park bookkeeping in place (0).
 //!

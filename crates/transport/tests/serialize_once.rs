@@ -1,5 +1,5 @@
-//! Pins the encode-once fan-out property: a multicast (and a broadcast)
-//! serializes its value **exactly once**, no matter how many
+//! Pins the encode-once fan-out property: a multicast (and a broadcast,
+//! and a fallible `try_multicast`) serializes its value **exactly once**, no matter how many
 //! destinations receive it — every recipient, including the sender's
 //! own keep-copy, observes the same encoded bytes.
 //!
@@ -38,6 +38,7 @@ macro_rules! counted_probe {
 
 counted_probe!(MulticastProbe, MULTICAST_SERIALIZATIONS);
 counted_probe!(BroadcastProbe, BROADCAST_SERIALIZATIONS);
+counted_probe!(TryMulticastProbe, TRY_MULTICAST_SERIALIZATIONS);
 counted_probe!(TcpBatchProbe, TCP_BATCH_SERIALIZATIONS);
 
 chorus_core::locations! { A, B, C, D }
@@ -54,6 +55,22 @@ impl Choreography<u64> for FanOut {
     fn run(self, op: &impl ChoreoOp<Self::L>) -> u64 {
         let at_a: Located<MulticastProbe, A> = op.locally(A, |_| MulticastProbe(41));
         let shared: MultiplyLocated<MulticastProbe, Census> = op.multicast(A, Census::new(), &at_a);
+        op.naked(shared).0
+    }
+}
+
+/// A pushes to the whole census (itself included) through the fallible
+/// `try_multicast`, as the robust patterns and the cluster client do.
+#[derive(Clone)]
+struct TryFanOut;
+
+impl Choreography<u64> for TryFanOut {
+    type L = Census;
+
+    fn run(self, op: &impl ChoreoOp<Self::L>) -> u64 {
+        let at_a: Located<TryMulticastProbe, A> = op.locally(A, |_| TryMulticastProbe(29));
+        let shared: MultiplyLocated<TryMulticastProbe, Census> =
+            op.try_multicast(A, Census::new(), &at_a).expect("every link is up");
         op.naked(shared).0
     }
 }
@@ -137,6 +154,19 @@ fn tcp_batched_multicast_serializes_exactly_once() {
         TCP_BATCH_SERIALIZATIONS.load(Ordering::SeqCst),
         1,
         "a batched TCP multicast must serialize once, not once per socket"
+    );
+}
+
+#[test]
+fn try_multicast_serializes_exactly_once() {
+    let results = run_everywhere(LocalTransportChannel::new(), TryFanOut);
+    assert_eq!(results, vec![29, 29, 29, 29]);
+    // Three remote destinations and the sender's keep-copy, which is
+    // decoded from the bytes the destinations got.
+    assert_eq!(
+        TRY_MULTICAST_SERIALIZATIONS.load(Ordering::SeqCst),
+        1,
+        "try_multicast must serialize once, not once per destination"
     );
 }
 

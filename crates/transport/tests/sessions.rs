@@ -157,3 +157,65 @@ fn many_sequential_sessions_reuse_one_endpoint_pair() {
         });
     }
 }
+
+chorus_core::locations! {
+    W0, W1, W2, W3, W4, W5, W6, W7, W8, W9, W10, W11, W12, W13, W14, W15, W16, W17
+}
+/// A census past the 16 destinations a session's sequence counters hold
+/// inline, so its last positions spill.
+type Wide = chorus_core::LocationSet!(
+    W0, W1, W2, W3, W4, W5, W6, W7, W8, W9, W10, W11, W12, W13, W14, W15, W16, W17
+);
+
+/// Records the `(to, seq)` of every send.
+#[derive(Default)]
+struct SendLog(std::sync::Mutex<Vec<(String, u64)>>);
+
+impl chorus_core::Layer for SendLog {
+    fn on_send(&self, ctx: &chorus_core::MessageCtx<'_>, _payload: &[u8]) {
+        self.0.lock().unwrap().push((ctx.to.to_string(), ctx.seq));
+    }
+}
+
+/// Per-edge sequence numbers stay exact at every census position,
+/// inline or spilled: each destination's frames are numbered 0, 1, 2 in
+/// send order, and the receivers' sequence checks accept them.
+#[test]
+fn sequence_numbers_stay_exact_past_the_inline_counters() {
+    use chorus_core::LocationSet as _;
+
+    const ROUNDS: u64 = 3;
+    let channel = LocalTransportChannel::<Wide>::new();
+    let log = Arc::new(SendLog::default());
+    let sender = Endpoint::builder(W0)
+        .transport(LocalTransport::new(W0, channel.clone()))
+        .layer(Arc::clone(&log))
+        .build();
+    let session = sender.session_with_id(5);
+    let destinations: Vec<&str> = Wide::names().into_iter().skip(1).collect();
+    for round in 0..ROUNDS {
+        for dest in &destinations {
+            session.send_value(dest, &(dest.to_string(), round)).unwrap();
+        }
+    }
+
+    let sends = log.0.lock().unwrap().clone();
+    assert_eq!(sends.len(), destinations.len() * ROUNDS as usize);
+    for dest in &destinations {
+        let seqs: Vec<u64> = sends.iter().filter(|(to, _)| to == dest).map(|(_, s)| *s).collect();
+        assert_eq!(seqs, (0..ROUNDS).collect::<Vec<_>>(), "edge W0 -> {dest}");
+    }
+
+    macro_rules! receives_in_order {
+        ($($at:ident),+) => {$({
+            let endpoint = Endpoint::new(LocalTransport::new($at, channel.clone()));
+            let session = endpoint.session_with_id(5);
+            for round in 0..ROUNDS {
+                let payload = session.receive_payload("W0").unwrap();
+                let (to, seen): (String, u64) = chorus_wire::from_bytes(&payload).unwrap();
+                assert_eq!((to.as_str(), seen), (stringify!($at), round));
+            }
+        })+};
+    }
+    receives_in_order!(W1, W15, W16, W17);
+}
