@@ -1,15 +1,15 @@
 //! How threads wait: the one blocking receive, its watchdog deadline,
-//! the thread park the pooled runtime's idle workers and joiners use,
-//! and a pool worker's pass of deferred link writes.
+//! the bounded yield of in-process hand-offs, the thread park of the
+//! pooled runtime's idle workers and joiners, and a worker's pass.
 //!
 //! Every transport's [`receive_frame`](crate::SessionTransport::receive_frame)
 //! is the one loop here over
 //! [`poll_receive_frame`](crate::SessionTransport::poll_receive_frame),
 //! the one receive method each transport implements. A transport that
-//! sets [`SPIN_BEFORE_PARK`](crate::SessionTransport::SPIN_BEFORE_PARK)
-//! first re-polls through a bounded spin and yield with
+//! sets [`YIELD_BEFORE_PARK`](crate::SessionTransport::YIELD_BEFORE_PARK)
+//! first re-polls through [`poll_before_park`]'s bounded yield with
 //! [`Waker::noop`]: a miss stores it once, and every later miss finds
-//! it already stored, so spinning allocates and wakes nothing. Then the
+//! it already stored, so yielding allocates and wakes nothing. Then the
 //! loop polls with this thread's waker (one `Arc` per thread, so a
 //! receive allocates nothing) and parks until a deposit wakes it. A
 //! poll stores its waker under the lock deposits take, so no wakeup is
@@ -37,13 +37,9 @@ use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
 
-/// Poll retries a spinning receiver burns before yielding (none on a
-/// single core, where spinning just steals the sender's CPU).
-const RECV_SPIN_LIMIT: u32 = 128;
-
-/// Then `yield_now` retries before parking: a yield hands the core to a
-/// runnable sender, a park/wake costs two futex transitions.
-const RECV_YIELD_LIMIT: u32 = 32;
+/// `yield_now`s a hand-off tries before it parks: a yield hands the
+/// core to a runnable sender, a park/wake costs two futex transitions.
+const YIELD_LIMIT: u32 = 32;
 
 /// The workspace-wide default watchdog timeout for bounded parks.
 ///
@@ -141,6 +137,20 @@ pub fn flush_pass() {
     }
 }
 
+/// Polls `poll` up to [`YIELD_LIMIT`] times, yielding the core after
+/// each miss; `Pending` means the caller parks. How an in-process
+/// hand-off waits: a yielding transport's receive, a cohort thread's
+/// wait for its next job.
+pub fn poll_before_park<T>(mut poll: impl FnMut() -> Poll<T>) -> Poll<T> {
+    for _ in 0..YIELD_LIMIT {
+        if let ready @ Poll::Ready(_) = poll() {
+            return ready;
+        }
+        std::thread::yield_now();
+    }
+    Poll::Pending
+}
+
 /// The one blocking receive; see the module docs.
 pub(crate) fn blocking_receive<L, Target, T>(
     transport: &T,
@@ -156,20 +166,9 @@ where
         transport.poll_receive_frame(session, from, &mut Context::from_waker(waker))
     };
     let started = Instant::now();
-    if T::SPIN_BEFORE_PARK {
-        static MULTICORE: OnceLock<bool> = OnceLock::new();
-        let multicore = *MULTICORE
-            .get_or_init(|| std::thread::available_parallelism().is_ok_and(|n| n.get() > 1));
-        let spins = if multicore { RECV_SPIN_LIMIT } else { 0 };
-        for round in 0..=spins + RECV_YIELD_LIMIT {
-            if let Poll::Ready(frame) = poll(Waker::noop()) {
-                return frame;
-            }
-            if round < spins {
-                std::hint::spin_loop();
-            } else {
-                std::thread::yield_now();
-            }
+    if T::YIELD_BEFORE_PARK {
+        if let Poll::Ready(frame) = poll_before_park(|| poll(Waker::noop())) {
+            return frame;
         }
     }
     let watchdog = default_watchdog();

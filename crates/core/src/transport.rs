@@ -167,10 +167,12 @@ pub const RAW_SESSION: SessionId = SessionId::MAX;
 /// unframed byte links.
 pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
     /// Whether a blocking [`receive_frame`](Self::receive_frame) re-polls
-    /// through a bounded spin and yield before it parks: worth it where
-    /// a peer's reply usually lands within a microsecond (in-process
-    /// links), wasted CPU where it takes a socket or a simulated network.
-    const SPIN_BEFORE_PARK: bool = false;
+    /// through a bounded yield ([`park::poll_before_park`](crate::park::poll_before_park))
+    /// before it parks: worth it where the frame comes from another
+    /// thread of this process (in-process and simulated links), since a
+    /// yield hands that thread the core and a park costs a wake; wasted
+    /// CPU where it takes a socket.
+    const YIELD_BEFORE_PARK: bool = false;
 
     /// The names of every location this transport can reach (including
     /// `Target` itself).

@@ -71,7 +71,7 @@ where
     Target: ChoreographyLocation,
     T: SessionTransport<L, Target>,
 {
-    const SPIN_BEFORE_PARK: bool = T::SPIN_BEFORE_PARK;
+    const YIELD_BEFORE_PARK: bool = T::YIELD_BEFORE_PARK;
 
     fn locations(&self) -> Vec<&'static str> {
         self.inner.locations()

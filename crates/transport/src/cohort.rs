@@ -15,7 +15,10 @@
 //!   first [`spawn`](Cohort::spawn) or [`role`](Cohort::role); its
 //!   endpoint, with the cohort's layers, is built once and owned by
 //!   that thread. No run spawns a thread, and dropping the cohort
-//!   closes every thread's queue and joins them all.
+//!   closes every thread's queue and joins them all. A thread waits for
+//!   its next job as an in-process receive waits for a frame
+//!   ([`park::poll_before_park`]): a bounded yield, then it blocks. So
+//!   a run that closely follows the last finds its threads awake.
 //! * **A run ends only when every role has returned.** [`Cohort::run`]
 //!   hands each role to its location's thread, runs one more role inline
 //!   on the caller's thread (over an endpoint from
@@ -40,13 +43,15 @@
 //! ```
 
 use crate::{LocalTransport, LocalTransportChannel, SimNet, SimTransport, TcpConfig, TcpTransport};
-use chorus_core::{ChoreographyLocation, Endpoint, Layer, LocationSet, SessionTransport};
+use chorus_core::{park, ChoreographyLocation, Endpoint, Layer, LocationSet, SessionTransport};
 use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc::{self, TryRecvError};
+use std::sync::Arc;
+use std::task::Poll;
 use std::thread;
 
 /// A net every location of census `L` can build its transport from.
@@ -93,6 +98,19 @@ pub type CohortEndpoint<L, R, N> = Endpoint<L, R, <N as MakeTransport<L>>::Trans
 /// `&dyn Any`, so every thread has this one type; [`Cohort::role`] is
 /// the one place that recovers the endpoint's type.
 type Job = Box<dyn FnOnce(&dyn Any) + Send>;
+
+/// The next job on `queue`: a bounded yield, then a blocking `recv`.
+/// `None` once the queue has closed.
+fn next_job(queue: &mpsc::Receiver<Job>) -> Option<Job> {
+    let polled = park::poll_before_park(|| match queue.try_recv() {
+        Err(TryRecvError::Empty) => Poll::Pending,
+        polled => Poll::Ready(polled.ok()),
+    });
+    match polled {
+        Poll::Ready(job) => job,
+        Poll::Pending => queue.recv().ok(),
+    }
+}
 
 /// One location's thread, serving jobs until its queue closes.
 struct RoleThread {
@@ -156,7 +174,7 @@ impl<L: LocationSet, N: MakeTransport<L>> Cohort<L, N> {
         let handle = thread::Builder::new()
             .name(R::NAME.to_string())
             .spawn(move || {
-                for job in queue {
+                while let Some(job) = next_job(&queue) {
                     job(&endpoint);
                 }
             })

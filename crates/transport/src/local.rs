@@ -106,7 +106,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     for LocalTransport<L, Target>
 {
     /// In-process peers usually answer within a microsecond.
-    const SPIN_BEFORE_PARK: bool = true;
+    const YIELD_BEFORE_PARK: bool = true;
 
     fn send_frame(&self, to: &str, frame: Envelope) -> Result<(), TransportError> {
         let mut boxes = self.link(to, true)?.lock();

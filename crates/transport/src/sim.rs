@@ -26,9 +26,10 @@
 //! re-establishes over a lossy, reordering packet layer) because frames
 //! enter it in offer order. Receivers only pop, through the
 //! workspace's one blocking receive ([`chorus_core::park`]): a blocked
-//! receiver parks until a sender's deposit fires its waker, so delivery
-//! never waits on a wall clock, and the one receive watchdog turns a
-//! genuinely stuck schedule into an error instead of a hung CI run.
+//! receiver yields a bounded number of times, then parks until a
+//! sender's deposit fires its waker, so delivery never waits on a wall
+//! clock, and the one receive watchdog turns a genuinely stuck schedule
+//! into an error instead of a hung CI run.
 //!
 //! Failure modes are injected, never emergent: a sender-side sequence
 //! violation kills the link for every session behind it (mirroring
@@ -792,6 +793,10 @@ impl<L: LocationSet, Target: ChoreographyLocation> SimTransport<L, Target> {
 impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     for SimTransport<L, Target>
 {
+    /// Every simulated peer is a thread of this process, and virtual
+    /// time moves only on sends, so yielding to it changes no schedule.
+    const YIELD_BEFORE_PARK: bool = true;
+
     fn send_frame(&self, to: &str, mut frame: Envelope) -> Result<(), TransportError> {
         let (_, to) = locate::<L>(to)?;
         let from = Target::NAME;

@@ -10,7 +10,7 @@ use super::send::{
 use super::tests;
 use crate::link::{backoff_delay, FrameAccumulator};
 use chorus_core::TransportError;
-use chorus_wire::{ControlFrame, LinkFrame};
+use chorus_wire::{ControlFrame, LinkFrame, CONTROL_MAX_LEN};
 use std::io::Write;
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -21,22 +21,21 @@ use std::time::{Duration, Instant};
 /// acceptor closes a connection whose hello starts with anything else.
 pub(super) const LINK_VERSION: u8 = 1;
 
-/// Writes `body` as one length-prefixed wire frame, in one write: on a
-/// `TCP_NODELAY` socket a separate length would leave as a segment of
-/// its own and could wake the peer's reader twice.
-fn write_frame(mut out: impl Write, body: &[u8]) -> std::io::Result<()> {
-    let len = u32::try_from(body.len())
-        .map_err(|_| std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"))?;
-    let mut wire = Vec::with_capacity(4 + body.len());
-    wire.extend_from_slice(&len.to_le_bytes());
-    wire.extend_from_slice(body);
-    out.write_all(&wire)?;
-    out.flush()
+/// Writes one control frame as its own length-prefixed wire frame,
+/// assembled on the stack.
+pub(super) fn write_control(out: impl Write, frame: &ControlFrame) -> std::io::Result<()> {
+    let mut wire = [0u8; 4 + CONTROL_MAX_LEN];
+    let len = frame.encode_into(&mut wire[4..]);
+    wire[..4].copy_from_slice(&(len as u32).to_le_bytes());
+    write_wire(out, &wire[..4 + len])
 }
 
-/// Writes one control frame as its own length-prefixed wire frame.
-pub(super) fn write_control(out: impl Write, frame: &ControlFrame) -> std::io::Result<()> {
-    write_frame(out, &frame.encode())
+/// Writes a length-prefixed frame in one write: on a `TCP_NODELAY`
+/// socket a separate length would leave as a segment of its own and
+/// could wake the peer's reader twice.
+fn write_wire(mut out: impl Write, wire: &[u8]) -> std::io::Result<()> {
+    out.write_all(wire)?;
+    out.flush()
 }
 
 /// FNV-1a of a peer name, as the per-link backoff jitter salt.
@@ -62,10 +61,12 @@ fn try_connect_once(
     let tuning = shared.tuning;
     let mut stream = TcpStream::connect_timeout(&addr, Duration::from_secs(1))?;
     stream.set_nodelay(true).ok();
-    let mut hello = Vec::with_capacity(1 + shared.me.len());
+    // The hello frame: its length, the link-protocol version, our name.
+    let mut hello = Vec::with_capacity(5 + shared.me.len());
+    hello.extend_from_slice(&(1 + shared.me.len() as u32).to_le_bytes());
     hello.push(LINK_VERSION);
     hello.extend_from_slice(shared.me.as_bytes());
-    write_frame(&stream, &hello)?;
+    write_wire(&stream, &hello)?;
 
     // Wait for the receiver's resume cursor (bounded: a half-dead peer,
     // or one that refused the hello, must not hang the connect path).

@@ -55,14 +55,16 @@ impl Inbox {
     /// Each waker fires at most once per drain: the first frame for a
     /// parked mailbox removes and collects its waker, subsequent frames
     /// of the burst find none. Only mailboxes that actually received a
-    /// frame (or observed an error) are woken.
+    /// frame (or observed an error) are woken. The wakers gather in
+    /// `fired`, the caller's list, which this leaves empty and keeps
+    /// its capacity, so a burst allocates nothing for them.
     pub(super) fn deposit_batch(
         &self,
         sender: &'static str,
         batch: &mut Vec<(u64, Envelope)>,
+        fired: &mut Vec<Waker>,
     ) -> BatchOutcome {
         let mut outcome = BatchOutcome::default();
-        let mut fired: Vec<Waker> = Vec::new();
         let mut links = self.lock();
         let link = links.entry(sender).or_default();
         for (link_seq, envelope) in batch.drain(..) {
@@ -101,7 +103,7 @@ impl Inbox {
         // Wakers re-enqueue sessions into a scheduler queue; invoke them
         // outside the inbox lock to avoid ordering deadlocks.
         drop(links);
-        fired.into_iter().for_each(Waker::wake);
+        fired.drain(..).for_each(Waker::wake);
         outcome
     }
 

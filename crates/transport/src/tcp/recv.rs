@@ -11,6 +11,7 @@ use std::io::Read;
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::task::Waker;
 use std::time::Duration;
 
 /// Reads a connector's hello frame. The connector is not yet known to
@@ -85,6 +86,14 @@ pub(super) fn accept_loop(
     }
 }
 
+/// A reader's decoded burst, and the list the wakers it fires gather
+/// in; both keep their capacity from burst to burst.
+#[derive(Default)]
+struct Burst {
+    frames: Vec<(u64, Envelope)>,
+    fired: Vec<Waker>,
+}
+
 /// Deposits a decoded burst into the inbox, keeping the duplicate
 /// stats and the ack cadence counter in step. Returns `false` when the
 /// burst poisoned the link with a cursor gap (the reader must exit).
@@ -92,13 +101,13 @@ fn drain_batch(
     inbox: &Inbox,
     stats: &LinkStats,
     name: &'static str,
-    batch: &mut Vec<(u64, Envelope)>,
+    burst: &mut Burst,
     accepted_since_ack: &mut u32,
 ) -> bool {
-    if batch.is_empty() {
+    if burst.frames.is_empty() {
         return true;
     }
-    let outcome = inbox.deposit_batch(name, batch);
+    let outcome = inbox.deposit_batch(name, &mut burst.frames, &mut burst.fired);
     if outcome.duplicates > 0 {
         stats.duplicates.fetch_add(outcome.duplicates, Ordering::Relaxed);
     }
@@ -134,7 +143,7 @@ fn reader_loop(
     }
     let mut acc = FrameAccumulator::default();
     let mut accepted_since_ack: u32 = 0;
-    let mut batch: Vec<(u64, Envelope)> = Vec::new();
+    let mut burst = Burst::default();
     loop {
         if stop.load(Ordering::Relaxed) {
             // The sender's own drop lingers until its retained frames
@@ -173,12 +182,12 @@ fn reader_loop(
         loop {
             match frame {
                 Ok(LinkFrame::Data { link_seq, envelope }) => {
-                    batch.push((link_seq, envelope));
+                    burst.frames.push((link_seq, envelope));
                 }
                 Ok(LinkFrame::Control(ControlFrame::Ping { nonce })) => {
                     // Deposit what preceded the probe so the pong's
                     // piggybacked cursor covers it, doubling as an ack.
-                    if !drain_batch(&inbox, &stats, name, &mut batch, &mut accepted_since_ack) {
+                    if !drain_batch(&inbox, &stats, name, &mut burst, &mut accepted_since_ack) {
                         return;
                     }
                     accepted_since_ack = 0;
@@ -193,7 +202,7 @@ fn reader_loop(
                 Err(e) => {
                     // Deliver the frames that preceded the bad one,
                     // then close loudly.
-                    drain_batch(&inbox, &stats, name, &mut batch, &mut accepted_since_ack);
+                    drain_batch(&inbox, &stats, name, &mut burst, &mut accepted_since_ack);
                     inbox.close(name, format!("bad frame: {e}"));
                     return;
                 }
@@ -203,7 +212,7 @@ fn reader_loop(
                 None => break,
             }
         }
-        if !drain_batch(&inbox, &stats, name, &mut batch, &mut accepted_since_ack) {
+        if !drain_batch(&inbox, &stats, name, &mut burst, &mut accepted_since_ack) {
             return;
         }
         // Ack at the batch boundary: a burst whose tail lands exactly

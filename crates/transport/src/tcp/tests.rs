@@ -227,7 +227,7 @@ fn a_links_first_failure_stays_its_failure() {
     };
     let mut batch =
         vec![(0, Envelope::new(1, 0, b"ok".to_vec())), (1, Envelope::new(1, 2, b"gap".to_vec()))];
-    inbox.deposit_batch("Alice", &mut batch);
+    inbox.deposit_batch("Alice", &mut batch, &mut Vec::new());
     assert_eq!(take(1).unwrap().payload, b"ok");
     let first = take(1).unwrap_err().to_string();
     assert!(first.contains("frame from Alice in session 1 arrived out of order"), "got: {first}");
@@ -235,7 +235,7 @@ fn a_links_first_failure_stays_its_failure() {
     // A later batch skips link frames 2..9: a second failure, which must
     // not replace the first.
     let mut later = vec![(9, Envelope::new(2, 0, b"late".to_vec()))];
-    assert!(inbox.deposit_batch("Alice", &mut later).gap);
+    assert!(inbox.deposit_batch("Alice", &mut later, &mut Vec::new()).gap);
     assert_eq!(take(1).unwrap_err().to_string(), first);
     assert_eq!(take(2).unwrap_err().to_string(), first);
 }

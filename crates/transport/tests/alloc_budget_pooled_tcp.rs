@@ -8,15 +8,16 @@
 //!
 //! Steady-state accounting for one echoed round trip: four shared
 //! payload buffers (Alice's request, the frame Bob's reader decodes,
-//! Bob's pooled reply, the frame Alice's reader decodes), plus the
-//! receive side's per-burst bookkeeping and the cumulative acks the
-//! readers write every 16 frames. Before sends were deferred to the end
-//! of a worker's pass this measured 6.4 allocations per round trip
-//! (1274 to 1279 for 200 rounds, release and debug alike). Recording a
-//! link in a pass clones an `Arc` the link already owns and the pass
-//! list keeps its capacity, so the pass adds nothing; the budget is
-//! that measurement plus 10 %, which one allocation per send or per
-//! pass (200 more) would blow.
+//! Bob's pooled reply, the frame Alice's reader decodes), and nothing
+//! else. A reader gathers the wakers a burst fires in a list it keeps
+//! from burst to burst, and writes the cumulative acks it owes every 16
+//! frames from a stack buffer; recording a link in a worker's pass
+//! clones an `Arc` the link already owns, into a list that keeps its
+//! capacity. Measured: 803 to 804 allocations for 200 rounds, release
+//! and debug alike (6.4 per round trip while each burst that woke
+//! someone built a fresh waker list and each ack was encoded into two
+//! vectors). The budget is that measurement plus 10 %, which one
+//! allocation per burst, per send or per pass (200 more) would blow.
 //!
 //! This file contains exactly one `#[test]`: the default test harness
 //! runs tests on concurrent threads, and a second test would perturb
@@ -114,10 +115,11 @@ fn pooled_echo_over_tcp_stays_within_budget() {
 
     server.join().unwrap();
 
-    let budget = (MESSAGES as usize) * 7;
+    println!("{spent} allocations for {MESSAGES} pooled round trips over TCP");
+    let budget = (MESSAGES as usize) * 22 / 5;
     assert!(
         spent <= budget,
         "pooled echo round-trips over TCP allocated {spent} times for {MESSAGES} rounds \
-         (budget: {budget}; anything per send or per pass would blow this)"
+         (budget: {budget}; anything per send, per burst or per pass would blow this)"
     );
 }

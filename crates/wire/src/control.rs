@@ -45,6 +45,9 @@ pub const LINK_RESUME: u8 = 4;
 /// Byte length of the fixed data-frame prefix (tag + link sequence).
 pub const DATA_HEADER_LEN: usize = 1 + 8;
 
+/// The longest control frame: a pong's tag, nonce and cursor.
+pub const CONTROL_MAX_LEN: usize = 1 + 8 + 8;
+
 /// Bytes a data frame adds around its payload when it travels
 /// `u32`-length-prefixed on a stream: the outer length, the data
 /// header, and the envelope header. A *batch* of data frames is plain
@@ -137,31 +140,32 @@ fn exact_len(bytes: &[u8], expected: usize) -> Result<(), WireError> {
 }
 
 impl ControlFrame {
+    /// Encodes the control frame into the front of `out`, which
+    /// [`CONTROL_MAX_LEN`] bytes always fit, and returns its length: a
+    /// link writes control frames from a stack buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `out` is too short for the frame.
+    pub fn encode_into(&self, out: &mut [u8]) -> usize {
+        let (tag, words, count) = match *self {
+            ControlFrame::Ack { next } => (LINK_ACK, [next, 0], 1),
+            ControlFrame::Ping { nonce } => (LINK_PING, [nonce, 0], 1),
+            ControlFrame::Pong { nonce, next } => (LINK_PONG, [nonce, next], 2),
+            ControlFrame::Resume { next } => (LINK_RESUME, [next, 0], 1),
+        };
+        out[0] = tag;
+        for (word, at) in words[..count].iter().zip((1..).step_by(8)) {
+            out[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        }
+        1 + 8 * count
+    }
+
     /// Encodes the control frame into a fresh byte vector.
     pub fn encode(&self) -> Vec<u8> {
-        match *self {
-            ControlFrame::Ack { next } => {
-                let mut out = vec![LINK_ACK];
-                out.extend_from_slice(&next.to_le_bytes());
-                out
-            }
-            ControlFrame::Ping { nonce } => {
-                let mut out = vec![LINK_PING];
-                out.extend_from_slice(&nonce.to_le_bytes());
-                out
-            }
-            ControlFrame::Pong { nonce, next } => {
-                let mut out = vec![LINK_PONG];
-                out.extend_from_slice(&nonce.to_le_bytes());
-                out.extend_from_slice(&next.to_le_bytes());
-                out
-            }
-            ControlFrame::Resume { next } => {
-                let mut out = vec![LINK_RESUME];
-                out.extend_from_slice(&next.to_le_bytes());
-                out
-            }
-        }
+        let mut out = [0u8; CONTROL_MAX_LEN];
+        let len = self.encode_into(&mut out);
+        out[..len].to_vec()
     }
 }
 

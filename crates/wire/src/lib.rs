@@ -32,8 +32,8 @@ mod error;
 mod ser;
 
 pub use control::{
-    data_frame_wire_len, data_header, ControlFrame, LinkFrame, DATA_FRAME_OVERHEAD,
-    DATA_HEADER_LEN, LINK_ACK, LINK_DATA, LINK_PING, LINK_PONG, LINK_RESUME,
+    data_frame_wire_len, data_header, ControlFrame, LinkFrame, CONTROL_MAX_LEN,
+    DATA_FRAME_OVERHEAD, DATA_HEADER_LEN, LINK_ACK, LINK_DATA, LINK_PING, LINK_PONG, LINK_RESUME,
 };
 pub use de::{from_bytes, Deserializer};
 pub use envelope::{Envelope, ENVELOPE_HEADER_LEN};

@@ -37,21 +37,9 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
     }
 }
 
-/// The files of `crates/*/src/**`: each crate's own sources, one
-/// directory level under `crates/` (so not the shims under
-/// `crates/shims/*/src`).
-fn crate_sources() -> Vec<Source> {
+/// `files` as [`Source`]s, with paths relative to the root.
+fn read_sources(files: Vec<PathBuf>) -> Vec<Source> {
     let root = root();
-    let mut crates: Vec<PathBuf> = fs::read_dir(root.join("crates"))
-        .expect("crates/ exists")
-        .map(|entry| entry.expect("directory entry").path().join("src"))
-        .filter(|src| src.is_dir())
-        .collect();
-    crates.sort();
-    let mut files = Vec::new();
-    for src in crates {
-        walk(&src, &mut files);
-    }
     files
         .into_iter()
         .map(|file| {
@@ -61,6 +49,39 @@ fn crate_sources() -> Vec<Source> {
             Source { path, text }
         })
         .collect()
+}
+
+/// The files of `crates/*/src/**`: each crate's own sources, one
+/// directory level under `crates/` (so not the shims under
+/// `crates/shims/*/src`).
+fn crate_sources() -> Vec<Source> {
+    let mut crates: Vec<PathBuf> = fs::read_dir(root().join("crates"))
+        .expect("crates/ exists")
+        .map(|entry| entry.expect("directory entry").path().join("src"))
+        .filter(|src| src.is_dir())
+        .collect();
+    crates.sort();
+    let mut files = Vec::new();
+    for src in crates {
+        walk(&src, &mut files);
+    }
+    read_sources(files)
+}
+
+/// The Rust files under each of `dirs` (relative to the root), at any
+/// depth: shims, tests and benches included.
+fn rust_sources_under(dirs: &[&str]) -> Vec<Source> {
+    let mut files = Vec::new();
+    for dir in dirs {
+        walk(&root().join(dir), &mut files);
+    }
+    files.retain(|file| file.extension().is_some_and(|ext| ext == "rs"));
+    read_sources(files)
+}
+
+/// A fixture's source.
+fn fixture(path: &str, text: &str) -> Source {
+    Source { path: path.into(), text: text.into() }
 }
 
 /// `text` with every comment and string, char and byte literal replaced
@@ -181,9 +202,13 @@ fn raw_string_start(chars: &[char], i: usize) -> Option<usize> {
 
 /// The lines of `sources` (outside `exempt`) whose code, comments and
 /// strings stripped, `matches`, as `path:line: code`.
-fn offenders(sources: &[Source], exempt: &[&str], matches: fn(&str) -> bool) -> Vec<String> {
+fn offenders<'a>(
+    sources: impl IntoIterator<Item = &'a Source>,
+    exempt: &[&str],
+    matches: fn(&str) -> bool,
+) -> Vec<String> {
     let mut found = Vec::new();
-    for source in sources.iter().filter(|s| !exempt.contains(&s.path.as_str())) {
+    for source in sources.into_iter().filter(|s| !exempt.contains(&s.path.as_str())) {
         for (n, line) in strip(&source.text).lines().enumerate() {
             if matches(line) {
                 found.push(format!("{}:{}: {}", source.path, n + 1, line.trim()));
@@ -230,7 +255,6 @@ mod one_receive_side_table {
 
     #[test]
     fn fails_on_a_fixture_that_breaks_it() {
-        let fixture = |path: &str, text: &str| Source { path: path.into(), text: text.into() };
         let sources = [
             fixture(
                 "crates/transport/src/local.rs",
@@ -250,6 +274,154 @@ mod one_receive_side_table {
                 "crates/transport/src/local.rs:4: struct Parked { wakers: HashMap<SessionId, \
                  Option<Waker>> }",
                 "crates/core/src/session.rs:1: struct S { t: SequenceTracker }",
+            ]
+        );
+    }
+}
+
+/// One blocking receive. A transport receives through one method,
+/// `poll_receive_frame` (pop a frame or store the caller's
+/// `std::task::Waker`); `SessionTransport::receive_frame` is provided
+/// once, in `crates/core/src/transport.rs`, over it (the loop is in
+/// `crates/core/src/park.rs`). Transports keep no wait loop or condvar
+/// of their own; the TCP retention wait in `tcp/send.rs` is send-side.
+/// The try-then-register pair it replaced, and its waker type, stay
+/// deleted. Three patterns, each over its own files: `fn receive_frame`
+/// in the Rust files under `crates/` and `src/` but `transport.rs`;
+/// `WaitQueue|Condvar|wait_timeout` under `crates/transport/src` but
+/// `tcp/send.rs`; and `fn register_waker|fn try_receive_frame|
+/// MailboxWaker|PollOutcome::Ready` under `crates/` and `src/`.
+mod one_blocking_receive {
+    use super::*;
+
+    pub(super) const PROVIDER: &str = "crates/core/src/transport.rs";
+    pub(super) const RETENTION_WAIT: &str = "crates/transport/src/tcp/send.rs";
+
+    fn second_receive(line: &str) -> bool {
+        line.contains("fn receive_frame")
+    }
+
+    fn own_wait(line: &str) -> bool {
+        ["WaitQueue", "Condvar", "wait_timeout"].iter().any(|word| line.contains(word))
+    }
+
+    fn deleted_api(line: &str) -> bool {
+        ["fn register_waker", "fn try_receive_frame", "MailboxWaker", "PollOutcome::Ready"]
+            .iter()
+            .any(|word| line.contains(word))
+    }
+
+    /// Every offending line of `everywhere`, the Rust files under
+    /// `crates/` and `src/`.
+    fn offending(everywhere: &[Source]) -> Vec<String> {
+        let transport_src =
+            everywhere.iter().filter(|s| s.path.starts_with("crates/transport/src/"));
+        let mut found = offenders(everywhere, &[PROVIDER], second_receive);
+        found.extend(offenders(transport_src, &[RETENTION_WAIT], own_wait));
+        found.extend(offenders(everywhere, &[], deleted_api));
+        found
+    }
+
+    #[test]
+    fn holds_in_the_workspace() {
+        let sources = rust_sources_under(&["crates", "src"]);
+        for path in [PROVIDER, RETENTION_WAIT] {
+            assert!(
+                sources.iter().any(|s| s.path == path),
+                "the rule's file set must include {path}"
+            );
+        }
+        let found = offending(&sources);
+        assert!(
+            found.is_empty(),
+            "keep the one blocking receive in chorus_core::park, over poll_receive_frame:\n{}",
+            found.join("\n")
+        );
+    }
+
+    #[test]
+    fn fails_on_a_fixture_that_breaks_it() {
+        let sources = [
+            fixture(PROVIDER, "fn receive_frame(&self) {}\n"),
+            fixture(
+                "crates/transport/src/local.rs",
+                "// fn receive_frame in a comment is prose.\n\
+                 fn receive_frame(&self) {}\n\
+                 struct Parked { cv: Condvar }\n",
+            ),
+            fixture(RETENTION_WAIT, "struct LinkCell { pruned: Condvar }\n"),
+            fixture(
+                "crates/kvs/src/node.rs",
+                "struct Gate { queue: WaitQueue<u8> }\n\
+                 fn try_receive_frame(&self) {}\n",
+            ),
+            fixture("crates/transport/tests/local.rs", "let r = PollOutcome::Ready(1);\n"),
+        ];
+        assert_eq!(
+            offending(&sources),
+            [
+                "crates/transport/src/local.rs:2: fn receive_frame(&self) {}",
+                "crates/transport/src/local.rs:3: struct Parked { cv: Condvar }",
+                "crates/kvs/src/node.rs:2: fn try_receive_frame(&self) {}",
+                "crates/transport/tests/local.rs:1: let r = PollOutcome::Ready(1);",
+            ]
+        );
+    }
+}
+
+/// No spin in a wait. A thread that waits for another yields a bounded
+/// number of times, then parks (`chorus_core::park::poll_before_park`):
+/// a spin burns the core the other thread needs, and sizing one by the
+/// machine's parallelism reads the spinning thread's CPU mask, so
+/// `spin_loop` appears nowhere under `crates/*/src`, and
+/// `available_parallelism` only where `SessionRuntime::global` sizes
+/// its pool.
+mod no_spin_in_a_wait {
+    use super::*;
+
+    pub(super) const POOL_SIZE: &str = "crates/core/src/runtime.rs";
+
+    fn offending(sources: &[Source]) -> Vec<String> {
+        let mut found = offenders(sources, &[], |line| line.contains("spin_loop"));
+        found.extend(offenders(sources, &[POOL_SIZE], |line| {
+            line.contains("available_parallelism")
+        }));
+        found
+    }
+
+    #[test]
+    fn holds_in_the_workspace() {
+        let sources = crate_sources();
+        assert!(
+            sources.iter().any(|s| s.path == POOL_SIZE),
+            "the rule's file set must include {POOL_SIZE}"
+        );
+        let found = offending(&sources);
+        assert!(
+            found.is_empty(),
+            "wait through chorus_core::park::poll_before_park's bounded yield, not a spin:\n{}",
+            found.join("\n")
+        );
+    }
+
+    #[test]
+    fn fails_on_a_fixture_that_breaks_it() {
+        let sources = [
+            fixture(
+                "crates/core/src/park.rs",
+                "// spin_loop in a comment is prose.\n\
+                 std::hint::spin_loop();\n\
+                 let cores = std::thread::available_parallelism();\n",
+            ),
+            fixture(POOL_SIZE, "let workers = std::thread::available_parallelism();\n"),
+            fixture(POOL_SIZE, "core::hint::spin_loop();\n"),
+        ];
+        assert_eq!(
+            offending(&sources),
+            [
+                "crates/core/src/park.rs:2: std::hint::spin_loop();",
+                "crates/core/src/runtime.rs:1: core::hint::spin_loop();",
+                "crates/core/src/park.rs:3: let cores = std::thread::available_parallelism();",
             ]
         );
     }
