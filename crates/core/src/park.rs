@@ -1,6 +1,8 @@
-//! How threads wait: the one blocking receive, its watchdog deadline,
-//! the bounded yield of in-process hand-offs, the thread park of the
-//! pooled runtime's idle workers and joiners, and a worker's pass.
+//! How threads wait: the one poll-then-park loop ([`wait`]) that the
+//! blocking receive, [`SessionHandle::join`](crate::SessionHandle::join),
+//! the TCP retention wait and a TCP endpoint's drop share, its watchdog
+//! deadline, the bounded yield of in-process hand-offs, and a pool
+//! worker's pass.
 //!
 //! Every transport's [`receive_frame`](crate::SessionTransport::receive_frame)
 //! is the one loop here over
@@ -25,14 +27,12 @@
 //! link, and the frame leaves when the worker ends its pass with
 //! [`flush_pass`], after polling a queue's worth of tasks or before it
 //! parks. Any other thread has no pass, and its sends write inline.
-//!
-//! [`WaitQueue`] remains for the runtime's watchdog and tests.
 
 use crate::location::{ChoreographyLocation, LocationSet};
 use crate::transport::{SessionId, SessionTransport, TransportError};
 use chorus_wire::Envelope;
 use std::cell::RefCell;
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, OnceLock};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::Thread;
 use std::time::{Duration, Instant};
@@ -66,8 +66,7 @@ fn watchdog_millis(raw: Option<&str>) -> u64 {
         .unwrap_or(30_000)
 }
 
-/// Wakes a thread parked in [`blocking_receive`], or a pool worker or
-/// joiner parked in the runtime.
+/// Wakes a thread parked in [`wait`], or an idle pool worker.
 struct Unpark(Thread);
 
 impl Wake for Unpark {
@@ -151,6 +150,37 @@ pub fn poll_before_park<T>(mut poll: impl FnMut() -> Poll<T>) -> Poll<T> {
     Poll::Pending
 }
 
+/// Polls `poll` with this thread's waker until it is ready, parking
+/// between polls, and never past `deadline`: `None` means the deadline
+/// passed first. How a thread waits for a condition another thread
+/// changes: `poll` checks it and, on a miss, stores the waker where
+/// that thread takes it, under the same lock, so no wake is lost, and a
+/// spurious wake just polls again.
+///
+/// ```
+/// use chorus_core::park::wait;
+/// use std::{task::Poll, time::Instant};
+///
+/// assert_eq!(wait(None, |_waker| Poll::Ready(7)), Some(7));
+/// assert_eq!(wait(Some(Instant::now()), |_waker| Poll::<u8>::Pending), None);
+/// ```
+pub fn wait<T>(deadline: Option<Instant>, mut poll: impl FnMut(&Waker) -> Poll<T>) -> Option<T> {
+    WAKER.with(|waker| loop {
+        if let Poll::Ready(value) = poll(waker) {
+            return Some(value);
+        }
+        let Some(deadline) = deadline else {
+            std::thread::park();
+            continue;
+        };
+        let now = Instant::now();
+        if now >= deadline {
+            return None;
+        }
+        std::thread::park_timeout(deadline - now);
+    })
+}
+
 /// The one blocking receive; see the module docs.
 pub(crate) fn blocking_receive<L, Target, T>(
     transport: &T,
@@ -172,134 +202,57 @@ where
         }
     }
     let watchdog = default_watchdog();
-    let deadline = started + watchdog;
-    WAKER.with(|waker| loop {
-        if let Poll::Ready(frame) = poll(waker) {
-            return frame;
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            return Err(TransportError::Protocol(format!(
-                "receive watchdog: no frame of session {session} from {from} after {}ms \
-                 (configured deadline {}ms)",
-                started.elapsed().as_millis(),
-                watchdog.as_millis()
-            )));
-        }
-        std::thread::park_timeout(deadline - now);
+    wait(Some(started + watchdog), poll).unwrap_or_else(|| {
+        Err(TransportError::Protocol(format!(
+            "receive watchdog: no frame of session {session} from {from} after {}ms \
+             (configured deadline {}ms)",
+            started.elapsed().as_millis(),
+            watchdog.as_millis()
+        )))
     })
-}
-
-/// A mutex fused with the condvar that announces changes to its state.
-///
-/// ```
-/// use chorus_core::park::WaitQueue;
-///
-/// let queue = WaitQueue::new(Vec::<u32>::new());
-/// let mut guard = queue.lock();
-/// guard.push(7);
-/// drop(guard);
-/// queue.notify_all();
-/// assert_eq!(queue.lock().pop(), Some(7));
-/// ```
-#[derive(Debug, Default)]
-pub struct WaitQueue<T> {
-    state: Mutex<T>,
-    cv: Condvar,
-}
-
-impl<T> WaitQueue<T> {
-    /// Wraps `state` in a queue.
-    pub fn new(state: T) -> Self {
-        WaitQueue { state: Mutex::new(state), cv: Condvar::new() }
-    }
-
-    /// Locks the guarded state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a previous holder of the lock panicked (the state may
-    /// be torn).
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        self.state.lock().expect("wait queue poisoned")
-    }
-
-    /// Parks until another thread calls [`notify_all`](Self::notify_all)
-    /// (or a spurious wake occurs — callers re-check their predicate in
-    /// a loop).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lock is poisoned.
-    pub fn wait<'a>(&self, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
-        self.cv.wait(guard).expect("wait queue poisoned")
-    }
-
-    /// Parks like [`wait`](Self::wait), but never past `deadline`.
-    ///
-    /// Returns the re-acquired guard and whether the deadline elapsed
-    /// while parked. Callers use the flag as a *watchdog*: a `true`
-    /// result after the predicate re-check still fails means the system
-    /// has stalled, and the caller should surface an error instead of
-    /// parking again.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the lock is poisoned.
-    pub fn wait_deadline<'a>(
-        &self,
-        guard: MutexGuard<'a, T>,
-        deadline: Instant,
-    ) -> (MutexGuard<'a, T>, bool) {
-        let now = Instant::now();
-        if now >= deadline {
-            return (guard, true);
-        }
-        let (guard, result) =
-            self.cv.wait_timeout(guard, deadline - now).expect("wait queue poisoned");
-        (guard, result.timed_out())
-    }
-
-    /// Wakes every parked thread; each re-checks its predicate under the
-    /// lock.
-    pub fn notify_all(&self) {
-        self.cv.notify_all();
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::sync::Mutex;
     use std::time::Duration;
 
     #[test]
     fn producer_wakes_parked_consumer() {
-        let queue = Arc::new(WaitQueue::new(Option::<u32>::None));
+        let slot = Arc::new(Mutex::new((None::<u32>, None::<Waker>)));
         let consumer = {
-            let queue = Arc::clone(&queue);
+            let slot = Arc::clone(&slot);
             std::thread::spawn(move || {
-                let mut guard = queue.lock();
-                loop {
-                    if let Some(v) = guard.take() {
-                        return v;
+                wait(None, |waker| {
+                    let mut slot = slot.lock().unwrap();
+                    match slot.0.take() {
+                        Some(value) => Poll::Ready(value),
+                        None => {
+                            slot.1 = Some(waker.clone());
+                            Poll::Pending
+                        }
                     }
-                    guard = queue.wait(guard);
-                }
+                })
             })
         };
-        *queue.lock() = Some(99);
-        queue.notify_all();
-        assert_eq!(consumer.join().unwrap(), 99);
+        let parked = {
+            let mut slot = slot.lock().unwrap();
+            slot.0 = Some(99);
+            slot.1.take()
+        };
+        if let Some(waker) = parked {
+            waker.wake();
+        }
+        assert_eq!(consumer.join().unwrap(), Some(99));
     }
 
     #[test]
     fn wait_deadline_reports_timeout() {
-        let queue = WaitQueue::new(());
-        let guard = queue.lock();
-        let (_guard, timed_out) =
-            queue.wait_deadline(guard, Instant::now() + Duration::from_millis(10));
-        assert!(timed_out, "nobody notifies, so the watchdog must fire");
+        let deadline = Instant::now() + Duration::from_millis(10);
+        let polled = wait(Some(deadline), |_| Poll::<()>::Pending);
+        assert_eq!(polled, None, "nobody wakes, so the deadline must pass");
+        assert!(Instant::now() >= deadline);
     }
 
     #[test]
@@ -322,9 +275,11 @@ mod tests {
 
     #[test]
     fn expired_deadline_returns_immediately() {
-        let queue = WaitQueue::new(());
-        let guard = queue.lock();
-        let (_guard, timed_out) = queue.wait_deadline(guard, Instant::now());
-        assert!(timed_out);
+        let mut polls = 0;
+        let polled = wait(Some(Instant::now()), |_| {
+            polls += 1;
+            Poll::<()>::Pending
+        });
+        assert_eq!((polled, polls), (None, 1), "one poll, then the passed deadline");
     }
 }

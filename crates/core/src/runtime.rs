@@ -58,11 +58,12 @@
 //! # Fairness and the watchdog
 //!
 //! Woken sessions go to the *back* of the FIFO run queue, so a chatty
-//! session cannot starve its neighbors. A watchdog thread sweeps parked
-//! sessions and resolves any that has waited longer than the runtime's
-//! deadline (default [`park::default_watchdog`], env-overridable via
-//! `CHORUS_WATCHDOG_MS`) with a [`TransportError::Protocol`] — the
-//! same surface-the-stall-instead-of-hanging contract every blocking
+//! session cannot starve its neighbors. A worker that ends a pass at or
+//! after the next sweep time wakes every task parked longer than the
+//! runtime's deadline (default [`park::default_watchdog`],
+//! env-overridable via `CHORUS_WATCHDOG_MS`), whose next poll resolves
+//! it with a [`TransportError::Protocol`] — the same
+//! surface-the-stall-instead-of-hanging contract every blocking
 //! receive's watchdog keeps.
 //!
 //! ```ignore
@@ -76,13 +77,13 @@
 use crate::choreography::Portable;
 use crate::endpoint::Endpoint;
 use crate::location::{ChoreographyLocation, LocationSet};
-use crate::park::{self, WaitQueue};
+use crate::park;
 use crate::session::{encode_payload, SeqCounters};
 use crate::transport::{locate, SessionId, SessionTransport, TransportError};
 use chorus_wire::Bytes;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::JoinHandle;
@@ -324,15 +325,17 @@ impl<V> SessionHandle<V> {
     /// `Protocol` error naming the awaited edge if the stall watchdog
     /// fired, or a `Protocol` error if the program panicked.
     pub fn join(self) -> Result<V, TransportError> {
-        loop {
+        park::wait(None, |waker| {
             let mut joined = self.cell.lock();
-            if let Some(result) = joined.result.take() {
-                return result;
+            match joined.result.take() {
+                Some(result) => Poll::Ready(result),
+                None => {
+                    joined.joiner.get_or_insert_with(|| waker.clone());
+                    Poll::Pending
+                }
             }
-            joined.joiner.get_or_insert_with(park::thread_waker);
-            drop(joined);
-            std::thread::park();
-        }
+        })
+        .expect("a wait with no deadline ends only when ready")
     }
 }
 
@@ -356,31 +359,38 @@ enum PollOutcome {
     /// completion thunk, so by the time `SessionHandle::join` returns
     /// the session no longer counts as live.
     Done(Option<Box<dyn FnOnce() + Send>>),
-    /// The task parked on `edge`; its waker, stored on the mailbox by
-    /// the receive that missed, will re-enqueue it.
-    Parked(&'static str),
+    /// The task parked at this instant, and wrote its [`Parked`]
+    /// record; its waker, stored on the mailbox by the receive that
+    /// missed, will re-enqueue it.
+    Parked(Instant),
 }
 
-type PollFn = Box<dyn FnMut(&TaskEntry) -> PollOutcome + Send>;
+/// Where and since when a task waits: written once per park, judged by
+/// the stall sweep, quoted by the stall error.
+#[derive(Clone, Copy)]
+struct Parked {
+    since: Instant,
+    edge: &'static str,
+}
+
+type PollFn = Box<dyn FnMut(&TaskEntry, &mut Option<Parked>) -> PollOutcome + Send>;
 
 struct TaskEntry {
     /// Lifecycle state; see the constants above.
     state: AtomicU8,
-    /// The type-erased resumable role. The mutex is uncontended (the
-    /// state machine admits one poller), it only makes the entry `Sync`.
-    poll: Mutex<PollFn>,
+    /// The type-erased resumable role and its last park. The mutex is
+    /// uncontended (the state machine admits one poller, and the sweep
+    /// only tries it); it makes the entry `Sync`.
+    task: Mutex<(PollFn, Option<Parked>)>,
     /// The one waker this task ever allocates, created at spawn and
     /// stored (by cheap `Arc` clone, or not at all where the mailbox
     /// already holds it) on every miss — steady-state scheduling never
     /// boxes anything per wakeup.
     waker: Waker,
-    /// Set by the watchdog sweep; the next poll resolves the session
+    /// Set by the stall sweep; the next poll resolves the session
     /// with a stall error instead of resuming the program (unless the
     /// program can in fact complete on that final resume).
     timed_out: AtomicBool,
-    /// While parked: when the park began and on which edge, for the
-    /// watchdog sweep.
-    parked: Mutex<Option<(Instant, &'static str)>>,
     /// This task's slot in the slab, freed on completion.
     index: usize,
 }
@@ -392,6 +402,10 @@ struct RunQueue {
     /// the worker that parked last, the one most likely still warm,
     /// wakes first.
     idle: Vec<Waker>,
+    /// When a worker ending its pass next sweeps for stalls.
+    next_sweep: Option<Instant>,
+    /// An idle worker is parked with a timeout until `next_sweep`.
+    timer: bool,
     shutdown: bool,
 }
 
@@ -417,19 +431,20 @@ impl TaskSlab {
             self.free.push(index);
         }
     }
-
-    fn live(&self) -> usize {
-        self.slots.len() - self.free.len()
-    }
 }
 
 struct RuntimeShared {
     queue: Mutex<RunQueue>,
     tasks: Mutex<TaskSlab>,
+    /// Sessions spawned and not yet resolved. It publishes nothing
+    /// else: a spawn counts before it enqueues, so a worker that read 0
+    /// and parked without a timeout is woken by that enqueue.
+    live: AtomicUsize,
     /// Stall deadline for parked sessions.
     watchdog: Duration,
-    /// Park/wake for the watchdog thread's sweep cadence.
-    watchdog_gate: WaitQueue<bool>,
+    /// How often a worker sweeps for stalls: a stall surfaces within
+    /// about 1.25 deadlines, and sweeps come at most every 10 ms.
+    sweep_every: Duration,
 }
 
 impl RuntimeShared {
@@ -448,6 +463,24 @@ impl RuntimeShared {
         };
         if let Some(sleeper) = sleeper {
             sleeper.wake();
+        }
+    }
+
+    /// Flags every task parked longer than the deadline at `now` and
+    /// wakes it, so its next poll resolves it with the stall error.
+    fn sweep(&self, now: Instant) {
+        let slab = self.tasks.lock().expect("task slab poisoned");
+        for entry in slab.slots.iter().flatten() {
+            let stalled = entry.state.load(Ordering::Acquire) == IDLE
+                && entry.task.try_lock().is_ok_and(|task| {
+                    task.1.is_some_and(|last| {
+                        now.saturating_duration_since(last.since) >= self.watchdog
+                    })
+                });
+            if stalled {
+                entry.timed_out.store(true, Ordering::Release);
+                wake_task(self, entry);
+            }
         }
     }
 }
@@ -502,47 +535,70 @@ fn worker_loop(shared: Arc<RuntimeShared>) {
     let waker = park::thread_waker();
     // Polls left in this pass.
     let mut left = 0;
+    // When a task this pass polled last parked: the pass end's clock.
+    let mut clock = None;
+    // This worker parked with the sweep's timeout.
+    let mut timer = false;
     loop {
         let entry = if left > 0 { shared.lock_queue().ready.pop_front() } else { None };
         let Some(entry) = entry else {
-            // The pass ends: write what its sends left, then size the
-            // next pass by the queue, or park if it is empty.
+            // The pass ends: write what its sends left, sweep if due,
+            // then size the next pass by the queue, or park if it is
+            // empty.
             park::flush_pass();
+            let now = clock.take().unwrap_or_else(Instant::now);
             let mut queue = shared.lock_queue();
             // A wake pops this worker's waker; drop one that a spurious
-            // return from `park` left behind, so wakes go to sleepers.
+            // or timed-out park left behind, so wakes go to sleepers.
             queue.idle.retain(|idle| !idle.will_wake(&waker));
+            if std::mem::take(&mut timer) {
+                queue.timer = false;
+            }
+            if queue.next_sweep.is_none_or(|next| now >= next) {
+                queue.next_sweep = Some(now + shared.sweep_every);
+                drop(queue);
+                shared.sweep(now);
+                queue = shared.lock_queue();
+            }
             left = queue.ready.len();
             if left == 0 {
                 if queue.shutdown {
                     return;
                 }
+                // While sessions are live, one idle worker wakes for
+                // the next sweep.
+                timer = !queue.timer && shared.live.load(Ordering::Acquire) > 0;
+                queue.timer |= timer;
+                let timeout = queue.next_sweep.filter(|_| timer).map(|next| next - now);
                 queue.idle.push(waker.clone());
                 drop(queue);
-                std::thread::park();
+                match timeout {
+                    Some(timeout) => std::thread::park_timeout(timeout),
+                    None => std::thread::park(),
+                }
             }
             continue;
         };
         left -= 1;
         entry.state.store(RUNNING, Ordering::Release);
-        *entry.parked.lock().expect("task park info poisoned") = None;
         let outcome = {
-            let mut poll = entry.poll.lock().expect("task poll closure poisoned");
-            (poll)(&entry)
+            let mut task = entry.task.lock().expect("task poisoned");
+            let (poll, parked) = &mut *task;
+            poll(&entry, parked)
         };
         match outcome {
             PollOutcome::Done(finish) => {
                 entry.state.store(DONE, Ordering::Release);
                 shared.tasks.lock().expect("task slab poisoned").remove(entry.index);
+                shared.live.fetch_sub(1, Ordering::AcqRel);
                 // Resolve the handle only after the slot is reclaimed
                 // (and outside the poll lock).
                 if let Some(finish) = finish {
                     finish();
                 }
             }
-            PollOutcome::Parked(edge) => {
-                *entry.parked.lock().expect("task park info poisoned") =
-                    Some((Instant::now(), edge));
+            PollOutcome::Parked(since) => {
+                clock = Some(since);
                 if entry
                     .state
                     .compare_exchange(RUNNING, IDLE, Ordering::AcqRel, Ordering::Acquire)
@@ -558,54 +614,15 @@ fn worker_loop(shared: Arc<RuntimeShared>) {
     }
 }
 
-fn watchdog_loop(shared: Arc<RuntimeShared>) {
-    // Sweep often enough that a stall surfaces within ~1.25 deadlines,
-    // but never busier than every 10ms.
-    let interval = (shared.watchdog / 4).clamp(Duration::from_millis(10), Duration::from_secs(1));
-    loop {
-        {
-            let guard = shared.watchdog_gate.lock();
-            if *guard {
-                return;
-            }
-            let (guard, _timed_out) =
-                shared.watchdog_gate.wait_deadline(guard, Instant::now() + interval);
-            if *guard {
-                return;
-            }
-        }
-        let stalled: Vec<Arc<TaskEntry>> = {
-            let slab = shared.tasks.lock().expect("task slab poisoned");
-            slab.slots
-                .iter()
-                .flatten()
-                .filter(|entry| {
-                    entry
-                        .parked
-                        .lock()
-                        .expect("task park info poisoned")
-                        .is_some_and(|(since, _)| since.elapsed() >= shared.watchdog)
-                })
-                .cloned()
-                .collect()
-        };
-        for entry in stalled {
-            entry.timed_out.store(true, Ordering::Release);
-            wake_task(&shared, &entry);
-        }
-    }
-}
-
 /// A fixed pool of worker threads driving any number of concurrent
 /// sessions — across any number of endpoints — as resumable
 /// [`RoleProgram`]s.
 ///
-/// Total OS threads: `pool_size` workers plus one watchdog, independent
-/// of how many sessions are in flight.
+/// Total OS threads: the `pool_size` workers, which also find stalled
+/// sessions, independent of how many sessions are in flight.
 pub struct SessionRuntime {
     shared: Arc<RuntimeShared>,
     workers: Vec<JoinHandle<()>>,
-    watchdog: Option<JoinHandle<()>>,
 }
 
 impl SessionRuntime {
@@ -622,8 +639,9 @@ impl SessionRuntime {
         let shared = Arc::new(RuntimeShared {
             queue: Mutex::new(RunQueue::default()),
             tasks: Mutex::new(TaskSlab::default()),
+            live: AtomicUsize::new(0),
             watchdog,
-            watchdog_gate: WaitQueue::new(false),
+            sweep_every: (watchdog / 4).clamp(Duration::from_millis(10), Duration::from_secs(1)),
         });
         let workers = (0..pool_size)
             .map(|i| {
@@ -634,14 +652,7 @@ impl SessionRuntime {
                     .expect("spawn pool worker")
             })
             .collect();
-        let watchdog_thread = {
-            let shared = Arc::clone(&shared);
-            std::thread::Builder::new()
-                .name("chorus-watchdog".into())
-                .spawn(move || watchdog_loop(shared))
-                .expect("spawn watchdog")
-        };
-        SessionRuntime { shared, workers, watchdog: Some(watchdog_thread) }
+        SessionRuntime { shared, workers }
     }
 
     /// The process-wide default runtime, sized to
@@ -659,16 +670,15 @@ impl SessionRuntime {
         self.workers.len()
     }
 
-    /// Total OS threads this runtime owns: workers plus the watchdog.
-    /// Constant for the lifetime of the runtime, however many sessions
-    /// are spawned.
+    /// Total OS threads this runtime owns: its workers. Constant for
+    /// the lifetime of the runtime, however many sessions are spawned.
     pub fn thread_count(&self) -> usize {
-        self.workers.len() + usize::from(self.watchdog.is_some())
+        self.workers.len()
     }
 
     /// Sessions spawned and not yet resolved.
     pub fn live_sessions(&self) -> usize {
-        self.shared.tasks.lock().expect("task slab poisoned").live()
+        self.shared.live.load(Ordering::Acquire)
     }
 
     /// Spawns one role of session `id` over `endpoint` onto the pool.
@@ -696,11 +706,6 @@ impl SessionRuntime {
         let result_cell = Arc::clone(&cell);
         let complete = move |result| result_cell.resolve(result);
         let mut complete = Some(complete);
-        let mut parked_edge: Option<&'static str> = None;
-        // When this program first parked on the edge it is still waiting
-        // on, so a stall error can report how long the session actually
-        // waited (the slab's own park stamp is cleared before each poll).
-        let mut parked_since: Option<Instant> = None;
         let watchdog = self.shared.watchdog;
 
         // Resolves the task: closes the session on its transport, so
@@ -722,7 +727,7 @@ impl SessionRuntime {
             )
         }
 
-        let poll: PollFn = Box::new(move |entry: &TaskEntry| {
+        let poll: PollFn = Box::new(move |entry: &TaskEntry, parked: &mut Option<Parked>| {
             let mut cx = SessionCx { ops: &mut ops, waker: &entry.waker, waiting: None };
             let resumed = catch_unwind(AssertUnwindSafe(|| program.resume(&mut cx)));
             let waiting = cx.waiting;
@@ -742,8 +747,9 @@ impl SessionRuntime {
                     // already flagged the stall, this resume was its
                     // grace attempt — resolve with the stall error.
                     if entry.timed_out.load(Ordering::Acquire) {
-                        let edge = parked_edge.or(waiting).unwrap_or("<unknown>");
-                        let waited = parked_since.map_or(watchdog, |since| since.elapsed());
+                        let (edge, waited) = parked.map_or(("<unknown>", watchdog), |last| {
+                            (last.edge, last.since.elapsed())
+                        });
                         return resolve(
                             &ops,
                             &mut complete,
@@ -769,12 +775,9 @@ impl SessionRuntime {
                             ))),
                         );
                     };
-                    if parked_edge != Some(edge) {
-                        parked_since = None;
-                    }
-                    parked_edge = Some(edge);
-                    parked_since.get_or_insert_with(Instant::now);
-                    PollOutcome::Parked(edge)
+                    let since = Instant::now();
+                    *parked = Some(Parked { since, edge });
+                    PollOutcome::Parked(since)
                 }
             }
         });
@@ -785,14 +788,14 @@ impl SessionRuntime {
             slab.insert(|index| {
                 Arc::new_cyclic(|entry: &Weak<TaskEntry>| TaskEntry {
                     state: AtomicU8::new(QUEUED),
-                    poll: Mutex::new(poll),
+                    task: Mutex::new((poll, None)),
                     waker: Waker::from(Arc::new(TaskWaker { shared, entry: entry.clone() })),
                     timed_out: AtomicBool::new(false),
-                    parked: Mutex::new(None),
                     index,
                 })
             })
         };
+        self.shared.live.fetch_add(1, Ordering::AcqRel);
         self.shared.enqueue(entry);
         SessionHandle { cell, id }
     }
@@ -808,16 +811,8 @@ impl Drop for SessionRuntime {
         for sleeper in sleepers {
             sleeper.wake();
         }
-        {
-            let mut gate = self.shared.watchdog_gate.lock();
-            *gate = true;
-        }
-        self.shared.watchdog_gate.notify_all();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
-        }
-        if let Some(watchdog) = self.watchdog.take() {
-            let _ = watchdog.join();
         }
     }
 }

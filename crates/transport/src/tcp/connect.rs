@@ -113,9 +113,7 @@ fn try_connect_once(
     // from what we still retain; the receiver's gap detection will
     // report the truncation loudly rather than let sessions see a
     // spliced stream.
-    if prune_acked(link, next) > 0 {
-        handle.notify_pruned();
-    }
+    prune_acked(link, next);
     link.acked = link.acked.max(next);
     link.flushed = next;
     link.generation += 1;
@@ -184,9 +182,9 @@ pub(super) fn establish(
             let elapsed = since.elapsed();
             link.down = Some((elapsed, attempts));
             shared.stats.links_down.fetch_add(1, Ordering::Relaxed);
-            // Senders parked on the retention watermark observe the
-            // terminal state and surface `RetentionExceeded`.
-            handle.notify_pruned();
+            // Senders parked on the retention watermark wake once the
+            // lock is released, and surface `RetentionExceeded`.
+            link.settled = true;
             return Err(link_down_error(shared.me, to, elapsed, attempts));
         }
         if burst.is_some_and(|budget| tried_this_call >= budget) {
@@ -249,13 +247,9 @@ fn ack_reader(
                     }
                     link.acked = link.acked.max(next);
                     let below = link.acked;
-                    let pruned = prune_acked(&mut link, below);
+                    prune_acked(&mut link, below);
                     link.last_heard = Instant::now();
                     link.pings_unanswered = 0;
-                    drop(link);
-                    if pruned > 0 {
-                        handle.notify_pruned();
-                    }
                 }
             }
             Ok(None) => {

@@ -243,25 +243,39 @@ impl<L: LocationSet, Target: ChoreographyLocation> Drop for TcpTransport<L, Targ
         let cap = (self.send.tuning.dead_after() * 3)
             .clamp(Duration::from_secs(1), Duration::from_secs(3));
         let deadline = Instant::now() + cap;
-        loop {
-            let drained = {
-                let links = self.send.links.lock();
-                links.values().all(|handle| {
-                    handle
-                        .try_lock()
-                        .is_some_and(|link| link.unacked.is_empty() || link.down.is_some())
-                })
-            };
-            if drained || Instant::now() >= deadline {
+        let handles: Vec<Arc<LinkCell>> = self.send.links.lock().values().map(Arc::clone).collect();
+        // A link still owed acks keeps this thread's waker and wakes it
+        // when it prunes or goes down. A link another thread holds (a
+        // reconnect can hold it past the cap) is not waited on but
+        // looked at again, so no wait outlasts an I/O tick.
+        let tick = self.send.tuning.io_tick();
+        while Instant::now() < deadline {
+            let drained = park::wait(Some(deadline.min(Instant::now() + tick)), |waker| {
+                let mut owed = false;
+                for handle in &handles {
+                    let Some(mut link) = handle.try_lock() else {
+                        owed = true;
+                        continue;
+                    };
+                    if !link.unacked.is_empty() && link.down.is_none() {
+                        link.wake_on_settle(waker);
+                        owed = true;
+                    }
+                }
+                if owed {
+                    Poll::Pending
+                } else {
+                    Poll::Ready(())
+                }
+            });
+            if drained.is_some() {
                 break;
             }
-            std::thread::sleep(Duration::from_millis(2));
         }
         self.stop.store(true, Ordering::Relaxed);
         let _ = TcpStream::connect_timeout(&self.wake_addr, Duration::from_secs(1));
         // Shut established streams down so reader/supervisor threads
         // notice promptly instead of waiting out their timeout ticks.
-        let handles: Vec<Arc<LinkCell>> = self.send.links.lock().values().map(Arc::clone).collect();
         for handle in handles {
             if let Some(mut link) = handle.try_lock() {
                 if let Some(stream) = link.stream.take() {
@@ -290,9 +304,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
             // first, or no ack ever frees room.
             drop(link);
             park::flush_pass();
-            link = handle.lock();
-            link =
-                wait_for_retention_room(self.send.me, to_static, &handle, link, wire_len, limit)?;
+            link = wait_for_retention_room(self.send.me, to_static, &handle, wire_len, limit)?;
         }
         // Retain first (the sequence is assigned *after* any watermark
         // park, so queue order always matches sequence order): whatever

@@ -23,8 +23,10 @@ use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex, MutexGuard, PoisonError, TryLockError, Weak};
+use std::sync::{Arc, Mutex as StdMutex, MutexGuard, PoisonError, TryLockError, Weak};
+use std::task::{Poll, Waker};
 use std::time::{Duration, Instant};
 
 /// An ongoing connection outage on one link: when it began and how many
@@ -83,6 +85,12 @@ pub(super) struct SendLink {
     pub(super) outage: Option<Outage>,
     /// Terminal: the retry budget was exhausted `(elapsed, attempts)`.
     pub(super) down: Option<(Duration, u32)>,
+    /// Threads waiting for a prune or the link-down: senders at the
+    /// watermark, an endpoint lingering on drop.
+    waiters: Vec<Waker>,
+    /// A prune or the link-down happened under the lock: releasing it
+    /// wakes `waiters` ([`LinkGuard`]).
+    pub(super) settled: bool,
 }
 
 impl SendLink {
@@ -106,16 +114,25 @@ impl SendLink {
             nonce: 0,
             outage: None,
             down: None,
+            waiters: Vec::new(),
+            settled: false,
+        }
+    }
+
+    /// Stores `waker` for the next prune or link-down to wake.
+    pub(super) fn wake_on_settle(&mut self, waker: &Waker) {
+        if !self.waiters.iter().any(|waiter| waiter.will_wake(waker)) {
+            self.waiters.push(waker.clone());
         }
     }
 }
 
-/// A send link fused with the condvar announcing retention prunes, so
-/// a watermark-blocked sender parks on exactly the link it waits for
-/// and wakes when acks (or a terminal link-down) resolve the wait.
+/// One send link behind its lock. A thread that waits on the link (a
+/// sender at the watermark, an endpoint lingering on drop) stores its
+/// waker in the link and parks; whoever prunes retention or takes the
+/// link down under the lock wakes it once the lock is released.
 pub(super) struct LinkCell {
     state: StdMutex<SendLink>,
-    pruned: Condvar,
     /// The peer, and the endpoint's send side (weak: the endpoint owns
     /// its links), for a write deferred to the end of a worker's pass.
     to: &'static str,
@@ -124,42 +141,55 @@ pub(super) struct LinkCell {
 
 impl LinkCell {
     pub(super) fn new(to: &'static str, shared: Weak<SendShared>) -> Self {
-        LinkCell { state: StdMutex::new(SendLink::new()), pruned: Condvar::new(), to, shared }
+        LinkCell { state: StdMutex::new(SendLink::new()), to, shared }
     }
 
     /// Locks the link. Poisoning is deliberately absorbed: the state a
     /// panicking holder leaves behind is structurally sound (queues and
     /// counters move together), and propagating it would wedge every
     /// sender on the link.
-    pub(super) fn lock(&self) -> MutexGuard<'_, SendLink> {
-        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    pub(super) fn lock(&self) -> LinkGuard<'_> {
+        LinkGuard(Some(self.state.lock().unwrap_or_else(PoisonError::into_inner)))
     }
 
-    pub(super) fn try_lock(&self) -> Option<MutexGuard<'_, SendLink>> {
+    pub(super) fn try_lock(&self) -> Option<LinkGuard<'_>> {
         match self.state.try_lock() {
-            Ok(guard) => Some(guard),
-            Err(TryLockError::Poisoned(poisoned)) => Some(poisoned.into_inner()),
+            Ok(guard) => Some(LinkGuard(Some(guard))),
+            Err(TryLockError::Poisoned(poisoned)) => Some(LinkGuard(Some(poisoned.into_inner()))),
             Err(TryLockError::WouldBlock) => None,
         }
     }
+}
 
-    /// Parks until a prune is announced (or `timeout` passes — callers
-    /// re-check their predicate either way).
-    fn wait_pruned<'a>(
-        &self,
-        guard: MutexGuard<'a, SendLink>,
-        timeout: Duration,
-    ) -> MutexGuard<'a, SendLink> {
-        match self.pruned.wait_timeout(guard, timeout) {
-            Ok((guard, _timed_out)) => guard,
-            Err(poisoned) => poisoned.into_inner().0,
-        }
+/// A held link lock. Released, it wakes the waiters of a prune or a
+/// link-down that happened under it, outside the lock.
+pub(super) struct LinkGuard<'a>(Option<MutexGuard<'a, SendLink>>);
+
+impl Deref for LinkGuard<'_> {
+    type Target = SendLink;
+
+    fn deref(&self) -> &SendLink {
+        self.0.as_ref().expect("held until dropped")
     }
+}
 
-    /// Announces a retention prune (or a terminal link-down) to parked
-    /// senders.
-    pub(super) fn notify_pruned(&self) {
-        self.pruned.notify_all();
+impl DerefMut for LinkGuard<'_> {
+    fn deref_mut(&mut self) -> &mut SendLink {
+        self.0.as_mut().expect("held until dropped")
+    }
+}
+
+impl Drop for LinkGuard<'_> {
+    fn drop(&mut self) {
+        let Some(mut link) = self.0.take() else { return };
+        if !std::mem::take(&mut link.settled) {
+            return;
+        }
+        let waiters = std::mem::take(&mut link.waiters);
+        drop(link);
+        for waiter in waiters {
+            waiter.wake();
+        }
     }
 }
 
@@ -176,16 +206,14 @@ impl DeferredWrite for LinkCell {
 }
 
 /// Pops every retained frame below `below`, keeping `retained_bytes`
-/// in step with the queue. Returns how many frames were pruned (the
-/// caller announces via [`LinkCell::notify_pruned`]).
-pub(super) fn prune_acked(link: &mut SendLink, below: u64) -> usize {
-    let mut pruned = 0;
+/// in step with the queue; a prune settles the link, so releasing the
+/// lock wakes its waiters.
+pub(super) fn prune_acked(link: &mut SendLink, below: u64) {
     while link.unacked.front().is_some_and(|(seq, _)| *seq < below) {
         let (_, envelope) = link.unacked.pop_front().expect("front checked above");
         link.retained_bytes = link.retained_bytes.saturating_sub(data_frame_wire_len(&envelope));
-        pruned += 1;
+        link.settled = true;
     }
-    pruned
 }
 
 /// Tears down the link's current connection (if any), with its writer
@@ -241,29 +269,30 @@ pub(super) fn wait_for_retention_room<'a>(
     me: &str,
     to: &'static str,
     handle: &'a LinkCell,
-    mut link: MutexGuard<'a, SendLink>,
     wire_len: usize,
     limit: usize,
-) -> Result<MutexGuard<'a, SendLink>, TransportError> {
+) -> Result<LinkGuard<'a>, TransportError> {
+    let exceeded = |link: &SendLink| TransportError::RetentionExceeded {
+        edge: format!("{me}->{to}"),
+        retained_bytes: link.retained_bytes,
+        limit,
+    };
     let deadline = Instant::now() + park::default_watchdog();
-    loop {
+    park::wait(Some(deadline), |waker| {
+        let mut link = handle.lock();
         // An empty queue admits the frame regardless: a single frame
         // larger than the watermark must still be sendable, or it could
         // never leave at all.
         if link.unacked.is_empty() || link.retained_bytes + wire_len <= limit {
-            return Ok(link);
+            Poll::Ready(Ok(link))
+        } else if link.down.is_some() {
+            Poll::Ready(Err(exceeded(&link)))
+        } else {
+            link.wake_on_settle(waker);
+            Poll::Pending
         }
-        if link.down.is_some() || Instant::now() >= deadline {
-            return Err(TransportError::RetentionExceeded {
-                edge: format!("{me}->{to}"),
-                retained_bytes: link.retained_bytes,
-                limit,
-            });
-        }
-        // Bounded park: prunes notify `pruned`, but the terminal
-        // link-down can race a notification, so re-check periodically.
-        link = handle.wait_pruned(link, Duration::from_millis(50));
-    }
+    })
+    .unwrap_or_else(|| Err(exceeded(&handle.lock())))
 }
 
 /// Frames per vectored batch: bounds the header buffer and keeps the
@@ -376,7 +405,7 @@ pub(super) fn write_or_leave(
     shared: &Arc<SendShared>,
     to: &'static str,
     handle: &Arc<LinkCell>,
-    mut link: MutexGuard<'_, SendLink>,
+    mut link: LinkGuard<'_>,
 ) -> Result<(), TransportError> {
     if link.stream.is_none() {
         return establish(shared, to, handle, &mut link, None);
@@ -407,7 +436,7 @@ fn flush_pending<'a>(
     shared: &Arc<SendShared>,
     to: &'static str,
     handle: &'a Arc<LinkCell>,
-    mut link: MutexGuard<'a, SendLink>,
+    mut link: LinkGuard<'a>,
 ) -> Result<(), TransportError> {
     let generation = link.generation;
     let stream = Arc::clone(link.stream.as_ref().expect("the caller checked the connection"));

@@ -7,11 +7,10 @@
 //! sends are buffered by the transport under test, and receives block
 //! until the transport delivers or reports an error.
 
-use chorus_core::park::WaitQueue;
 use chorus_core::{Endpoint, SessionTransport, TransportError};
 use chorus_transport::TransportMetrics;
 use chorus_wire::Envelope;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex};
 use std::task::{Context, Poll, Wake, Waker};
 
 chorus_core::locations! { Alice, Bob, Carol }
@@ -37,27 +36,28 @@ fn frame(session: u64, seq: u64, payload: &[u8]) -> Envelope {
 /// it — the same shape the pooled runtime's re-enqueue waker has,
 /// counting so a case can tell "fired once" from "fired again".
 #[derive(Default)]
-struct Gate(WaitQueue<usize>);
+struct Gate {
+    fired: Mutex<usize>,
+    changed: Condvar,
+}
 
 impl Gate {
     fn fires(&self) -> usize {
-        *self.0.lock()
+        *self.fired.lock().unwrap()
     }
 
     /// Parks until the gate has fired at least `count` times: waits for
     /// the waker, never for wall-clock time.
     fn wait_for(&self, count: usize) {
-        let mut fired = self.0.lock();
-        while *fired < count {
-            fired = self.0.wait(fired);
-        }
+        let fired = self.fired.lock().unwrap();
+        drop(self.changed.wait_while(fired, |fired| *fired < count).unwrap());
     }
 }
 
 impl Wake for Gate {
     fn wake(self: Arc<Self>) {
-        *self.0.lock() += 1;
-        self.0.notify_all();
+        *self.fired.lock().unwrap() += 1;
+        self.changed.notify_all();
     }
 }
 

@@ -5,7 +5,6 @@
 //! survived, pooled/blocking interop, and no waker left behind by a
 //! resolved session.
 
-use chorus_core::park::WaitQueue;
 use chorus_core::{
     ChoreographyLocation, Endpoint, LocationSet, RoleProgram, SessionCx, SessionId, SessionRuntime,
     SessionTransport, Step, TransportError,
@@ -18,10 +17,11 @@ use chorus_transport::{
     TcpConfigBuilder, TcpTransport,
 };
 use chorus_wire::Envelope;
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc};
 use std::task::{Context, Poll, Wake, Waker};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 type ClientEndpoint = Endpoint<SimpleKvsCensus, Client, LocalTransport<SimpleKvsCensus, Client>>;
 type ServerEndpoint = Endpoint<SimpleKvsCensus, Primary, LocalTransport<SimpleKvsCensus, Primary>>;
@@ -36,8 +36,8 @@ fn local_pair() -> (Arc<ClientEndpoint>, Arc<ServerEndpoint>) {
 /// The acceptance bar: 10k concurrent sessions complete on a pool whose
 /// total OS thread count is bounded by the machine's parallelism — not
 /// by the session count. Thread-per-role would need 20 000 threads
-/// here; the runtime owns `pool + 1` (workers + watchdog), asserted
-/// against the `2 × available_parallelism` ceiling.
+/// here; the runtime owns `pool` (its workers, which also find stalls),
+/// asserted against the `2 × available_parallelism` ceiling.
 #[test]
 fn ten_thousand_sessions_on_a_fixed_pool() {
     const SESSIONS: u64 = 10_000;
@@ -97,6 +97,78 @@ fn watchdog_surfaces_a_stalled_session() {
     let c = runtime.spawn(&client, 2, PooledKvsClient::new(Request::Get("k".into())));
     assert_eq!(c.join().unwrap(), Response::NotFound);
     s.join().unwrap();
+}
+
+/// Receives every frame Primary sends and never finishes.
+struct ReceivesForever;
+
+impl RoleProgram for ReceivesForever {
+    type Output = ();
+
+    fn resume(&mut self, cx: &mut SessionCx<'_>) -> Result<Step<()>, TransportError> {
+        while cx.try_receive_value::<Response>(Primary::NAME)?.is_some() {}
+        Ok(Step::Pending)
+    }
+}
+
+/// A stall error counts the wait from the role's last park, not from
+/// its first park on the same peer: three frames 150 ms apart, then
+/// silence, reads about one deadline, not the whole session.
+#[test]
+fn a_stall_reports_the_wait_since_the_last_frame() {
+    let runtime = SessionRuntime::with_watchdog(2, Duration::from_millis(200));
+    let (client, server) = local_pair();
+    let stalled = runtime.spawn(&client, 31, ReceivesForever);
+    let peer = server.session_with_id(31);
+    for _ in 0..3 {
+        std::thread::sleep(Duration::from_millis(150));
+        peer.send_value(Client::NAME, &Response::NotFound).unwrap();
+    }
+    let message = stalled.join().unwrap_err().to_string();
+    let waited: u64 = message
+        .split("no frame arrived in ")
+        .nth(1)
+        .and_then(|rest| rest.split("ms").next())
+        .and_then(|millis| millis.parse().ok())
+        .unwrap_or_else(|| panic!("no wait in the stall error: {message}"));
+    assert!(waited < 450, "the wait was counted from before the last frame: {message}");
+}
+
+/// A worker that never runs out of work still finds stalls: it sweeps
+/// when it ends a pass, not only when it idles. One worker serves a
+/// stream of good sessions, 32 in flight, for three deadlines while a
+/// client with no server waits; by then the client has resolved with
+/// the watchdog's error.
+#[test]
+fn a_busy_worker_still_surfaces_a_stall() {
+    let deadline = Duration::from_millis(200);
+    let runtime = SessionRuntime::with_watchdog(1, deadline);
+    let (client, server) = local_pair();
+    let stalled = runtime.spawn(&client, 0, PooledKvsClient::new(Request::Get("k".into())));
+    let store = SharedStore::new();
+    let mut in_flight = VecDeque::new();
+    let started = Instant::now();
+    for id in 1.. {
+        if started.elapsed() >= 3 * deadline {
+            break;
+        }
+        let s = runtime.spawn(&server, id, PooledKvsServer::new(store.clone()));
+        let c = runtime.spawn(&client, id, PooledKvsClient::new(Request::Get("k".into())));
+        in_flight.push_back((s, c));
+        if in_flight.len() == 32 {
+            let (s, c) = in_flight.pop_front().unwrap();
+            assert_eq!(c.join().unwrap(), Response::NotFound);
+            s.join().unwrap();
+        }
+    }
+    assert!(stalled.is_finished(), "the stall went unnoticed for three deadlines");
+    for (s, c) in in_flight {
+        assert_eq!(c.join().unwrap(), Response::NotFound);
+        s.join().unwrap();
+    }
+    let message = stalled.join().unwrap_err().to_string();
+    assert!(message.contains("pooled runtime watchdog"), "got: {message}");
+    assert!(message.contains("Primary"), "the stalled edge should be named, got: {message}");
 }
 
 /// Counts the fires of every waker stored through it; everything else
@@ -362,7 +434,7 @@ fn single_worker_pool_still_drives_many_sessions() {
     for join in handles {
         join();
     }
-    assert_eq!(runtime.thread_count(), 2, "one worker + one watchdog");
+    assert_eq!(runtime.thread_count(), 1, "one worker, which also finds stalls");
 }
 
 /// One role's resume counts, shared with the test that spawned it.
@@ -456,24 +528,9 @@ fn handles_join_across_threads() {
     let store = SharedStore::new();
     let s = runtime.spawn(&server, 5, PooledKvsServer::new(store));
     let c = runtime.spawn(&client, 5, PooledKvsClient::new(Request::Get("x".into())));
-    let gate = Arc::new(WaitQueue::new(Option::<Response>::None));
-    let publisher = {
-        let gate = Arc::clone(&gate);
-        std::thread::spawn(move || {
-            let response = c.join().unwrap();
-            *gate.lock() = Some(response);
-            gate.notify_all();
-        })
-    };
-    let mut guard = gate.lock();
-    loop {
-        if let Some(response) = guard.take() {
-            assert_eq!(response, Response::NotFound);
-            break;
-        }
-        guard = gate.wait(guard);
-    }
-    drop(guard);
+    let (published, response) = mpsc::channel();
+    let publisher = std::thread::spawn(move || published.send(c.join().unwrap()).unwrap());
+    assert_eq!(response.recv().unwrap(), Response::NotFound);
     publisher.join().unwrap();
     s.join().unwrap();
 }

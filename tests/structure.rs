@@ -283,26 +283,18 @@ mod one_receive_side_table {
 /// `poll_receive_frame` (pop a frame or store the caller's
 /// `std::task::Waker`); `SessionTransport::receive_frame` is provided
 /// once, in `crates/core/src/transport.rs`, over it (the loop is in
-/// `crates/core/src/park.rs`). Transports keep no wait loop or condvar
-/// of their own; the TCP retention wait in `tcp/send.rs` is send-side.
-/// The try-then-register pair it replaced, and its waker type, stay
-/// deleted. Three patterns, each over its own files: `fn receive_frame`
-/// in the Rust files under `crates/` and `src/` but `transport.rs`;
-/// `WaitQueue|Condvar|wait_timeout` under `crates/transport/src` but
-/// `tcp/send.rs`; and `fn register_waker|fn try_receive_frame|
-/// MailboxWaker|PollOutcome::Ready` under `crates/` and `src/`.
+/// `crates/core/src/park.rs`). The try-then-register pair it replaced,
+/// and its waker type, stay deleted. Two patterns, each over the Rust
+/// files under `crates/` and `src/`: `fn receive_frame` but in
+/// `transport.rs`, and `fn register_waker|fn try_receive_frame|
+/// MailboxWaker|PollOutcome::Ready` everywhere.
 mod one_blocking_receive {
     use super::*;
 
     pub(super) const PROVIDER: &str = "crates/core/src/transport.rs";
-    pub(super) const RETENTION_WAIT: &str = "crates/transport/src/tcp/send.rs";
 
     fn second_receive(line: &str) -> bool {
         line.contains("fn receive_frame")
-    }
-
-    fn own_wait(line: &str) -> bool {
-        ["WaitQueue", "Condvar", "wait_timeout"].iter().any(|word| line.contains(word))
     }
 
     fn deleted_api(line: &str) -> bool {
@@ -314,10 +306,7 @@ mod one_blocking_receive {
     /// Every offending line of `everywhere`, the Rust files under
     /// `crates/` and `src/`.
     fn offending(everywhere: &[Source]) -> Vec<String> {
-        let transport_src =
-            everywhere.iter().filter(|s| s.path.starts_with("crates/transport/src/"));
         let mut found = offenders(everywhere, &[PROVIDER], second_receive);
-        found.extend(offenders(transport_src, &[RETENTION_WAIT], own_wait));
         found.extend(offenders(everywhere, &[], deleted_api));
         found
     }
@@ -325,12 +314,10 @@ mod one_blocking_receive {
     #[test]
     fn holds_in_the_workspace() {
         let sources = rust_sources_under(&["crates", "src"]);
-        for path in [PROVIDER, RETENTION_WAIT] {
-            assert!(
-                sources.iter().any(|s| s.path == path),
-                "the rule's file set must include {path}"
-            );
-        }
+        assert!(
+            sources.iter().any(|s| s.path == PROVIDER),
+            "the rule's file set must include {PROVIDER}"
+        );
         let found = offending(&sources);
         assert!(
             found.is_empty(),
@@ -346,24 +333,146 @@ mod one_blocking_receive {
             fixture(
                 "crates/transport/src/local.rs",
                 "// fn receive_frame in a comment is prose.\n\
-                 fn receive_frame(&self) {}\n\
-                 struct Parked { cv: Condvar }\n",
+                 fn receive_frame(&self) {}\n",
             ),
-            fixture(RETENTION_WAIT, "struct LinkCell { pruned: Condvar }\n"),
-            fixture(
-                "crates/kvs/src/node.rs",
-                "struct Gate { queue: WaitQueue<u8> }\n\
-                 fn try_receive_frame(&self) {}\n",
-            ),
+            fixture("crates/kvs/src/node.rs", "fn try_receive_frame(&self) {}\n"),
             fixture("crates/transport/tests/local.rs", "let r = PollOutcome::Ready(1);\n"),
         ];
         assert_eq!(
             offending(&sources),
             [
                 "crates/transport/src/local.rs:2: fn receive_frame(&self) {}",
-                "crates/transport/src/local.rs:3: struct Parked { cv: Condvar }",
-                "crates/kvs/src/node.rs:2: fn try_receive_frame(&self) {}",
+                "crates/kvs/src/node.rs:1: fn try_receive_frame(&self) {}",
                 "crates/transport/tests/local.rs:1: let r = PollOutcome::Ready(1);",
+            ]
+        );
+    }
+}
+
+/// One wait primitive. A thread that waits for another polls its
+/// condition with its own `std::task::Waker` and parks
+/// (`chorus_core::park::wait`); whoever changes the condition takes the
+/// stored wakers under the lock it changed it under. No condvar, and no
+/// wait queue built on one, anywhere under `crates/*/src`:
+/// `WaitQueue|Condvar|wait_timeout|notify_one|notify_all`.
+mod one_wait_primitive {
+    use super::*;
+
+    fn matches(line: &str) -> bool {
+        ["WaitQueue", "Condvar", "wait_timeout", "notify_one", "notify_all"]
+            .iter()
+            .any(|word| line.contains(word))
+    }
+
+    #[test]
+    fn holds_in_the_workspace() {
+        let sources = crate_sources();
+        for path in ["crates/core/src/park.rs", "crates/transport/src/tcp/send.rs"] {
+            assert!(
+                sources.iter().any(|s| s.path == path),
+                "the rule's file set must include {path}"
+            );
+        }
+        let found = offenders(&sources, &[], matches);
+        assert!(
+            found.is_empty(),
+            "wait through chorus_core::park::wait, with the waker stored under the lock:\n{}",
+            found.join("\n")
+        );
+    }
+
+    #[test]
+    fn fails_on_a_fixture_that_breaks_it() {
+        let sources = [
+            fixture(
+                "crates/transport/src/local.rs",
+                "// A Condvar in a comment is prose.\n\
+                 struct Parked { cv: Condvar }\n",
+            ),
+            fixture("crates/transport/src/tcp/send.rs", "struct LinkCell { pruned: Condvar }\n"),
+            fixture("crates/kvs/src/node.rs", "struct Gate { queue: WaitQueue<u8> }\n"),
+            fixture("crates/core/src/park.rs", "let (guard, _) = cv.wait_timeout(guard, tick);\n"),
+            fixture("crates/core/src/runtime.rs", "self.cv.notify_one();\n"),
+            fixture("crates/transport/src/tcp/connect.rs", "handle.pruned.notify_all();\n"),
+        ];
+        assert_eq!(
+            offenders(&sources, &[], matches),
+            [
+                "crates/transport/src/local.rs:2: struct Parked { cv: Condvar }",
+                "crates/transport/src/tcp/send.rs:1: struct LinkCell { pruned: Condvar }",
+                "crates/kvs/src/node.rs:1: struct Gate { queue: WaitQueue<u8> }",
+                "crates/core/src/park.rs:1: let (guard, _) = cv.wait_timeout(guard, tick);",
+                "crates/core/src/runtime.rs:1: self.cv.notify_one();",
+                "crates/transport/src/tcp/connect.rs:1: handle.pruned.notify_all();",
+            ]
+        );
+    }
+}
+
+/// One pass opener. A pool worker's pass (the links whose writes its
+/// sends leave to the end of the pass) is opened only by the worker
+/// loop: every other thread writes inline. `open_pass()` is called in
+/// the Rust files under `crates/`, `src/`, `tests/` and `examples/`
+/// only inside `fn worker_loop` of `crates/core/src/runtime.rs`.
+mod one_pass_opener {
+    use super::*;
+
+    pub(super) const WORKER_LOOP: &str = "crates/core/src/runtime.rs:worker_loop";
+
+    /// Each call of `open_pass()` as `path:function`, the function being
+    /// the last `fn` declared above the call, once per function.
+    fn callers(sources: &[Source]) -> Vec<String> {
+        let mut found: Vec<String> = Vec::new();
+        for source in sources {
+            let mut function = "";
+            for line in strip(&source.text).lines() {
+                let mut words = line.split_whitespace().skip_while(|word| *word != "fn");
+                if let Some(name) = words.nth(1) {
+                    let end = name.find(|c: char| !c.is_alphanumeric() && c != '_');
+                    function = &name[..end.unwrap_or(name.len())];
+                }
+                if line.contains("open_pass()") && function != "open_pass" {
+                    let call = format!("{}:{function}", source.path);
+                    if !found.contains(&call) {
+                        found.push(call);
+                    }
+                }
+            }
+        }
+        found
+    }
+
+    #[test]
+    fn holds_in_the_workspace() {
+        let sources = rust_sources_under(&["crates", "src", "tests", "examples"]);
+        assert_eq!(
+            callers(&sources),
+            [WORKER_LOOP],
+            "open a pool worker's pass only in worker_loop; every other thread writes inline"
+        );
+    }
+
+    #[test]
+    fn fails_on_a_fixture_that_breaks_it() {
+        let sources = [
+            fixture(
+                "crates/core/src/park.rs",
+                "pub(crate) fn open_pass() {}\n\
+                 // open_pass() in a comment is prose.\n\
+                 pub fn flush_pass() {\n    open_pass();\n}\n",
+            ),
+            fixture(
+                "crates/core/src/runtime.rs",
+                "fn worker_loop(shared: Arc<RuntimeShared>) {\n    park::open_pass();\n}\n\
+                 fn spawn_blocking() {\n    let f = |x: u8| x;\n    park::open_pass();\n}\n",
+            ),
+        ];
+        assert_eq!(
+            callers(&sources),
+            [
+                "crates/core/src/park.rs:flush_pass",
+                WORKER_LOOP,
+                "crates/core/src/runtime.rs:spawn_blocking",
             ]
         );
     }
