@@ -70,6 +70,7 @@ mod quire;
 mod runner;
 mod runtime;
 mod session;
+pub mod sync;
 mod transport;
 
 pub use choreography::{

@@ -215,7 +215,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use crate::sync::Mutex;
     use std::time::Duration;
 
     #[test]
@@ -225,7 +225,7 @@ mod tests {
             let slot = Arc::clone(&slot);
             std::thread::spawn(move || {
                 wait(None, |waker| {
-                    let mut slot = slot.lock().unwrap();
+                    let mut slot = slot.lock();
                     match slot.0.take() {
                         Some(value) => Poll::Ready(value),
                         None => {
@@ -237,7 +237,7 @@ mod tests {
             })
         };
         let parked = {
-            let mut slot = slot.lock().unwrap();
+            let mut slot = slot.lock();
             slot.0 = Some(99);
             slot.1.take()
         };

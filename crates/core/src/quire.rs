@@ -84,11 +84,6 @@ impl<V, S: LocationSet> Quire<V, S> {
         self.entries.values()
     }
 
-    /// Consumes the quire, returning the underlying name-keyed map.
-    pub fn into_map(self) -> BTreeMap<String, V> {
-        self.entries
-    }
-
     /// Maps a function over every entry, preserving the index set.
     pub fn map<W>(self, mut f: impl FnMut(V) -> W) -> Quire<W, S> {
         Quire {

@@ -58,11 +58,6 @@ impl<L: LocationSet> Runner<L> {
         MultiplyLocated::local(value)
     }
 
-    /// Wraps a value as a multiply-located value at any ownership set.
-    pub fn local_multiple<V, S: LocationSet>(&self, value: V) -> MultiplyLocated<V, S> {
-        MultiplyLocated::local(value)
-    }
-
     /// Extracts the value from a located result. Only the runner can do
     /// this: at projected endpoints located values are opaque.
     pub fn unwrap_located<V, S: LocationSet>(&self, data: MultiplyLocated<V, S>) -> V {

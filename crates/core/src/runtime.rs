@@ -79,12 +79,13 @@ use crate::endpoint::Endpoint;
 use crate::location::{ChoreographyLocation, LocationSet};
 use crate::park;
 use crate::session::{encode_payload, SeqCounters};
+use crate::sync::Mutex;
 use crate::transport::{locate, SessionId, SessionTransport, TransportError};
 use chorus_wire::Bytes;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, Weak};
+use std::sync::{Arc, OnceLock, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -277,14 +278,10 @@ impl<V> JoinCell<V> {
         JoinCell(Mutex::new(Joined { result: None, joiner: None }))
     }
 
-    fn lock(&self) -> MutexGuard<'_, Joined<V>> {
-        self.0.lock().expect("join cell poisoned")
-    }
-
     /// Stores the result and wakes the joiner, if one is parked.
     fn resolve(&self, result: Result<V, TransportError>) {
         let joiner = {
-            let mut joined = self.lock();
+            let mut joined = self.0.lock();
             joined.result = Some(result);
             joined.joiner.take()
         };
@@ -310,7 +307,7 @@ impl<V> SessionHandle<V> {
     /// Whether the session has already resolved (without consuming the
     /// result).
     pub fn is_finished(&self) -> bool {
-        self.cell.lock().result.is_some()
+        self.cell.0.lock().result.is_some()
     }
 
     /// Blocks the *calling* thread until the session resolves.
@@ -326,7 +323,7 @@ impl<V> SessionHandle<V> {
     /// fired, or a `Protocol` error if the program panicked.
     pub fn join(self) -> Result<V, TransportError> {
         park::wait(None, |waker| {
-            let mut joined = self.cell.lock();
+            let mut joined = self.cell.0.lock();
             match joined.result.take() {
                 Some(result) => Poll::Ready(result),
                 None => {
@@ -448,16 +445,12 @@ struct RuntimeShared {
 }
 
 impl RuntimeShared {
-    fn lock_queue(&self) -> MutexGuard<'_, RunQueue> {
-        self.queue.lock().expect("run queue poisoned")
-    }
-
     /// Queues a runnable task and wakes one idle worker, if one sleeps.
     /// A task needs one worker, and a worker that is not parked finds
     /// the task when its pass ends.
     fn enqueue(&self, entry: Arc<TaskEntry>) {
         let sleeper = {
-            let mut queue = self.lock_queue();
+            let mut queue = self.queue.lock();
             queue.ready.push_back(entry);
             queue.idle.pop()
         };
@@ -469,10 +462,10 @@ impl RuntimeShared {
     /// Flags every task parked longer than the deadline at `now` and
     /// wakes it, so its next poll resolves it with the stall error.
     fn sweep(&self, now: Instant) {
-        let slab = self.tasks.lock().expect("task slab poisoned");
+        let slab = self.tasks.lock();
         for entry in slab.slots.iter().flatten() {
             let stalled = entry.state.load(Ordering::Acquire) == IDLE
-                && entry.task.try_lock().is_ok_and(|task| {
+                && entry.task.try_lock().is_some_and(|task| {
                     task.1.is_some_and(|last| {
                         now.saturating_duration_since(last.since) >= self.watchdog
                     })
@@ -540,14 +533,14 @@ fn worker_loop(shared: Arc<RuntimeShared>) {
     // This worker parked with the sweep's timeout.
     let mut timer = false;
     loop {
-        let entry = if left > 0 { shared.lock_queue().ready.pop_front() } else { None };
+        let entry = if left > 0 { shared.queue.lock().ready.pop_front() } else { None };
         let Some(entry) = entry else {
             // The pass ends: write what its sends left, sweep if due,
             // then size the next pass by the queue, or park if it is
             // empty.
             park::flush_pass();
             let now = clock.take().unwrap_or_else(Instant::now);
-            let mut queue = shared.lock_queue();
+            let mut queue = shared.queue.lock();
             // A wake pops this worker's waker; drop one that a spurious
             // or timed-out park left behind, so wakes go to sleepers.
             queue.idle.retain(|idle| !idle.will_wake(&waker));
@@ -558,7 +551,7 @@ fn worker_loop(shared: Arc<RuntimeShared>) {
                 queue.next_sweep = Some(now + shared.sweep_every);
                 drop(queue);
                 shared.sweep(now);
-                queue = shared.lock_queue();
+                queue = shared.queue.lock();
             }
             left = queue.ready.len();
             if left == 0 {
@@ -582,14 +575,14 @@ fn worker_loop(shared: Arc<RuntimeShared>) {
         left -= 1;
         entry.state.store(RUNNING, Ordering::Release);
         let outcome = {
-            let mut task = entry.task.lock().expect("task poisoned");
+            let mut task = entry.task.lock();
             let (poll, parked) = &mut *task;
             poll(&entry, parked)
         };
         match outcome {
             PollOutcome::Done(finish) => {
                 entry.state.store(DONE, Ordering::Release);
-                shared.tasks.lock().expect("task slab poisoned").remove(entry.index);
+                shared.tasks.lock().remove(entry.index);
                 shared.live.fetch_sub(1, Ordering::AcqRel);
                 // Resolve the handle only after the slot is reclaimed
                 // (and outside the poll lock).
@@ -667,12 +660,6 @@ impl SessionRuntime {
 
     /// The number of pool workers.
     pub fn pool_size(&self) -> usize {
-        self.workers.len()
-    }
-
-    /// Total OS threads this runtime owns: its workers. Constant for
-    /// the lifetime of the runtime, however many sessions are spawned.
-    pub fn thread_count(&self) -> usize {
         self.workers.len()
     }
 
@@ -783,7 +770,7 @@ impl SessionRuntime {
         });
 
         let entry = {
-            let mut slab = self.shared.tasks.lock().expect("task slab poisoned");
+            let mut slab = self.shared.tasks.lock();
             let shared = Arc::downgrade(&self.shared);
             slab.insert(|index| {
                 Arc::new_cyclic(|entry: &Weak<TaskEntry>| TaskEntry {
@@ -804,7 +791,7 @@ impl SessionRuntime {
 impl Drop for SessionRuntime {
     fn drop(&mut self) {
         let sleepers = {
-            let mut queue = self.shared.lock_queue();
+            let mut queue = self.shared.queue.lock();
             queue.shutdown = true;
             std::mem::take(&mut queue.idle)
         };

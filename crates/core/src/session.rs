@@ -19,11 +19,11 @@ use crate::faceted::Faceted;
 use crate::located::{Located, MultiplyLocated, Unwrapper};
 use crate::location::{ChoreographyLocation, LocationSet};
 use crate::member::{Member, Subset};
+use crate::sync::Mutex;
 use crate::transport::{locate, SessionId, SessionTransport, TransportError};
 use chorus_wire::{Bytes, Envelope};
 use std::cell::RefCell;
 use std::marker::PhantomData;
-use std::sync::Mutex;
 
 /// One session's per-destination sequence counters, indexed by the
 /// destination's census position.
@@ -160,7 +160,7 @@ where
         // shared across threads must still put frames on the wire in
         // sequence order or the receiver's sequence check fails the link for
         // every session behind that sender.
-        let mut seqs = self.seqs.lock().expect("session sequence counters poisoned");
+        let mut seqs = self.seqs.lock();
         self.endpoint.stamp_and_send(self.id, &mut seqs, to, payload)
     }
 

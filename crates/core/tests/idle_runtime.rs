@@ -54,9 +54,8 @@ fn a_runtime_owns_only_its_workers() {
         return; // not Linux
     }
     let runtime = SessionRuntime::with_watchdog(3, Duration::from_millis(40));
-    assert_eq!(runtime.thread_count(), runtime.pool_size());
     wait_for_workers(3);
-    assert_eq!(threads_named("chorus-pool-").len(), 3, "one thread per worker");
+    assert_eq!(threads_named("chorus-pool-").len(), runtime.pool_size(), "one thread per worker");
     assert_eq!(threads_named("chorus-watchdog").len(), 0, "no watchdog thread");
 }
 

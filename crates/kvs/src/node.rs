@@ -10,8 +10,8 @@
 //! replication, migration, and recovery are all idempotent max-merges.
 
 use crate::config::{fnv1a, ClusterConfig, ShardId};
+use chorus_core::sync::Mutex;
 use chorus_protocols::store::KeyValueStore;
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;

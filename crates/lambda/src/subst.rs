@@ -5,7 +5,6 @@
 //! (necessarily unused — see Lemma 3) variable is left alone.
 
 use crate::mask::mask_value;
-use crate::party::PartySet;
 use crate::syntax::{Expr, Value, Var};
 
 /// `M[x := V]`.
@@ -79,13 +78,6 @@ pub fn subst_value(value: &Value, x: &Var, v: &Value) -> Value {
         | Value::Lookup(_, _)
         | Value::Com { .. } => value.clone(),
     }
-}
-
-/// Substitution that first masks `v` to `theta` (used by the β and case
-/// rules, which mask to the redex's parties).
-pub fn subst_masked(expr: &Expr, x: &Var, v: &Value, theta: &PartySet) -> Option<Expr> {
-    let masked = mask_value(v, theta)?;
-    Some(subst_expr(expr, x, &masked))
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@
 //! injected deterministically through [`SharedStore::corrupt_next_put`]
 //! so tests and benchmarks control when the resynch path fires.
 
-use parking_lot::Mutex;
+use chorus_core::sync::Mutex;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};

@@ -43,8 +43,8 @@
 //! ```
 
 use crate::{LocalTransport, LocalTransportChannel, SimNet, SimTransport, TcpConfig, TcpTransport};
+use chorus_core::sync::Mutex;
 use chorus_core::{park, ChoreographyLocation, Endpoint, Layer, LocationSet, SessionTransport};
-use parking_lot::Mutex;
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::marker::PhantomData;
@@ -241,7 +241,7 @@ impl<L: LocationSet, N: MakeTransport<L>> Drop for Cohort<L, N> {
     /// Closes every thread's queue, so the endpoints close together,
     /// then joins the threads.
     fn drop(&mut self) {
-        let handles: Vec<_> = std::mem::take(self.threads.get_mut())
+        let handles: Vec<_> = std::mem::take(&mut *self.threads.lock())
             .into_values()
             .map(|RoleThread { jobs, handle }| {
                 drop(jobs);

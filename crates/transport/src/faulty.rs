@@ -21,12 +21,13 @@
 //! peer, and the peer sees an ordinary inbound connection. No transport
 //! code paths are test-only.
 
+use chorus_core::sync::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// After this many connections on one edge, the proxy stops injecting
@@ -181,7 +182,7 @@ impl FaultyTcp {
                 match listener.accept() {
                     Ok((downstream, _)) => {
                         let (fault, delay) = schedule(&plan, &edge, k);
-                        log.lock().expect("faulty log poisoned").push(format!(
+                        log.lock().push(format!(
                             "{edge} conn#{k}: {fault:?}, accept_delay={}ms",
                             delay.as_millis()
                         ));
@@ -210,7 +211,7 @@ impl FaultyTcp {
     /// connection, prefixed with replay instructions — the artifact to
     /// dump when a chaos seed fails.
     pub fn scenario_dump(&self) -> String {
-        let lines = self.log.lock().expect("faulty log poisoned");
+        let lines = self.log.lock();
         let mut out = format!(
             "# FaultyTcp scenario (seed {})\n# replay: rerun the failing test with \
              CHORUS_TCP_SEED_BASE pinned so this seed recurs\n# plan: {:?}\n",
@@ -225,12 +226,12 @@ impl FaultyTcp {
 
     /// Total connections accepted across every routed edge.
     pub fn connection_count(&self) -> usize {
-        self.log.lock().expect("faulty log poisoned").len()
+        self.log.lock().len()
     }
 
     /// Distinct edges that accepted at least one connection.
     pub fn edge_count(&self) -> usize {
-        let lines = self.log.lock().expect("faulty log poisoned");
+        let lines = self.log.lock();
         let mut edges: Vec<&str> = lines.iter().filter_map(|l| l.split(" conn#").next()).collect();
         edges.sort_unstable();
         edges.dedup();

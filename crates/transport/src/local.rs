@@ -8,12 +8,12 @@
 //! very buffer the sender serialized (shared, not copied).
 
 use crate::mailboxes::Mailboxes;
+use chorus_core::sync::Mutex;
 use chorus_core::{
     locate, ChoreographyLocation, LocationSet, SessionId, SessionTransport, Transport,
     TransportError, RAW_SESSION,
 };
 use chorus_wire::Envelope;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;

@@ -11,8 +11,8 @@
 //! Only *sends* are recorded, so sharing one `TransportMetrics` across
 //! all endpoints counts each message exactly once.
 
+use chorus_core::sync::Mutex;
 use chorus_core::{Layer, MessageCtx};
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 
 /// Counters for one directed edge of the system.

@@ -61,12 +61,12 @@
 //! frames.
 
 use crate::mailboxes::Mailboxes;
+use chorus_core::sync::{Mutex, MutexGuard};
 use chorus_core::{
     locate, ChoreographyLocation, LocationSet, SessionId, SessionTransport, Transport,
     TransportError, RAW_SESSION,
 };
 use chorus_wire::Envelope;
-use parking_lot::{Mutex, MutexGuard};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::collections::{HashMap, VecDeque};
 use std::marker::PhantomData;

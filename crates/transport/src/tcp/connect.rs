@@ -162,9 +162,7 @@ pub(super) fn establish(
     }
     let addr =
         *shared.addrs.get(to).ok_or_else(|| TransportError::UnknownLocation(to.to_string()))?;
-    if link.outage.is_none() {
-        link.outage = Some(Outage { since: Instant::now(), attempts: 0 });
-    }
+    link.outage.get_or_insert_with(Outage::begin);
     let salt = jitter_salt(to);
     let mut tried_this_call = 0u32;
     loop {
@@ -203,12 +201,13 @@ pub(super) fn establish(
                 }
                 return Ok(());
             }
-            Err(_) => {
+            Err(e) => {
                 #[cfg(test)]
                 tests::FAILED_CONNECT_ATTEMPTS.fetch_add(1, Ordering::Relaxed);
                 kill_stream(link);
                 let outage = link.outage.as_mut().expect("kill_stream keeps the outage");
                 outage.attempts += 1;
+                outage.refused = e.kind() == std::io::ErrorKind::ConnectionRefused;
                 tried_this_call += 1;
                 let delay = backoff_delay(shared.tuning.retry_base, outage.attempts, salt);
                 std::thread::sleep(delay);

@@ -3,10 +3,10 @@
 //! gaps.
 
 use crate::mailboxes::Mailboxes;
+use chorus_core::sync::Mutex;
 use chorus_core::{SessionId, TransportError};
 use chorus_wire::Envelope;
 use std::collections::HashMap;
-use std::sync::{Mutex as StdMutex, MutexGuard};
 use std::task::{Poll, Waker};
 
 /// What the link layer made of one deposited batch of data frames.
@@ -27,7 +27,7 @@ pub(super) struct BatchOutcome {
 pub(super) struct Inbox {
     /// Per-sender state, keyed by interned sender names so per-frame
     /// routing allocates nothing.
-    links: StdMutex<HashMap<&'static str, InboundLink>>,
+    links: Mutex<HashMap<&'static str, InboundLink>>,
 }
 
 #[derive(Default)]
@@ -44,10 +44,6 @@ struct InboundLink {
 }
 
 impl Inbox {
-    fn lock(&self) -> MutexGuard<'_, HashMap<&'static str, InboundLink>> {
-        self.links.lock().expect("tcp inbox poisoned")
-    }
-
     /// Routes one decoded burst of data frames from `sender` through
     /// link-level dedup/gap detection and into their session mailboxes,
     /// under a single inbox lock.
@@ -65,7 +61,7 @@ impl Inbox {
         fired: &mut Vec<Waker>,
     ) -> BatchOutcome {
         let mut outcome = BatchOutcome::default();
-        let mut links = self.lock();
+        let mut links = self.links.lock();
         let link = links.entry(sender).or_default();
         for (link_seq, envelope) in batch.drain(..) {
             if link_seq < link.cursor {
@@ -110,12 +106,12 @@ impl Inbox {
     /// The next link sequence expected of `sender` — the cumulative-ack
     /// and resume cursor.
     pub(super) fn link_cursor(&self, sender: &'static str) -> u64 {
-        self.lock().get(sender).map_or(0, |link| link.cursor)
+        self.links.lock().get(sender).map_or(0, |link| link.cursor)
     }
 
     /// Poisons `sender`'s link with `error` (the first error wins).
     pub(super) fn close(&self, sender: &'static str, error: String) {
-        let mut links = self.lock();
+        let mut links = self.links.lock();
         // A closed link is an observable (error) state for every session
         // parked on it: fire them all.
         let fired = links.entry(sender).or_default().boxes.fail(error);
@@ -125,7 +121,7 @@ impl Inbox {
 
     /// Ends `session` on every sender's table, under one inbox lock.
     pub(super) fn close_session(&self, session: SessionId) {
-        for link in self.lock().values_mut() {
+        for link in self.links.lock().values_mut() {
             link.boxes.close(session);
         }
     }
@@ -139,6 +135,6 @@ impl Inbox {
         sender: &'static str,
         waker: &Waker,
     ) -> Poll<Result<Envelope, TransportError>> {
-        self.lock().entry(sender).or_default().boxes.poll(session, waker)
+        self.links.lock().entry(sender).or_default().boxes.poll(session, waker)
     }
 }

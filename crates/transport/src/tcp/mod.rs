@@ -92,12 +92,12 @@ use self::send::{
 };
 use self::supervise::supervisor_loop;
 use crate::link::LinkStats;
+use chorus_core::sync::Mutex;
 use chorus_core::{
     locate, park, ChoreographyLocation, LocationSet, SessionId, SessionTransport, Transport,
     TransportError, RAW_SESSION,
 };
 use chorus_wire::{data_frame_wire_len, Envelope};
-use parking_lot::Mutex;
 use std::collections::{HashMap, HashSet};
 use std::marker::PhantomData;
 use std::net::{Ipv4Addr, SocketAddr, TcpListener, TcpStream};
@@ -247,7 +247,9 @@ impl<L: LocationSet, Target: ChoreographyLocation> Drop for TcpTransport<L, Targ
         // A link still owed acks keeps this thread's waker and wakes it
         // when it prunes or goes down. A link another thread holds (a
         // reconnect can hold it past the cap) is not waited on but
-        // looked at again, so no wait outlasts an I/O tick.
+        // looked at again, so no wait outlasts an I/O tick. A link whose
+        // last connection attempt was refused owes nothing: its peer is
+        // gone.
         let tick = self.send.tuning.io_tick();
         while Instant::now() < deadline {
             let drained = park::wait(Some(deadline.min(Instant::now() + tick)), |waker| {
@@ -257,7 +259,7 @@ impl<L: LocationSet, Target: ChoreographyLocation> Drop for TcpTransport<L, Targ
                         owed = true;
                         continue;
                     };
-                    if !link.unacked.is_empty() && link.down.is_none() {
+                    if link.owes_peer() {
                         link.wake_on_settle(waker);
                         owed = true;
                     }

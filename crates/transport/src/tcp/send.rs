@@ -15,25 +15,35 @@
 use super::connect::establish;
 use crate::link::{LinkStats, LinkTuning};
 use chorus_core::park::{self, DeferredWrite};
+use chorus_core::sync::{Mutex, MutexGuard};
 use chorus_core::TransportError;
 use chorus_wire::{
     data_frame_wire_len, data_header, Bytes, Envelope, DATA_FRAME_OVERHEAD, DATA_HEADER_LEN,
 };
-use parking_lot::Mutex;
 use std::collections::{HashMap, VecDeque};
 use std::io::{IoSlice, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex as StdMutex, MutexGuard, PoisonError, TryLockError, Weak};
+use std::sync::{Arc, Weak};
 use std::task::{Poll, Waker};
 use std::time::{Duration, Instant};
 
-/// An ongoing connection outage on one link: when it began and how many
-/// attempts the retry budget has consumed.
+/// An ongoing connection outage on one link: when it began, how many
+/// attempts the retry budget has consumed, and whether the last one was
+/// refused.
 pub(super) struct Outage {
     pub(super) since: Instant,
     pub(super) attempts: u32,
+    /// Nothing listened at the peer's address on the last attempt: the
+    /// peer is gone, and nothing it is owed will be drained.
+    pub(super) refused: bool,
+}
+
+impl Outage {
+    pub(super) fn begin() -> Self {
+        Outage { since: Instant::now(), attempts: 0, refused: false }
+    }
 }
 
 /// One outgoing link: the lazily-opened stream, the retention queue of
@@ -119,6 +129,14 @@ impl SendLink {
         }
     }
 
+    /// Whether the peer is owed frames this link retains: some are not
+    /// acknowledged, and the link is neither down nor refused.
+    pub(super) fn owes_peer(&self) -> bool {
+        !self.unacked.is_empty()
+            && self.down.is_none()
+            && !self.outage.as_ref().is_some_and(|outage| outage.refused)
+    }
+
     /// Stores `waker` for the next prune or link-down to wake.
     pub(super) fn wake_on_settle(&mut self, waker: &Waker) {
         if !self.waiters.iter().any(|waiter| waiter.will_wake(waker)) {
@@ -132,7 +150,7 @@ impl SendLink {
 /// waker in the link and parks; whoever prunes retention or takes the
 /// link down under the lock wakes it once the lock is released.
 pub(super) struct LinkCell {
-    state: StdMutex<SendLink>,
+    state: Mutex<SendLink>,
     /// The peer, and the endpoint's send side (weak: the endpoint owns
     /// its links), for a write deferred to the end of a worker's pass.
     to: &'static str,
@@ -141,23 +159,15 @@ pub(super) struct LinkCell {
 
 impl LinkCell {
     pub(super) fn new(to: &'static str, shared: Weak<SendShared>) -> Self {
-        LinkCell { state: StdMutex::new(SendLink::new()), to, shared }
+        LinkCell { state: Mutex::new(SendLink::new()), to, shared }
     }
 
-    /// Locks the link. Poisoning is deliberately absorbed: the state a
-    /// panicking holder leaves behind is structurally sound (queues and
-    /// counters move together), and propagating it would wedge every
-    /// sender on the link.
     pub(super) fn lock(&self) -> LinkGuard<'_> {
-        LinkGuard(Some(self.state.lock().unwrap_or_else(PoisonError::into_inner)))
+        LinkGuard(Some(self.state.lock()))
     }
 
     pub(super) fn try_lock(&self) -> Option<LinkGuard<'_>> {
-        match self.state.try_lock() {
-            Ok(guard) => Some(LinkGuard(Some(guard))),
-            Err(TryLockError::Poisoned(poisoned)) => Some(LinkGuard(Some(poisoned.into_inner()))),
-            Err(TryLockError::WouldBlock) => None,
-        }
+        self.state.try_lock().map(|guard| LinkGuard(Some(guard)))
     }
 }
 
@@ -225,9 +235,7 @@ pub(super) fn kill_stream(link: &mut SendLink) {
         let _ = stream.shutdown(std::net::Shutdown::Both);
     }
     link.writing = false;
-    if link.outage.is_none() {
-        link.outage = Some(Outage { since: Instant::now(), attempts: 0 });
-    }
+    link.outage.get_or_insert_with(Outage::begin);
 }
 
 /// Send-side state shared with the supervisor and ack-reader threads.

@@ -195,6 +195,33 @@ fn exhausted_retry_budget_surfaces_link_down() {
 }
 
 #[test]
+fn drop_does_not_linger_on_a_peer_that_is_gone() {
+    let config = config();
+    let alice = TcpTransport::bind(Alice, config.clone()).unwrap();
+    let bob = TcpTransport::bind(Bob, config).unwrap();
+    alice.send("Bob", b"hello").unwrap();
+    assert_eq!(bob.receive("Alice").unwrap(), b"hello");
+    drop(bob);
+    // A frame whose ack died with the connection: the link still
+    // retains it, and the supervisor's reconnects to Bob are refused.
+    {
+        let handle = alice.link_handle("Bob");
+        let mut link = handle.lock();
+        kill_stream(&mut link);
+        let frame = Envelope::new(RAW_SESSION, 1, b"unacked".to_vec());
+        let seq = link.next_seq;
+        link.next_seq += 1;
+        link.retained_bytes += data_frame_wire_len(&frame);
+        link.unacked.push_back((seq, frame));
+    }
+    let cap = Duration::from_secs(3);
+    let started = Instant::now();
+    drop(alice);
+    let lingered = started.elapsed();
+    assert!(lingered < cap / 2, "the drop lingered {lingered:?} of its {cap:?} cap on a gone peer");
+}
+
+#[test]
 fn single_frame_larger_than_watermark_still_sends() {
     // A watermark below one frame's wire footprint must admit the
     // frame when the queue is empty — otherwise it could never be

@@ -5,8 +5,8 @@
 //! frame belong to?") and for asserting on communication patterns in
 //! tests without counting bytes by hand.
 
+use chorus_core::sync::Mutex;
 use chorus_core::{Layer, MessageCtx, SessionId};
-use parking_lot::Mutex;
 
 /// Whether a traced message was sent or received by this endpoint.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -536,6 +536,295 @@ mod no_spin_in_a_wait {
     }
 }
 
+/// One lock type. Every lock under `crates/*/src` is a
+/// `chorus_core::sync::Mutex`, which absorbs poisoning; only
+/// `crates/core/src/sync.rs`, which wraps std's, names std's lock types.
+/// Flagged: a `std::sync` path to `Mutex` or `MutexGuard` (in a `use`
+/// group too, a multi-line one read as one statement), a `sync::Mutex`
+/// that is not `chorus_core`'s, and `RwLock`, `PoisonError`,
+/// `TryLockError` and `parking_lot` anywhere.
+mod one_lock_type {
+    use super::*;
+
+    pub(super) const WRAPPER: &str = "crates/core/src/sync.rs";
+
+    /// Whether `path`, the text after a `std::sync::`, names `Mutex` or
+    /// `MutexGuard`, directly or in a `{…}` group.
+    fn names_std_mutex(path: &str) -> bool {
+        if path.starts_with("Mutex") {
+            return true;
+        }
+        if !path.starts_with('{') {
+            return false;
+        }
+        let mut depth = 0;
+        for (at, c) in path.char_indices() {
+            match c {
+                '{' => depth += 1,
+                '}' => depth -= 1,
+                _ => {}
+            }
+            if depth == 0 {
+                return path[..at].contains("Mutex");
+            }
+        }
+        path.contains("Mutex")
+    }
+
+    fn matches(statement: &str) -> bool {
+        ["RwLock", "PoisonError", "TryLockError", "parking_lot"]
+            .iter()
+            .any(|word| statement.contains(word))
+            || statement
+                .match_indices("std::sync::")
+                .any(|(at, open)| names_std_mutex(statement[at + open.len()..].trim_start()))
+            || statement.match_indices("sync::Mutex").any(|(at, _)| {
+                let before = &statement[..at];
+                !["chorus_core::", "crate::", "std::"].iter().any(|root| before.ends_with(root))
+            })
+    }
+
+    /// Every offending statement outside [`WRAPPER`], as
+    /// `path:line: code`: a `use` that spans lines is joined and
+    /// reported at its first line, any other line is read alone.
+    fn offending(sources: &[Source]) -> Vec<String> {
+        let mut found = Vec::new();
+        for source in sources.iter().filter(|s| s.path != WRAPPER) {
+            let stripped = strip(&source.text);
+            let mut lines = stripped.lines().enumerate();
+            while let Some((n, line)) = lines.next() {
+                let mut statement = line.trim().to_string();
+                let opens_use = statement.split_whitespace().find(|word| !word.starts_with("pub"))
+                    == Some("use");
+                if opens_use {
+                    while !statement.contains(';') {
+                        let Some((_, more)) = lines.next() else { break };
+                        statement.push(' ');
+                        statement.push_str(more.trim());
+                    }
+                }
+                if matches(&statement) {
+                    found.push(format!("{}:{}: {statement}", source.path, n + 1));
+                }
+            }
+        }
+        found
+    }
+
+    #[test]
+    fn holds_in_the_workspace() {
+        let sources = crate_sources();
+        assert!(
+            sources.iter().any(|s| s.path == WRAPPER),
+            "the rule's file set must include {WRAPPER}"
+        );
+        let found = offending(&sources);
+        assert!(
+            found.is_empty(),
+            "lock through chorus_core::sync::Mutex, the one non-poisoning lock:\n{}",
+            found.join("\n")
+        );
+    }
+
+    #[test]
+    fn fails_on_a_fixture_that_breaks_it() {
+        let sources = [
+            fixture(
+                "crates/transport/src/local.rs",
+                "// std::sync::Mutex and RwLock in a comment are prose.\n\
+                 const DOC: &str = \"parking_lot::Mutex\";\n\
+                 use chorus_core::sync::{Mutex, MutexGuard};\n\
+                 use std::sync::{Arc, OnceLock};\n\
+                 use std::sync::Mutex;\n",
+            ),
+            fixture(
+                "crates/transport/src/tcp/send.rs",
+                "use std::sync::{\n    Arc,\n    Mutex as StdMutex,\n};\n\
+                 use std::sync::{atomic::{AtomicBool, Ordering}, MutexGuard};\n\
+                 let guard = m.lock().unwrap_or_else(PoisonError::into_inner);\n\
+                 Err(TryLockError::WouldBlock) => None,\n",
+            ),
+            fixture("crates/kvs/src/node.rs", "use parking_lot::Mutex;\n"),
+            fixture("crates/protocols/src/store.rs", "struct S { map: RwLock<u8> }\n"),
+            fixture(
+                "crates/core/src/runtime.rs",
+                "use crate::sync::Mutex;\n\
+                 let cell = std::sync::Mutex::new(0);\n\
+                 struct J { cell: sync::Mutex<u8> }\n",
+            ),
+            fixture(WRAPPER, "pub struct Mutex<T: ?Sized>(std::sync::Mutex<T>);\n"),
+        ];
+        assert_eq!(
+            offending(&sources),
+            [
+                "crates/transport/src/local.rs:5: use std::sync::Mutex;",
+                "crates/transport/src/tcp/send.rs:1: use std::sync::{ Arc, Mutex as StdMutex, };",
+                "crates/transport/src/tcp/send.rs:5: use std::sync::{atomic::{AtomicBool, \
+                 Ordering}, MutexGuard};",
+                "crates/transport/src/tcp/send.rs:6: let guard = \
+                 m.lock().unwrap_or_else(PoisonError::into_inner);",
+                "crates/transport/src/tcp/send.rs:7: Err(TryLockError::WouldBlock) => None,",
+                "crates/kvs/src/node.rs:1: use parking_lot::Mutex;",
+                "crates/protocols/src/store.rs:1: struct S { map: RwLock<u8> }",
+                "crates/core/src/runtime.rs:2: let cell = std::sync::Mutex::new(0);",
+                "crates/core/src/runtime.rs:3: struct J { cell: sync::Mutex<u8> }",
+            ]
+        );
+    }
+}
+
+/// One way to run a census. Tests, tables and examples run their roles
+/// through `chorus_transport::Cohort`, and so do the crates that define
+/// and serve protocols: `thread::spawn` and `thread::Builder` appear
+/// in the Rust files under `tests/`, `examples/`, `crates/*/tests/`,
+/// `crates/bench/`, and the `src/` of `kvs`, `baseline`, `protocols`
+/// and `patterns` only in the files that test threading itself.
+mod one_way_to_run_a_census {
+    use super::*;
+
+    pub(super) const THREADING_TESTS: &[&str] = &[
+        "examples/quickstart.rs",
+        "crates/transport/tests/stress.rs",
+        "crates/transport/tests/retention.rs",
+        "crates/transport/tests/sessions.rs",
+        "crates/transport/tests/pooled_runtime.rs",
+    ];
+
+    /// The rule's file set.
+    fn governed() -> Vec<Source> {
+        let mut dirs = vec![
+            "tests".to_string(),
+            "examples".to_string(),
+            "crates/bench".to_string(),
+            "crates/kvs/src".to_string(),
+            "crates/baseline/src".to_string(),
+            "crates/protocols/src".to_string(),
+            "crates/patterns/src".to_string(),
+        ];
+        let mut crates: Vec<PathBuf> = fs::read_dir(root().join("crates"))
+            .expect("crates/ exists")
+            .map(|entry| entry.expect("directory entry").path())
+            .filter(|dir| dir.join("tests").is_dir())
+            .collect();
+        crates.sort();
+        for dir in crates {
+            let name = dir.file_name().expect("a crate directory").to_string_lossy();
+            if name != "bench" {
+                dirs.push(format!("crates/{name}/tests"));
+            }
+        }
+        rust_sources_under(&dirs.iter().map(String::as_str).collect::<Vec<_>>())
+    }
+
+    fn matches(line: &str) -> bool {
+        line.contains("thread::spawn") || line.contains("thread::Builder")
+    }
+
+    #[test]
+    fn holds_in_the_workspace() {
+        let sources = governed();
+        for path in THREADING_TESTS {
+            assert!(
+                sources.iter().any(|s| s.path == *path),
+                "the rule's file set must include {path}"
+            );
+        }
+        let found = offenders(&sources, THREADING_TESTS, matches);
+        assert!(
+            found.is_empty(),
+            "run these roles through chorus_transport::Cohort:\n{}",
+            found.join("\n")
+        );
+    }
+
+    #[test]
+    fn fails_on_a_fixture_that_breaks_it() {
+        let sources = [
+            fixture(
+                "crates/kvs/tests/role_threads.rs",
+                "// thread::spawn in a comment is prose.\n\
+                 std::thread::scope(|s| { s.spawn(|| ()); });\n\
+                 let h = std::thread::spawn(move || run(a));\n",
+            ),
+            fixture("examples/lottery.rs", "let h = thread::Builder::new().spawn(run);\n"),
+            fixture(THREADING_TESTS[1], "let h = std::thread::spawn(move || hammer(t));\n"),
+        ];
+        assert_eq!(
+            offenders(&sources, THREADING_TESTS, matches),
+            [
+                "crates/kvs/tests/role_threads.rs:3: let h = std::thread::spawn(move || run(a));",
+                "examples/lottery.rs:1: let h = thread::Builder::new().spawn(run);",
+            ]
+        );
+    }
+}
+
+/// One TCP write path. A link's data frames leave through one vectored
+/// write, the batch writer in `tcp/send.rs` that the send path's writer
+/// role and the reconnect replay share. Control frames leave through
+/// one `write_all`, the length-prefixed frame writer in `tcp/connect.rs`,
+/// so a frame's length and body are one write. In the Rust files under
+/// `crates/transport/src/tcp` but `tests.rs`, each word appears once.
+mod one_tcp_write_path {
+    use super::*;
+
+    pub(super) const TESTS: &str = "crates/transport/src/tcp/tests.rs";
+
+    /// Occurrences of `word` as a whole word in `sources` but [`TESTS`],
+    /// comments and strings stripped.
+    fn count(sources: &[Source], word: &str) -> usize {
+        let is_ident = |c: char| c.is_alphanumeric() || c == '_';
+        sources
+            .iter()
+            .filter(|s| s.path != TESTS)
+            .map(|source| {
+                let code = strip(&source.text);
+                code.match_indices(word)
+                    .filter(|(at, _)| {
+                        !code[..*at].ends_with(is_ident)
+                            && !code[at + word.len()..].starts_with(is_ident)
+                    })
+                    .count()
+            })
+            .sum()
+    }
+
+    fn writers(sources: &[Source]) -> [usize; 2] {
+        [count(sources, "write_vectored"), count(sources, "write_all")]
+    }
+
+    #[test]
+    fn holds_in_the_workspace() {
+        let sources = rust_sources_under(&["crates/transport/src/tcp"]);
+        assert!(
+            sources.iter().any(|s| s.path == TESTS),
+            "the rule's file set must include {TESTS}"
+        );
+        assert_eq!(
+            writers(&sources),
+            [1, 1],
+            "keep one batch writer (write_vectored) and one control-frame writer (write_all) \
+             in crates/transport/src/tcp"
+        );
+    }
+
+    #[test]
+    fn fails_on_a_fixture_that_breaks_it() {
+        let sources = [
+            fixture(
+                "crates/transport/src/tcp/send.rs",
+                "// write_all in a comment is prose.\n\
+                 match stream.write_vectored(slices) {}\n\
+                 fn write_all_frames() {}\n",
+            ),
+            fixture("crates/transport/src/tcp/connect.rs", "out.write_all(wire)?;\n"),
+            fixture("crates/transport/src/tcp/recv.rs", "stream.write_all(&ack)?;\n"),
+            fixture(TESTS, "sink.write_all(b\"x\")?; sink.write_vectored(&[])?;\n"),
+        ];
+        assert_eq!(writers(&sources), [1, 2]);
+    }
+}
+
 #[test]
 fn stripping_blanks_comments_and_literals_and_keeps_lines() {
     let text = "let a = \"x // y\"; // tail\n\
