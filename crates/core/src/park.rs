@@ -6,20 +6,21 @@
 //!
 //! Every transport's [`receive_frame`](crate::SessionTransport::receive_frame)
 //! is the one loop here over
-//! [`poll_receive_frame`](crate::SessionTransport::poll_receive_frame),
-//! the one receive method each transport implements. A transport that
-//! sets [`YIELD_BEFORE_PARK`](crate::SessionTransport::YIELD_BEFORE_PARK)
-//! first re-polls through [`poll_before_park`]'s bounded yield with
-//! [`Waker::noop`]: a miss stores it once, and every later miss finds
-//! it already stored, so yielding allocates and wakes nothing. Then the
-//! loop polls with this thread's waker (one `Arc` per thread, so a
-//! receive allocates nothing) and parks until a deposit wakes it. A
-//! poll stores its waker under the lock deposits take, so no wakeup is
-//! lost, and a spurious wake just polls again. Once [`default_watchdog`]
-//! has passed since the call, the receive fails with an error naming
-//! the session and the peer. The mailbox state decides what a receiver
-//! gets, never wake order, so `SimTransport`'s schedules stay
-//! reproducible.
+//! [`poll_receive_blocking`](crate::SessionTransport::poll_receive_blocking),
+//! which is a transport's own wait policy and defaults to
+//! [`poll_receive_frame`](crate::SessionTransport::poll_receive_frame):
+//! an in-process transport first re-polls through
+//! [`poll_before_park`]'s bounded yield with [`Waker::noop`] (a miss
+//! stores it once, and every later miss finds it already stored, so
+//! yielding allocates and wakes nothing); TCP reads the socket on the
+//! waiting thread. The loop polls with this thread's waker (one `Arc`
+//! per thread, so a receive allocates nothing) and parks until a
+//! deposit wakes it. A poll stores its waker under the lock deposits
+//! take, so no wakeup is lost, and a spurious wake just polls again.
+//! Once [`default_watchdog`] has passed since the call, the receive
+//! fails with an error naming the session and the peer. The mailbox
+//! state decides what a receiver gets, never wake order, so
+//! `SimTransport`'s schedules stay reproducible.
 //!
 //! A pool worker keeps a *pass*: the links whose writes its sends left
 //! for later. A transport whose send would write to a socket asks
@@ -138,8 +139,9 @@ pub fn flush_pass() {
 
 /// Polls `poll` up to [`YIELD_LIMIT`] times, yielding the core after
 /// each miss; `Pending` means the caller parks. How an in-process
-/// hand-off waits: a yielding transport's receive, a cohort thread's
-/// wait for its next job.
+/// hand-off waits: an in-process transport's
+/// [`poll_receive_blocking`](crate::SessionTransport::poll_receive_blocking),
+/// a cohort thread's wait for its next job.
 pub fn poll_before_park<T>(mut poll: impl FnMut() -> Poll<T>) -> Poll<T> {
     for _ in 0..YIELD_LIMIT {
         if let ready @ Poll::Ready(_) = poll() {
@@ -192,17 +194,13 @@ where
     Target: ChoreographyLocation,
     T: SessionTransport<L, Target> + ?Sized,
 {
-    let poll = |waker: &Waker| {
-        transport.poll_receive_frame(session, from, &mut Context::from_waker(waker))
-    };
     let started = Instant::now();
-    if T::YIELD_BEFORE_PARK {
-        if let Poll::Ready(frame) = poll_before_park(|| poll(Waker::noop())) {
-            return frame;
-        }
-    }
     let watchdog = default_watchdog();
-    wait(Some(started + watchdog), poll).unwrap_or_else(|| {
+    let deadline = started + watchdog;
+    let poll = |waker: &Waker| {
+        transport.poll_receive_blocking(session, from, &mut Context::from_waker(waker), deadline)
+    };
+    wait(Some(deadline), poll).unwrap_or_else(|| {
         Err(TransportError::Protocol(format!(
             "receive watchdog: no frame of session {session} from {from} after {}ms \
              (configured deadline {}ms)",

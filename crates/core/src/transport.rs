@@ -17,6 +17,7 @@
 use crate::location::{ChoreographyLocation, LocationSet};
 use std::fmt;
 use std::task::{Context, Poll};
+use std::time::Instant;
 
 /// Errors a transport can report.
 #[derive(Debug)]
@@ -166,14 +167,6 @@ pub const RAW_SESSION: SessionId = SessionId::MAX;
 /// built on; the raw [`Transport`] trait remains for single-stream,
 /// unframed byte links.
 pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
-    /// Whether a blocking [`receive_frame`](Self::receive_frame) re-polls
-    /// through a bounded yield ([`park::poll_before_park`](crate::park::poll_before_park))
-    /// before it parks: worth it where the frame comes from another
-    /// thread of this process (in-process and simulated links), since a
-    /// yield hands that thread the core and a park costs a wake; wasted
-    /// CPU where it takes a socket.
-    const YIELD_BEFORE_PARK: bool = false;
-
     /// The names of every location this transport can reach (including
     /// `Target` itself).
     fn locations(&self) -> Vec<&'static str> {
@@ -222,8 +215,8 @@ pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
     /// spurious wake costs the waker's owner one more poll.
     ///
     /// Both execution models receive through this method: the blocking
-    /// receive with its thread's waker, the pooled runtime with its
-    /// task's.
+    /// receive (through [`poll_receive_blocking`](Self::poll_receive_blocking))
+    /// with its thread's waker, the pooled runtime with its task's.
     ///
     /// # Errors
     ///
@@ -236,6 +229,33 @@ pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
         from: &str,
         cx: &mut Context<'_>,
     ) -> Poll<Result<chorus_wire::Envelope, TransportError>>;
+
+    /// One step of a blocking [`receive_frame`](Self::receive_frame):
+    /// what the calling thread does before it parks. `Ready` ends the
+    /// receive; `Pending` means the frame is not in, `cx`'s waker is
+    /// stored where the frame's arrival takes it, and the thread parks
+    /// until it is woken or `deadline` passes. Each transport picks its
+    /// own wait policy here, and the default is a plain
+    /// [`poll_receive_frame`](Self::poll_receive_frame): park at once.
+    /// An in-process transport first yields the core
+    /// ([`park::poll_before_park`](crate::park::poll_before_park)), since
+    /// its frame comes from another thread of this process; a socket
+    /// transport may read the socket on the calling thread, never past
+    /// `deadline`.
+    ///
+    /// # Errors
+    ///
+    /// As [`poll_receive_frame`](Self::poll_receive_frame).
+    fn poll_receive_blocking(
+        &self,
+        session: SessionId,
+        from: &str,
+        cx: &mut Context<'_>,
+        deadline: Instant,
+    ) -> Poll<Result<chorus_wire::Envelope, TransportError>> {
+        let _ = deadline;
+        self.poll_receive_frame(session, from, cx)
+    }
 
     /// Tells the transport this endpoint is done with `session`: every
     /// inbound link drops the session's mailbox, if it is drained, and

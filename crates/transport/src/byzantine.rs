@@ -19,6 +19,7 @@
 use chorus_core::{ChoreographyLocation, LocationSet, SessionId, SessionTransport, TransportError};
 use chorus_wire::{Bytes, Envelope};
 use std::task::{Context, Poll};
+use std::time::Instant;
 
 /// A transport adapter that makes its owner equivocate: frames sent to
 /// a *victim* receiver have one payload bit flipped (chosen
@@ -71,8 +72,6 @@ where
     Target: ChoreographyLocation,
     T: SessionTransport<L, Target>,
 {
-    const YIELD_BEFORE_PARK: bool = T::YIELD_BEFORE_PARK;
-
     fn locations(&self) -> Vec<&'static str> {
         self.inner.locations()
     }
@@ -97,6 +96,16 @@ where
         cx: &mut Context<'_>,
     ) -> Poll<Result<Envelope, TransportError>> {
         self.inner.poll_receive_frame(session, from, cx)
+    }
+
+    fn poll_receive_blocking(
+        &self,
+        session: SessionId,
+        from: &str,
+        cx: &mut Context<'_>,
+        deadline: Instant,
+    ) -> Poll<Result<Envelope, TransportError>> {
+        self.inner.poll_receive_blocking(session, from, cx, deadline)
     }
 
     fn close_session(&self, session: SessionId) {

@@ -9,7 +9,6 @@
 use std::collections::hash_map::RandomState;
 use std::hash::{BuildHasher, Hasher};
 use std::io::Read;
-use std::net::TcpStream;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Duration;
@@ -65,8 +64,8 @@ impl LinkTuning {
         (self.heartbeat * 2).max(Duration::from_millis(500))
     }
 
-    /// Read-timeout tick for ack readers and receive loops: short
-    /// enough that shutdown and pending-ack flushes are prompt.
+    /// Read-timeout tick of every connection: short enough that
+    /// shutdown and idle-ack flushes are prompt.
     pub(crate) fn io_tick(&self) -> Duration {
         (self.heartbeat / 4).clamp(Duration::from_millis(5), Duration::from_millis(100))
     }
@@ -266,7 +265,7 @@ impl FrameAccumulator {
     /// needed. `Ok(None)` is a timeout tick (the stream's read timeout
     /// elapsed with no complete frame); an `Err` is end-of-stream or a
     /// real I/O failure.
-    pub(crate) fn poll(&mut self, stream: &mut TcpStream) -> std::io::Result<Option<&[u8]>> {
+    pub(crate) fn poll(&mut self, mut stream: impl Read) -> std::io::Result<Option<&[u8]>> {
         loop {
             if let Some((lo, hi)) = self.frame_bounds() {
                 self.start = hi;
@@ -308,6 +307,7 @@ impl FrameAccumulator {
 mod tests {
     use super::*;
     use std::io::Write;
+    use std::net::TcpStream;
 
     #[test]
     fn backoff_grows_and_caps() {

@@ -10,7 +10,7 @@
 use crate::mailboxes::Mailboxes;
 use chorus_core::sync::Mutex;
 use chorus_core::{
-    locate, ChoreographyLocation, LocationSet, SessionId, SessionTransport, Transport,
+    locate, park, ChoreographyLocation, LocationSet, SessionId, SessionTransport, Transport,
     TransportError, RAW_SESSION,
 };
 use chorus_wire::Envelope;
@@ -18,6 +18,7 @@ use std::collections::HashMap;
 use std::marker::PhantomData;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
+use std::time::Instant;
 
 /// One directed link's state: its receive side, which senders deposit
 /// into directly.
@@ -105,9 +106,6 @@ impl<L: LocationSet, Target: ChoreographyLocation> LocalTransport<L, Target> {
 impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     for LocalTransport<L, Target>
 {
-    /// In-process peers usually answer within a microsecond.
-    const YIELD_BEFORE_PARK: bool = true;
-
     fn send_frame(&self, to: &str, frame: Envelope) -> Result<(), TransportError> {
         let mut boxes = self.link(to, true)?.lock();
         // Sequence-check and demultiplex at the sender, under the link
@@ -131,6 +129,24 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
         cx: &mut Context<'_>,
     ) -> Poll<Result<Envelope, TransportError>> {
         self.link(from, false)?.lock().poll(session, cx.waker())
+    }
+
+    /// In-process peers usually answer within a microsecond: a bounded
+    /// yield hands the sender the core before the receiver parks.
+    fn poll_receive_blocking(
+        &self,
+        session: SessionId,
+        from: &str,
+        cx: &mut Context<'_>,
+        _deadline: Instant,
+    ) -> Poll<Result<Envelope, TransportError>> {
+        let noop = &mut Context::from_waker(Waker::noop());
+        if let ready @ Poll::Ready(_) =
+            park::poll_before_park(|| self.poll_receive_frame(session, from, noop))
+        {
+            return ready;
+        }
+        self.poll_receive_frame(session, from, cx)
     }
 
     fn close_session(&self, session: SessionId) {

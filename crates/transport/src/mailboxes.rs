@@ -44,6 +44,11 @@
 //! its seq 0. A `seq > 0` with no entry therefore follows a close, or
 //! comes from a sender breaking its own sequencing.
 //!
+//! The table counts the wakers stored on it ([`waiting`](Mailboxes::waiting)):
+//! how many of its sessions wait for a frame that nobody has queued yet.
+//! TCP reads it to tell whether a mailbox holds a waker that no thread
+//! is reading the socket for.
+//!
 //! The sim logs a frame between checking and queueing it, so it uses the
 //! two halves of `deposit`, [`admit`](Mailboxes::admit) and
 //! [`queue`](Mailboxes::queue).
@@ -68,6 +73,8 @@ pub(crate) struct Mailboxes {
     closed_below: SessionId,
     /// Late frames dropped: `seq > 0` for a closed session.
     late: u64,
+    /// Sessions with a stored waker.
+    waiting: usize,
 }
 
 struct Stream {
@@ -91,6 +98,11 @@ impl Stream {
 impl Mailboxes {
     pub(crate) fn failed(&self) -> bool {
         self.failure.is_some()
+    }
+
+    /// How many sessions have a waker stored, waiting for a frame.
+    pub(crate) fn waiting(&self) -> usize {
+        self.waiting
     }
 
     /// Checks `seq` as the next of `session`'s stream and advances it.
@@ -143,7 +155,9 @@ impl Mailboxes {
             return Ok(None);
         };
         stream.queue.push_back(frame);
-        Ok(stream.waker.take())
+        let waker = stream.waker.take();
+        self.waiting -= usize::from(waker.is_some());
+        Ok(waker)
     }
 
     /// The check half of [`deposit`](Self::deposit): whether to queue the
@@ -162,13 +176,16 @@ impl Mailboxes {
         let stream =
             self.sessions.entry(frame.session).or_insert_with(|| Stream::open(&mut self.spare));
         stream.queue.push_back(frame);
-        stream.waker.take()
+        let waker = stream.waker.take();
+        self.waiting -= usize::from(waker.is_some());
+        waker
     }
 
     /// Fails the link unless it already failed, and hands back every
     /// stored waker.
     pub(crate) fn fail(&mut self, message: String) -> Vec<Waker> {
         self.failure.get_or_insert(message);
+        self.waiting = 0;
         self.sessions.values_mut().filter_map(|stream| stream.waker.take()).collect()
     }
 
@@ -189,7 +206,10 @@ impl Mailboxes {
         }
         match &mut stream.waker {
             Some(stored) if stored.will_wake(waker) => {}
-            slot => *slot = Some(waker.clone()),
+            slot => {
+                self.waiting += usize::from(slot.is_none());
+                *slot = Some(waker.clone());
+            }
         }
         Poll::Pending
     }
@@ -200,12 +220,13 @@ impl Mailboxes {
     pub(crate) fn close(&mut self, session: SessionId) {
         if let Entry::Occupied(mut entry) = self.sessions.entry(session) {
             if entry.get().queue.is_empty() {
-                let queue = entry.remove().queue;
+                let Stream { queue, waker, .. } = entry.remove();
+                self.waiting -= usize::from(waker.is_some());
                 if queue.capacity() > 0 {
                     self.spare.push(queue);
                 }
             } else {
-                entry.get_mut().waker = None;
+                self.waiting -= usize::from(entry.get_mut().waker.take().is_some());
             }
         }
         self.closed_below = self.closed_below.max(session.saturating_add(1));
@@ -527,6 +548,26 @@ mod tests {
         boxes.deposit("Alpha", frame(103, 0)).unwrap();
         boxes.close(103);
         assert_eq!(boxes.spare.len(), 1);
+    }
+
+    #[test]
+    fn the_table_counts_its_stored_wakers() {
+        let mut boxes = Mailboxes::default();
+        let count = Arc::new(Count::default());
+        for session in 1..=3 {
+            assert!(boxes.poll(session, &counting_waker(&count)).is_pending());
+        }
+        // A second miss replaces or keeps a waker, and stores no second.
+        assert!(boxes.poll(1, &counting_waker(&count)).is_pending());
+        assert_eq!(boxes.waiting(), 3);
+        assert!(boxes.deposit("Alpha", frame(1, 0)).unwrap().is_some());
+        assert!(boxes.queue(frame(2, 0)).is_some());
+        assert_eq!(boxes.waiting(), 1);
+        boxes.close(3);
+        assert_eq!(boxes.waiting(), 0);
+        assert!(boxes.poll(4, &counting_waker(&count)).is_pending());
+        assert_eq!(boxes.fail("down".to_string()).len(), 1);
+        assert_eq!(boxes.waiting(), 0);
     }
 
     #[test]

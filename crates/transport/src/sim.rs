@@ -63,7 +63,7 @@
 use crate::mailboxes::Mailboxes;
 use chorus_core::sync::{Mutex, MutexGuard};
 use chorus_core::{
-    locate, ChoreographyLocation, LocationSet, SessionId, SessionTransport, Transport,
+    locate, park, ChoreographyLocation, LocationSet, SessionId, SessionTransport, Transport,
     TransportError, RAW_SESSION,
 };
 use chorus_wire::Envelope;
@@ -73,6 +73,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
+use std::time::Instant;
 
 /// A frame is retransmitted at most this many times; past that the
 /// "network" relents and delivers. Keeps arrival ticks finite even with
@@ -793,10 +794,6 @@ impl<L: LocationSet, Target: ChoreographyLocation> SimTransport<L, Target> {
 impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
     for SimTransport<L, Target>
 {
-    /// Every simulated peer is a thread of this process, and virtual
-    /// time moves only on sends, so yielding to it changes no schedule.
-    const YIELD_BEFORE_PARK: bool = true;
-
     fn send_frame(&self, to: &str, mut frame: Envelope) -> Result<(), TransportError> {
         let (_, to) = locate::<L>(to)?;
         let from = Target::NAME;
@@ -901,6 +898,25 @@ impl<L: LocationSet, Target: ChoreographyLocation> SessionTransport<L, Target>
             self.net.shared.received.fetch_add(1, Ordering::Relaxed);
         }
         polled
+    }
+
+    /// Every simulated peer is a thread of this process, and virtual
+    /// time moves only on sends, so yielding to it before parking
+    /// changes no schedule.
+    fn poll_receive_blocking(
+        &self,
+        session: SessionId,
+        from: &str,
+        cx: &mut Context<'_>,
+        _deadline: Instant,
+    ) -> Poll<Result<Envelope, TransportError>> {
+        let noop = &mut Context::from_waker(Waker::noop());
+        if let ready @ Poll::Ready(_) =
+            park::poll_before_park(|| self.poll_receive_frame(session, from, noop))
+        {
+            return ready;
+        }
+        self.poll_receive_frame(session, from, cx)
     }
 
     fn close_session(&self, session: SessionId) {

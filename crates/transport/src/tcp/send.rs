@@ -1,6 +1,6 @@
 //! The send side of one link: the retention queue of unacknowledged
-//! frames, the watermark that bounds it, and the self-clocked batch
-//! writer.
+//! frames, the watermark that bounds it, the control frames owed to
+//! the peer, and the self-clocked batch writer.
 //!
 //! A sender holds its link's lock only to queue its frame. Whoever
 //! finds no write in progress becomes the link's writer: it assembles
@@ -11,20 +11,29 @@
 //! A sender on a pool worker does not take the role: it records the
 //! link in the worker's pass, and the worker takes the role for it when
 //! the pass ends ([`LinkCell`]'s [`DeferredWrite`]).
+//!
+//! The writer role is the only way onto an established connection. The
+//! acks, pongs and pings this endpoint owes the peer are marked on the
+//! link ([`SendLink::owe_ack`] and its siblings) and lead the next
+//! batch; a thread that holds a connection's read role never writes on
+//! it.
 
 use super::connect::establish;
+use super::inbox::Inbox;
+use super::recv::{Conn, Summons};
 use crate::link::{LinkStats, LinkTuning};
 use chorus_core::park::{self, DeferredWrite};
 use chorus_core::sync::{Mutex, MutexGuard};
 use chorus_core::TransportError;
 use chorus_wire::{
-    data_frame_wire_len, data_header, Bytes, Envelope, DATA_FRAME_OVERHEAD, DATA_HEADER_LEN,
+    data_frame_wire_len, data_header, Bytes, ControlFrame, Envelope, CONTROL_MAX_LEN,
+    DATA_FRAME_OVERHEAD, DATA_HEADER_LEN,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::io::{IoSlice, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
 use std::sync::{Arc, Weak};
 use std::task::{Poll, Waker};
 use std::time::{Duration, Instant};
@@ -46,14 +55,24 @@ impl Outage {
     }
 }
 
-/// One outgoing link: the lazily-opened stream, the retention queue of
-/// unacknowledged frames, and the reconnect bookkeeping.
+/// One link to a peer: the connection both directions share, the
+/// retention queue of unacknowledged frames, the control frames owed
+/// to the peer, and the reconnect bookkeeping.
 pub(super) struct SendLink {
-    /// Shared with the writer, which writes through it outside the lock.
-    pub(super) stream: Option<Arc<TcpStream>>,
-    /// Bumped per connection attempt that reached streaming, so the ack
-    /// reader and the writer of a dead connection can tell it has been
-    /// superseded and must not touch the link's fresh state.
+    /// The connection this endpoint sends on: one it dialed, or one the
+    /// peer dialed and this endpoint adopted. Shared with the writer,
+    /// which writes through it outside the lock, and with its reader.
+    pub(super) stream: Option<Arc<Conn>>,
+    /// A thread is establishing the link with the lock released,
+    /// dialing or backing off: other senders leave their frames
+    /// retained and return.
+    pub(super) connecting: bool,
+    /// Its dial is in flight: a crossing dial from the peer is settled
+    /// by name.
+    pub(super) dialing: bool,
+    /// Bumped per connection adopted, so the writer of a dead
+    /// connection can tell it has been superseded and must not touch
+    /// the link's fresh state.
     pub(super) generation: u64,
     /// Successfully established connections (for reconnect stats).
     pub(super) established: u64,
@@ -91,6 +110,13 @@ pub(super) struct SendLink {
     pub(super) pings_unanswered: u32,
     /// Heartbeat nonce counter.
     pub(super) nonce: u64,
+    /// A cumulative ack owed to the peer: its frames below this cursor
+    /// arrived. Leads the next batch.
+    pub(super) owe_ack: Option<u64>,
+    /// A heartbeat reply owed to the peer, `(nonce, cursor)`.
+    pub(super) owe_pong: Option<(u64, u64)>,
+    /// A heartbeat probe the supervisor wants written.
+    pub(super) owe_ping: bool,
     /// Present while disconnected: the running retry budget.
     pub(super) outage: Option<Outage>,
     /// Terminal: the retry budget was exhausted `(elapsed, attempts)`.
@@ -108,6 +134,8 @@ impl SendLink {
         let now = Instant::now();
         SendLink {
             stream: None,
+            connecting: false,
+            dialing: false,
             generation: 0,
             established: 0,
             writing: false,
@@ -122,6 +150,9 @@ impl SendLink {
             last_ping: now,
             pings_unanswered: 0,
             nonce: 0,
+            owe_ack: None,
+            owe_pong: None,
+            owe_ping: false,
             outage: None,
             down: None,
             waiters: Vec::new(),
@@ -135,6 +166,24 @@ impl SendLink {
         !self.unacked.is_empty()
             && self.down.is_none()
             && !self.outage.as_ref().is_some_and(|outage| outage.refused)
+    }
+
+    /// Whether a control frame is owed to the peer.
+    pub(super) fn owes_control(&self) -> bool {
+        self.owe_ack.is_some() || self.owe_pong.is_some() || self.owe_ping
+    }
+
+    /// Whether the link has something to write and no writer: control
+    /// frames owed, or retained frames not yet on its connection.
+    pub(super) fn needs_writer(&self) -> bool {
+        self.stream.is_some()
+            && !self.writing
+            && (self.owes_control() || self.flushed < self.next_seq)
+    }
+
+    /// Whether `conn` is the connection this link sends on.
+    pub(super) fn sends_on(&self, conn: &Conn) -> bool {
+        self.stream.as_deref().is_some_and(|stream| std::ptr::eq(stream, conn))
     }
 
     /// Stores `waker` for the next prune or link-down to wake.
@@ -151,15 +200,19 @@ impl SendLink {
 /// link down under the lock wakes it once the lock is released.
 pub(super) struct LinkCell {
     state: Mutex<SendLink>,
-    /// The peer, and the endpoint's send side (weak: the endpoint owns
-    /// its links), for a write deferred to the end of a worker's pass.
-    to: &'static str,
-    shared: Weak<SendShared>,
+    /// The peer, and the endpoint's shared state (weak: the endpoint
+    /// owns its links), for a write deferred to the end of a worker's
+    /// pass.
+    pub(super) to: &'static str,
+    shared: Weak<Shared>,
+    /// The peer's frames accepted since an ack was last marked owed;
+    /// counted by whoever reads them, without the link's lock.
+    pub(super) accepted: AtomicU32,
 }
 
 impl LinkCell {
-    pub(super) fn new(to: &'static str, shared: Weak<SendShared>) -> Self {
-        LinkCell { state: Mutex::new(SendLink::new()), to, shared }
+    pub(super) fn new(to: &'static str, shared: Weak<Shared>) -> Self {
+        LinkCell { state: Mutex::new(SendLink::new()), to, shared, accepted: AtomicU32::new(0) }
     }
 
     pub(super) fn lock(&self) -> LinkGuard<'_> {
@@ -168,6 +221,18 @@ impl LinkCell {
 
     pub(super) fn try_lock(&self) -> Option<LinkGuard<'_>> {
         self.state.try_lock().map(|guard| LinkGuard(Some(guard)))
+    }
+
+    /// Marks an ack owed for the peer's frames accepted since an ack
+    /// was last marked, and returns the link locked.
+    pub(super) fn owe_accepted(&self, inbox: &Inbox) -> LinkGuard<'_> {
+        let accepted = self.accepted.swap(0, Ordering::Relaxed);
+        let cursor = (accepted > 0).then(|| inbox.link_cursor(self.to));
+        let mut link = self.lock();
+        if cursor.is_some() {
+            link.owe_ack = cursor;
+        }
+        link
     }
 }
 
@@ -211,7 +276,7 @@ impl DeferredWrite for LinkCell {
     fn write_deferred(self: Arc<Self>) {
         let Some(shared) = self.shared.upgrade() else { return };
         let link = self.lock();
-        let _ = write_or_leave(&shared, self.to, &self, link);
+        let _ = write_or_leave(&shared, &self, link);
     }
 }
 
@@ -231,27 +296,49 @@ pub(super) fn prune_acked(link: &mut SendLink, below: u64) {
 /// writer still inside a write on the old connection fails or finishes
 /// it there; the next connection's replay covers its batch.
 pub(super) fn kill_stream(link: &mut SendLink) {
-    if let Some(stream) = link.stream.take() {
-        let _ = stream.shutdown(std::net::Shutdown::Both);
+    if let Some(conn) = link.stream.take() {
+        conn.shut_down();
     }
     link.writing = false;
     link.outage.get_or_insert_with(Outage::begin);
 }
 
-/// Send-side state shared with the supervisor and ack-reader threads.
-/// Deliberately non-generic (the target's name is interned in `me`).
-pub(super) struct SendShared {
+/// An endpoint's state, shared by its transport handle and its
+/// threads. Deliberately non-generic (the target's name is interned in
+/// `me`).
+pub(super) struct Shared {
     pub(super) me: &'static str,
+    /// The census names other than `me`, as interned once.
+    pub(super) peers: HashSet<&'static str>,
     pub(super) addrs: HashMap<&'static str, SocketAddr>,
     pub(super) tuning: LinkTuning,
-    pub(super) stats: Arc<LinkStats>,
-    pub(super) stop: Arc<AtomicBool>,
-    /// Per-peer outgoing links. The outer lock is held only to look up
-    /// or create an entry; connecting (which retries with backoff)
-    /// happens under the per-peer lock, and writing in that peer's
-    /// writer role, so one slow or dead peer never stalls sends to the
-    /// others.
+    pub(super) stats: LinkStats,
+    pub(super) stop: AtomicBool,
+    /// Per-peer links. The outer lock is held only to look up or create
+    /// an entry; dialing happens with no lock held (the link marked
+    /// `connecting`), and writing in that peer's writer role, so one
+    /// slow or dead peer never stalls sends to the others.
     pub(super) links: Mutex<HashMap<&'static str, Arc<LinkCell>>>,
+    /// The receive side: every peer's mailboxes and link cursor.
+    pub(super) inbox: Inbox,
+    /// Wakes the supervisor before its next sweep, to write control
+    /// frames owed on a link nobody is writing.
+    pub(super) supervisor: Summons,
+}
+
+impl Shared {
+    /// `to`'s link, created on first use.
+    pub(super) fn link(self: &Arc<Self>, to: &'static str) -> Arc<LinkCell> {
+        let mut links = self.links.lock();
+        Arc::clone(
+            links.entry(to).or_insert_with(|| Arc::new(LinkCell::new(to, Arc::downgrade(self)))),
+        )
+    }
+
+    /// Every link, for a sweep with the outer lock released.
+    pub(super) fn all_links(&self) -> Vec<Arc<LinkCell>> {
+        self.links.lock().values().map(Arc::clone).collect()
+    }
 }
 
 pub(super) fn link_down_error(
@@ -307,60 +394,104 @@ pub(super) fn wait_for_retention_room<'a>(
 /// iovec array comfortably under `IOV_MAX` (two slices per frame).
 const FLUSH_BATCH_MAX: usize = 256;
 
-/// One vectored write's worth of frames: their fixed 33-byte headers
-/// back to back, and a refcounted handle on each payload.
-#[derive(Default)]
+/// Control frames a batch can lead with: a pong or an ack, and a ping.
+const CONTROL_IN_BATCH: usize = 2;
+
+/// One vectored write's worth of frames: the owed control frames,
+/// length-prefixed, then the data frames' fixed 33-byte headers back to
+/// back, and a refcounted handle on each payload.
 pub(super) struct Batch {
+    control: [u8; CONTROL_IN_BATCH * (4 + CONTROL_MAX_LEN)],
+    control_len: usize,
     headers: Vec<u8>,
     payloads: Vec<Bytes>,
 }
 
-/// Assembles the next batch of retained frames not yet on the current
-/// connection (at most [`FLUSH_BATCH_MAX`]) and advances `flushed` past
-/// it, or returns `None` when everything retained is on the wire. The
-/// batch leaves the link, so it can be written outside the lock; put it
-/// back in `link.batch` after the write.
+impl Default for Batch {
+    fn default() -> Self {
+        Batch {
+            control: [0; CONTROL_IN_BATCH * (4 + CONTROL_MAX_LEN)],
+            control_len: 0,
+            headers: Vec::new(),
+            payloads: Vec::new(),
+        }
+    }
+}
+
+impl Batch {
+    /// Appends one length-prefixed control frame.
+    fn push_control(&mut self, frame: &ControlFrame) {
+        let at = self.control_len;
+        let len = frame.encode_into(&mut self.control[at + 4..]);
+        self.control[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.control_len = at + 4 + len;
+    }
+}
+
+/// Assembles the next batch: the control frames owed to the peer, then
+/// the retained frames not yet on the current connection (at most
+/// [`FLUSH_BATCH_MAX`]), advancing `flushed` past them; or returns
+/// `None` when nothing is owed and everything retained is on the wire.
+/// The batch leaves the link, so it can be written outside the lock;
+/// put it back in `link.batch` after the write.
 ///
 /// # Errors
 ///
 /// A frame whose length does not fit the `u32` prefix; nothing is
 /// advanced.
 pub(super) fn next_batch(link: &mut SendLink, stats: &LinkStats) -> std::io::Result<Option<Batch>> {
-    let SendLink { unacked, flushed, wire_high, batch, .. } = link;
     // `unacked` holds contiguous sequences, so the first unflushed
     // frame is at a computable offset — no scan over the
     // acked-but-unpruned prefix.
-    let skip = unacked
+    let skip = link
+        .unacked
         .front()
-        .map_or(0, |(first, _)| usize::try_from(flushed.saturating_sub(*first)).unwrap_or(0));
-    if skip >= unacked.len() {
+        .map_or(0, |(first, _)| usize::try_from(link.flushed.saturating_sub(*first)).unwrap_or(0));
+    if skip >= link.unacked.len() && !link.owes_control() {
         return Ok(None);
     }
+    let mut batch = std::mem::take(&mut link.batch);
+    batch.control_len = 0;
     batch.headers.clear();
     batch.payloads.clear();
-    let (mut next, mut replayed) = (*flushed, 0);
-    for (seq, envelope) in unacked.iter().skip(skip).take(FLUSH_BATCH_MAX) {
-        let outer_len = u32::try_from(DATA_HEADER_LEN + envelope.encoded_len()).map_err(|_| {
-            std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large")
-        })?;
+    // A pong's cursor doubles as the ack.
+    if let Some((nonce, next)) = link.owe_pong.take() {
+        let next = link.owe_ack.take().map_or(next, |ack| ack.max(next));
+        batch.push_control(&ControlFrame::Pong { nonce, next });
+    } else if let Some(next) = link.owe_ack.take() {
+        batch.push_control(&ControlFrame::Ack { next });
+    }
+    if std::mem::take(&mut link.owe_ping) {
+        link.nonce += 1;
+        batch.push_control(&ControlFrame::Ping { nonce: link.nonce });
+        link.last_ping = Instant::now();
+        link.pings_unanswered += 1;
+        stats.heartbeats.fetch_add(1, Ordering::Relaxed);
+    }
+    let (mut next, mut replayed) = (link.flushed, 0);
+    for (seq, envelope) in link.unacked.iter().skip(skip).take(FLUSH_BATCH_MAX) {
+        let Ok(outer_len) = u32::try_from(DATA_HEADER_LEN + envelope.encoded_len()) else {
+            link.batch = batch;
+            return Err(std::io::Error::new(std::io::ErrorKind::InvalidInput, "frame too large"));
+        };
         batch.headers.extend_from_slice(&outer_len.to_le_bytes());
         batch.headers.extend_from_slice(&data_header(*seq));
         batch.headers.extend_from_slice(&envelope.header());
         batch.payloads.push(envelope.payload.clone());
-        replayed += u64::from(*seq < *wire_high);
+        replayed += u64::from(*seq < link.wire_high);
         next = *seq + 1;
     }
     if replayed > 0 {
         stats.replayed.fetch_add(replayed, Ordering::Relaxed);
     }
-    *flushed = next;
-    *wire_high = (*wire_high).max(next);
-    Ok(Some(std::mem::take(batch)))
+    link.flushed = next;
+    link.wire_high = link.wire_high.max(next);
+    Ok(Some(batch))
 }
 
-/// Writes one batch: the headers interleaved with the payload slices,
-/// one system call unless the kernel takes the batch in parts, the
-/// payloads never copied.
+/// Writes one batch: the control frames, then the data headers
+/// interleaved with the payload slices, one system call unless the
+/// kernel takes the batch in parts, the payloads never copied.
 ///
 /// # Errors
 ///
@@ -373,8 +504,12 @@ pub(super) fn write_batch(
 ) -> std::io::Result<()> {
     // The iovec array lives on the stack: the steady-state write
     // allocates nothing.
-    let mut iov = [IoSlice::new(&[]); 2 * FLUSH_BATCH_MAX];
+    let mut iov = [IoSlice::new(&[]); 1 + 2 * FLUSH_BATCH_MAX];
     let mut iov_len = 0;
+    if batch.control_len > 0 {
+        iov[0] = IoSlice::new(&batch.control[..batch.control_len]);
+        iov_len = 1;
+    }
     for (header, payload) in batch.headers.chunks_exact(DATA_FRAME_OVERHEAD).zip(&batch.payloads) {
         iov[iov_len] = IoSlice::new(header);
         iov_len += 1;
@@ -401,63 +536,63 @@ pub(super) fn write_batch(
     Ok(())
 }
 
-/// Writes what `link` retains beyond its connection, unless another
-/// thread is at it: re-establishes a link that has no connection, leaves
-/// the frames to a writer already mid-write, and otherwise takes the
-/// writer role ([`flush_pending`]).
+/// Writes what `link` owes its peer, unless another thread is at it:
+/// (re-)establishes a link that has no connection, leaves the frames to
+/// a writer already mid-write or a thread already dialing, and
+/// otherwise takes the writer role ([`take_writer_role`]). A connection
+/// that fails under the write is torn down and left to the supervisor's
+/// reconnect, or the next send's: the peer may have read every byte,
+/// finished its part and gone, and nothing on this link is lost.
 ///
 /// # Errors
 ///
-/// Whatever (re-)establishing the link surfaces.
-pub(super) fn write_or_leave(
-    shared: &Arc<SendShared>,
-    to: &'static str,
-    handle: &Arc<LinkCell>,
-    mut link: LinkGuard<'_>,
+/// Whatever establishing a link with no connection surfaces.
+pub(super) fn write_or_leave<'a>(
+    shared: &Arc<Shared>,
+    handle: &'a Arc<LinkCell>,
+    link: LinkGuard<'a>,
 ) -> Result<(), TransportError> {
     if link.stream.is_none() {
-        return establish(shared, to, handle, &mut link, None);
+        return establish(shared, handle, link, None);
     }
     if link.writing {
         // Another thread is mid-write on this connection and flushes
         // these frames before it gives the writer role up.
         return Ok(());
     }
-    flush_pending(shared, to, handle, link)
+    drop(take_writer_role(shared, handle, link));
+    Ok(())
 }
 
 /// Takes the writer role on `link`'s current connection and writes
-/// every retained frame not yet on it: assemble a batch under the
-/// lock, write it with the lock released, re-lock, and repeat until
-/// nothing unflushed is left. Senders that queue a frame meanwhile find
-/// the role taken and leave the frame to this loop.
+/// what the link owes the peer: assemble a batch under the lock (the
+/// owed control frames, then retained frames not yet on the
+/// connection), write it with the lock released, re-lock, and repeat
+/// until nothing is left. Senders that queue a frame meanwhile find the
+/// role taken and leave the frame to this loop.
 ///
 /// A writer that comes back to a newer connection leaves it alone: the
 /// new connection cleared the role, and its resume replay covers the
 /// batch. A write error, or a connection killed without a successor
-/// yet, is handled as on the send path: tear down and re-establish.
-///
-/// # Errors
-///
-/// Whatever re-establishing the link surfaces.
-fn flush_pending<'a>(
-    shared: &Arc<SendShared>,
-    to: &'static str,
-    handle: &'a Arc<LinkCell>,
+/// yet, tears the connection down and hands the lock back, for the
+/// caller to re-establish the link or leave it to the supervisor.
+pub(super) fn take_writer_role<'a>(
+    shared: &Shared,
+    handle: &'a LinkCell,
     mut link: LinkGuard<'a>,
-) -> Result<(), TransportError> {
+) -> Option<LinkGuard<'a>> {
     let generation = link.generation;
-    let stream = Arc::clone(link.stream.as_ref().expect("the caller checked the connection"));
+    let conn = Arc::clone(link.stream.as_ref().expect("the caller checked the connection"));
     link.writing = true;
     loop {
         let written = match next_batch(&mut link, &shared.stats) {
             Ok(None) => {
                 link.writing = false;
-                return Ok(());
+                return None;
             }
             Ok(Some(batch)) => {
                 drop(link);
-                let written = write_batch(&stream, &batch, &shared.stats);
+                let written = write_batch(&conn.stream, &batch, &shared.stats);
                 link = handle.lock();
                 link.batch = batch;
                 written
@@ -465,11 +600,11 @@ fn flush_pending<'a>(
             Err(e) => Err(e),
         };
         if link.generation != generation {
-            return Ok(());
+            return None;
         }
         if written.is_err() || link.stream.is_none() {
             kill_stream(&mut link);
-            return establish(shared, to, handle, &mut link, None);
+            return Some(link);
         }
     }
 }

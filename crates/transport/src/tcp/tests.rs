@@ -1,4 +1,5 @@
 use super::*;
+use std::collections::HashSet;
 use std::sync::atomic::AtomicU64;
 use std::task::Waker;
 
@@ -205,7 +206,7 @@ fn drop_does_not_linger_on_a_peer_that_is_gone() {
     // A frame whose ack died with the connection: the link still
     // retains it, and the supervisor's reconnects to Bob are refused.
     {
-        let handle = alice.link_handle("Bob");
+        let handle = alice.shared.link("Bob");
         let mut link = handle.lock();
         kill_stream(&mut link);
         let frame = Envelope::new(RAW_SESSION, 1, b"unacked".to_vec());
@@ -248,13 +249,13 @@ fn single_frame_larger_than_watermark_still_sends() {
 #[test]
 fn a_links_first_failure_stays_its_failure() {
     let inbox = Inbox::default();
-    let take = |session| match inbox.poll(session, "Alice", Waker::noop()) {
+    let take = |session| match inbox.poll(session, "Alice", Waker::noop()).0 {
         Poll::Ready(frame) => frame,
         Poll::Pending => panic!("session {session}'s mailbox is empty"),
     };
     let mut batch =
         vec![(0, Envelope::new(1, 0, b"ok".to_vec())), (1, Envelope::new(1, 2, b"gap".to_vec()))];
-    inbox.deposit_batch("Alice", &mut batch, &mut Vec::new());
+    inbox.deposit_batch("Alice", None, &mut batch, &mut Vec::new());
     assert_eq!(take(1).unwrap().payload, b"ok");
     let first = take(1).unwrap_err().to_string();
     assert!(first.contains("frame from Alice in session 1 arrived out of order"), "got: {first}");
@@ -262,7 +263,7 @@ fn a_links_first_failure_stays_its_failure() {
     // A later batch skips link frames 2..9: a second failure, which must
     // not replace the first.
     let mut later = vec![(9, Envelope::new(2, 0, b"late".to_vec()))];
-    assert!(inbox.deposit_batch("Alice", &mut later, &mut Vec::new()).gap);
+    assert!(inbox.deposit_batch("Alice", None, &mut later, &mut Vec::new()).gap);
     assert_eq!(take(1).unwrap_err().to_string(), first);
     assert_eq!(take(2).unwrap_err().to_string(), first);
 }
@@ -358,6 +359,9 @@ fn concurrent_senders(break_mid_stream: bool) -> TcpLinkStats {
         .unwrap();
     let bob = TcpTransport::<System, _>::bind(Bob, cfg.clone()).unwrap();
     let alice = TcpTransport::<System, _>::bind(Alice, cfg).unwrap();
+    // Connected first: a send during a dial leaves its frame retained
+    // and returns, so a kill at once could find no connection to kill.
+    alice.send_frame("Bob", Envelope::new(SENDERS + 1, 0, Vec::new())).unwrap();
     std::thread::scope(|scope| {
         for session in 1..=SENDERS {
             let (alice, bob, start) = (&alice, &bob, &start);
@@ -438,4 +442,35 @@ fn a_control_frame_is_one_write() {
         assert_eq!(out.calls, 1, "{frame:?} took {} writes", out.calls);
         assert_eq!(out.bytes, expected, "{frame:?}");
     }
+}
+
+#[test]
+fn a_dial_backing_off_holds_up_neither_retention_nor_other_senders() {
+    // Bob's address is reserved but never bound: every dial is refused,
+    // and the first sender backs off 50 ms and more between attempts.
+    let addrs = free_local_addrs(2).unwrap();
+    let cfg = TcpConfigBuilder::new()
+        .location(Alice, addrs[0])
+        .location(Bob, addrs[1])
+        .retry_limit(5)
+        .retry_base(Duration::from_millis(50))
+        .build::<System>()
+        .unwrap();
+    let alice = TcpTransport::<System, _>::bind(Alice, cfg).unwrap();
+    std::thread::scope(|scope| {
+        let dialer = scope.spawn(|| alice.send("Bob", b"first"));
+        // Past the first refusal, inside its backoff.
+        std::thread::sleep(Duration::from_millis(25));
+        let started = Instant::now();
+        assert_eq!(alice.retention("Bob").0, 1, "the first frame is retained");
+        let looked = started.elapsed();
+        let started = Instant::now();
+        alice.send_frame("Bob", Envelope::new(1, 0, b"second".to_vec())).unwrap();
+        let sent = started.elapsed();
+        assert!(looked < Duration::from_millis(20), "retention waited {looked:?} on the dial");
+        assert!(sent < Duration::from_millis(20), "a second send waited {sent:?} on the dial");
+        assert_eq!(alice.retention("Bob").0, 2, "the second frame is retained too");
+        let err = dialer.join().unwrap().unwrap_err();
+        assert!(matches!(err, TransportError::LinkDown { attempts: 5, .. }), "got {err:?}");
+    });
 }

@@ -1,11 +1,12 @@
 //! A TCP endpoint runs a fixed set of threads whatever its traffic: an
-//! acceptor and a supervisor from `bind`, then one reader per inbound
-//! connection and one ack reader per outbound link. Sends write on the
-//! sending threads, so more frames never add a thread: inline on the
-//! caller's, on another sender's if that one is mid-write, or on a pool
-//! worker's at the end of its pass. Each role is counted by its thread name as well as in the
-//! total. One test in a file of its own, so that no test running in
-//! parallel moves the process's thread count (like `role_threads.rs`).
+//! acceptor and a supervisor from `bind`, then one reader per
+//! connection, and two endpoints share one connection both ways. Sends
+//! write on the sending threads, so more frames never add a thread:
+//! inline on the caller's, on another sender's if that one is
+//! mid-write, or on a pool worker's at the end of its pass. Each role is
+//! counted by its thread name as well as in the total. One test in a
+//! file of its own, so that no test running in parallel moves the
+//! process's thread count (like `role_threads.rs`).
 
 use chorus_core::{SessionTransport as _, Transport as _};
 use chorus_transport::{free_local_addrs, TcpConfigBuilder, TcpTransport};
@@ -22,14 +23,13 @@ fn threads() -> Option<usize> {
 }
 
 /// An endpoint's thread roles, by the 15 bytes of a thread's name the
-/// kernel keeps: acceptor, supervisor, reader, ack reader.
-const ROLES: [&str; 4] =
-    ["chorus-tcp-acce", "chorus-tcp-supe", "chorus-tcp-read", "chorus-tcp-ack-"];
+/// kernel keeps: acceptor, supervisor, reader.
+const ROLES: [&str; 3] = ["chorus-tcp-acce", "chorus-tcp-supe", "chorus-tcp-read"];
 
 /// How many of the process's threads run each of [`ROLES`], from
 /// `/proc/self/task/*/comm`.
-fn roles() -> [usize; 4] {
-    let mut counts = [0; 4];
+fn roles() -> [usize; 3] {
+    let mut counts = [0; 3];
     let tasks = std::fs::read_dir("/proc/self/task").into_iter().flatten().flatten();
     for comm in tasks.filter_map(|task| std::fs::read_to_string(task.path().join("comm")).ok()) {
         if let Some(role) = ROLES.iter().position(|prefix| comm.starts_with(prefix)) {
@@ -53,11 +53,12 @@ fn settled<T: PartialEq>(want: T, read: impl Fn() -> T) -> T {
     }
 }
 
-/// Two endpoints with one link each way: every role on both.
-const LINKED: [usize; 4] = [2, 2, 2, 2];
+/// Two endpoints linked both ways over one connection: every role on
+/// both.
+const LINKED: [usize; 3] = [2, 2, 2];
 
 #[test]
-fn a_tcp_endpoint_runs_four_threads_whatever_its_traffic() {
+fn a_tcp_endpoint_runs_three_threads_whatever_its_traffic() {
     let Some(baseline) = threads() else {
         return; // no /proc: not Linux
     };
@@ -70,15 +71,15 @@ fn a_tcp_endpoint_runs_four_threads_whatever_its_traffic() {
     let la = TcpTransport::bind(LA, config.clone()).expect("bind LA");
     let lb = TcpTransport::bind(LB, config).expect("bind LB");
     assert_eq!(threads(), Some(baseline + 4), "an acceptor and a supervisor per endpoint");
-    assert_eq!(settled([2, 2, 0, 0], roles), [2, 2, 0, 0], "acceptor, supervisor, reader, ack");
+    assert_eq!(settled([2, 2, 0], roles), [2, 2, 0], "acceptor, supervisor, reader");
 
     la.send("LB", b"ping").expect("send LA->LB");
     assert_eq!(lb.receive("LA").expect("receive at LB"), b"ping");
     lb.send("LA", b"pong").expect("send LB->LA");
     assert_eq!(la.receive("LB").expect("receive at LA"), b"pong");
-    let linked = baseline + 8;
-    assert_eq!(threads(), Some(linked), "each endpoint adds a reader and an ack reader");
-    assert_eq!(settled(LINKED, roles), LINKED, "acceptor, supervisor, reader, ack reader");
+    let linked = baseline + 6;
+    assert_eq!(threads(), Some(linked), "each endpoint adds one reader, for the one connection");
+    assert_eq!(settled(LINKED, roles), LINKED, "acceptor, supervisor, reader");
 
     for seq in 0..200 {
         la.send_frame("LB", Envelope::new(1, seq, vec![0xC3; 32])).expect("session send");
@@ -87,10 +88,10 @@ fn a_tcp_endpoint_runs_four_threads_whatever_its_traffic() {
         assert_eq!(lb.receive_frame(1, "LA").expect("session receive").seq, seq);
     }
     assert_eq!(threads(), Some(linked), "more frames add no thread");
-    assert_eq!(roles(), LINKED, "acceptor, supervisor, reader, ack reader");
+    assert_eq!(roles(), LINKED, "acceptor, supervisor, reader");
 
     drop(la);
     drop(lb);
     assert_eq!(settled(Some(baseline), threads), Some(baseline), "drop stops every link thread");
-    assert_eq!(roles(), [0; 4]);
+    assert_eq!(roles(), [0; 3]);
 }
