@@ -70,6 +70,24 @@ impl std::fmt::Display for CommFailure {
 
 impl std::error::Error for CommFailure {}
 
+impl CommFailure {
+    /// Panics the way the panicking operators report a failure of their
+    /// send from `sender`: at a receiver (where `peer` is `sender`) as
+    /// "failed to receive from {peer}: …" or "failed to decode message
+    /// from {peer}: …", at the sender as "failed to {op}: …".
+    pub(crate) fn raise(self, op: &str, sender: &str) -> ! {
+        match self.kind {
+            CommFailureKind::Transport(e) | CommFailureKind::Decode(e) if self.peer != sender => {
+                panic!("failed to {op}: {e}")
+            }
+            CommFailureKind::Transport(e) => panic!("failed to receive from {}: {e}", self.peer),
+            CommFailureKind::Decode(e) => {
+                panic!("failed to decode message from {}: {e}", self.peer)
+            }
+        }
+    }
+}
+
 /// A choreography: one global program describing every participant's
 /// behavior (§2).
 ///
@@ -136,14 +154,19 @@ pub trait FanInChoreography<V> {
 /// The choreographic operators available inside a choreography with census
 /// `ChoreoLS` (paper Fig. 6).
 ///
-/// The required methods are the primitives ([`locally`], [`multicast`],
-/// [`broadcast`], [`conclave`]); the rest are derived, mirroring §5.5's
-/// observation that `scatter`, `gather`, and `parallel` are definable from
-/// `fanout`/`fanin`.
+/// The required methods are the primitives ([`locally`],
+/// [`try_multicast`], [`broadcast`], [`agree`], [`conclave`]); the rest
+/// are derived, mirroring §5.5's observation that `scatter`, `gather`,
+/// and `parallel` are definable from `fanout`/`fanin`. The panicking
+/// [`multicast`] and `comm` are `try_multicast` with its failure raised,
+/// and `fanin` learns whether this endpoint is a recipient by running
+/// its collector as a conclave of the recipients.
 ///
 /// [`locally`]: ChoreoOp::locally
+/// [`try_multicast`]: ChoreoOp::try_multicast
 /// [`multicast`]: ChoreoOp::multicast
 /// [`broadcast`]: ChoreoOp::broadcast
+/// [`agree`]: ChoreoOp::agree
 /// [`conclave`]: ChoreoOp::conclave
 pub trait ChoreoOp<ChoreoLS: LocationSet> {
     /// Performs a local computation at `location`.
@@ -168,7 +191,8 @@ pub trait ChoreoOp<ChoreoLS: LocationSet> {
     ///
     /// # Panics
     ///
-    /// Panics if the underlying transport fails.
+    /// Panics if the underlying transport fails, with the failure
+    /// [`try_multicast`](ChoreoOp::try_multicast) reports.
     fn multicast<Sender: ChoreographyLocation, V: Portable, D: LocationSet, Index1, Index2>(
         &self,
         src: Sender,
@@ -177,7 +201,11 @@ pub trait ChoreoOp<ChoreoLS: LocationSet> {
     ) -> MultiplyLocated<V, D>
     where
         Sender: Member<ChoreoLS, Index1>,
-        D: Subset<ChoreoLS, Index2>;
+        D: Subset<ChoreoLS, Index2>,
+    {
+        self.try_multicast(src, destination, data)
+            .unwrap_or_else(|failure| failure.raise("multicast", Sender::NAME))
+    }
 
     /// Fallible [`multicast`](ChoreoOp::multicast): communication
     /// trouble surfaces as a [`CommFailure`] naming the peer instead of
@@ -187,10 +215,7 @@ pub trait ChoreoOp<ChoreoLS: LocationSet> {
     /// (`peer` is that destination). At a receiver, `Err` means the
     /// frame from `src` never arrived or did not decode (`peer` is
     /// `src`). Endpoints outside `destination` (other than `src`)
-    /// always observe `Ok` of a remote value. The default
-    /// implementation delegates to the panicking `multicast` —
-    /// centralized runners have no transport to fail — and session
-    /// endpoints override it.
+    /// always observe `Ok` of a remote value.
     fn try_multicast<Sender: ChoreographyLocation, V: Portable, D: LocationSet, Index1, Index2>(
         &self,
         src: Sender,
@@ -199,10 +224,7 @@ pub trait ChoreoOp<ChoreoLS: LocationSet> {
     ) -> Result<MultiplyLocated<V, D>, CommFailure>
     where
         Sender: Member<ChoreoLS, Index1>,
-        D: Subset<ChoreoLS, Index2>,
-    {
-        Ok(self.multicast(src, destination, data))
-    }
+        D: Subset<ChoreoLS, Index2>;
 
     /// Sends a value from `src` to the *entire census* and returns it bare:
     /// after a broadcast everyone knows the value, so everyone may branch on
@@ -267,13 +289,6 @@ pub trait ChoreoOp<ChoreoLS: LocationSet> {
     ) -> MultiplyLocated<R, S>
     where
         S: Subset<ChoreoLS, Index>;
-
-    /// Reports whether this endpoint is one of `Owners`.
-    ///
-    /// This is an implementation hook used by the derived operators; user
-    /// code has no reason to call it.
-    #[doc(hidden)]
-    fn resident<Owners: LocationSet>(&self) -> bool;
 
     /// Point-to-point communication: the `~>` operator of Fig. 1.
     ///
@@ -344,13 +359,7 @@ pub trait ChoreoOp<ChoreoLS: LocationSet> {
         let folder: FanInFolder<'_, Self, FIC, V, ChoreoLS, QS, RS, QSSubsetL, RSSubsetL> =
             FanInFolder { op: self, choreo: &c, phantom: PhantomData };
         let entries = QS::foldr(&folder, BTreeMap::new());
-        if self.resident::<RS>() {
-            let quire = Quire::from_map(entries)
-                .unwrap_or_else(|_| panic!("fanin: missing iteration results at a recipient"));
-            MultiplyLocated::local(quire)
-        } else {
-            MultiplyLocated::remote()
-        }
+        self.conclave::<_, RS, _, _>(Collect::<V, QS, RS> { entries, phantom: PhantomData })
     }
 
     /// Divergent, actively-parallel local computation (§3.4): every
@@ -551,6 +560,22 @@ where
             acc.insert(Q::NAME.to_string(), v);
         }
         acc
+    }
+}
+
+/// The end of a [`ChoreoOp::fanin`]: the recipients `RS` assemble the
+/// iterations' results into a [`Quire`], and everyone else skips it.
+struct Collect<V, QS, RS> {
+    entries: BTreeMap<String, V>,
+    phantom: PhantomData<fn() -> (QS, RS)>,
+}
+
+impl<V, QS: LocationSet, RS: LocationSet> Choreography<Quire<V, QS>> for Collect<V, QS, RS> {
+    type L = RS;
+
+    fn run(self, _op: &impl ChoreoOp<RS>) -> Quire<V, QS> {
+        Quire::from_map(self.entries)
+            .unwrap_or_else(|_| panic!("fanin: missing iteration results at a recipient"))
     }
 }
 

@@ -73,6 +73,10 @@ mod session;
 pub mod sync;
 mod transport;
 
+#[cfg(doctest)]
+#[doc = include_str!("../tests/static_rules.md")]
+mod static_rules {}
+
 pub use choreography::{
     ChoreoOp, Choreography, CommFailure, CommFailureKind, FanInChoreography, FanOutChoreography,
     Portable,

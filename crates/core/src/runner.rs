@@ -10,7 +10,7 @@
 //! soundness/completeness theorems (§4, Theorems 4–5) guarantee that what
 //! it computes agrees with what the projected endpoints jointly compute.
 
-use crate::choreography::{ChoreoOp, Choreography, Portable};
+use crate::choreography::{ChoreoOp, Choreography, CommFailure, Portable};
 use crate::faceted::Faceted;
 use crate::located::{Located, MultiplyLocated, Unwrapper};
 use crate::location::{ChoreographyLocation, LocationSet};
@@ -125,18 +125,18 @@ impl<ChoreoLS: LocationSet> ChoreoOp<ChoreoLS> for RunOp<ChoreoLS> {
         MultiplyLocated::local(computation(Unwrapper::new()))
     }
 
-    fn multicast<Sender: ChoreographyLocation, V: Portable, D: LocationSet, Index1, Index2>(
+    fn try_multicast<Sender: ChoreographyLocation, V: Portable, D: LocationSet, Index1, Index2>(
         &self,
         _src: Sender,
         _destination: D,
         data: &Located<V, Sender>,
-    ) -> MultiplyLocated<V, D>
+    ) -> Result<MultiplyLocated<V, D>, CommFailure>
     where
         Sender: Member<ChoreoLS, Index1>,
         D: Subset<ChoreoLS, Index2>,
     {
         let value = data.as_inner_option().expect("multicast: sender must hold the value it sends");
-        MultiplyLocated::local(codec_round_trip(value))
+        Ok(MultiplyLocated::local(codec_round_trip(value)))
     }
 
     fn broadcast<Sender: ChoreographyLocation, V: Portable, Index>(
@@ -177,10 +177,6 @@ impl<ChoreoLS: LocationSet> ChoreoOp<ChoreoLS> for RunOp<ChoreoLS> {
     {
         let sub_op: RunOp<S> = RunOp(PhantomData);
         MultiplyLocated::local(choreo.run(&sub_op))
-    }
-
-    fn resident<Owners: LocationSet>(&self) -> bool {
-        true
     }
 }
 

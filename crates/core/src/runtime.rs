@@ -144,16 +144,6 @@ pub struct SessionCx<'a> {
 }
 
 impl SessionCx<'_> {
-    /// This session's id.
-    pub fn session_id(&self) -> SessionId {
-        self.ops.session_id()
-    }
-
-    /// The location this endpoint plays.
-    pub fn target_name(&self) -> &'static str {
-        self.ops.target_name()
-    }
-
     /// Serializes `value` and sends it to the location named `to`
     /// within this session. Sends never block: transports buffer.
     ///
@@ -200,8 +190,6 @@ impl SessionCx<'_> {
 /// sequence counters — tasks are polled by one worker at a time, so no
 /// locking is needed around them.
 trait CxOps: Send {
-    fn session_id(&self) -> SessionId;
-    fn target_name(&self) -> &'static str;
     fn intern(&self, name: &str) -> Result<&'static str, TransportError>;
     fn send_payload(&mut self, to: &str, payload: Bytes) -> Result<(), TransportError>;
     fn try_receive_payload(
@@ -229,14 +217,6 @@ where
     Target: ChoreographyLocation + 'static,
     T: SessionTransport<TL, Target> + Send + Sync + 'static,
 {
-    fn session_id(&self) -> SessionId {
-        self.id
-    }
-
-    fn target_name(&self) -> &'static str {
-        Target::NAME
-    }
-
     fn intern(&self, name: &str) -> Result<&'static str, TransportError> {
         locate::<TL>(name).map(|(_, name)| name)
     }

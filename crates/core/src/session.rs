@@ -294,34 +294,6 @@ where
         self.send_payload(to, payload)
     }
 
-    /// Serializes `value` **exactly once** and sends cheap clones of
-    /// the same shared payload buffer to every destination in `dests`,
-    /// in order. Returns the encoded payload so a sender that is also a
-    /// recipient can decode its keep-copy from the very same bytes —
-    /// a fan-out over N parties costs one serialization total,
-    /// regardless of N.
-    ///
-    /// Each destination still gets its own sequence number and its own
-    /// pass through the layer stack (layers observe payload-only bytes,
-    /// once per destination, exactly as if the sends were separate).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if any destination is unknown, the value fails
-    /// to encode, or a link fails. Destinations before the failing one
-    /// will already have been sent to.
-    pub fn multicast_value<'n, V: Portable>(
-        &self,
-        dests: impl IntoIterator<Item = &'n str>,
-        value: &V,
-    ) -> Result<Bytes, TransportError> {
-        let payload = encode_payload(value)?;
-        for dest in dests {
-            self.send_payload(locate::<TL>(dest)?, payload.clone())?;
-        }
-        Ok(payload)
-    }
-
     /// Blocks until payload bytes from the location named `from` arrive
     /// in this session's mailbox, passing them through the endpoint's
     /// layer stack.
@@ -385,16 +357,35 @@ where
     Target: ChoreographyLocation,
     T: SessionTransport<TL, Target>,
 {
-    fn receive_from<V: Portable>(&self, from: &str) -> V {
-        let bytes = self
-            .session
-            .receive_payload(from)
-            .unwrap_or_else(|e| panic!("failed to receive from {from}: {e}"));
-        chorus_wire::from_bytes(&bytes)
-            .unwrap_or_else(|e| panic!("failed to decode message from {from}: {e}"))
+    /// Serializes `value` **exactly once** and sends a clone of the one
+    /// payload buffer to each of `dests`, in order, returning the
+    /// payload so a sender that is also a recipient can decode its copy
+    /// from the very bytes the others got. Each destination still gets
+    /// its own sequence number and its own pass through the layer stack.
+    ///
+    /// A failed send names its destination, and the destinations before
+    /// it have been sent to. A value that fails to encode is reported
+    /// against the first destination, or against this endpoint if there
+    /// is none.
+    fn send<V: Portable>(
+        &self,
+        dests: impl Iterator<Item = &'static str>,
+        value: &V,
+    ) -> Result<Bytes, CommFailure> {
+        let mut dests = dests.peekable();
+        let payload = encode_payload(value)
+            .map_err(|e| comm_failure(dests.peek().copied().unwrap_or(Target::NAME), e.into()))?;
+        for dest in dests {
+            locate::<TL>(dest)
+                .and_then(|to| self.session.send_payload(to, payload.clone()))
+                .map_err(|e| comm_failure(dest, e))?;
+        }
+        Ok(payload)
     }
 
-    fn try_receive_from<V: Portable>(&self, from: &str) -> Result<V, CommFailure> {
+    /// Receives this session's next frame from `from` and decodes it,
+    /// failures naming `from`.
+    fn receive<V: Portable>(&self, from: &str) -> Result<V, CommFailure> {
         let bytes = self.session.receive_payload(from).map_err(|e| comm_failure(from, e))?;
         decode_from(from, &bytes)
     }
@@ -443,45 +434,6 @@ where
         }
     }
 
-    fn multicast<Sender: ChoreographyLocation, V: Portable, D: LocationSet, Index1, Index2>(
-        &self,
-        _src: Sender,
-        _destination: D,
-        data: &Located<V, Sender>,
-    ) -> MultiplyLocated<V, D>
-    where
-        Sender: Member<ChoreoLS, Index1>,
-        D: Subset<ChoreoLS, Index2>,
-    {
-        if Sender::NAME == Target::NAME {
-            let value =
-                data.as_inner_option().expect("multicast: sender must hold the value it sends");
-            // One serialization, however many destinations: every remote
-            // recipient gets a cheap clone of the same payload buffer.
-            let payload = self
-                .session
-                .multicast_value(census::<D>().filter(|dest| *dest != Sender::NAME), value)
-                .unwrap_or_else(|e| panic!("failed to multicast: {e}"));
-            if D::contains(Sender::NAME) {
-                // The sender keeps its copy via an in-memory round trip
-                // over the *same* encoded bytes the recipients got, so
-                // that `V` needs no `Clone` bound and serialization bugs
-                // surface identically at every owner.
-                MultiplyLocated::local(
-                    chorus_wire::from_bytes(&payload).unwrap_or_else(|e| {
-                        panic!("failed to decode multicast payload locally: {e}")
-                    }),
-                )
-            } else {
-                MultiplyLocated::remote()
-            }
-        } else if D::contains(Target::NAME) {
-            MultiplyLocated::local(self.receive_from(Sender::NAME))
-        } else {
-            MultiplyLocated::remote()
-        }
-    }
-
     fn try_multicast<Sender: ChoreographyLocation, V: Portable, D: LocationSet, Index1, Index2>(
         &self,
         _src: Sender,
@@ -494,35 +446,19 @@ where
     {
         if Sender::NAME == Target::NAME {
             let value =
-                data.as_inner_option().expect("try_multicast: sender must hold the value it sends");
-            let mut remote = census::<D>().filter(|dest| *dest != Sender::NAME).peekable();
-            // Encode once, as `multicast` does. A value that fails to
-            // encode is reported against the first destination, or
-            // against the sender if it only keeps a copy.
-            let payload = encode_payload(value).map_err(|e| match remote.peek() {
-                Some(dest) => comm_failure(dest, e.into()),
-                None => CommFailure {
-                    peer: Sender::NAME.to_string(),
-                    kind: CommFailureKind::Decode(e.to_string()),
-                },
-            })?;
-            // Each destination is its own send, so a failing link is
-            // attributed to the exact peer involved.
-            for dest in remote {
-                locate::<TL>(dest)
-                    .and_then(|to| self.session.send_payload(to, payload.clone()))
-                    .map_err(|e| comm_failure(dest, e))?;
-            }
+                data.as_inner_option().expect("multicast: sender must hold the value it sends");
+            let payload = self.send(census::<D>().filter(|dest| *dest != Sender::NAME), value)?;
             if D::contains(Sender::NAME) {
-                // Same in-memory round trip as `multicast`, over the same
-                // bytes, with decode trouble surfaced instead of
-                // panicking.
+                // The sender keeps its copy via an in-memory round trip
+                // over the *same* encoded bytes the recipients got, so
+                // that `V` needs no `Clone` bound and serialization bugs
+                // surface identically at every owner.
                 decode_from(Sender::NAME, &payload).map(MultiplyLocated::local)
             } else {
                 Ok(MultiplyLocated::remote())
             }
         } else if D::contains(Target::NAME) {
-            self.try_receive_from(Sender::NAME).map(MultiplyLocated::local)
+            self.receive(Sender::NAME).map(MultiplyLocated::local)
         } else {
             Ok(MultiplyLocated::remote())
         }
@@ -536,18 +472,15 @@ where
     where
         Sender: Member<ChoreoLS, Index>,
     {
-        if Sender::NAME == Target::NAME {
+        let known = if Sender::NAME == Target::NAME {
             let value =
                 data.into_inner_option().expect("broadcast: sender must hold the value it sends");
-            // Encode once; every other location receives a clone of the
-            // same payload buffer.
-            self.session
-                .multicast_value(census::<ChoreoLS>().filter(|dest| *dest != Sender::NAME), &value)
-                .unwrap_or_else(|e| panic!("failed to broadcast: {e}"));
-            value
+            self.send(census::<ChoreoLS>().filter(|dest| *dest != Sender::NAME), &value)
+                .map(|_| value)
         } else {
-            self.receive_from(Sender::NAME)
-        }
+            self.receive(Sender::NAME)
+        };
+        known.unwrap_or_else(|failure| failure.raise("broadcast", Sender::NAME))
     }
 
     fn agree<V, S: LocationSet, Index>(&self, _locations: S, data: &Faceted<V, S>) -> Option<V>
@@ -575,10 +508,6 @@ where
         } else {
             MultiplyLocated::remote()
         }
-    }
-
-    fn resident<Owners: LocationSet>(&self) -> bool {
-        Owners::contains(Target::NAME)
     }
 }
 

@@ -125,12 +125,6 @@ impl From<chorus_wire::WireError> for TransportError {
 /// "the guarantees of CP only hold in the context of reliable
 /// communication").
 pub trait Transport<L: LocationSet, Target: ChoreographyLocation> {
-    /// The names of every location this transport can reach (including
-    /// `Target` itself).
-    fn locations(&self) -> Vec<&'static str> {
-        L::names()
-    }
-
     /// Sends `data` to the location named `to`.
     ///
     /// # Errors
@@ -167,12 +161,6 @@ pub const RAW_SESSION: SessionId = SessionId::MAX;
 /// built on; the raw [`Transport`] trait remains for single-stream,
 /// unframed byte links.
 pub trait SessionTransport<L: LocationSet, Target: ChoreographyLocation> {
-    /// The names of every location this transport can reach (including
-    /// `Target` itself).
-    fn locations(&self) -> Vec<&'static str> {
-        L::names()
-    }
-
     /// Sends one frame to the location named `to`.
     ///
     /// # Errors

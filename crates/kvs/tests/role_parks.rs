@@ -46,6 +46,13 @@ fn workload(cluster: &mut SimCluster, round: u64, pairs: u64) {
 
 const PAIRS: u64 = 150;
 
+/// Windows of `2 * PAIRS` ops measured before the test fails. Another
+/// process busy on the same cores can push one window over the bar (a
+/// node thread's yields find no runnable peer's frame and it parks);
+/// the regression this test exists for, node threads that park on
+/// every hand-off, parks several times per op in every window.
+const WINDOWS: u64 = 3;
+
 #[test]
 fn steady_state_ops_do_not_park_the_node_threads() {
     if !std::path::Path::new("/proc/self/task").exists() {
@@ -56,18 +63,22 @@ fn steady_state_ops_do_not_park_the_node_threads() {
     // to its steady-state size.
     workload(&mut cluster, 0, 64);
 
-    let (before, nodes) = node_switches();
-    assert_eq!(nodes, NODE_NAMES.len(), "one thread per candidate node");
-    workload(&mut cluster, 1, PAIRS);
-    let (after, _) = node_switches();
-
     let ops = 2 * PAIRS;
-    let parked = after - before;
-    println!("{ops} steady-state ops: {parked} voluntary switches on the node threads");
-    assert!(
-        parked < ops,
-        "{ops} steady-state ops parked the node threads {parked} times \
-         ({:.2} per op; the bar is under 1)",
-        parked as f64 / ops as f64
+    let mut counts = Vec::new();
+    for window in 1..=WINDOWS {
+        let (before, nodes) = node_switches();
+        assert_eq!(nodes, NODE_NAMES.len(), "one thread per candidate node");
+        workload(&mut cluster, window, PAIRS);
+        let (after, _) = node_switches();
+        let parked = after - before;
+        println!("window {window}: {ops} steady-state ops, {parked} voluntary switches on the node threads");
+        if parked < ops {
+            return;
+        }
+        counts.push(parked);
+    }
+    panic!(
+        "every window of {ops} steady-state ops parked the node threads at least once per op: \
+         {counts:?} switches (the bar is under 1 per op)"
     );
 }

@@ -72,10 +72,6 @@ where
     Target: ChoreographyLocation,
     T: SessionTransport<L, Target>,
 {
-    fn locations(&self) -> Vec<&'static str> {
-        self.inner.locations()
-    }
-
     fn send_frame(&self, to: &str, mut frame: Envelope) -> Result<(), TransportError> {
         if !frame.payload.is_empty() && self.victims.contains(&to) {
             let (byte, bit) =

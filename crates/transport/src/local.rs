@@ -206,14 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn locations_lists_the_census() {
-        let channel = LocalTransportChannel::<System>::new();
-        let alice = LocalTransport::new(Alice, channel);
-        assert_eq!(chorus_core::Transport::locations(&alice), vec!["Alice", "Bob"]);
-        assert_eq!(chorus_core::SessionTransport::locations(&alice), vec!["Alice", "Bob"]);
-    }
-
-    #[test]
     fn links_are_directional() {
         let channel = LocalTransportChannel::<System>::new();
         let alice = LocalTransport::new(Alice, channel.clone());

@@ -154,8 +154,9 @@ fn parked_sender_surfaces_retention_exceeded_when_the_link_dies() {
     let cfg = TcpConfigBuilder::new()
         .location(Alice, addrs[0])
         .location(Bob, bob_addr)
-        // Fast failure detection: the ack reader sees the socket die,
-        // and the reconnect budget burns out in a few milliseconds.
+        // Fast failure detection: the connection's reader sees the
+        // socket die, and the reconnect budget burns out in a few
+        // milliseconds.
         .heartbeat(Duration::from_millis(50))
         .retry_limit(3)
         .retry_base(Duration::from_millis(2))
@@ -262,10 +263,12 @@ impl Wake for HoldReader {
 }
 
 /// Regression for the stranded drop: an endpoint's drop lingers (up to
-/// 3 s) until its retained frames are acknowledged, and the acks are
-/// owed by the peer's reader threads — so a reader that sees its own
-/// endpoint dropped must write the ack it owes before exiting, or the
-/// peer waits for an ack nobody is left to send.
+/// 3 s) until its retained frames are acknowledged, and the peer owes
+/// those acks on its side of the shared connection, carried by its
+/// link's next batch or written by its supervisor — so an endpoint
+/// dropped just after its reader accepted a frame must still get the
+/// ack it owes written, or the peer waits for an ack nobody is left to
+/// send.
 ///
 /// The interleaving that strands the peer is forced, not raced: a
 /// mailbox waker runs on Bob's reader thread between the deposit and

@@ -825,6 +825,79 @@ mod one_tcp_write_path {
     }
 }
 
+/// One send path per projection. `ChoreoOp::try_multicast` is the one
+/// send primitive a projection implements; the panicking `multicast` is
+/// provided over it, once, in `crates/core/src/choreography.rs`. Nor
+/// does a projection answer where it runs or what its transport
+/// reaches: under `crates/*/src`, `fn multicast` is declared only in
+/// that file, and `fn resident`, `fn multicast_value` and
+/// `fn locations` nowhere.
+mod one_send_path_per_projection {
+    use super::*;
+
+    pub(super) const PRIMITIVES: &str = "crates/core/src/choreography.rs";
+
+    /// Whether `line` declares a function named exactly one of `names`.
+    fn declares(line: &str, names: &[&str]) -> bool {
+        let words: Vec<&str> = line.split_whitespace().collect();
+        words.windows(2).any(|pair| {
+            let name = pair[1].split(|c: char| !c.is_alphanumeric() && c != '_').next();
+            pair[0] == "fn" && name.is_some_and(|name| names.contains(&name))
+        })
+    }
+
+    fn offending(sources: &[Source]) -> Vec<String> {
+        let mut found = offenders(sources, &[PRIMITIVES], |line| declares(line, &["multicast"]));
+        found.extend(offenders(sources, &[], |line| {
+            declares(line, &["resident", "multicast_value", "locations"])
+        }));
+        found
+    }
+
+    #[test]
+    fn holds_in_the_workspace() {
+        let sources = crate_sources();
+        assert!(
+            sources.iter().any(|s| s.path == PRIMITIVES),
+            "the rule's file set must include {PRIMITIVES}"
+        );
+        let found = offending(&sources);
+        assert!(
+            found.is_empty(),
+            "implement try_multicast, and let ChoreoOp provide multicast over it:\n{}",
+            found.join("\n")
+        );
+    }
+
+    #[test]
+    fn fails_on_a_fixture_that_breaks_it() {
+        let sources = [
+            fixture(
+                PRIMITIVES,
+                "fn multicast<Sender: ChoreographyLocation>(&self) {}\n\
+                 fn resident<Owners: LocationSet>(&self) -> bool;\n",
+            ),
+            fixture(
+                "crates/core/src/session.rs",
+                "// fn multicast in a comment is prose.\n\
+                 fn multicast<Sender>(&self) {}\n\
+                 pub fn multicast_value<'n, V: Portable>(&self) {}\n",
+            ),
+            fixture("crates/lambda/src/network.rs", "fn multicast_rendezvous_completes() {}\n"),
+            fixture("crates/core/src/transport.rs", "    fn locations(&self) -> Vec<&str> {\n"),
+        ];
+        assert_eq!(
+            offending(&sources),
+            [
+                "crates/core/src/session.rs:2: fn multicast<Sender>(&self) {}",
+                "crates/core/src/choreography.rs:2: fn resident<Owners: LocationSet>(&self) -> bool;",
+                "crates/core/src/session.rs:3: pub fn multicast_value<'n, V: Portable>(&self) {}",
+                "crates/core/src/transport.rs:1: fn locations(&self) -> Vec<&str> {",
+            ]
+        );
+    }
+}
+
 #[test]
 fn stripping_blanks_comments_and_literals_and_keeps_lines() {
     let text = "let a = \"x // y\"; // tail\n\
