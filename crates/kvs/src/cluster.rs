@@ -61,13 +61,11 @@ macro_rules! bind_census {
     (candidates => $cb:ident) => { bind_census!(@candidates @all $cb) };
     (@all $cb:ident [$($node:ident)+]) => { $cb!($($node),+) };
     (members($names:expr) => $cb:ident) => {{
-        let names: &[&str] = $names;
-        assert_candidates(names);
+        let names = assert_candidates($names);
         bind_census!(@candidates @walk names (members $cb) [])
     }};
     (round($proposer:expr, $names:expr) => $cb:ident) => {{
-        let (proposer, names): (&str, &[&str]) = ($proposer, $names);
-        assert_candidates(names);
+        let (proposer, names): (&str, _) = ($proposer, assert_candidates($names));
         bind_census!(@candidates @walk names (round proposer $cb) [])
     }};
     (pair($donor:expr, $recipient:expr) => $cb:ident) => {{
@@ -81,7 +79,7 @@ macro_rules! bind_census {
 
     // Accumulate into `[bound]` the candidates the census holds.
     (@walk $names:ident $then:tt [$($bound:ident)*] [$head:ident $($rest:ident)*]) => {
-        if $names.contains(&<$head>::NAME) {
+        if $names.iter().any(|name| AsRef::<str>::as_ref(name) == <$head>::NAME) {
             bind_census!(@walk $names $then [$($bound)* $head] [$($rest)*])
         } else {
             bind_census!(@walk $names $then [$($bound)*] [$($rest)*])
@@ -132,12 +130,13 @@ macro_rules! bind_census {
 }
 
 /// A census naming a node outside [`NODE_NAMES`] must not bind to the
-/// members it does recognise.
-fn assert_candidates(names: &[&str]) {
+/// members it does recognise. Returns the census, names as given.
+fn assert_candidates<S: AsRef<str> + std::fmt::Debug>(names: &[S]) -> &[S] {
     assert!(
-        names.iter().all(|name| NODE_NAMES.contains(name)),
+        names.iter().all(|name| NODE_NAMES.contains(&name.as_ref())),
         "census {names:?} outside the candidate universe"
     );
+    names
 }
 
 /// One planned state transfer of a reconfiguration: `recipient` gains
@@ -295,15 +294,19 @@ impl SimCluster {
         }
     }
 
-    /// One data-plane round against the client's current census view.
-    /// Returns the stamped version alongside the outcome so callers can
-    /// feed the consistency model.
+    /// One data-plane round against the key's replica set under the
+    /// client's config view: the round's census is the client and those
+    /// replicas, so a member that holds no copy of the key is neither
+    /// messaged nor woken (a conclave, §3.4). A replica that is down is
+    /// still contacted and answers `Down`. The round borrows the view;
+    /// it copies no part of it. Returns the stamped version alongside
+    /// the outcome so callers can feed the consistency model.
     pub fn raw_op(&mut self, op: KvsOp) -> (u64, Result<OpOutcome, KvsError>) {
         let version = self.next_version();
-        let request = StampedRequest { epoch: self.client_config.epoch, version, op };
         let sid = self.next_session_id();
-        let census = self.client_config.census.clone();
-        let names: Vec<&str> = census.iter().map(|s| s.as_str()).collect();
+        let config = &self.client_config;
+        let replicas = &config.shard_of(op.key()).replicas;
+        let request = StampedRequest { epoch: config.epoch, version, op };
 
         macro_rules! run_op {
             ($($role:ident),+) => {{
@@ -323,7 +326,7 @@ impl SimCluster {
                     let out = session.epp_and_run(ClusterOp::<M, _, _> {
                         request: session.local(request),
                         nodes: session.remote_faceted(<M>::new()),
-                        config: session.local(self.client_config.clone()),
+                        config: session.local(config),
                         phantom: PhantomData,
                     });
                     session.unwrap(out)
@@ -331,7 +334,7 @@ impl SimCluster {
                 out
             }};
         }
-        let result = bind_census!(members(names.as_slice()) => run_op);
+        let result = bind_census!(members(replicas) => run_op);
         (version, result)
     }
 
@@ -444,7 +447,6 @@ impl SimCluster {
     ) -> BTreeMap<&'static str, Result<ClusterConfig, Misbehavior>> {
         let sid = self.next_session_id();
         let quorum = census.len() / 2 + 1;
-        let names: Vec<&str> = census.iter().map(|s| s.as_str()).collect();
         macro_rules! run_install {
             ($p:ident; $($role:ident),+) => {{
                 type M = chorus_core::LocationSet!($($role),+);
@@ -464,7 +466,7 @@ impl SimCluster {
                 outcomes.into_iter().collect::<BTreeMap<_, _>>()
             }};
         }
-        bind_census!(round(proposer, names.as_slice()) => run_install)
+        bind_census!(round(proposer, census) => run_install)
     }
 
     /// Plans the state transfers of the transition `current → next`:

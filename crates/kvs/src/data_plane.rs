@@ -1,18 +1,19 @@
 //! The census-polymorphic data plane: one `Get`/`Put` round against the
 //! current cluster, written once over an abstract member set.
 //!
-//! [`ClusterOp`] is generic over `Members` — the node census of the
-//! *currently installed* config — exactly the paper's census
-//! polymorphism: the same choreography text serves a 2-node cluster
-//! during a leave, a 4-node cluster after a join, and anything between,
-//! with the concrete set bound at the call site (§3.4). The client
-//! pushes an epoch-stamped request to every member ([`try_multicast`],
-//! so a chaos-eaten frame degrades to a typed miss instead of a hang),
-//! each member answers from its own replica state machine, and the
-//! replies fan back in with per-member communication failures
-//! attributed — mirroring `chorus_patterns::ProposeAck`'s ack round.
-//! The client then resolves quorum: stale-epoch fencing first, then
-//! write/read quorums over the shard's replica set.
+//! [`ClusterOp`] is generic over `Members` — the replica set of the
+//! key's shard under the client's config view — exactly the paper's
+//! census polymorphism: the same choreography text serves a key's one
+//! replica on a one-node cluster, its three on a larger one, and any
+//! replica set a join, leave, split or migration leaves it, with the
+//! concrete set bound at the call site (§3.4). A member that holds no copy of the key takes no part in the
+//! round. The client pushes an epoch-stamped request to every replica
+//! ([`try_multicast`], so a chaos-eaten frame degrades to a typed miss
+//! instead of a hang), each replica answers from its own replica state
+//! machine, and the replies fan back in with per-replica communication
+//! failures attributed — mirroring `chorus_patterns::ProposeAck`'s ack
+//! round. The client then resolves quorum: stale-epoch fencing first,
+//! then write/read quorums over the shard's replica set.
 //!
 //! [`try_multicast`]: chorus_core::ChoreoOp::try_multicast
 
@@ -26,8 +27,8 @@ use chorus_protocols::roles::Client;
 use serde::{Deserialize, Serialize};
 use std::marker::PhantomData;
 
-/// The full census of one data-plane round: the client plus the current
-/// members.
+/// The full census of one data-plane round: the client plus the key's
+/// replicas.
 pub type KvsCensus<Members> = HCons<Client, Members>;
 
 /// Why a client operation failed, as a typed error — never a hang,
@@ -83,23 +84,24 @@ pub enum OpOutcome {
 
 /// One data-plane round: client request in, quorum-resolved result out.
 ///
-/// `Members` is the node census of the installed config; the client is
-/// prepended by the choreography itself. Proof indices `MSubset`/`MFold`
-/// are inferred — pass `PhantomData`.
-pub struct ClusterOp<Members: LocationSet, MSubset, MFold> {
+/// `Members` is the key's replica set under the client's config view;
+/// the client is prepended by the choreography itself. Proof indices
+/// `MSubset`/`MFold` are inferred — pass `PhantomData`.
+pub struct ClusterOp<'a, Members: LocationSet, MSubset, MFold> {
     /// The client's stamped request.
     pub request: Located<StampedRequest, Client>,
     /// Each member's replica state handle (own facet only, under
     /// projection).
     pub nodes: Faceted<NodeCtx, Members>,
-    /// The client's view of the config, used to resolve quorum.
-    pub config: Located<ClusterConfig, Client>,
+    /// The client's view of the config, used to resolve quorum;
+    /// borrowed, so a round copies none of it.
+    pub config: Located<&'a ClusterConfig, Client>,
     /// Inferred proof indices; pass `PhantomData`.
     pub phantom: PhantomData<(MSubset, MFold)>,
 }
 
 impl<Members, MSubset, MFold> Choreography<Located<Result<OpOutcome, KvsError>, Client>>
-    for ClusterOp<Members, MSubset, MFold>
+    for ClusterOp<'_, Members, MSubset, MFold>
 where
     Members: LocationSet
         + Subset<KvsCensus<Members>, MSubset>
@@ -108,22 +110,23 @@ where
     type L = KvsCensus<Members>;
 
     fn run(self, op: &impl ChoreoOp<Self::L>) -> Located<Result<OpOutcome, KvsError>, Client> {
-        // 1. The client pushes the stamped request to every member;
-        // a member the chaos cuts off sees a typed failure, not a hang.
+        // 1. The client pushes the stamped request to every replica of
+        // the key; a replica the chaos cuts off sees a typed failure,
+        // not a hang.
         let pushed = op.try_multicast::<Client, StampedRequest, Members, Here, MSubset>(
             Client,
             Members::new(),
             &self.request,
         );
 
-        // 2. Every member answers from its own replica state machine.
+        // 2. Every replica answers from its own replica state machine.
         let replies: Faceted<NodeReply, Members> = op.fanout(
             Members::new(),
             ApplyBody::<'_, Members> { pushed: &pushed, nodes: &self.nodes },
         );
 
         // 3. Replies fan in to the client; an unreachable or garbled
-        // member is recorded as its own attributed failure.
+        // replica is recorded as its own attributed failure.
         let gathered: MultiplyLocated<
             Quire<Result<NodeReply, CommFailure>, Members>,
             chorus_core::LocationSet!(Client),
@@ -135,7 +138,7 @@ where
                 .unwrap_ref::<Quire<Result<NodeReply, CommFailure>, Members>, chorus_core::LocationSet!(Client), Here>(
                     &gathered,
                 );
-            let config = un.unwrap_ref::<ClusterConfig, chorus_core::LocationSet!(Client), Here>(&self.config);
+            let config = un.unwrap_ref::<&ClusterConfig, chorus_core::LocationSet!(Client), Here>(&self.config);
             let request = un.unwrap_ref::<StampedRequest, chorus_core::LocationSet!(Client), Here>(&self.request);
             resolve(config, request, quire.iter())
         })

@@ -84,7 +84,9 @@ pub enum NodeReply {
     /// The key's shard is inside a migration freeze window; writes are
     /// briefly rejected (reads still serve).
     Frozen,
-    /// This member does not replicate the key's shard.
+    /// This member does not replicate the key's shard. The data plane
+    /// routes only to the key's replicas, so a node answers this only
+    /// to a request routed by another config of its own epoch.
     NotReplica,
     /// The node is crashed (fail-stop); it answers nothing useful.
     Down,
@@ -380,6 +382,21 @@ mod tests {
         node.install_config(&config);
         assert_eq!(node.apply(&put(2, 1, "k", "v")), NodeReply::StaleEpoch { current: 1 });
         assert_eq!(node.apply(&put(1, 1, "k", "v")), NodeReply::Applied);
+    }
+
+    #[test]
+    fn a_same_epoch_request_for_a_shard_it_does_not_hold_is_not_replica() {
+        let node = NodeCtx::new("N1");
+        let config = ClusterConfig::bootstrap(&["N1", "N2", "N3", "N4"], 4);
+        node.install_config(&config);
+        let key = (0..)
+            .map(|i| format!("k{i}"))
+            .find(|key| !config.is_replica("N1", fnv1a(key.as_bytes())))
+            .expect("RF 3 of 4 leaves N1 some shard it does not replicate");
+        let get = StampedRequest { epoch: 1, version: 2, op: KvsOp::Get { key: key.clone() } };
+        assert_eq!(node.apply(&put(1, 1, &key, "v")), NodeReply::NotReplica);
+        assert_eq!(node.apply(&get), NodeReply::NotReplica);
+        assert_eq!(node.entry_count(), 0, "a non-replica stores nothing");
     }
 
     #[test]

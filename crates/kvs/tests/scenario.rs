@@ -4,10 +4,12 @@
 //! replica recovery, and a leave — with every read checked against the
 //! in-driver per-key model.
 
-use chorus_kvs::cluster::SimCluster;
+use chorus_kvs::cluster::{SimCluster, NODE_NAMES};
+use chorus_kvs::config::ClusterConfig;
 use chorus_kvs::data_plane::KvsError;
 use chorus_kvs::node::KvsOp;
-use chorus_transport::FaultPlan;
+use chorus_transport::{FaultPlan, SimEventKind};
+use std::collections::BTreeMap;
 
 fn workload(cluster: &mut SimCluster, round: u64, keys: u64) {
     for i in 0..keys {
@@ -81,31 +83,101 @@ fn lifecycle_join_split_migrate_crash_recover_leave() {
     // the whole lifecycle moved exactly this many frames in this much
     // virtual time.
     assert_eq!(cluster.model.checked(), 416, "ops checked by the model");
-    assert_eq!(cluster.net().messages_received(), 3236, "frames handed to receivers");
-    assert_eq!(cluster.net().virtual_now(), 416, "largest arrival tick on any link");
+    assert_eq!(cluster.net().messages_received(), 2660, "frames handed to receivers");
+    assert_eq!(cluster.net().virtual_now(), 352, "largest arrival tick on any link");
+}
+
+/// Frames delivered so far, per `(from, to)` link.
+fn delivered(cluster: &SimCluster) -> BTreeMap<(&'static str, &'static str), u64> {
+    let mut links = BTreeMap::new();
+    for event in cluster.net().events() {
+        if event.kind == SimEventKind::Delivered {
+            *links.entry((event.from, event.to)).or_insert(0) += 1;
+        }
+    }
+    links
+}
+
+/// The frames `op` delivers, per link.
+fn round_frames(
+    cluster: &mut SimCluster,
+    op: impl FnOnce(&mut SimCluster),
+) -> BTreeMap<(&'static str, &'static str), u64> {
+    let before = delivered(cluster);
+    op(cluster);
+    let mut frames = delivered(cluster);
+    for (link, count) in &mut frames {
+        *count -= before.get(link).copied().unwrap_or(0);
+    }
+    frames.retain(|_, count| *count > 0);
+    frames
+}
+
+#[test]
+fn a_round_messages_only_the_keys_replicas() {
+    let mut cluster = SimCluster::new(FaultPlan::ideal(), &NODE_NAMES, 4);
+    let key = "key-7";
+    let replicas = cluster.config().shard_of(key).replicas.clone();
+    assert_eq!(replicas.len(), 3, "RF 3 over four members");
+    // One request to and one reply from each replica, and nothing else.
+    let expected: BTreeMap<_, _> = NODE_NAMES
+        .iter()
+        .filter(|node| replicas.iter().any(|r| r == *node))
+        .flat_map(|node| [(("Client", *node), 1), ((*node, "Client"), 1)])
+        .collect();
+
+    let put = round_frames(&mut cluster, |c| {
+        c.put(key, "v").expect("put commits on an ideal net");
+    });
+    assert_eq!(put, expected, "a put's frames");
+    let before = cluster.net().messages_received();
+    let get = round_frames(&mut cluster, |c| {
+        assert_eq!(c.get(key).expect("get succeeds").expect("present").value, "v");
+    });
+    assert_eq!(get, expected, "a get's frames");
+    assert_eq!(cluster.net().messages_received() - before, 2 * replicas.len() as u64);
 }
 
 #[test]
 fn stale_epoch_is_fenced_not_hung() {
-    let mut cluster = SimCluster::new(FaultPlan::ideal(), &["N1", "N2", "N3"], 2);
-    cluster.put("pivot", "v1").expect("put");
+    type Reshard = fn(&ClusterConfig, &str) -> ClusterConfig;
+    let join: Reshard = |config, _| config.with_join("N4");
+    let split: Reshard = |config, key| config.with_split(config.shard_of(key).id);
+    // Onto a replica set that drops one of the key's old replicas.
+    let migrate: Reshard = |config, key| {
+        let old = &config.shard_of(key).replicas;
+        let outsider = NODE_NAMES.iter().find(|n| !old.iter().any(|r| r == *n)).unwrap();
+        config.with_migrate(config.shard_of(key).id, &[old[1].as_str(), old[2].as_str(), outsider])
+    };
+    let cases: [(&str, &[&str], u32, Reshard); 3] = [
+        ("join", &["N1", "N2", "N3"], 2, join),
+        // Four members, RF 3: the stale round reaches only the key's
+        // replicas, so they alone can fence it.
+        ("split", &NODE_NAMES, 4, split),
+        ("migrate", &NODE_NAMES, 4, migrate),
+    ];
+    for (kind, census, shards, reshard) in cases {
+        let mut cluster = SimCluster::new(FaultPlan::ideal(), census, shards);
+        let key = "pivot";
+        cluster.put(key, "v1").expect("put");
 
-    // Reconfigure behind the client's back, then issue an op with the
-    // old stamp: every replica must fence it.
-    let next = cluster.config().with_join("N4");
-    assert!(cluster.reconfigure(&next));
-    cluster_force_stale(&mut cluster);
-    let (_, result) = cluster.raw_op(KvsOp::Get { key: "pivot".into() });
-    assert!(matches!(result, Err(KvsError::StaleEpoch { .. })), "got {result:?}");
+        // Reconfigure behind the client's back, then issue ops with the
+        // old stamp: every replica the stale view routes to was in the
+        // install round and must fence them.
+        let stale = cluster.config().clone();
+        let next = reshard(&stale, key);
+        assert!(cluster.reconfigure(&next), "{kind} commits");
+        cluster.set_config_for_test(stale.clone());
+        for op in
+            [KvsOp::Get { key: key.into() }, KvsOp::Put { key: key.into(), value: "v2".into() }]
+        {
+            let (_, result) = cluster.raw_op(op);
+            assert_eq!(result, Err(KvsError::StaleEpoch { observed: next.epoch }), "{kind}");
+        }
 
-    // The public path refreshes and retries transparently.
-    cluster_force_stale(&mut cluster);
-    assert_eq!(cluster.get("pivot").expect("get").expect("present").value, "v1");
-}
-
-/// Rewinds the client's cached epoch so its next stamp is stale.
-fn cluster_force_stale(cluster: &mut SimCluster) {
-    let mut config = cluster.config().clone();
-    config.epoch -= 1;
-    cluster.set_config_for_test(config);
+        // The public path refreshes and retries transparently.
+        cluster.set_config_for_test(stale);
+        assert_eq!(cluster.get(key).expect("get").expect("present").value, "v1", "{kind}");
+        assert_eq!(cluster.config().epoch, next.epoch, "{kind}: the client refreshed");
+    }
 }
