@@ -13,7 +13,7 @@
 //! Run with: `cargo run -p chorus-bench --bin lottery_table`
 
 use chorus_bench::run_lottery;
-use chorus_core::{Faceted, Runner};
+use chorus_core::{Faceted, Quire, Runner};
 use chorus_mpc::field::FLOTTERY;
 use chorus_protocols::lottery::{Lottery, LotteryError};
 use chorus_protocols::roles::{Analyst, C1, C2, C3, C4, S1, S2, S3, S4};
@@ -64,13 +64,12 @@ fn fairness_histogram(trials: usize) -> BTreeMap<u64, usize> {
     type Servers = chorus_core::LocationSet!(S1, S2);
     type Census = chorus_core::LocationSet!(Analyst, C1, C2, C3, S1, S2);
     let runner: Runner<Census> = Runner::new();
-    let secret_map: BTreeMap<String, FLOTTERY> =
-        secrets(&["C1", "C2", "C3"]).into_iter().map(|(k, v)| (k, FLOTTERY::new(v))).collect();
-    let cheat_map: BTreeMap<String, bool> = honest(&["S1", "S2"]);
+    let secret_map = secrets(&["C1", "C2", "C3"]);
     let mut histogram = BTreeMap::new();
     for _ in 0..trials {
-        let secrets: Faceted<FLOTTERY, Clients> = runner.faceted(secret_map.clone());
-        let cheaters: Faceted<bool, Servers> = runner.faceted(cheat_map.clone());
+        let secrets: Faceted<FLOTTERY, Clients> =
+            runner.faceted(Quire::build(|name| FLOTTERY::new(secret_map[name])));
+        let cheaters: Faceted<bool, Servers> = runner.faceted(Quire::build(|_| false));
         let out = runner.run(Lottery::<Clients, Servers, Census, _, _, _, _, _, _, _> {
             secrets: &secrets,
             tau: 300,

@@ -17,7 +17,6 @@ use crate::member::{Member, Subset, SubsetCons, SubsetNil};
 use crate::quire::Quire;
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
 /// A value that can cross the network: serializable on the way out,
@@ -337,7 +336,7 @@ pub trait ChoreoOp<ChoreoLS: LocationSet> {
         let _ = locations;
         let folder: FanOutFolder<'_, Self, FOC, V, ChoreoLS, QS, QSSubsetL> =
             FanOutFolder { op: self, choreo: &c, phantom: PhantomData };
-        Faceted::from_facets(QS::foldr(&folder, BTreeMap::new()))
+        QS::foldr(&folder, Faceted::none())
     }
 
     /// Runs `c` once for every location in `locations`, aggregating the
@@ -358,8 +357,8 @@ pub trait ChoreoOp<ChoreoLS: LocationSet> {
         let _ = locations;
         let folder: FanInFolder<'_, Self, FIC, V, ChoreoLS, QS, RS, QSSubsetL, RSSubsetL> =
             FanInFolder { op: self, choreo: &c, phantom: PhantomData };
-        let entries = QS::foldr(&folder, BTreeMap::new());
-        self.conclave::<_, RS, _, _>(Collect::<V, QS, RS> { entries, phantom: PhantomData })
+        let values = QS::foldr(&folder, Vec::new());
+        self.conclave::<_, RS, _, _>(Collect::<V, QS, RS> { values, phantom: PhantomData })
     }
 
     /// Divergent, actively-parallel local computation (§3.4): every
@@ -502,7 +501,7 @@ struct FanOutFolder<'a, Op, FOC, V, L, QS, QSSubsetL> {
     phantom: PhantomData<fn() -> (V, L, QS, QSSubsetL)>,
 }
 
-impl<Op, FOC, V, L, QS, QSSubsetL> LocationSetFolder<BTreeMap<String, V>>
+impl<Op, FOC, V, L, QS, QSSubsetL> LocationSetFolder<Faceted<V, QS>>
     for FanOutFolder<'_, Op, FOC, V, L, QS, QSSubsetL>
 where
     Op: ChoreoOp<L>,
@@ -515,15 +514,15 @@ where
 
     fn f<Q: ChoreographyLocation, QMemberL, QMemberQS>(
         &self,
-        mut acc: BTreeMap<String, V>,
-    ) -> BTreeMap<String, V>
+        mut acc: Faceted<V, QS>,
+    ) -> Faceted<V, QS>
     where
         Q: Member<Self::L, QMemberL>,
         Q: Member<Self::QS, QMemberQS>,
     {
         let result = self.choreo.run::<Q, QSSubsetL, QMemberL, QMemberQS>(self.op);
         if let Some(v) = result.into_inner_option() {
-            acc.insert(Q::NAME.to_string(), v);
+            acc.insert(Q::NAME, v);
         }
         acc
     }
@@ -535,7 +534,7 @@ struct FanInFolder<'a, Op, FIC, V, L, QS, RS, QSSubsetL, RSSubsetL> {
     phantom: PhantomData<fn() -> (V, L, QS, RS, QSSubsetL, RSSubsetL)>,
 }
 
-impl<Op, FIC, V, L, QS, RS, QSSubsetL, RSSubsetL> LocationSetFolder<BTreeMap<String, V>>
+impl<Op, FIC, V, L, QS, RS, QSSubsetL, RSSubsetL> LocationSetFolder<Vec<V>>
     for FanInFolder<'_, Op, FIC, V, L, QS, RS, QSSubsetL, RSSubsetL>
 where
     Op: ChoreoOp<L>,
@@ -547,17 +546,18 @@ where
     type L = L;
     type QS = QS;
 
-    fn f<Q: ChoreographyLocation, QMemberL, QMemberQS>(
-        &self,
-        mut acc: BTreeMap<String, V>,
-    ) -> BTreeMap<String, V>
+    /// Pushes the iteration's value, if this endpoint is a recipient:
+    /// the fold visits `QS` in census order, so a recipient's values
+    /// end up in census order too.
+    fn f<Q: ChoreographyLocation, QMemberL, QMemberQS>(&self, mut acc: Vec<V>) -> Vec<V>
     where
         Q: Member<Self::L, QMemberL>,
         Q: Member<Self::QS, QMemberQS>,
     {
         let result = self.choreo.run::<Q, QSSubsetL, RSSubsetL, QMemberL, QMemberQS>(self.op);
         if let Some(v) = result.into_inner_option() {
-            acc.insert(Q::NAME.to_string(), v);
+            acc.reserve_exact(QS::LENGTH - acc.len());
+            acc.push(v);
         }
         acc
     }
@@ -566,7 +566,7 @@ where
 /// The end of a [`ChoreoOp::fanin`]: the recipients `RS` assemble the
 /// iterations' results into a [`Quire`], and everyone else skips it.
 struct Collect<V, QS, RS> {
-    entries: BTreeMap<String, V>,
+    values: Vec<V>,
     phantom: PhantomData<fn() -> (QS, RS)>,
 }
 
@@ -574,7 +574,7 @@ impl<V, QS: LocationSet, RS: LocationSet> Choreography<Quire<V, QS>> for Collect
     type L = RS;
 
     fn run(self, _op: &impl ChoreoOp<RS>) -> Quire<V, QS> {
-        Quire::from_map(self.entries)
+        Quire::from_values(self.values)
             .unwrap_or_else(|_| panic!("fanin: missing iteration results at a recipient"))
     }
 }

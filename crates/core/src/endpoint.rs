@@ -167,38 +167,6 @@ where
     }
 }
 
-impl<TL, Target, T> Endpoint<TL, Target, T>
-where
-    TL: LocationSet + 'static,
-    Target: ChoreographyLocation + 'static,
-    T: SessionTransport<TL, Target> + Send + Sync + 'static,
-{
-    /// Spawns one role of session `id` onto the process-wide pooled
-    /// [`SessionRuntime`](crate::SessionRuntime) (sized to
-    /// `available_parallelism`, created on first use).
-    ///
-    /// This is the high-concurrency counterpart of
-    /// [`session_with_id`](Endpoint::session_with_id) +
-    /// [`Session::epp_and_run`]: instead of occupying an OS thread for
-    /// the lifetime of the run, the role is a resumable
-    /// [`RoleProgram`](crate::RoleProgram) that shares a fixed worker
-    /// pool with every other in-flight session. The blocking `Session`
-    /// API is untouched, and pooled and blocking roles of one session
-    /// interoperate freely.
-    ///
-    /// The endpoint is taken by `&Arc` because the pool outlives any
-    /// particular stack frame; tests that need their own pool size or
-    /// watchdog construct a [`SessionRuntime`](crate::SessionRuntime)
-    /// explicitly and call its `spawn` instead.
-    pub fn spawn_session<P: crate::RoleProgram>(
-        self: &std::sync::Arc<Self>,
-        id: SessionId,
-        program: P,
-    ) -> crate::SessionHandle<P::Output> {
-        crate::SessionRuntime::global().spawn(self, id, program)
-    }
-}
-
 /// First stage of the endpoint builder: layers may be installed, the
 /// transport is still missing.
 pub struct EndpointBuilder<Target: ChoreographyLocation> {

@@ -74,7 +74,7 @@ impl<V, S2, S> MultiplyLocated<Faceted<V, S2>, S> {
     {
         match self.value {
             Some(faceted) => faceted,
-            None => Faceted::from_facets(std::collections::BTreeMap::new()),
+            None => Faceted::none(),
         }
     }
 }

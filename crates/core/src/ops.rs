@@ -58,8 +58,7 @@ where
             // `Sender: Member<L, _>` bound in scope would otherwise win
             // candidate selection and misdirect inference.
             un.unwrap_ref::<Quire<V, QS>, crate::LocationSet!(Sender), crate::Here>(self.data)
-                .get_by_name(Q::NAME)
-                .expect("scatter: quire is indexed by the recipient set")
+                .get::<Q, QMemberQS>(Q::new())
                 .clone()
         });
         op.comm(Sender::new(), Q::new(), &entry)

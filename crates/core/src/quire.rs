@@ -6,13 +6,18 @@
 //! effect on it" — it is ordinary data that can be stored, mapped over, and
 //! sent. Quires appear as the return type of `gather`/`fanin` and the
 //! argument of `scatter`.
+//!
+//! A `Quire<V, S>` is exactly `S::LENGTH` values in census order: the
+//! value of the location at position `i` of `S` (declaration order, as
+//! [`LocationSet::name_at`] counts it) is the `i`-th. Lookups by location
+//! go through [`LocationSet::position`], and iteration is census order,
+//! which is name order only where `S` is declared alphabetically. On the
+//! wire a quire is its value sequence, names left out; decoding rejects
+//! a sequence of any length but `S::LENGTH`.
 
 use crate::location::LocationSet;
-use serde::de::{self, MapAccess, Visitor};
-use serde::ser::SerializeMap;
+use serde::de::Error as _;
 use serde::{Deserialize, Deserializer, Serialize, Serializer};
-use std::collections::BTreeMap;
-use std::fmt;
 use std::marker::PhantomData;
 
 use crate::member::Member;
@@ -34,29 +39,25 @@ use crate::ChoreographyLocation;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Quire<V, S> {
-    entries: BTreeMap<String, V>,
+    values: Vec<V>,
     index: PhantomData<S>,
 }
 
 impl<V, S: LocationSet> Quire<V, S> {
-    /// Builds a quire by invoking `f` once per location name in `S`.
-    pub fn build(mut f: impl FnMut(&'static str) -> V) -> Self {
-        let entries = S::names().into_iter().map(|name| (name.to_string(), f(name))).collect();
-        Quire { entries, index: PhantomData }
+    /// Builds a quire by invoking `f` once per location name in `S`, in
+    /// census order.
+    pub fn build(f: impl FnMut(&'static str) -> V) -> Self {
+        let values = (0..S::LENGTH).filter_map(S::name_at).map(f).collect();
+        Quire { values, index: PhantomData }
     }
 
-    /// Builds a quire from a name-keyed map.
-    ///
-    /// # Errors
-    ///
-    /// Returns the map unchanged if its key set is not exactly the names of
-    /// `S`.
-    pub fn from_map(map: BTreeMap<String, V>) -> Result<Self, BTreeMap<String, V>> {
-        // Keys are distinct, so `LENGTH` of them, all in `S`, are `S`.
-        if map.len() == S::LENGTH && map.keys().all(|name| S::contains(name)) {
-            Ok(Quire { entries: map, index: PhantomData })
+    /// Takes `values` as the quire's values in census order, or returns
+    /// them unchanged if there are not exactly `S::LENGTH` of them.
+    pub(crate) fn from_values(values: Vec<V>) -> Result<Self, Vec<V>> {
+        if values.len() == S::LENGTH {
+            Ok(Quire { values, index: PhantomData })
         } else {
-            Err(map)
+            Err(values)
         }
     }
 
@@ -65,81 +66,57 @@ impl<V, S: LocationSet> Quire<V, S> {
     where
         L: Member<S, Index>,
     {
-        &self.entries[L::NAME]
+        self.get_by_name(L::NAME).expect("a member of the index set has a position in it")
     }
 
     /// Returns the value associated with a location name, if the name is in
     /// the index set.
     pub fn get_by_name(&self, name: &str) -> Option<&V> {
-        self.entries.get(name)
+        S::position(name).map(|position| &self.values[position])
     }
 
-    /// Iterates over `(name, value)` pairs in name order.
+    /// Iterates over `(name, value)` pairs in census order.
     pub fn iter(&self) -> impl Iterator<Item = (&str, &V)> {
-        self.entries.iter().map(|(k, v)| (k.as_str(), v))
+        (0..S::LENGTH).filter_map(|position| S::name_at(position)).zip(&self.values)
     }
 
-    /// Iterates over the values in name order.
+    /// Iterates over the values in census order.
     pub fn values(&self) -> impl Iterator<Item = &V> {
-        self.entries.values()
+        self.values.iter()
     }
 
     /// Maps a function over every entry, preserving the index set.
-    pub fn map<W>(self, mut f: impl FnMut(V) -> W) -> Quire<W, S> {
-        Quire {
-            entries: self.entries.into_iter().map(|(k, v)| (k, f(v))).collect(),
-            index: PhantomData,
-        }
+    pub fn map<W>(self, f: impl FnMut(V) -> W) -> Quire<W, S> {
+        Quire { values: self.values.into_iter().map(f).collect(), index: PhantomData }
     }
 
     /// The number of entries (equal to `S::LENGTH`).
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.values.len()
     }
 
     /// Whether the quire is empty (true only for the empty location set).
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.values.is_empty()
+    }
+
+    /// The values in census order.
+    pub(crate) fn into_values(self) -> Vec<V> {
+        self.values
     }
 }
 
 impl<V: Serialize, S: LocationSet> Serialize for Quire<V, S> {
     fn serialize<Ser: Serializer>(&self, serializer: Ser) -> Result<Ser::Ok, Ser::Error> {
-        let mut map = serializer.serialize_map(Some(self.entries.len()))?;
-        for (k, v) in &self.entries {
-            map.serialize_entry(k, v)?;
-        }
-        map.end()
+        self.values.serialize(serializer)
     }
 }
 
 impl<'de, V: Deserialize<'de>, S: LocationSet> Deserialize<'de> for Quire<V, S> {
     fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        struct QuireVisitor<V, S>(PhantomData<(V, S)>);
-
-        impl<'de, V: Deserialize<'de>, S: LocationSet> Visitor<'de> for QuireVisitor<V, S> {
-            type Value = Quire<V, S>;
-
-            fn expecting(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-                write!(f, "a map keyed by the location names {:?}", S::names())
-            }
-
-            fn visit_map<A: MapAccess<'de>>(self, mut access: A) -> Result<Self::Value, A::Error> {
-                let mut entries = BTreeMap::new();
-                while let Some((key, value)) = access.next_entry::<String, V>()? {
-                    entries.insert(key, value);
-                }
-                Quire::from_map(entries).map_err(|bad| {
-                    de::Error::custom(format!(
-                        "quire keys {:?} do not match location set {:?}",
-                        bad.keys().collect::<Vec<_>>(),
-                        S::names()
-                    ))
-                })
-            }
-        }
-
-        deserializer.deserialize_map(QuireVisitor(PhantomData))
+        Quire::from_values(Vec::deserialize(deserializer)?).map_err(|values| {
+            D::Error::invalid_length(values.len(), &format_args!("{} quire values", S::LENGTH))
+        })
     }
 }
 
@@ -157,25 +134,8 @@ mod tests {
         assert_eq!(quire.len(), 3);
         assert_eq!(*quire.get(Alice), "alice");
         assert_eq!(*quire.get(Carol), "carol");
-    }
-
-    #[test]
-    fn from_map_validates_keys() {
-        let mut good = BTreeMap::new();
-        good.insert("Alice".into(), 1);
-        good.insert("Bob".into(), 2);
-        good.insert("Carol".into(), 3);
-        assert!(Quire::<i32, Trio>::from_map(good).is_ok());
-
-        let mut missing = BTreeMap::new();
-        missing.insert("Alice".into(), 1);
-        assert!(Quire::<i32, Trio>::from_map(missing).is_err());
-
-        let mut wrong = BTreeMap::new();
-        wrong.insert("Alice".into(), 1);
-        wrong.insert("Bob".into(), 2);
-        wrong.insert("Dave".into(), 3);
-        assert!(Quire::<i32, Trio>::from_map(wrong).is_err());
+        assert_eq!(quire.get_by_name("Bob").map(String::as_str), Some("bob"));
+        assert_eq!(quire.get_by_name("Dave"), None);
     }
 
     #[test]
@@ -189,24 +149,28 @@ mod tests {
     fn serde_round_trip() {
         let quire: Quire<u32, Trio> = Quire::build(|name| name.len() as u32);
         let bytes = chorus_wire::to_bytes(&quire).unwrap();
+        assert_eq!(bytes, chorus_wire::to_bytes(&vec![5u32, 3, 5]).unwrap());
         let back: Quire<u32, Trio> = chorus_wire::from_bytes(&bytes).unwrap();
         assert_eq!(quire, back);
     }
 
     #[test]
-    fn serde_rejects_wrong_keys() {
-        crate::locations! { Dave }
-        let _ = Dave;
-        let mut map = BTreeMap::new();
-        map.insert("Dave".to_string(), 1u32);
-        let bytes = chorus_wire::to_bytes(&map).unwrap();
-        assert!(chorus_wire::from_bytes::<Quire<u32, Trio>>(&bytes).is_err());
+    fn decoding_rejects_a_sequence_of_any_other_length() {
+        for values in [vec![1u32, 2], vec![1, 2, 3, 4], vec![]] {
+            let bytes = chorus_wire::to_bytes(&values).unwrap();
+            let err = chorus_wire::from_bytes::<Quire<u32, Trio>>(&bytes)
+                .expect_err("a quire of Trio has exactly three values");
+            assert!(err.to_string().contains("expected 3 quire values"), "{err}");
+        }
     }
 
     #[test]
-    fn iteration_is_in_name_order() {
-        let quire: Quire<u32, Trio> = Quire::build(|_| 0);
-        let names: Vec<&str> = quire.iter().map(|(k, _)| k).collect();
-        assert_eq!(names, vec!["Alice", "Bob", "Carol"]);
+    fn iteration_is_in_census_order() {
+        type Backwards = crate::LocationSet!(Carol, Alice, Bob);
+        let quire: Quire<usize, Backwards> = Quire::build(|name| name.len());
+        let names: Vec<&str> = quire.iter().map(|(name, _)| name).collect();
+        assert_eq!(names, ["Carol", "Alice", "Bob"]);
+        assert_eq!(quire.values().copied().collect::<Vec<_>>(), [5, 5, 3]);
+        assert_eq!(*quire.get(Bob), 3);
     }
 }

@@ -15,6 +15,7 @@ use crate::faceted::Faceted;
 use crate::located::{Located, MultiplyLocated, Unwrapper};
 use crate::location::{ChoreographyLocation, LocationSet};
 use crate::member::{Member, Subset};
+use crate::quire::Quire;
 use std::marker::PhantomData;
 
 /// Executes choreographies under the centralized semantics.
@@ -64,32 +65,15 @@ impl<L: LocationSet> Runner<L> {
         data.into_inner_option().expect("centralized runner always holds located values")
     }
 
-    /// Builds a faceted value from every owner's facet, keyed by location
-    /// name — the centralized semantics holds everyone's data.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the key set is not exactly the names of `S`.
-    pub fn faceted<V, S: LocationSet>(
-        &self,
-        facets: std::collections::BTreeMap<String, V>,
-    ) -> crate::Faceted<V, S> {
-        let expected = S::names();
-        assert!(
-            facets.len() == expected.len() && expected.iter().all(|n| facets.contains_key(*n)),
-            "faceted keys {:?} must be exactly {:?}",
-            facets.keys().collect::<Vec<_>>(),
-            expected,
-        );
-        crate::Faceted::from_facets(facets)
+    /// Builds a faceted value from every owner's facet — the centralized
+    /// semantics holds everyone's data.
+    pub fn faceted<V, S: LocationSet>(&self, facets: Quire<V, S>) -> Faceted<V, S> {
+        Faceted::every(facets)
     }
 
-    /// Extracts all facets from a faceted result, keyed by location name.
-    pub fn unwrap_faceted<V, S: LocationSet>(
-        &self,
-        data: crate::Faceted<V, S>,
-    ) -> std::collections::BTreeMap<String, V> {
-        data.into_facets()
+    /// Extracts every owner's facet from a faceted result.
+    pub fn unwrap_faceted<V, S: LocationSet>(&self, data: Faceted<V, S>) -> Quire<V, S> {
+        data.into_quire().expect("centralized runner holds every facet")
     }
 
     /// Runs a choreography to completion under the centralized semantics.
@@ -157,7 +141,7 @@ impl<ChoreoLS: LocationSet> ChoreoOp<ChoreoLS> for RunOp<ChoreoLS> {
     {
         // The centralized runner holds every facet, so the caller's
         // equality assertion is actually checkable here.
-        let mut facets = S::names().into_iter().filter_map(|name| data.facet(name));
+        let mut facets = data.present();
         let first = facets.next()?;
         for facet in facets {
             assert!(
@@ -188,21 +172,21 @@ mod tests {
     type Duo = crate::LocationSet!(Alice, Bob);
 
     struct Agreeing {
-        values: std::collections::BTreeMap<String, u32>,
+        values: Quire<u32, Duo>,
     }
 
     impl Choreography<Option<u32>> for Agreeing {
         type L = Duo;
         fn run(self, op: &impl ChoreoOp<Duo>) -> Option<u32> {
             let faceted: Faceted<u32, Duo> = op.parallel_named(Duo::new(), |name| {
-                *self.values.get(name).expect("facet for every location")
+                *self.values.get_by_name(name).expect("facet for every location")
             });
             op.agree(Duo::new(), &faceted)
         }
     }
 
-    fn values(alice: u32, bob: u32) -> std::collections::BTreeMap<String, u32> {
-        [("Alice".to_string(), alice), ("Bob".to_string(), bob)].into_iter().collect()
+    fn values(alice: u32, bob: u32) -> Quire<u32, Duo> {
+        Quire::build(|name| if name == "Alice" { alice } else { bob })
     }
 
     #[test]

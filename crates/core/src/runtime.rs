@@ -85,7 +85,7 @@ use chorus_wire::Bytes;
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::{Arc, Weak};
 use std::task::{Context, Poll, Wake, Waker};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -626,16 +626,6 @@ impl SessionRuntime {
             })
             .collect();
         SessionRuntime { shared, workers }
-    }
-
-    /// The process-wide default runtime, sized to
-    /// `available_parallelism` and created on first use. This is what
-    /// [`Endpoint::spawn_session`] schedules on.
-    pub fn global() -> &'static SessionRuntime {
-        static GLOBAL: OnceLock<SessionRuntime> = OnceLock::new();
-        GLOBAL.get_or_init(|| {
-            SessionRuntime::new(std::thread::available_parallelism().map_or(1, |n| n.get()))
-        })
     }
 
     /// The number of pool workers.

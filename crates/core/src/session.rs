@@ -203,16 +203,16 @@ where
         S: LocationSet,
         Target: Member<S, Index>,
     {
-        let mut facets = std::collections::BTreeMap::new();
-        facets.insert(Target::NAME.to_string(), value);
-        crate::Faceted::from_facets(facets)
+        let mut faceted = crate::Faceted::none();
+        faceted.insert(Target::NAME, value);
+        faceted
     }
 
     /// Produces the placeholder view of a faceted value owned by other
     /// locations, for use as a choreography argument.
     pub fn remote_faceted<V, S: LocationSet>(&self, at: S) -> crate::Faceted<V, S> {
         let _ = at;
-        crate::Faceted::from_facets(std::collections::BTreeMap::new())
+        crate::Faceted::none()
     }
 
     /// Extracts a value this endpoint owns from a choreography result.
@@ -241,9 +241,7 @@ where
         S: LocationSet,
         Target: Member<S, Index>,
     {
-        data.into_facets()
-            .remove(Target::NAME)
-            .expect("facet absent at its owner: value escaped its executor")
+        data.take(Target::NAME).expect("facet absent at its owner: value escaped its executor")
     }
 
     /// Performs endpoint projection of `choreo` to `Target` and runs the

@@ -168,9 +168,9 @@ fn parallel_computes_divergent_facets() {
     let runner: Runner<Census> = Runner::new();
     let facets = runner.unwrap_faceted(runner.run(Par));
     assert_eq!(facets.len(), 3);
-    assert_eq!(facets["Primary"], "facet-of-Primary");
-    assert_eq!(facets["Backup1"], "facet-of-Backup1");
-    assert_eq!(facets["Backup2"], "facet-of-Backup2");
+    assert_eq!(*facets.get(Primary), "facet-of-Primary");
+    assert_eq!(*facets.get(Backup1), "facet-of-Backup1");
+    assert_eq!(*facets.get(Backup2), "facet-of-Backup2");
 }
 
 #[test]
@@ -228,8 +228,8 @@ fn fanout_and_fanin_support_custom_bodies() {
 
     let runner: Runner<Census> = Runner::new();
     let facets = runner.unwrap_faceted(runner.run(FanOutDemo));
-    assert_eq!(facets["Primary"], 7);
-    assert_eq!(facets["Backup1"], 7);
+    assert_eq!(*facets.get(Primary), 7);
+    assert_eq!(*facets.get(Backup1), 7);
 
     struct SendAll<'a, L, QS, RS> {
         data: &'a Faceted<u32, QS>,

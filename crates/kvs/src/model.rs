@@ -43,10 +43,20 @@ impl ConsistencyModel {
         self.checked
     }
 
+    /// The model of `key`, tracked from its first check on. The key is
+    /// looked up before its name is copied, so a check of a tracked key
+    /// allocates nothing for it.
+    fn key(&mut self, key: &str) -> &mut KeyModel {
+        if !self.keys.contains_key(key) {
+            self.keys.insert(key.to_string(), KeyModel::default());
+        }
+        self.keys.get_mut(key).expect("the key was inserted above")
+    }
+
     /// Records a put the client saw succeed (write quorum reached).
     pub fn put_committed(&mut self, key: &str, version: u64, value: &str) {
         self.checked += 1;
-        let entry = self.keys.entry(key.to_string()).or_default();
+        let entry = self.key(key);
         if entry.committed.as_ref().map(|c| c.version < version).unwrap_or(true) {
             entry.committed = Some(Versioned { version, value: value.to_string() });
         }
@@ -59,7 +69,7 @@ impl ConsistencyModel {
     /// landed on some replicas and surface in later reads.
     pub fn put_failed(&mut self, key: &str, version: u64, value: &str) {
         self.checked += 1;
-        let entry = self.keys.entry(key.to_string()).or_default();
+        let entry = self.key(key);
         let committed = entry.committed.as_ref().map(|c| c.version).unwrap_or(0);
         if version > committed {
             entry.pending.insert(version, value.to_string());
@@ -70,7 +80,7 @@ impl ConsistencyModel {
     /// value returned.
     pub fn get_ok(&mut self, key: &str, found: &Option<Versioned>) -> Result<(), String> {
         self.checked += 1;
-        let entry = self.keys.entry(key.to_string()).or_default();
+        let entry = self.key(key);
         match found {
             None => {
                 if let Some(committed) = &entry.committed {

@@ -31,7 +31,8 @@ use std::marker::PhantomData;
 /// taken on trust) and rejects a message by returning `Err(reason)`.
 ///
 /// Returns, per participant, `Ok` of everyone's values or the
-/// participant's first accusation in location-name order.
+/// participant's first accusation in census order (`P`'s declaration
+/// order).
 pub struct BroadcastGather<'a, V, P: LocationSet, F, PRefl, PFold> {
     /// Each participant's value to broadcast (its facet).
     pub values: &'a Faceted<V, P>,
@@ -113,20 +114,11 @@ where
                 .unwrap_ref::<Quire<Result<V, Misbehavior>, P>, chorus_core::LocationSet!(Qj), chorus_core::Here>(
                     &gathered,
                 );
-            let mut clean = BTreeMap::new();
-            for (name, result) in quire.iter() {
-                match result {
-                    Ok(v) => {
-                        clean.insert(name.to_string(), v.clone());
-                    }
-                    // First accusation in name order wins: deterministic
-                    // across replays of the same schedule.
-                    Err(m) => return Err(m.clone()),
-                }
-            }
-            match Quire::from_map(clean) {
-                Ok(q) => Ok(q),
-                Err(_) => unreachable!("gathered quire is keyed by the census"),
+            // First accusation in census order wins: deterministic
+            // across replays of the same schedule.
+            match quire.values().find_map(|result| result.as_ref().err()) {
+                Some(m) => Err(m.clone()),
+                None => Ok(quire.clone().map(|result| result.expect("no accusation is left"))),
             }
         })
     }
@@ -210,7 +202,10 @@ where
 
 /// Folds a quire of [`Verdict`]s into one accusation (or none) by blame
 /// count: the culprit accused by the most participants wins, ties
-/// breaking toward the lexicographically smaller name.
+/// breaking toward the lexicographically smaller name. The accusation
+/// returned is the winner's first in census order (`P`'s declaration
+/// order), so every participant that resolves the same quire returns
+/// the same [`Misbehavior`].
 ///
 /// Counting (rather than "first fault wins") matters when the culprit
 /// *also* accuses: a participant that equivocated or computed a
@@ -280,8 +275,10 @@ mod tests {
     chorus_core::locations! { A, B, C }
     type Trio = chorus_core::LocationSet!(A, B, C);
 
-    fn values(a: u64, b: u64, c: u64) -> BTreeMap<String, u64> {
-        [("A", a), ("B", b), ("C", c)].into_iter().map(|(k, v)| (k.to_string(), v)).collect()
+    /// A quire of `Trio` from its values in census order.
+    fn quire_of<V>(values: Vec<V>) -> Quire<V, Trio> {
+        let mut values = values.into_iter();
+        Quire::build(|_| values.next().expect("one value per member of Trio"))
     }
 
     struct Exchange<'a, F> {
@@ -312,11 +309,11 @@ mod tests {
     #[test]
     fn honest_exchange_gives_everyone_the_full_quire() {
         let runner: Runner<Trio> = Runner::new();
-        let faceted = runner.faceted(values(1, 2, 3));
+        let faceted = runner.faceted(quire_of(vec![1, 2, 3]));
         let ok = |_: &'static str, _: &u64| Ok(());
         let out = runner.run(Exchange { values: &faceted, epoch: 1, validate: &ok });
-        for (name, result) in runner.unwrap_faceted(out) {
-            let quire = result.unwrap_or_else(|m| panic!("{name} saw a fault: {m}"));
+        for (name, result) in runner.unwrap_faceted(out).iter() {
+            let quire = result.as_ref().unwrap_or_else(|m| panic!("{name} saw a fault: {m}"));
             assert_eq!(quire.get_by_name("A"), Some(&1));
             assert_eq!(quire.get_by_name("B"), Some(&2));
             assert_eq!(quire.get_by_name("C"), Some(&3));
@@ -326,7 +323,7 @@ mod tests {
     #[test]
     fn validation_rejects_remote_senders_but_not_self() {
         let runner: Runner<Trio> = Runner::new();
-        let faceted = runner.faceted(values(1, 2, 3));
+        let faceted = runner.faceted(quire_of(vec![1, 2, 3]));
         // Reject B's value (2) wherever it is *received*.
         let no_twos = |_: &'static str, v: &u64| {
             if *v == 2 {
@@ -337,19 +334,14 @@ mod tests {
         };
         let out = runner.run(Exchange { values: &faceted, epoch: 1, validate: &no_twos });
         let facets = runner.unwrap_faceted(out);
-        for name in ["A", "C"] {
-            let m = facets[name].as_ref().expect_err("receivers of 2 must accuse B");
+        for m in [facets.get(A), facets.get(C)] {
+            let m = m.as_ref().expect_err("receivers of 2 must accuse B");
             assert_eq!(m.culprit, "B");
             assert!(matches!(m.kind, MisbehaviorKind::Rejected { .. }));
             assert_eq!(m.epoch, 1);
         }
         // B trusts its own value, and everyone else's passes the hook.
-        assert!(facets["B"].is_ok(), "self-delivery skips validation");
-    }
-
-    fn quire_of(verdicts: Vec<(&str, Verdict)>) -> Quire<Verdict, Trio> {
-        Quire::from_map(verdicts.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
-            .expect("keyed by census")
+        assert!(facets.get(B).is_ok(), "self-delivery skips validation");
     }
 
     fn fault(culprit: &str) -> Verdict {
@@ -358,21 +350,21 @@ mod tests {
 
     #[test]
     fn resolve_is_ok_when_nobody_accuses() {
-        let quire = quire_of(vec![("A", Verdict::Ok), ("B", Verdict::Ok), ("C", Verdict::Ok)]);
+        let quire = quire_of(vec![Verdict::Ok, Verdict::Ok, Verdict::Ok]);
         assert!(resolve_verdicts(&quire).is_ok());
     }
 
     #[test]
     fn resolve_lets_the_majority_outvote_a_counter_accusation() {
         // C (the actual culprit) accuses A; A and B accuse C.
-        let quire = quire_of(vec![("A", fault("C")), ("B", fault("C")), ("C", fault("A"))]);
+        let quire = quire_of(vec![fault("C"), fault("C"), fault("A")]);
         let m = resolve_verdicts(&quire).expect_err("two accusations must resolve");
         assert_eq!(m.culprit, "C");
     }
 
     #[test]
     fn resolve_breaks_ties_toward_the_smaller_name() {
-        let quire = quire_of(vec![("A", fault("C")), ("B", fault("B")), ("C", Verdict::Ok)]);
+        let quire = quire_of(vec![fault("C"), fault("B"), Verdict::Ok]);
         let m = resolve_verdicts(&quire).expect_err("accusations present");
         assert_eq!(m.culprit, "B", "1–1 tie breaks lexicographically");
     }

@@ -323,7 +323,6 @@ where
 mod tests {
     use super::*;
     use chorus_core::Runner;
-    use std::collections::BTreeMap;
 
     chorus_core::locations! { Leader, F1, F2 }
     type Cluster = chorus_core::LocationSet!(Leader, F1, F2);
@@ -354,7 +353,7 @@ mod tests {
     fn run<F: Fn(&String) -> Result<(), String>>(
         quorum: usize,
         validate: F,
-    ) -> BTreeMap<String, Result<String, Misbehavior>> {
+    ) -> Quire<Result<String, Misbehavior>, Cluster> {
         let runner: Runner<Cluster> = Runner::new();
         let proposal = runner.local("cfg-v2".to_string());
         let out = runner.run(Round { proposal: &proposal, quorum, validate: &validate });
@@ -364,16 +363,16 @@ mod tests {
     #[test]
     fn unanimous_acks_commit_everywhere() {
         let facets = run(3, |_| Ok(()));
-        for (name, outcome) in facets {
-            assert_eq!(outcome, Ok("cfg-v2".to_string()), "{name} must adopt the proposal");
+        for (name, outcome) in facets.iter() {
+            assert_eq!(*outcome, Ok("cfg-v2".to_string()), "{name} must adopt the proposal");
         }
     }
 
     #[test]
     fn rejected_proposal_aborts_with_the_proposer_named() {
         let facets = run(2, |_: &String| Err("policy violation".to_string()));
-        for (name, outcome) in facets {
-            let m = outcome.expect_err("a rejected proposal must abort");
+        for (name, outcome) in facets.iter() {
+            let m = outcome.as_ref().expect_err("a rejected proposal must abort");
             assert_eq!(m.culprit, "Leader", "{name} must blame the proposer");
             assert!(matches!(m.kind, MisbehaviorKind::Rejected { .. }));
             assert_eq!(m.epoch, 6);
@@ -384,8 +383,8 @@ mod tests {
     fn unreachable_quorum_aborts_with_no_quorum() {
         // Everyone validates, but the quorum is impossible to reach.
         let facets = run(4, |_| Ok(()));
-        for (name, outcome) in facets {
-            let m = outcome.expect_err("an unreachable quorum must abort");
+        for (name, outcome) in facets.iter() {
+            let m = outcome.as_ref().expect_err("an unreachable quorum must abort");
             assert_eq!(m.culprit, "Leader", "{name}: NoQuorum falls back to the proposer");
             assert!(matches!(m.kind, MisbehaviorKind::NoQuorum { acks: 3, quorum: 4 }));
         }

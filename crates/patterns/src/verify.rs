@@ -178,7 +178,6 @@ where
 mod tests {
     use super::*;
     use chorus_core::Runner;
-    use std::collections::BTreeMap;
 
     chorus_core::locations! { A, B, C }
     type Trio = chorus_core::LocationSet!(A, B, C);
@@ -199,18 +198,19 @@ mod tests {
         }
     }
 
-    fn run(values: [(&str, u64); 3]) -> BTreeMap<String, Result<u64, Misbehavior>> {
+    fn run(values: [u64; 3]) -> Quire<Result<u64, Misbehavior>, Trio> {
         let runner: Runner<Trio> = Runner::new();
-        let faceted = runner.faceted(values.into_iter().map(|(k, v)| (k.to_string(), v)).collect());
+        let mut values = values.into_iter();
+        let faceted = runner.faceted(Quire::build(|_| values.next().expect("one per member")));
         let out = runner.run(Verify { values: &faceted });
         runner.unwrap_faceted(out)
     }
 
     #[test]
     fn consistent_results_verify_everywhere() {
-        let facets = run([("A", 99), ("B", 99), ("C", 99)]);
-        for (name, outcome) in facets {
-            assert_eq!(outcome, Ok(99), "{name} must keep its verified value");
+        let facets = run([99, 99, 99]);
+        for (name, outcome) in facets.iter() {
+            assert_eq!(*outcome, Ok(99), "{name} must keep its verified value");
         }
     }
 
@@ -219,9 +219,9 @@ mod tests {
         // C computed something else; A and B accuse C, C's counter-
         // accusation (of A) is outvoted, so all three — including C —
         // resolve culprit C.
-        let facets = run([("A", 7), ("B", 7), ("C", 8)]);
-        for (name, outcome) in facets {
-            let m = outcome.expect_err("divergence must be detected");
+        let facets = run([7, 7, 8]);
+        for (name, outcome) in facets.iter() {
+            let m = outcome.as_ref().expect_err("divergence must be detected");
             assert_eq!(m.culprit, "C", "{name} must converge on the actual culprit");
             assert!(matches!(m.kind, MisbehaviorKind::Inconsistent));
             assert_eq!(m.epoch, 4);

@@ -25,8 +25,8 @@ use chorus_core::{
 };
 use chorus_mpc::circuit::Circuit;
 use chorus_mpc::ot;
+use chorus_mpc::sharing::share_bool;
 use rand::{thread_rng, Rng};
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
 /// The GMW choreography: evaluates `circuit` over the parties' private
@@ -195,17 +195,8 @@ where
 /// Builds a quire of random bits whose XOR equals `bit` (Fig. 9's
 /// `genShares`).
 fn xor_share_quire<P: LocationSet>(bit: bool) -> Quire<bool, P> {
-    let mut rng = thread_rng();
-    let mut map: BTreeMap<String, bool> =
-        P::names().into_iter().map(|n| (n.to_string(), rng.gen())).collect();
-    let total = map.values().fold(false, |a, b| a ^ b);
-    if total != bit {
-        let first = P::names()[0];
-        if let Some(entry) = map.get_mut(first) {
-            *entry = !*entry;
-        }
-    }
-    Quire::from_map(map).expect("share quire is keyed by the census")
+    let mut shares = share_bool(&mut thread_rng(), bit, P::LENGTH).into_iter();
+    Quire::build(|_| shares.next().expect("one share per party"))
 }
 
 /// Fan-out over receivers j: each j collects its masked products from
@@ -337,8 +328,7 @@ where
             let u_i = *un.unwrap_faceted_ref::<bool, P, SInP>(self.u);
             let r_ij = *un
                 .unwrap_faceted_ref::<Quire<bool, P>, P, SInP>(self.masks)
-                .get_by_name(R::NAME)
-                .expect("mask quire covers the census");
+                .get::<R, RInP>(R::new());
             let pks = *un
                 .unwrap_ref::<ot::PublicKeys, chorus_core::LocationSet!(S), chorus_core::Here>(
                     &pks_at_sender,
@@ -405,6 +395,7 @@ mod tests {
     use chorus_core::Runner;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+    use std::collections::BTreeMap;
 
     type Two = chorus_core::LocationSet!(P1, P2);
     type Three = chorus_core::LocationSet!(P1, P2, P3);
@@ -414,7 +405,7 @@ mod tests {
         P: LocationSet + Subset<P, PRefl> + LocationSetFoldable<P, P, PFold>,
     {
         let runner: Runner<P> = Runner::new();
-        let faceted = runner.faceted(inputs);
+        let faceted = runner.faceted(Quire::build(|name| inputs[name].clone()));
         runner.run(Gmw::<P, PRefl, PFold> { circuit, inputs: &faceted, phantom: PhantomData })
     }
 
@@ -525,7 +516,7 @@ mod more_tests {
         P: LocationSet + Subset<P, PRefl> + LocationSetFoldable<P, P, PFold>,
     {
         let runner: Runner<P> = Runner::new();
-        let faceted = runner.faceted(inputs);
+        let faceted = runner.faceted(Quire::build(|name| inputs[name].clone()));
         runner.run(Gmw::<P, PRefl, PFold> { circuit, inputs: &faceted, phantom: PhantomData })
     }
 

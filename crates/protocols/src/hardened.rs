@@ -38,7 +38,6 @@ use chorus_patterns::{
     MisbehaviorKind, ProposeAck, Verdict, VerifyConsistent,
 };
 use rand::{thread_rng, Rng};
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
 use crate::gmw::Gmw;
@@ -212,11 +211,7 @@ where
             let quire = un.unwrap_ref::<Quire<(FLOTTERY, Verdict), Servers>, chorus_core::LocationSet!(Analyst), chorus_core::Here>(
                 &all_shares,
             );
-            let verdicts: BTreeMap<String, Verdict> =
-                quire.iter().map(|(name, (_, v))| (name.to_string(), v.clone())).collect();
-            let verdicts: Quire<Verdict, Servers> =
-                Quire::from_map(verdicts).unwrap_or_else(|_| unreachable!("keyed by the servers"));
-            resolve_verdicts(&verdicts)?;
+            resolve_verdicts(&quire.clone().map(|(_, verdict)| verdict))?;
             let sum: FLOTTERY = quire.values().map(|(share, _)| *share).sum();
             Ok(sum.value())
         })
@@ -408,15 +403,10 @@ mod tests {
         let circuit =
             Circuit::input("P1", 0).and(Circuit::input("P2", 0)).xor(Circuit::input("P3", 0));
         for bits in 0..8u8 {
-            let inputs: BTreeMap<String, Vec<bool>> = [
-                ("P1".to_string(), vec![bits & 1 != 0]),
-                ("P2".to_string(), vec![bits & 2 != 0]),
-                ("P3".to_string(), vec![bits & 4 != 0]),
-            ]
-            .into_iter()
-            .collect();
+            let inputs: Quire<Vec<bool>, Parties> =
+                Quire::build(|name| vec![bits & (1 << Parties::position(name).unwrap()) != 0]);
             let expected =
-                circuit.eval_plain(&inputs.iter().map(|(k, v)| (k.as_str(), v.clone())).collect());
+                circuit.eval_plain(&inputs.iter().map(|(k, v)| (k, v.clone())).collect());
             let runner: Runner<Parties> = Runner::new();
             let faceted = runner.faceted(inputs);
             let out = runner.run(HardenedGmw::<Parties, _, _> {
@@ -425,8 +415,8 @@ mod tests {
                 epoch: 1,
                 phantom: PhantomData,
             });
-            for (name, result) in runner.unwrap_faceted(out) {
-                assert_eq!(result, Ok(expected), "{name} under input bits {bits:03b}");
+            for (name, result) in runner.unwrap_faceted(out).iter() {
+                assert_eq!(*result, Ok(expected), "{name} under input bits {bits:03b}");
             }
         }
     }
@@ -437,15 +427,11 @@ mod tests {
 
     fn run_hardened_lottery(cheater: Option<&str>) -> Result<u64, Misbehavior> {
         let runner: Runner<Census> = Runner::new();
-        let secrets: Faceted<FLOTTERY, Clients> = runner.faceted(
-            [("C1", 111), ("C2", 222), ("C3", 333)]
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), FLOTTERY::new(v)))
-                .collect(),
-        );
-        let cheaters: Faceted<bool, Servers> = runner.faceted(
-            ["S1", "S2", "S3"].into_iter().map(|s| (s.to_string(), Some(s) == cheater)).collect(),
-        );
+        let mut secrets = [111, 222, 333].into_iter();
+        let secrets: Faceted<FLOTTERY, Clients> =
+            runner.faceted(Quire::build(|_| FLOTTERY::new(secrets.next().expect("three clients"))));
+        let cheaters: Faceted<bool, Servers> =
+            runner.faceted(Quire::build(|name| Some(name) == cheater));
         let out = runner.run(HardenedLottery::<Clients, Servers, Census, _, _, _, _, _, _, _> {
             secrets: &secrets,
             tau: 300,
@@ -482,8 +468,8 @@ mod tests {
             quorum: 3,
             phantom: PhantomData,
         });
-        for (name, result) in runner.unwrap_faceted(out) {
-            assert_eq!(result, Ok(4), "{name} must adopt the new version");
+        for (name, result) in runner.unwrap_faceted(out).iter() {
+            assert_eq!(*result, Ok(4), "{name} must adopt the new version");
         }
     }
 
@@ -497,8 +483,8 @@ mod tests {
             quorum: 3,
             phantom: PhantomData,
         });
-        for (_, result) in runner.unwrap_faceted(out) {
-            let m = result.expect_err("a skip must be rejected");
+        for result in runner.unwrap_faceted(out).values() {
+            let m = result.as_ref().expect_err("a skip must be rejected");
             assert_eq!(m.culprit, "P1", "the proposer is to blame");
             assert!(matches!(m.kind, MisbehaviorKind::Rejected { .. }));
         }

@@ -204,20 +204,16 @@ where
 mod tests {
     use super::*;
     use crate::roles::{Backup1, Backup2};
-    use chorus_core::Runner;
-    use std::collections::BTreeMap;
+    use chorus_core::{Quire, Runner};
 
     type Backups = chorus_core::LocationSet!(Backup1, Backup2);
     type Census = KvsCensus<Backups>;
 
-    fn stores() -> (BTreeMap<String, SharedStore>, Faceted<SharedStore, Servers<Backups>>) {
-        let mut map = BTreeMap::new();
-        for name in ["Primary", "Backup1", "Backup2"] {
-            map.insert(name.to_string(), SharedStore::new());
-        }
+    fn stores() -> (Quire<SharedStore, Servers<Backups>>, Faceted<SharedStore, Servers<Backups>>) {
+        let stores = Quire::build(|_| SharedStore::new());
         let runner: Runner<Census> = Runner::new();
-        let faceted = runner.faceted(map.iter().map(|(k, v)| (k.clone(), v.clone())).collect());
-        (map, faceted)
+        let faceted = runner.faceted(stores.clone());
+        (stores, faceted)
     }
 
     fn run_request(
@@ -250,9 +246,9 @@ mod tests {
     fn get_is_served_by_the_primary() {
         let runner: Runner<Census> = Runner::new();
         let (map, states) = stores();
-        map["Primary"].put("k", "v");
-        map["Backup1"].put("k", "v");
-        map["Backup2"].put("k", "v");
+        map.get(Primary).put("k", "v");
+        map.get(Backup1).put("k", "v");
+        map.get(Backup2).put("k", "v");
         let (response, resynched) = run_request(&runner, &states, Request::Get("k".into()));
         assert_eq!(response, Response::Found("v".into()));
         assert!(!resynched, "gets never resynch");
@@ -262,11 +258,11 @@ mod tests {
     fn corrupted_replica_triggers_resynch_and_repair() {
         let runner: Runner<Census> = Runner::new();
         let (map, states) = stores();
-        map["Backup1"].corrupt_next_put();
+        map.get(Backup1).corrupt_next_put();
         let (_, resynched) = run_request(&runner, &states, Request::Put("k".into(), "v".into()));
         assert!(resynched, "diverged replicas must resynch");
         // After resynch every replica matches the primary.
-        let reference = map["Primary"].snapshot();
+        let reference = map.get(Primary).snapshot();
         for store in map.values() {
             assert_eq!(store.snapshot(), reference);
         }
@@ -288,16 +284,14 @@ mod tests {
     fn works_with_a_single_backup() {
         type One = chorus_core::LocationSet!(Backup1);
         let runner: Runner<KvsCensus<One>> = Runner::new();
-        let mut map = BTreeMap::new();
-        map.insert("Primary".to_string(), SharedStore::new());
-        map.insert("Backup1".to_string(), SharedStore::new());
-        let states: Faceted<SharedStore, Servers<One>> = runner.faceted(map.clone());
+        let map: Quire<SharedStore, Servers<One>> = Quire::build(|_| SharedStore::new());
+        let states = runner.faceted(map.clone());
         let outcome = runner.run(ReplicatedKvs::<One, _, _, _> {
             request: runner.local(Request::Put("a".into(), "1".into())),
             states,
             phantom: PhantomData,
         });
         assert_eq!(runner.unwrap_located(outcome.response), Response::NotFound);
-        assert_eq!(map["Backup1"].get("a"), Response::Found("1".into()));
+        assert_eq!(map.get(Backup1).get("a"), Response::Found("1".into()));
     }
 }

@@ -190,15 +190,14 @@ where
 mod tests {
     use super::*;
     use crate::roles::{Backup1, Backup2};
-    use chorus_core::Runner;
-    use std::collections::BTreeMap;
+    use chorus_core::{Quire, Runner};
 
     type Backups = chorus_core::LocationSet!(Backup1, Backup2);
     type Census = KvsCensus<Backups>;
 
     struct Setup {
         runner: Runner<Census>,
-        backups: BTreeMap<String, Store>,
+        backups: Quire<Store, Backups>,
         server: Store,
         backup_stores: Faceted<Store, Backups>,
         server_store: Located<Store, Primary>,
@@ -206,9 +205,7 @@ mod tests {
 
     fn setup() -> Setup {
         let runner: Runner<Census> = Runner::new();
-        let mut backups = BTreeMap::new();
-        backups.insert("Backup1".to_string(), Store::default());
-        backups.insert("Backup2".to_string(), Store::default());
+        let backups = Quire::build(|_| Store::default());
         let server = Store::default();
         let backup_stores = runner.faceted(backups.clone());
         let server_store = runner.local(server.clone());
@@ -230,8 +227,8 @@ mod tests {
         let s = setup();
         assert_eq!(run(&s, Request::Put("x".into(), 5)), 0);
         assert_eq!(s.server.get("x"), Some(5));
-        assert_eq!(s.backups["Backup1"].get("x"), Some(5));
-        assert_eq!(s.backups["Backup2"].get("x"), Some(5));
+        assert_eq!(s.backups.get(Backup1).get("x"), Some(5));
+        assert_eq!(s.backups.get(Backup2).get("x"), Some(5));
     }
 
     #[test]

@@ -23,9 +23,9 @@ use chorus_core::{
 };
 use chorus_mpc::commit::Commitment;
 use chorus_mpc::field::FLOTTERY;
+use chorus_mpc::sharing::share_field;
 use rand::{thread_rng, Rng};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 use std::marker::PhantomData;
 
 /// Why a lottery run aborted.
@@ -146,19 +146,12 @@ where
     }
 }
 
-/// Splits `secret` into additive shares keyed by the servers.
+/// Splits `secret` into additive shares, one per server.
 pub(crate) fn additive_share_quire<Servers: LocationSet>(
     secret: FLOTTERY,
 ) -> Quire<FLOTTERY, Servers> {
-    let mut rng = thread_rng();
-    let mut map: BTreeMap<String, FLOTTERY> =
-        Servers::names().into_iter().map(|n| (n.to_string(), FLOTTERY::random(&mut rng))).collect();
-    let total: FLOTTERY = map.values().copied().sum();
-    let first = Servers::names()[0];
-    if let Some(entry) = map.get_mut(first) {
-        *entry = *entry + secret - total;
-    }
-    Quire::from_map(map).expect("share quire is keyed by the servers")
+    let mut shares = share_field(&mut thread_rng(), secret, Servers::LENGTH).into_iter();
+    Quire::build(|_| shares.next().expect("one share per server"))
 }
 
 /// Fan-out over servers: each server gathers one share from every client.
@@ -316,20 +309,18 @@ mod tests {
     type Servers = chorus_core::LocationSet!(S1, S2, S3);
     type Census = chorus_core::LocationSet!(Analyst, C1, C2, C3, S1, S2, S3);
 
-    fn secrets(values: [u64; 3]) -> BTreeMap<String, FLOTTERY> {
-        [("C1", values[0]), ("C2", values[1]), ("C3", values[2])]
-            .into_iter()
-            .map(|(k, v)| (k.to_string(), FLOTTERY::new(v)))
-            .collect()
+    fn secrets(values: [u64; 3]) -> Quire<FLOTTERY, Clients> {
+        let mut values = values.into_iter();
+        Quire::build(|_| FLOTTERY::new(values.next().expect("one secret per client")))
     }
 
-    fn no_cheaters() -> BTreeMap<String, bool> {
-        ["S1", "S2", "S3"].into_iter().map(|s| (s.to_string(), false)).collect()
+    fn no_cheaters() -> Quire<bool, Servers> {
+        Quire::build(|_| false)
     }
 
     fn run_lottery(
-        secret_map: BTreeMap<String, FLOTTERY>,
-        cheater_map: BTreeMap<String, bool>,
+        secret_map: Quire<FLOTTERY, Clients>,
+        cheater_map: Quire<bool, Servers>,
     ) -> Result<u64, LotteryError> {
         let runner: Runner<Census> = Runner::new();
         let secrets: Faceted<FLOTTERY, Clients> = runner.faceted(secret_map);
@@ -367,8 +358,7 @@ mod tests {
 
     #[test]
     fn a_cheating_server_is_caught() {
-        let mut cheaters = no_cheaters();
-        cheaters.insert("S2".to_string(), true);
+        let cheaters = Quire::build(|name| name == "S2");
         let result = run_lottery(secrets([1, 2, 3]), cheaters);
         assert_eq!(result, Err(LotteryError::CommitmentFailed));
     }

@@ -3,9 +3,9 @@
 //! replicas must stay convergent — resynching precisely when corruption
 //! was injected.
 
-use chorus_core::{Faceted, Runner};
+use chorus_core::{Faceted, Quire, Runner};
 use chorus_protocols::kvs_backup::{KvsCensus, ReplicatedKvs, Servers};
-use chorus_protocols::roles::{Backup1, Backup2, Backup3};
+use chorus_protocols::roles::{Backup1, Backup2, Backup3, Primary};
 use chorus_protocols::store::{Request, Response, SharedStore};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -35,13 +35,8 @@ proptest! {
     #[test]
     fn kvs_behaves_like_a_map_and_replicas_converge(ops in prop::collection::vec(arb_op(), 1..24)) {
         let runner: Runner<Census> = Runner::new();
-        let mut stores = BTreeMap::new();
-        for name in ["Primary", "Backup1", "Backup2", "Backup3"] {
-            stores.insert(name.to_string(), SharedStore::new());
-        }
-        let states: Faceted<SharedStore, Servers<Backups>> = runner.faceted(
-            stores.iter().map(|(k, v)| (k.clone(), v.clone())).collect(),
-        );
+        let stores: Quire<SharedStore, Servers<Backups>> = Quire::build(|_| SharedStore::new());
+        let states: Faceted<SharedStore, Servers<Backups>> = runner.faceted(stores.clone());
         let mut model: BTreeMap<String, String> = BTreeMap::new();
 
         for op in ops {
@@ -49,7 +44,7 @@ proptest! {
                 Op::Put(k, v) => (Request::Put(format!("k{k}"), format!("v{v}")), false),
                 Op::Get(k) => (Request::Get(format!("k{k}")), false),
                 Op::CorruptThenPut(k, v) => {
-                    stores["Backup2"].corrupt_next_put();
+                    stores.get(Backup2).corrupt_next_put();
                     (Request::Put(format!("k{k}"), format!("v{v}")), true)
                 }
             };
@@ -84,8 +79,8 @@ proptest! {
             }
 
             // Replicas converge after every request.
-            let reference = stores["Primary"].snapshot();
-            for (name, store) in &stores {
+            let reference = stores.get(Primary).snapshot();
+            for (name, store) in stores.iter() {
                 prop_assert_eq!(
                     store.snapshot(),
                     reference.clone(),

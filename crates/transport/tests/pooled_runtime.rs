@@ -312,20 +312,6 @@ fn pooled_server_answers_blocking_client() {
     pooled.join().unwrap();
 }
 
-/// `Endpoint::spawn_session` schedules onto the process-global runtime;
-/// the global pool is sized to the machine, created on first use.
-#[test]
-fn endpoint_spawn_session_uses_the_global_runtime() {
-    let (client, server) = local_pair();
-    let store = SharedStore::new();
-    let s = server.spawn_session(11, PooledKvsServer::new(store));
-    let c = client.spawn_session(11, PooledKvsClient::new(Request::Put("k".into(), "v".into())));
-    assert_eq!(c.join().unwrap(), Response::NotFound);
-    s.join().unwrap();
-    let parallelism = std::thread::available_parallelism().map_or(1, |n| n.get());
-    assert_eq!(SessionRuntime::global().pool_size(), parallelism);
-}
-
 /// A program with several receives re-parks on each edge in turn: each
 /// miss stores the task's waker on the mailbox it missed. This pins the
 /// multi-yield resume contract with a two-round ping/pong.

@@ -482,30 +482,21 @@ mod one_pass_opener {
 /// number of times, then parks (`chorus_core::park::poll_before_park`):
 /// a spin burns the core the other thread needs, and sizing one by the
 /// machine's parallelism reads the spinning thread's CPU mask, so
-/// `spin_loop` appears nowhere under `crates/*/src`, and
-/// `available_parallelism` only where `SessionRuntime::global` sizes
-/// its pool.
+/// neither `spin_loop` nor `available_parallelism` appears under
+/// `crates/*/src`. Every pool is sized by its caller
+/// (`SessionRuntime::new`).
 mod no_spin_in_a_wait {
     use super::*;
 
-    pub(super) const POOL_SIZE: &str = "crates/core/src/runtime.rs";
-
     fn offending(sources: &[Source]) -> Vec<String> {
-        let mut found = offenders(sources, &[], |line| line.contains("spin_loop"));
-        found.extend(offenders(sources, &[POOL_SIZE], |line| {
-            line.contains("available_parallelism")
-        }));
-        found
+        offenders(sources, &[], |line| {
+            line.contains("spin_loop") || line.contains("available_parallelism")
+        })
     }
 
     #[test]
     fn holds_in_the_workspace() {
-        let sources = crate_sources();
-        assert!(
-            sources.iter().any(|s| s.path == POOL_SIZE),
-            "the rule's file set must include {POOL_SIZE}"
-        );
-        let found = offending(&sources);
+        let found = offending(&crate_sources());
         assert!(
             found.is_empty(),
             "wait through chorus_core::park::poll_before_park's bounded yield, not a spin:\n{}",
@@ -522,15 +513,19 @@ mod no_spin_in_a_wait {
                  std::hint::spin_loop();\n\
                  let cores = std::thread::available_parallelism();\n",
             ),
-            fixture(POOL_SIZE, "let workers = std::thread::available_parallelism();\n"),
-            fixture(POOL_SIZE, "core::hint::spin_loop();\n"),
+            fixture(
+                "crates/core/src/runtime.rs",
+                "let workers = std::thread::available_parallelism();\n",
+            ),
+            fixture("crates/core/src/runtime.rs", "core::hint::spin_loop();\n"),
         ];
         assert_eq!(
             offending(&sources),
             [
                 "crates/core/src/park.rs:2: std::hint::spin_loop();",
-                "crates/core/src/runtime.rs:1: core::hint::spin_loop();",
                 "crates/core/src/park.rs:3: let cores = std::thread::available_parallelism();",
+                "crates/core/src/runtime.rs:1: let workers = std::thread::available_parallelism();",
+                "crates/core/src/runtime.rs:1: core::hint::spin_loop();",
             ]
         );
     }
@@ -893,6 +888,82 @@ mod one_send_path_per_projection {
                 "crates/core/src/choreography.rs:2: fn resident<Owners: LocationSet>(&self) -> bool;",
                 "crates/core/src/session.rs:3: pub fn multicast_value<'n, V: Portable>(&self) {}",
                 "crates/core/src/transport.rs:1: fn locations(&self) -> Vec<&str> {",
+            ]
+        );
+    }
+}
+
+/// One location key. A quire holds its values in census order and a
+/// faceted value its facets by census position, both found through
+/// `LocationSet::{position, name_at}`, so no choreographic operator keys
+/// a location by a copy of its name. The name-keyed map format stays
+/// deleted: `from_map`, `from_facets` and `into_facets` appear nowhere
+/// under `crates/*/src`, and `BTreeMap<String` nowhere under
+/// `crates/core/src`.
+mod one_location_key {
+    use super::*;
+
+    pub(super) const CORE: &str = "crates/core/src/";
+
+    fn map_format(line: &str) -> bool {
+        ["from_map", "from_facets", "into_facets"].iter().any(|word| line.contains(word))
+    }
+
+    fn name_keyed_map(line: &str) -> bool {
+        line.contains("BTreeMap<String")
+    }
+
+    fn offending(sources: &[Source]) -> Vec<String> {
+        let mut found = offenders(sources, &[], map_format);
+        let core = sources.iter().filter(|s| s.path.starts_with(CORE));
+        found.extend(offenders(core, &[], name_keyed_map));
+        found
+    }
+
+    #[test]
+    fn holds_in_the_workspace() {
+        let sources = crate_sources();
+        assert!(
+            sources.iter().any(|s| s.path.starts_with(CORE)),
+            "the rule's file set must include {CORE}"
+        );
+        let found = offending(&sources);
+        assert!(
+            found.is_empty(),
+            "key a location by its census position (LocationSet::position), not by its name:\n{}",
+            found.join("\n")
+        );
+    }
+
+    #[test]
+    fn fails_on_a_fixture_that_breaks_it() {
+        let sources = [
+            fixture(
+                "crates/core/src/quire.rs",
+                "// from_map in a comment is prose.\n\
+                 pub fn from_map(map: BTreeMap<String, V>) -> Self {\n",
+            ),
+            fixture(
+                "crates/core/src/faceted.rs",
+                "facets: std::collections::BTreeMap<String, V>,\n",
+            ),
+            fixture(
+                "crates/patterns/src/broadcast_gather.rs",
+                "let blame: BTreeMap<String, u32> = BTreeMap::new();\n\
+                 let quire = Quire::from_map(clean);\n",
+            ),
+            fixture("crates/core/src/runner.rs", "data.into_facets()\n"),
+            fixture("crates/core/src/session.rs", "Faceted::from_facets(facets)\n"),
+        ];
+        assert_eq!(
+            offending(&sources),
+            [
+                "crates/core/src/quire.rs:2: pub fn from_map(map: BTreeMap<String, V>) -> Self {",
+                "crates/patterns/src/broadcast_gather.rs:2: let quire = Quire::from_map(clean);",
+                "crates/core/src/runner.rs:1: data.into_facets()",
+                "crates/core/src/session.rs:1: Faceted::from_facets(facets)",
+                "crates/core/src/quire.rs:2: pub fn from_map(map: BTreeMap<String, V>) -> Self {",
+                "crates/core/src/faceted.rs:1: facets: std::collections::BTreeMap<String, V>,",
             ]
         );
     }
